@@ -8,16 +8,27 @@ calibration time against the committed baseline ratio, so it measures
 the simulator's own efficiency rather than the machine it happens to
 run on.
 
-The committed ``results/perf_simulator.json`` carries:
+Two timings come from the same child process:
 
-* ``baseline`` -- the post-vectorization ratio this guard defends
-  (refreshed only deliberately, by deleting the file and re-running);
-* ``reference_prechange`` -- the same protocol measured on the
-  pre-vectorization simulator, documenting the speedup;
+* *warm* -- ``simulate()`` on a platform whose static NoC tables an
+  earlier call already built: the simulation loop alone;
+* *cold* -- ``simulate()`` on ``platform.with_vf(platform.vf_points)``,
+  the same fabric and clocks with an empty static cache, so every
+  all-pairs table (dense latency, pairwise energy, flow usage) is built
+  inside the timed call, as on a study's first simulation of a system.
+
+The committed ``results/perf_simulator.json`` carries, for the warm
+timing at the top level and for the cold one under ``"cold"``:
+
+* ``baseline`` -- the ratio this guard defends (refreshed only
+  deliberately, by deleting the entry and re-running);
+* ``reference_prechange`` -- the same protocol measured before the
+  change the baseline documents (pre-vectorization for warm, the
+  per-pair table builders for cold);
 * ``latest`` -- the most recent measurement (updated every run).
 
-The guard fails when the measured ratio regresses more than
-``BUDGET`` (25%) beyond the baseline ratio.
+The guard fails when either ratio regresses more than ``BUDGET`` (25%)
+beyond its baseline.
 """
 
 import json
@@ -94,8 +105,19 @@ _CHILD = textwrap.dedent(
 
     simulate_once()  # warm caches (imports, path tables, numpy dispatch)
     calibration()
+
+    def cold_simulate_once():
+        cold = platform.with_vf(platform.vf_points)  # empty static cache
+        start = time.perf_counter()
+        simulate(
+            cold, trace, locality=locality,
+            stealing_policy=design.stealing_policy("vfi2"),
+        )
+        return time.perf_counter() - start
+
     print(json.dumps({
         "simulate_s": min(simulate_once() for _ in range(5)),
+        "cold_simulate_s": min(cold_simulate_once() for _ in range(3)),
         "calibration_s": min(calibration() for _ in range(5)),
     }))
     """
@@ -113,53 +135,58 @@ def _time_child() -> dict:
     return json.loads(out.stdout.splitlines()[-1])
 
 
+def _guard_entry(previous: dict, simulate_s: float, calibration_s: float):
+    """One timing's JSON entry: committed baseline/reference + latest."""
+    ratio = simulate_s / calibration_s
+    latest = {
+        "simulate_s": simulate_s,
+        "calibration_s": calibration_s,
+        "ratio": ratio,
+    }
+    # First run on a fresh checkout establishes the baseline.
+    entry = {"baseline": previous.get("baseline") or latest, "latest": latest}
+    entry["budget"] = BUDGET
+    reference = previous.get("reference_prechange")
+    if reference is not None:
+        entry["reference_prechange"] = reference
+        if reference.get("ratio"):
+            entry["speedup_vs_prechange"] = reference["ratio"] / ratio
+    return entry
+
+
+def _within_budget(entry: dict) -> bool:
+    return entry["latest"]["ratio"] <= entry["baseline"]["ratio"] * (1.0 + BUDGET)
+
+
 def test_simulator_performance(results_dir):
     committed = pathlib.Path(results_dir) / RESULT_NAME
     previous = json.loads(committed.read_text()) if committed.exists() else {}
-    baseline = previous.get("baseline")
-    reference = previous.get("reference_prechange")
 
-    simulate_s = calibration_s = None
-    ratio = float("inf")
+    floors = {}
     for _ in range(3):  # repeat until the floors stabilize
         sample = _time_child()
-        simulate_s = (
-            sample["simulate_s"] if simulate_s is None
-            else min(simulate_s, sample["simulate_s"])
+        for key, value in sample.items():
+            floors[key] = min(value, floors.get(key, value))
+        warm = _guard_entry(
+            previous, floors["simulate_s"], floors["calibration_s"]
         )
-        calibration_s = (
-            sample["calibration_s"] if calibration_s is None
-            else min(calibration_s, sample["calibration_s"])
+        cold = _guard_entry(
+            previous.get("cold", {}),
+            floors["cold_simulate_s"],
+            floors["calibration_s"],
         )
-        ratio = simulate_s / calibration_s
-        if baseline and ratio <= baseline["ratio"] * (1.0 + BUDGET):
+        if _within_budget(warm) and _within_budget(cold):
             break
 
-    if baseline is None:
-        # First run on a fresh checkout: establish the baseline.
-        baseline = {
-            "simulate_s": simulate_s,
-            "calibration_s": calibration_s,
-            "ratio": ratio,
-        }
-
-    payload = {
-        "baseline": baseline,
-        "latest": {
-            "simulate_s": simulate_s,
-            "calibration_s": calibration_s,
-            "ratio": ratio,
-        },
-        "budget": BUDGET,
-    }
-    if reference is not None:
-        payload["reference_prechange"] = reference
-        if reference.get("ratio"):
-            payload["speedup_vs_prechange"] = reference["ratio"] / ratio
-    write_result(results_dir, RESULT_NAME, json.dumps(payload, indent=2))
-
-    assert ratio <= baseline["ratio"] * (1.0 + BUDGET), (
-        f"simulate()/calibration ratio {ratio:.3f} regressed beyond "
-        f"baseline {baseline['ratio']:.3f} (+{BUDGET * 100:.0f}% budget); "
-        f"simulate {simulate_s:.3f}s, calibration {calibration_s:.3f}s"
+    write_result(
+        results_dir, RESULT_NAME, json.dumps(dict(warm, cold=cold), indent=2)
     )
+    for label, entry in (("warm", warm), ("cold", cold)):
+        latest, baseline = entry["latest"], entry["baseline"]
+        assert _within_budget(entry), (
+            f"{label} simulate()/calibration ratio {latest['ratio']:.3f} "
+            f"regressed beyond baseline {baseline['ratio']:.3f} "
+            f"(+{BUDGET * 100:.0f}% budget); simulate "
+            f"{latest['simulate_s']:.3f}s, calibration "
+            f"{latest['calibration_s']:.3f}s"
+        )

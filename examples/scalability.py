@@ -11,10 +11,10 @@ is precisely where the small-world + wireless fabric earns its keep.
 Core counts need not be square: 128 resolves to a 16x8 die
 (``DieGeometry.for_cores(128)``), and an 8-island 128-core die is
 ``DieGeometry.for_cores(128, num_islands=8)``.  Dies above 64 cores
-automatically switch the dense NoC tables to blocked float32 builds
-(``NocParams.dense_block_nodes``, see ``noc_params_for``), which keeps
-the 256-core platform's static tables ~4.5x smaller in peak RSS than
-the unblocked float64 path (measured by
+automatically build the dense NoC tables in 64-source blocks with
+float32 storage (``NocParams.dense_block_nodes``, see
+``noc_params_for``), which keeps the 256-core platform's static-table
+peak near 46 MB (measured by
 ``benchmarks/test_memory_blocked_dense.py``).
 
 Run:  python examples/scalability.py

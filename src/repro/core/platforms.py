@@ -41,9 +41,10 @@ from repro.utils.rng import SeedLike, derive_rng, spawn_seed
 from repro.vfi.islands import NOMINAL, VfiLayout
 from repro.vfi.vf_assign import VfAssignment
 
-#: Dies larger than the paper's 64 cores default to blocked float32
-#: dense tables (this block size), keeping peak RSS bounded; the 64-core
-#: paper platform keeps the exact unblocked float64 path.
+#: Dies larger than the paper's 64 cores build their all-pairs NoC
+#: tables in source blocks of this size with float32 storage, keeping
+#: peak RSS bounded; the 64-core paper platform walks one block and
+#: stores float64.
 LARGE_DIE_BLOCK_NODES = 64
 
 
@@ -101,10 +102,11 @@ def memory_params_for(geometry: GeometryLike) -> MemoryParams:
 def noc_params_for(die: DieGeometry) -> NocParams:
     """Flow-model parameters sized for the die.
 
-    The paper's 64-core die keeps the exact legacy configuration
-    (unblocked float64 dense tables); larger dies switch the dense layer
-    to blocked float32 builds so 256-core platforms stay within a
-    bounded peak RSS.
+    One builder makes every all-pairs NoC table; ``dense_block_nodes``
+    picks its source block size and storage.  The paper's 64-core die
+    leaves it unset (one block, float64 tables); larger dies walk
+    64-source blocks and store float32, so 256-core platforms stay
+    within a bounded peak RSS.
     """
     if die.num_cores <= 64:
         return NocParams()

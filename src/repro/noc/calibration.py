@@ -69,12 +69,21 @@ def channel_utilizations(
         raise ValueError(
             f"traffic {traffic_rate_bps.shape} does not match {n} nodes"
         )
-    for src in range(n):
-        for dst in range(n):
-            rate = traffic_rate_bps[src, dst]
-            if rate > 0 and src != dst:
-                model.add_flow(src, dst, rate)
-    return model.load.channel_load / wireless.bandwidth_bps
+    # One add_flow per positive-rate pair, in (src, dst) order: every
+    # crossing adds the pair's rate to its channel.  bincount adds in
+    # entry order, and csr rows run in pair order, so each channel sums
+    # exactly the sequence of rates a per-pair add_flow loop would.
+    channels = model._flow_usage()[:, 2 * len(topology.links):]
+    crossings = channels.data.astype(np.intp)
+    pairs = np.repeat(np.arange(n * n), np.diff(channels.indptr))
+    rate = traffic_rate_bps.ravel()
+    rate = np.where(rate > 0, rate, 0.0)
+    load = np.bincount(
+        np.repeat(channels.indices, crossings),
+        weights=np.repeat(rate[pairs], crossings),
+        minlength=channels.shape[1],
+    )
+    return load / wireless.bandwidth_bps
 
 
 def calibrate_wireless_routing(

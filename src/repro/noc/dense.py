@@ -10,18 +10,26 @@ pieces to one sparse mat-vec (queueing) plus a ragged min (bottleneck
 capacity) over shared *resources* -- directed wire links and wireless
 channels.
 
-``tests/noc/test_dense.py`` verifies bit-equality (to float tolerance)
-against the reference per-path implementation.
+Both classes build their tables in one pass of the forward route walk
+(:func:`repro.noc.pathwalk.route_blocks`), adding each hop's terms in
+path order; ``NocParams.dense_block_nodes`` picks the source block size
+and float32 storage (:func:`repro.noc.pathwalk.table_layout`).
+``tests/noc/test_table_oracles.py`` asserts the tables equal those of
+the per-pair and blocked reference builders bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
 from repro.noc.network import FlowNetworkModel
+from repro.noc.pathwalk import (
+    edge_resource_tables, route_blocks, stack_usage, table_layout, unsort,
+    usage_block,
+)
 from repro.noc.topology import LinkKind
 
 
@@ -59,19 +67,16 @@ class DenseLatencyModel:
         self._head = static["head"]
         self._usage = static["usage"]
         self._binary_usage = static["binary_usage"]
-        self._resources_per_pair = static["resources_per_pair"]
         self._raw_bottleneck = static["raw_bottleneck"]
 
-    def _build_static(self, model: FlowNetworkModel, bulk: bool) -> Dict:
-        if model.params.dense_block_nodes is not None:
-            return self._build_static_blocked(
-                model, bulk, model.params.dense_block_nodes
-            )
-        n = self.num_nodes
+    @staticmethod
+    def _build_static(model: FlowNetworkModel, bulk: bool) -> Dict:
+        n = model.topology.num_nodes
         links = model.topology.links
         num_links = len(links)
         num_channels = max(model.wireless.num_channels, 1)
         num_resources = 2 * num_links + num_channels
+        _, dtype = table_layout(model.params, n)
 
         # Per-resource service time, raw capacity and buffer bound.
         service = np.zeros(num_resources)
@@ -95,204 +100,59 @@ class DenseLatencyModel:
             capacity[resource] = model.wireless.bandwidth_bps
             buffer_flits[resource] = params.wi_buffer_flits
 
-        # Static head latency and path resource membership per pair.
-        head = np.zeros((n, n))
-        rows: List[int] = []
-        cols: List[int] = []
-        resources_per_pair: List[np.ndarray] = []
-        for src in range(n):
-            for dst in range(n):
-                pair = src * n + dst
-                if src == dst:
-                    head[src, dst] = params.router_pipeline_cycles / node_freq[src]
-                    resources_per_pair.append(np.empty(0, dtype=np.int64))
-                    continue
-                pair_resources: List[int] = []
-                t = 0.0
-                node = src
-                path_links, directions = model._path(src, dst, bulk=bulk)
-                for link, direction in zip(path_links, directions):
-                    peer = link.other(node)
-                    t += params.router_pipeline_cycles / node_freq[node]
-                    index = model._link_index[link.key]
-                    if link.kind is LinkKind.WIRELESS:
-                        t += (
-                            model.wireless.propagation_s
-                            + model.wireless.token_overhead_s
-                        )
-                        resource = 2 * num_links + link.channel
-                    else:
-                        f_link = min(node_freq[node], node_freq[peer])
-                        t += params.link_traversal_cycles / f_link
-                        resource = 2 * index + direction
-                    pair_resources.append(resource)
-                    if model.clusters[node] != model.clusters[peer]:
-                        t += params.domain_sync_cycles / min(
-                            node_freq[node], node_freq[peer]
-                        )
-                    node = peer
-                t += params.router_pipeline_cycles / node_freq[dst]
-                head[src, dst] = t
-                unique = np.array(sorted(set(pair_resources)), dtype=np.int64)
-                resources_per_pair.append(unique)
-                rows.extend([pair] * len(pair_resources))
-                cols.extend(pair_resources)
-        usage = csr_matrix(
-            (np.ones(len(rows)), (rows, cols)),
-            shape=(n * n, num_resources),
-        )
-        # Deduplicated membership (a pair that crosses one channel twice
-        # still meets it once for min/max reductions).
-        binary_rows = np.concatenate(
-            [np.full(len(r), pair, dtype=np.int64)
-             for pair, r in enumerate(resources_per_pair)]
-            or [np.empty(0, dtype=np.int64)]
-        )
-        binary_cols = np.concatenate(resources_per_pair or [np.empty(0, dtype=np.int64)])
-        binary_usage = csr_matrix(
-            (np.ones(len(binary_rows)), (binary_rows, binary_cols)),
-            shape=(n * n, num_resources),
-        )
-        # Raw per-pair line rate (load independent): min capacity on path.
-        raw_bottleneck = np.full(n * n, np.inf)
-        for pair, resources in enumerate(resources_per_pair):
-            if len(resources):
-                raw_bottleneck[pair] = capacity[resources].min()
-        return {
-            "node_freq": node_freq.copy(),
-            "num_resources": num_resources,
-            "service": service,
-            "capacity": capacity,
-            "buffer_flits": buffer_flits,
-            "head": head,
-            "usage": usage,
-            "binary_usage": binary_usage,
-            "resources_per_pair": resources_per_pair,
-            "raw_bottleneck": raw_bottleneck.reshape(n, n),
-        }
-
-    def _build_static_blocked(
-        self, model: FlowNetworkModel, bulk: bool, block: int
-    ) -> Dict:
-        """Blocked float32 build of the static tables (large dies).
-
-        Identical semantics to :meth:`_build_static`, but per-pair paths
-        are never materialized: every source walks all destinations'
-        predecessor chains in lockstep over dense per-edge lookup tables,
-        head latencies accumulate in float64 and store as float32, and
-        usage entries are built as int arrays per source block.  Peak
-        transient memory is bounded by the block size instead of the
-        O(n^2 * hops) Python lists of the exact builder.
-        """
-        from repro.noc.pathwalk import (
-            assemble_blocked_csr, edge_resource_tables, walk_steps_block,
-        )
-
-        n = self.num_nodes
-        links = model.topology.links
-        num_links = len(links)
-        num_channels = max(model.wireless.num_channels, 1)
-        num_resources = 2 * num_links + num_channels
-
-        # Per-resource service time, raw capacity and buffer bound
-        # (identical to the exact builder; small, kept float64).
-        service = np.zeros(num_resources)
-        capacity = np.zeros(num_resources)
-        buffer_flits = np.zeros(num_resources)
-        node_freq = model._node_freq
-        params = model.params
-        for index, link in enumerate(links):
-            if link.kind is LinkKind.WIRELESS:
-                continue
-            f_link = min(node_freq[link.a], node_freq[link.b])
-            cap = params.flit_bits * f_link / params.link_traversal_cycles
-            for direction in (0, 1):
-                resource = 2 * index + direction
-                service[resource] = params.link_traversal_cycles / f_link
-                capacity[resource] = cap
-                buffer_flits[resource] = params.wire_buffer_flits
-        for channel in range(num_channels):
-            resource = 2 * num_links + channel
-            service[resource] = params.flit_bits / model.wireless.bandwidth_bps
-            capacity[resource] = model.wireless.bandwidth_bps
-            buffer_flits[resource] = params.wi_buffer_flits
-
-        # Dense per-edge tables: head-latency contribution, billed
-        # resource column and raw capacity of each adjacent hop u -> v.
+        # Per-hop terms over adjacent nodes u -> v: the billed resource
+        # column (whose ``capacity`` is the hop's raw line rate), the
+        # link term (wireless propagation + token, or wire traversal at
+        # the slower clock) and the island-crossing synchronizer (0
+        # inside an island).
         link_col, chan_col = edge_resource_tables(model)
-        billed_col = np.where(chan_col >= 0, chan_col, link_col)
-        pipeline_s = params.router_pipeline_cycles / node_freq
-        hop_head = np.zeros((n, n))
-        hop_cap = np.zeros((n, n))
+        wireless = chan_col >= 0
+        billed_col = np.where(wireless, chan_col, link_col)
+        f_hop = np.minimum.outer(node_freq, node_freq)
+        link_s = np.where(
+            wireless,
+            model.wireless.propagation_s + model.wireless.token_overhead_s,
+            params.link_traversal_cycles / f_hop,
+        )
         clusters = np.asarray(model.clusters)
-        for link in links:
-            for u, v in ((link.a, link.b), (link.b, link.a)):
-                t = pipeline_s[u]
-                if link.kind is LinkKind.WIRELESS:
-                    t += (
-                        model.wireless.propagation_s
-                        + model.wireless.token_overhead_s
-                    )
-                    cap = model.wireless.bandwidth_bps
-                else:
-                    f_link = min(node_freq[u], node_freq[v])
-                    t += params.link_traversal_cycles / f_link
-                    cap = params.flit_bits * f_link / params.link_traversal_cycles
-                if clusters[u] != clusters[v]:
-                    t += params.domain_sync_cycles / min(
-                        node_freq[u], node_freq[v]
-                    )
-                hop_head[u, v] = t
-                hop_cap[u, v] = cap
+        sync_s = np.where(
+            clusters[:, None] != clusters[None, :],
+            params.domain_sync_cycles / f_hop,
+            0.0,
+        )
+        pipeline_s = params.router_pipeline_cycles / node_freq
 
-        routing = model.bulk_routing if bulk else model.routing
-        pred = routing.predecessor_matrix()
-        head = np.zeros((n, n), dtype=np.float32)
-        raw_bottleneck = np.full((n, n), np.inf, dtype=np.float32)
-
-        def block_entries(start, end):
-            # The whole block walks in lockstep: per step, each still-
-            # walking (src, dst) route appears exactly once, so the 2-D
-            # fancy-indexed += sees no duplicate indices and accumulates
-            # each route's hops in the same back-to-front order as the
-            # per-source walk -- float64 sums are bit-identical.
-            srcs = np.arange(start, end)
-            base = (srcs * n).astype(np.int32)
-            acc_head = np.zeros((end - start, n))
-            acc_cap = np.full((end - start, n), np.inf)
-            rows_parts: List[np.ndarray] = []
-            cols_parts: List[np.ndarray] = []
-            for rows, dst, prev, cur in walk_steps_block(
-                pred[start:end], srcs, n
-            ):
-                acc_head[rows, dst] += hop_head[prev, cur]
-                acc_cap[rows, dst] = np.minimum(
-                    acc_cap[rows, dst], hop_cap[prev, cur]
-                )
-                rows_parts.append(base[rows] + dst.astype(np.int32))
-                cols_parts.append(billed_col[prev, cur])
-            # Ejection pipeline at every destination; the diagonal
-            # (zero hops) collapses to the local-port traversal.
-            acc_head += pipeline_s
-            head[start:end] = acc_head
-            raw_bottleneck[start:end] = acc_cap
-            if not rows_parts:
-                empty = np.empty(0, dtype=np.int32)
-                return empty, empty
-            return np.concatenate(rows_parts), np.concatenate(cols_parts)
-
-        usage = assemble_blocked_csr(block_entries, n, block, num_resources)
-        # Deduplicated membership: the constructor already summed
-        # duplicate entries, so clamping the stored data to 1 is exactly
-        # the per-pair unique-resource matrix of the exact builder.  The
-        # index structure is identical, so share indices/indptr with
-        # ``usage`` instead of copying them.
+        head = np.empty((n, n), dtype=dtype)
+        raw_bottleneck = np.empty((n, n), dtype=dtype)
+        parts = []
+        for start, end, order, steps in route_blocks(model, bulk):
+            # One slot per route in walk order.  Each hop adds its router
+            # pipeline, link and synchronizer terms in path order, so the
+            # float64 sums are exactly those of a per-path loop.
+            t = np.zeros(len(order))
+            line_rate = np.full(len(order), np.inf)
+            rows, cols = [], []
+            for u, v in steps:
+                walking = slice(len(u))
+                billed = billed_col[u, v]
+                t[walking] += pipeline_s[u]
+                t[walking] += link_s[u, v]
+                t[walking] += sync_s[u, v]
+                np.minimum(line_rate[walking], capacity[billed], out=line_rate[walking])
+                rows.append(order[walking])
+                cols.append(billed)
+            # Ejection pipeline at the destination; a zero-hop route is
+            # just the local port traversal.
+            head[start:end] = unsort(t, order, n) + pipeline_s
+            raw_bottleneck[start:end] = unsort(line_rate, order, n)
+            parts.append(usage_block(rows, cols, len(order), num_resources, dtype))
+        usage = stack_usage(parts)
+        # Deduplicated membership (a pair that crosses one channel twice
+        # still meets it once for min/max reductions): the csr already
+        # summed duplicates, so its structure with unit data is exactly
+        # that; share indices/indptr with ``usage`` instead of copying.
         binary_usage = csr_matrix(
-            (
-                np.ones_like(usage.data),
-                usage.indices,
-                usage.indptr,
-            ),
+            (np.ones_like(usage.data), usage.indices, usage.indptr),
             shape=usage.shape,
         )
         return {
@@ -304,9 +164,6 @@ class DenseLatencyModel:
             "head": head,
             "usage": usage,
             "binary_usage": binary_usage,
-            # Not materialized in blocked mode (would cost O(n^2) small
-            # arrays); nothing outside the exact builder consumes it.
-            "resources_per_pair": None,
             "raw_bottleneck": raw_bottleneck,
         }
 
@@ -429,84 +286,37 @@ class PairwiseEnergy:
 
     @staticmethod
     def _build_static(model: FlowNetworkModel, bulk: bool):
-        if model.params.dense_block_nodes is not None:
-            return PairwiseEnergy._build_static_blocked(model, bulk)
         n = model.topology.num_nodes
         params = model.energy.params
-        energy_per_bit = np.zeros((n, n))  # joules per bit
-        hops = np.zeros((n, n))
-        wireless_links = np.zeros((n, n))  # wireless hops on path
-        for src in range(n):
-            for dst in range(n):
-                if src == dst:
-                    continue
-                links, _ = model._path(src, dst, bulk=bulk)
-                pj_per_bit = params.router_pj_per_bit  # ejection router
-                wireless = 0
-                for link in links:
-                    pj_per_bit += params.router_pj_per_bit
-                    if link.kind is LinkKind.WIRELESS:
-                        pj_per_bit += params.wireless_pj_per_bit
-                        wireless += 1
-                    else:
-                        pj_per_bit += (
-                            params.wire_pj_per_bit_per_mm * link.length_mm
-                        )
-                energy_per_bit[src, dst] = pj_per_bit * 1e-12
-                hops[src, dst] = len(links)
-                wireless_links[src, dst] = wireless
-        return energy_per_bit, hops, wireless_links
-
-    @staticmethod
-    def _build_static_blocked(model: FlowNetworkModel, bulk: bool):
-        """Blocked float32 build: per-edge energy tables + lockstep walks
-        (same quantities as the exact builder, no per-pair path lists)."""
-        from repro.noc.pathwalk import walk_steps_block
-
-        n = model.topology.num_nodes
-        params = model.energy.params
+        _, dtype = table_layout(model.params, n)
+        # Per-hop energy beyond the hop's router, and wireless hops.
         hop_pj = np.zeros((n, n))
         hop_wireless = np.zeros((n, n))
         for link in model.topology.links:
             if link.kind is LinkKind.WIRELESS:
-                pj = params.router_pj_per_bit + params.wireless_pj_per_bit
-                wireless = 1.0
+                pj, wireless = params.wireless_pj_per_bit, 1.0
             else:
-                pj = (
-                    params.router_pj_per_bit
-                    + params.wire_pj_per_bit_per_mm * link.length_mm
-                )
+                pj = params.wire_pj_per_bit_per_mm * link.length_mm
                 wireless = 0.0
-            for u, v in ((link.a, link.b), (link.b, link.a)):
-                hop_pj[u, v] = pj
-                hop_wireless[u, v] = wireless
-        routing = model.bulk_routing if bulk else model.routing
-        pred = routing.predecessor_matrix()
-        energy_per_bit = np.zeros((n, n), dtype=np.float32)
-        hops = np.zeros((n, n), dtype=np.float32)
-        wireless_links = np.zeros((n, n), dtype=np.float32)
-        block = model.params.dense_block_nodes or n
-        for start in range(0, n, block):
-            end = min(start + block, n)
-            srcs = np.arange(start, end)
-            acc_pj = np.zeros((end - start, n))
-            acc_hops = np.zeros((end - start, n))
-            acc_wireless = np.zeros((end - start, n))
-            # Lockstep over the whole block; each (src, dst) route shows
-            # up at most once per step, so the fancy-indexed += keeps the
-            # per-route hop order (and float64 bits) of the old
-            # one-source-at-a-time walk.
-            for rows, dst, prev, cur in walk_steps_block(
-                pred[start:end], srcs, n
-            ):
-                acc_pj[rows, dst] += hop_pj[prev, cur]
-                acc_hops[rows, dst] += 1.0
-                acc_wireless[rows, dst] += hop_wireless[prev, cur]
-            # Ejection router on every non-trivial path (diagonal stays 0).
-            acc_pj[acc_hops > 0] += params.router_pj_per_bit
-            energy_per_bit[start:end] = acc_pj * 1e-12
-            hops[start:end] = acc_hops
-            wireless_links[start:end] = acc_wireless
+            hop_pj[link.a, link.b] = hop_pj[link.b, link.a] = pj
+            hop_wireless[link.a, link.b] = hop_wireless[link.b, link.a] = wireless
+        energy_per_bit = np.empty((n, n), dtype=dtype)  # joules per bit
+        hops = np.empty((n, n), dtype=dtype)
+        wireless_links = np.empty((n, n), dtype=dtype)  # wireless hops on path
+        for start, end, order, steps in route_blocks(model, bulk):
+            pj_per_bit = np.full(len(order), params.router_pj_per_bit)  # ejection
+            route_hops = np.zeros(len(order))
+            route_wireless = np.zeros(len(order))
+            for u, v in steps:
+                walking = slice(len(u))
+                pj_per_bit[walking] += params.router_pj_per_bit
+                pj_per_bit[walking] += hop_pj[u, v]
+                route_hops[walking] += 1.0
+                route_wireless[walking] += hop_wireless[u, v]
+            pj_per_bit[route_hops == 0] = 0.0  # src == dst moves nothing
+            energy_per_bit[start:end] = unsort(pj_per_bit * 1e-12, order, n)
+            hops[start:end] = unsort(route_hops, order, n)
+            wireless_links[start:end] = unsort(route_wireless, order, n)
         return energy_per_bit, hops, wireless_links
 
     def record(self, src: int, dst: int, bits: float) -> float:

@@ -37,6 +37,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.noc.energy import NocEnergyModel, NocEnergyParams
+from repro.noc.pathwalk import (
+    edge_resource_tables, route_blocks, stack_usage, table_layout, usage_block,
+)
 from repro.noc.routing import RoutingTable
 from repro.noc.topology import Link, LinkKind, Topology
 from repro.noc.wireless import WirelessSpec
@@ -61,13 +64,13 @@ class NocParams:
     #: front of it before backpressure stalls the upstream router instead.
     wire_buffer_flits: int = 2
     wi_buffer_flits: int = 8
-    #: Opt-in blocked float32 construction of the dense all-pairs tables
-    #: (:mod:`repro.noc.dense`, :mod:`repro.sim.memory`): sources are
-    #: processed in blocks of this many nodes through vectorized
-    #: predecessor-chain walks, with float32 storage, so 128/256-core
-    #: dies stay within a bounded peak RSS.  ``None`` (the default)
-    #: keeps the exact legacy float64 path -- the 64-core paper platform
-    #: is bit-for-bit unchanged.
+    #: Source block size of the all-pairs NoC tables
+    #: (:mod:`repro.noc.dense`, :mod:`repro.sim.memory`), which one
+    #: forward route walk builds block by block
+    #: (:func:`repro.noc.pathwalk.route_blocks`).  ``None`` (the
+    #: default) walks every source in one block and stores float64; a
+    #: block size also switches storage to float32, so 128/256-core dies
+    #: stay within a bounded peak RSS.
     dense_block_nodes: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -280,10 +283,9 @@ class FlowNetworkModel:
         Row ``src * n + dst`` counts how often that pair's path crosses
         each directed link (wire *and* wireless, mirroring ``add_flow``'s
         per-link bookkeeping) and each shared wireless channel.  Built
-        once per message class and shared through :attr:`static_cache`.
+        once per message class from the forward route walk and shared
+        through :attr:`static_cache`.
         """
-        from scipy.sparse import csr_matrix
-
         key = (
             "flow_usage",
             bulk,
@@ -294,37 +296,22 @@ class FlowNetworkModel:
         if usage is not None:
             return usage
         n = self.topology.num_nodes
-        num_links = len(self.topology.links)
-        num_channels = self.load.channel_load.shape[0]
-        block = self.params.dense_block_nodes
-        if block is not None:
-            # Blocked build: vectorized predecessor-chain walks with
-            # float32 data, no per-pair Python path materialization.
-            from repro.noc.pathwalk import flow_usage_blocked
-
-            usage = flow_usage_blocked(
-                self, bulk, block, 2 * num_links + num_channels
-            )
-            self.static_cache[key] = usage
-            return usage
-        rows: List[int] = []
-        cols: List[int] = []
-        for src in range(n):
-            for dst in range(n):
-                if src == dst:
-                    continue
-                pair = src * n + dst
-                for link, direction in zip(*self._path(src, dst, bulk=bulk)):
-                    index = self._link_index[link.key]
-                    rows.append(pair)
-                    cols.append(2 * index + direction)
-                    if link.kind is LinkKind.WIRELESS:
-                        rows.append(pair)
-                        cols.append(2 * num_links + link.channel)
-        usage = csr_matrix(
-            (np.ones(len(rows)), (rows, cols)),
-            shape=(n * n, 2 * num_links + num_channels),
-        )
+        num_resources = 2 * len(self.topology.links) + self.load.channel_load.shape[0]
+        _, dtype = table_layout(self.params, n)
+        link_col, chan_col = edge_resource_tables(self)
+        parts = []
+        for _, _, order, steps in route_blocks(self, bulk):
+            rows, cols = [], []
+            for u, v in steps:
+                route = order[: len(u)]
+                rows.append(route)
+                cols.append(link_col[u, v])
+                channel = chan_col[u, v]
+                on_channel = channel >= 0
+                rows.append(route[on_channel])
+                cols.append(channel[on_channel])
+            parts.append(usage_block(rows, cols, len(order), num_resources, dtype))
+        usage = stack_usage(parts)
         self.static_cache[key] = usage
         return usage
 

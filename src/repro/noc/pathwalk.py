@@ -1,22 +1,23 @@
-"""Vectorized predecessor-chain walks for blocked dense-table builds.
+"""Vectorized route walks behind every all-pairs NoC table.
 
-The legacy dense builders walk one Python path per (src, dst) pair and
-accumulate resource ids into Python lists -- at 256 cores that is ~65k
-path walks and hundreds of MB of transient ``int`` objects.  The blocked
-builders (:class:`repro.noc.dense.DenseLatencyModel` and
-:meth:`repro.noc.network.FlowNetworkModel._flow_usage` with
-``NocParams.dense_block_nodes`` set) instead walk every (src, dst)
-route of a whole source block at once: :func:`walk_steps_block` advances
-all still-walking routes one predecessor hop per step over dense
-per-edge lookup tables, so the transient state is a handful of 1-D
-arrays whose length shrinks as routes reach their sources.  Per block
-that is ~diameter numpy steps instead of ~``block * diameter`` Python
-loop iterations, and consumers issue one ``np.concatenate`` per block.
+The all-pairs tables -- head latency, raw bottleneck and resource usage
+(:class:`repro.noc.dense.DenseLatencyModel`), per-pair energy
+(:class:`repro.noc.dense.PairwiseEnergy`), flow usage
+(:meth:`repro.noc.network.FlowNetworkModel._flow_usage`) and, through
+it, the calibration channel loads -- all come from one walk over a
+routing table's predecessor matrix.  Sources are taken in blocks
+(:func:`route_blocks`): :func:`walk_steps_block` advances every
+(src, dst) route of a block one predecessor hop per step, and
+:func:`forward_steps` turns that backward walk into each route's hops
+in src -> dst order.  Per block that is ~diameter numpy steps instead
+of ``block * n`` Python path walks.
 
-Per-route hop *order* is preserved: step ``k`` visits the ``k``-th hop
-counted backward from each destination, exactly as the per-source
-:func:`walk_steps` walk does, so float accumulations over the yielded
-hops are bit-identical to the scalar builders.
+Forward order is what keeps float sums exact: a consumer that adds a
+hop's terms per step, in the order a Python loop over
+``routing.path(src, dst)`` would, gets that loop's float64 bits.
+``NocParams.dense_block_nodes`` picks the block size and float32
+storage (:func:`table_layout`); unset, every source walks in one block
+and tables store float64.
 """
 
 from __future__ import annotations
@@ -143,10 +144,10 @@ def walk_steps_block(
     within one step every (src, dst) pair appears at most once, so
     consumers may accumulate with plain fancy-indexed ``+=``.
 
-    Unlike the eager single-source walk, validation here is per step
-    (materializing a block's full walk would defeat the bounded-memory
-    contract of the blocked builders); a cycle still raises with the
-    offending route spelled out.
+    Validation here is per step; a cycle raises with the offending route
+    spelled out.  :func:`forward_steps` runs a block's walk to its end
+    before yielding, so the table builders still fail before they
+    accumulate anything.
     """
     srcs = np.asarray(srcs)
     block = len(srcs)
@@ -179,68 +180,122 @@ def walk_steps_block(
         rows, dst, cur = rows[keep], dst[keep], prev[keep]
 
 
-def assemble_blocked_csr(block_entries, n: int, block: int, num_resources: int):
-    """Assemble the (n*n, num_resources) usage csr from per-block entries.
+def forward_steps(
+    pred_rows: np.ndarray, srcs: np.ndarray, n: int
+) -> Tuple[np.ndarray, Iterator[Tuple[np.ndarray, np.ndarray]]]:
+    """Every route of a source block, hop by hop in src -> dst order.
 
-    *block_entries(start, end)* yields ``(rows, cols)`` int32 entry
-    arrays for sources ``start <= src < end`` (rows are global pair
-    indices ``src * n + dst``; duplicates sum, encoding multiplicity).
-    Each block becomes its own csr and the result is a ``vstack``: no
-    full-size coo intermediate (whose sort/dedup copies dominated peak
-    memory) ever exists, so transient storage is bounded per block.
-    Entries are int32 -- a pair index fits for any die below ~46k nodes.
+    Returns ``(order, steps)``.  ``order`` lists the block's routes --
+    ``row * n + dst``, ``row`` indexing *srcs* -- longest first, so the
+    routes still walking at any step are a prefix of it.  ``steps``
+    yields ``(u, v)`` per step: step ``j`` carries the ``j``-th hop
+    ``u -> v`` of routes ``order[:len(u)]``.  A consumer keeps one slot
+    per route in ``order``'s order, adds step ``j``'s terms to the
+    first ``len(u)`` slots, and scatters the slots back through
+    ``order`` at the end; zero-hop routes (``src == dst``) fill the
+    tail slots and appear in no step.
+
+    The block's backward walk (:func:`walk_steps_block`) runs to its end
+    before this returns, so a broken predecessor chain raises before a
+    consumer has accumulated anything.  The walk keeps one padded table:
+    the node each backward step reached, in the narrowest type that
+    holds a node id.  Route indices are int32, which holds a one-block
+    walk of any die below ~46k nodes.
     """
-    from scipy.sparse import csr_matrix, vstack
+    srcs = np.asarray(srcs)
+    num_routes = len(srcs) * n
+    hops = np.zeros(num_routes, dtype=np.int32)
+    reached = []
+    for step, (rows, dst, _prev, cur) in enumerate(
+        walk_steps_block(pred_rows, srcs, n)
+    ):
+        route = rows * n + dst
+        nodes = np.empty(num_routes, dtype=np.min_scalar_type(n - 1))
+        nodes[route] = cur
+        reached.append(nodes)
+        hops[route] = step + 1
+    order = np.argsort(-hops, kind="stable").astype(np.int32)
+    walking = num_routes - np.cumsum(np.bincount(hops, minlength=1))
+    # Route r's hop j ends at the node its backward walk reached at step
+    # hops[r] - 1 - j: an index into the flattened table that moves back
+    # one row per step.
+    reached = np.concatenate(reached) if reached else np.empty(0, np.int32)
+    last = (hops[order] - 1).astype(np.intp) * num_routes + order
 
-    parts = []
-    for start in range(0, n, block):
-        end = min(start + block, n)
-        rows, cols = block_entries(start, end)
-        parts.append(
-            csr_matrix(
-                (
-                    np.ones(len(rows), dtype=np.float32),
-                    (rows - np.int32(start * n), cols),
-                ),
-                shape=((end - start) * n, num_resources),
-            )
-        )
-    if not parts:
-        return csr_matrix((n * n, num_resources), dtype=np.float32)
-    return vstack(parts, format="csr")
+    def steps() -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        u = srcs[order // n]
+        for j, count in enumerate(walking[:-1]):
+            v = reached[last[:count] - j * num_routes]
+            yield u[:count], v
+            u = v
+
+    return order, steps()
 
 
-def flow_usage_blocked(model, bulk: bool, block: int, num_resources: int):
-    """Blocked build of :meth:`FlowNetworkModel._flow_usage`'s csr.
+def table_layout(params, n: int) -> Tuple[int, type]:
+    """``(block, dtype)`` of the all-pairs tables under *params*.
 
-    Mirrors the legacy per-pair loop: one entry per directed-link hop
-    (wire *and* wireless) plus one per wireless-channel crossing, with
-    duplicates summed into multiplicities.  The whole block walks in
-    vectorized lockstep (:func:`walk_steps_block`), so entry assembly is
-    ~diameter array appends and one concatenate per block.
+    ``NocParams.dense_block_nodes`` picks both: unset, all *n* sources
+    walk in one block and tables store float64; set, sources walk in
+    blocks of that many nodes and tables store float32, which bounds
+    peak memory on large dies.
+    """
+    if params.dense_block_nodes is None:
+        return n, np.float64
+    return params.dense_block_nodes, np.float32
+
+
+def route_blocks(
+    model, bulk: bool = False
+) -> Iterator[Tuple[int, int, np.ndarray, Iterator[Tuple[np.ndarray, np.ndarray]]]]:
+    """``(start, end, order, steps)`` per source block of *model*'s routes.
+
+    ``order`` and ``steps`` are :func:`forward_steps` over sources
+    ``start <= src < end`` of the latency routing, or with *bulk* the
+    bulk routing.
     """
     n = model.topology.num_nodes
     routing = model.bulk_routing if bulk else model.routing
     pred = routing.predecessor_matrix()
-    link_col, chan_col = edge_resource_tables(model)
-
-    def block_entries(start, end):
+    block, _ = table_layout(model.params, n)
+    for start in range(0, n, block):
+        end = min(start + block, n)
         srcs = np.arange(start, end)
-        base = (srcs * n).astype(np.int32)
-        rows_parts = []
-        cols_parts = []
-        for rows, dst, prev, cur in walk_steps_block(pred[start:end], srcs, n):
-            pair = base[rows] + dst.astype(np.int32)
-            rows_parts.append(pair)
-            cols_parts.append(link_col[prev, cur])
-            wireless = chan_col[prev, cur]
-            on_channel = wireless >= 0
-            if on_channel.any():
-                rows_parts.append(pair[on_channel])
-                cols_parts.append(wireless[on_channel])
-        if not rows_parts:
-            empty = np.empty(0, dtype=np.int32)
-            return empty, empty
-        return np.concatenate(rows_parts), np.concatenate(cols_parts)
+        yield (start, end) + forward_steps(pred[start:end], srcs, n)
 
-    return assemble_blocked_csr(block_entries, n, block, num_resources)
+
+def unsort(slots: np.ndarray, order: np.ndarray, n: int) -> np.ndarray:
+    """Per-route *slots* in walk order, scattered back to ``(rows, n)``."""
+    out = np.empty_like(slots)
+    out[order] = slots
+    return out.reshape(-1, n)
+
+
+def usage_block(rows, cols, num_routes: int, num_resources: int, dtype):
+    """One block's ``(num_routes, num_resources)`` usage csr.
+
+    *rows* and *cols* are lists of per-step entry arrays; duplicate
+    (route, column) entries sum, encoding how often a route crosses a
+    resource.
+    """
+    from scipy.sparse import csr_matrix
+
+    if rows:
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+    else:
+        rows = cols = np.empty(0, dtype=np.int32)
+    return csr_matrix(
+        (np.ones(len(rows), dtype=dtype), (rows, cols)),
+        shape=(num_routes, num_resources),
+    )
+
+
+def stack_usage(parts):
+    """The all-pairs usage csr from per-block parts, in source order.
+
+    Stacking per-block csr parts means no full-size coo intermediate
+    (whose sort and dedup copies dominate peak memory) ever exists.
+    """
+    from scipy.sparse import vstack
+
+    return vstack(parts, format="csr")

@@ -80,8 +80,9 @@ class RoutingTable:
     def predecessor_matrix(self) -> np.ndarray:
         """All-pairs predecessor table: ``pred[src, dst]`` is the node
         before *dst* on the deterministic route from *src* (negative on
-        the diagonal).  This is what the blocked dense-table builders walk
-        in vectorized lockstep instead of materializing per-pair paths.
+        the diagonal).  This is what the all-pairs table builders walk in
+        vectorized lockstep (:mod:`repro.noc.pathwalk`) instead of
+        materializing per-pair paths.
         """
         if self._predecessors.size == 0:
             raise NotImplementedError(

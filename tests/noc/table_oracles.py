@@ -1,0 +1,423 @@
+"""Reference builders for the all-pairs NoC tables.
+
+These are the builders the simulator used before every table came from
+one forward route walk (:mod:`repro.noc.pathwalk`): a per-pair Python
+loop over ``FlowNetworkModel._path`` producing float64 tables, and a
+blocked lockstep builder producing float32 tables for dies with
+``NocParams.dense_block_nodes`` set, plus the ``add_flow`` loop the
+wireless-routing calibration used for its channel loads.  They are kept
+verbatim as oracles: ``tests/noc/test_table_oracles.py`` asserts the
+simulator's tables equal theirs bit for bit.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List
+
+import numpy as np
+from scipy.sparse import csr_matrix, vstack
+
+from repro.noc.network import FlowNetworkModel, NocParams
+from repro.noc.pathwalk import edge_resource_tables, walk_steps_block
+from repro.noc.topology import LinkKind
+
+
+def _resource_constants(model: FlowNetworkModel):
+    """Per-resource service time, raw capacity and buffer bound."""
+    links = model.topology.links
+    num_links = len(links)
+    num_channels = max(model.wireless.num_channels, 1)
+    num_resources = 2 * num_links + num_channels
+    service = np.zeros(num_resources)
+    capacity = np.zeros(num_resources)
+    buffer_flits = np.zeros(num_resources)
+    node_freq = model._node_freq
+    params = model.params
+    for index, link in enumerate(links):
+        if link.kind is LinkKind.WIRELESS:
+            continue  # wireless hops bill against their channel
+        f_link = min(node_freq[link.a], node_freq[link.b])
+        cap = params.flit_bits * f_link / params.link_traversal_cycles
+        for direction in (0, 1):
+            resource = 2 * index + direction
+            service[resource] = params.link_traversal_cycles / f_link
+            capacity[resource] = cap
+            buffer_flits[resource] = params.wire_buffer_flits
+    for channel in range(num_channels):
+        resource = 2 * num_links + channel
+        service[resource] = params.flit_bits / model.wireless.bandwidth_bps
+        capacity[resource] = model.wireless.bandwidth_bps
+        buffer_flits[resource] = params.wi_buffer_flits
+    return num_resources, service, capacity, buffer_flits
+
+
+# ---------------------------------------------------------------------- #
+# DenseLatencyModel static tables
+# ---------------------------------------------------------------------- #
+
+
+def dense_static(model: FlowNetworkModel, bulk: bool) -> Dict:
+    """The pre-walk dispatch: per-pair float64 unless blocking is set."""
+    if model.params.dense_block_nodes is not None:
+        return blocked_dense_static(model, bulk, model.params.dense_block_nodes)
+    return per_pair_dense_static(model, bulk)
+
+
+def per_pair_dense_static(model: FlowNetworkModel, bulk: bool) -> Dict:
+    n = model.topology.num_nodes
+    num_links = len(model.topology.links)
+    num_resources, service, capacity, buffer_flits = _resource_constants(model)
+    node_freq = model._node_freq
+    params = model.params
+
+    # Static head latency and path resource membership per pair.
+    head = np.zeros((n, n))
+    rows: List[int] = []
+    cols: List[int] = []
+    resources_per_pair: List[np.ndarray] = []
+    for src in range(n):
+        for dst in range(n):
+            pair = src * n + dst
+            if src == dst:
+                head[src, dst] = params.router_pipeline_cycles / node_freq[src]
+                resources_per_pair.append(np.empty(0, dtype=np.int64))
+                continue
+            pair_resources: List[int] = []
+            t = 0.0
+            node = src
+            path_links, directions = model._path(src, dst, bulk=bulk)
+            for link, direction in zip(path_links, directions):
+                peer = link.other(node)
+                t += params.router_pipeline_cycles / node_freq[node]
+                index = model._link_index[link.key]
+                if link.kind is LinkKind.WIRELESS:
+                    t += (
+                        model.wireless.propagation_s
+                        + model.wireless.token_overhead_s
+                    )
+                    resource = 2 * num_links + link.channel
+                else:
+                    f_link = min(node_freq[node], node_freq[peer])
+                    t += params.link_traversal_cycles / f_link
+                    resource = 2 * index + direction
+                pair_resources.append(resource)
+                if model.clusters[node] != model.clusters[peer]:
+                    t += params.domain_sync_cycles / min(
+                        node_freq[node], node_freq[peer]
+                    )
+                node = peer
+            t += params.router_pipeline_cycles / node_freq[dst]
+            head[src, dst] = t
+            unique = np.array(sorted(set(pair_resources)), dtype=np.int64)
+            resources_per_pair.append(unique)
+            rows.extend([pair] * len(pair_resources))
+            cols.extend(pair_resources)
+    usage = csr_matrix(
+        (np.ones(len(rows)), (rows, cols)),
+        shape=(n * n, num_resources),
+    )
+    # Deduplicated membership (a pair that crosses one channel twice
+    # still meets it once for min/max reductions).
+    binary_rows = np.concatenate(
+        [np.full(len(r), pair, dtype=np.int64)
+         for pair, r in enumerate(resources_per_pair)]
+        or [np.empty(0, dtype=np.int64)]
+    )
+    binary_cols = np.concatenate(resources_per_pair or [np.empty(0, dtype=np.int64)])
+    binary_usage = csr_matrix(
+        (np.ones(len(binary_rows)), (binary_rows, binary_cols)),
+        shape=(n * n, num_resources),
+    )
+    # Raw per-pair line rate (load independent): min capacity on path.
+    raw_bottleneck = np.full(n * n, np.inf)
+    for pair, resources in enumerate(resources_per_pair):
+        if len(resources):
+            raw_bottleneck[pair] = capacity[resources].min()
+    return {
+        "node_freq": node_freq.copy(),
+        "num_resources": num_resources,
+        "service": service,
+        "capacity": capacity,
+        "buffer_flits": buffer_flits,
+        "head": head,
+        "usage": usage,
+        "binary_usage": binary_usage,
+        "raw_bottleneck": raw_bottleneck.reshape(n, n),
+    }
+
+
+def assemble_blocked_csr(block_entries, n: int, block: int, num_resources: int):
+    """Per-block float32 csr parts from ``block_entries``, stacked."""
+    parts = []
+    for start in range(0, n, block):
+        end = min(start + block, n)
+        rows, cols = block_entries(start, end)
+        parts.append(
+            csr_matrix(
+                (
+                    np.ones(len(rows), dtype=np.float32),
+                    (rows - np.int32(start * n), cols),
+                ),
+                shape=((end - start) * n, num_resources),
+            )
+        )
+    if not parts:
+        return csr_matrix((n * n, num_resources), dtype=np.float32)
+    return vstack(parts, format="csr")
+
+
+def blocked_dense_static(model: FlowNetworkModel, bulk: bool, block: int) -> Dict:
+    n = model.topology.num_nodes
+    links = model.topology.links
+    num_resources, service, capacity, buffer_flits = _resource_constants(model)
+    node_freq = model._node_freq
+    params = model.params
+
+    # Dense per-edge tables: head-latency contribution, billed resource
+    # column and raw capacity of each adjacent hop u -> v.
+    link_col, chan_col = edge_resource_tables(model)
+    billed_col = np.where(chan_col >= 0, chan_col, link_col)
+    pipeline_s = params.router_pipeline_cycles / node_freq
+    hop_head = np.zeros((n, n))
+    hop_cap = np.zeros((n, n))
+    clusters = np.asarray(model.clusters)
+    for link in links:
+        for u, v in ((link.a, link.b), (link.b, link.a)):
+            t = pipeline_s[u]
+            if link.kind is LinkKind.WIRELESS:
+                t += (
+                    model.wireless.propagation_s
+                    + model.wireless.token_overhead_s
+                )
+                cap = model.wireless.bandwidth_bps
+            else:
+                f_link = min(node_freq[u], node_freq[v])
+                t += params.link_traversal_cycles / f_link
+                cap = params.flit_bits * f_link / params.link_traversal_cycles
+            if clusters[u] != clusters[v]:
+                t += params.domain_sync_cycles / min(
+                    node_freq[u], node_freq[v]
+                )
+            hop_head[u, v] = t
+            hop_cap[u, v] = cap
+
+    routing = model.bulk_routing if bulk else model.routing
+    pred = routing.predecessor_matrix()
+    head = np.zeros((n, n), dtype=np.float32)
+    raw_bottleneck = np.full((n, n), np.inf, dtype=np.float32)
+
+    def block_entries(start, end):
+        srcs = np.arange(start, end)
+        base = (srcs * n).astype(np.int32)
+        acc_head = np.zeros((end - start, n))
+        acc_cap = np.full((end - start, n), np.inf)
+        rows_parts: List[np.ndarray] = []
+        cols_parts: List[np.ndarray] = []
+        for rows, dst, prev, cur in walk_steps_block(
+            pred[start:end], srcs, n
+        ):
+            acc_head[rows, dst] += hop_head[prev, cur]
+            acc_cap[rows, dst] = np.minimum(
+                acc_cap[rows, dst], hop_cap[prev, cur]
+            )
+            rows_parts.append(base[rows] + dst.astype(np.int32))
+            cols_parts.append(billed_col[prev, cur])
+        acc_head += pipeline_s
+        head[start:end] = acc_head
+        raw_bottleneck[start:end] = acc_cap
+        if not rows_parts:
+            empty = np.empty(0, dtype=np.int32)
+            return empty, empty
+        return np.concatenate(rows_parts), np.concatenate(cols_parts)
+
+    usage = assemble_blocked_csr(block_entries, n, block, num_resources)
+    binary_usage = csr_matrix(
+        (np.ones_like(usage.data), usage.indices, usage.indptr),
+        shape=usage.shape,
+    )
+    return {
+        "node_freq": node_freq.copy(),
+        "num_resources": num_resources,
+        "service": service,
+        "capacity": capacity,
+        "buffer_flits": buffer_flits,
+        "head": head,
+        "usage": usage,
+        "binary_usage": binary_usage,
+        "raw_bottleneck": raw_bottleneck,
+    }
+
+
+# ---------------------------------------------------------------------- #
+# PairwiseEnergy tables
+# ---------------------------------------------------------------------- #
+
+
+def pairwise_static(model: FlowNetworkModel, bulk: bool):
+    if model.params.dense_block_nodes is not None:
+        return blocked_pairwise(model, bulk)
+    return per_pair_pairwise(model, bulk)
+
+
+def per_pair_pairwise(model: FlowNetworkModel, bulk: bool):
+    n = model.topology.num_nodes
+    params = model.energy.params
+    energy_per_bit = np.zeros((n, n))  # joules per bit
+    hops = np.zeros((n, n))
+    wireless_links = np.zeros((n, n))  # wireless hops on path
+    for src in range(n):
+        for dst in range(n):
+            if src == dst:
+                continue
+            links, _ = model._path(src, dst, bulk=bulk)
+            pj_per_bit = params.router_pj_per_bit  # ejection router
+            wireless = 0
+            for link in links:
+                pj_per_bit += params.router_pj_per_bit
+                if link.kind is LinkKind.WIRELESS:
+                    pj_per_bit += params.wireless_pj_per_bit
+                    wireless += 1
+                else:
+                    pj_per_bit += (
+                        params.wire_pj_per_bit_per_mm * link.length_mm
+                    )
+            energy_per_bit[src, dst] = pj_per_bit * 1e-12
+            hops[src, dst] = len(links)
+            wireless_links[src, dst] = wireless
+    return energy_per_bit, hops, wireless_links
+
+
+def blocked_pairwise(model: FlowNetworkModel, bulk: bool):
+    n = model.topology.num_nodes
+    params = model.energy.params
+    hop_pj = np.zeros((n, n))
+    hop_wireless = np.zeros((n, n))
+    for link in model.topology.links:
+        if link.kind is LinkKind.WIRELESS:
+            pj = params.router_pj_per_bit + params.wireless_pj_per_bit
+            wireless = 1.0
+        else:
+            pj = (
+                params.router_pj_per_bit
+                + params.wire_pj_per_bit_per_mm * link.length_mm
+            )
+            wireless = 0.0
+        for u, v in ((link.a, link.b), (link.b, link.a)):
+            hop_pj[u, v] = pj
+            hop_wireless[u, v] = wireless
+    routing = model.bulk_routing if bulk else model.routing
+    pred = routing.predecessor_matrix()
+    energy_per_bit = np.zeros((n, n), dtype=np.float32)
+    hops = np.zeros((n, n), dtype=np.float32)
+    wireless_links = np.zeros((n, n), dtype=np.float32)
+    block = model.params.dense_block_nodes or n
+    for start in range(0, n, block):
+        end = min(start + block, n)
+        srcs = np.arange(start, end)
+        acc_pj = np.zeros((end - start, n))
+        acc_hops = np.zeros((end - start, n))
+        acc_wireless = np.zeros((end - start, n))
+        for rows, dst, prev, cur in walk_steps_block(
+            pred[start:end], srcs, n
+        ):
+            acc_pj[rows, dst] += hop_pj[prev, cur]
+            acc_hops[rows, dst] += 1.0
+            acc_wireless[rows, dst] += hop_wireless[prev, cur]
+        acc_pj[acc_hops > 0] += params.router_pj_per_bit
+        energy_per_bit[start:end] = acc_pj * 1e-12
+        hops[start:end] = acc_hops
+        wireless_links[start:end] = acc_wireless
+    return energy_per_bit, hops, wireless_links
+
+
+# ---------------------------------------------------------------------- #
+# FlowNetworkModel._flow_usage and calibration channel loads
+# ---------------------------------------------------------------------- #
+
+
+def flow_usage(model: FlowNetworkModel, bulk: bool):
+    num_links = len(model.topology.links)
+    num_channels = model.load.channel_load.shape[0]
+    block = model.params.dense_block_nodes
+    if block is not None:
+        return blocked_flow_usage(model, bulk, block, 2 * num_links + num_channels)
+    return per_pair_flow_usage(model, bulk)
+
+
+def per_pair_flow_usage(model: FlowNetworkModel, bulk: bool):
+    n = model.topology.num_nodes
+    num_links = len(model.topology.links)
+    num_channels = model.load.channel_load.shape[0]
+    rows: List[int] = []
+    cols: List[int] = []
+    for src in range(n):
+        for dst in range(n):
+            if src == dst:
+                continue
+            pair = src * n + dst
+            for link, direction in zip(*model._path(src, dst, bulk=bulk)):
+                index = model._link_index[link.key]
+                rows.append(pair)
+                cols.append(2 * index + direction)
+                if link.kind is LinkKind.WIRELESS:
+                    rows.append(pair)
+                    cols.append(2 * num_links + link.channel)
+    return csr_matrix(
+        (np.ones(len(rows)), (rows, cols)),
+        shape=(n * n, 2 * num_links + num_channels),
+    )
+
+
+def blocked_flow_usage(model, bulk: bool, block: int, num_resources: int):
+    n = model.topology.num_nodes
+    routing = model.bulk_routing if bulk else model.routing
+    pred = routing.predecessor_matrix()
+    link_col, chan_col = edge_resource_tables(model)
+
+    def block_entries(start, end):
+        srcs = np.arange(start, end)
+        base = (srcs * n).astype(np.int32)
+        rows_parts = []
+        cols_parts = []
+        for rows, dst, prev, cur in walk_steps_block(pred[start:end], srcs, n):
+            pair = base[rows] + dst.astype(np.int32)
+            rows_parts.append(pair)
+            cols_parts.append(link_col[prev, cur])
+            wireless = chan_col[prev, cur]
+            on_channel = wireless >= 0
+            if on_channel.any():
+                rows_parts.append(pair[on_channel])
+                cols_parts.append(wireless[on_channel])
+        if not rows_parts:
+            empty = np.empty(0, dtype=np.int32)
+            return empty, empty
+        return np.concatenate(rows_parts), np.concatenate(cols_parts)
+
+    return assemble_blocked_csr(block_entries, n, block, num_resources)
+
+
+def add_flow_channel_utilizations(
+    topology,
+    routing,
+    clusters,
+    cluster_frequencies_hz,
+    traffic_rate_bps: np.ndarray,
+    wireless,
+    params: NocParams = NocParams(),
+) -> np.ndarray:
+    """Per-channel utilization by one ``add_flow`` per (src, dst) pair."""
+    model = FlowNetworkModel(
+        topology=topology,
+        routing=routing,
+        clusters=list(clusters),
+        cluster_frequencies_hz=list(cluster_frequencies_hz),
+        params=params,
+        wireless=wireless,
+    )
+    n = topology.num_nodes
+    for src in range(n):
+        for dst in range(n):
+            rate = traffic_rate_bps[src, dst]
+            if rate > 0 and src != dst:
+                model.add_flow(src, dst, rate)
+    return model.load.channel_load / wireless.bandwidth_bps

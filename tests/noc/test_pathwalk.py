@@ -1,16 +1,16 @@
 """Lockstep predecessor walks: validation, ordering, block equivalence.
 
-The dense blocked builders trust :mod:`repro.noc.pathwalk` for two
-contracts: hop *order* per route matches the scalar walk (float
-accumulation bit-equality), and broken predecessor data fails loudly --
-eagerly for the single-source walk, with the offending cycle spelled
-out in both flavors.
+The all-pairs table builders trust :mod:`repro.noc.pathwalk` for two
+contracts: the forward walk visits each route's hops in src -> dst
+order (float accumulation bit-equality), and broken predecessor data
+fails loudly -- before any step reaches a consumer, with the offending
+cycle spelled out.
 """
 
 import numpy as np
 import pytest
 
-from repro.noc.pathwalk import walk_steps, walk_steps_block
+from repro.noc.pathwalk import forward_steps, walk_steps, walk_steps_block
 
 
 def _line_pred_row(src: int, n: int) -> np.ndarray:
@@ -132,3 +132,29 @@ class TestWalkStepsBlock:
     def test_empty_block(self):
         pred_rows = np.empty((0, 4), dtype=np.int64)
         assert list(walk_steps_block(pred_rows, np.empty(0, dtype=int), 4)) == []
+
+
+class TestForwardSteps:
+    def test_hops_in_path_order_longest_first(self):
+        n = 5
+        srcs = np.array([0, 2])
+        pred_rows = np.stack([_line_pred_row(int(s), n) for s in srcs])
+        order, steps = forward_steps(pred_rows, srcs, n)
+        hops = {}
+        for u, v in steps:
+            for route, a, b in zip(order[: len(u)].tolist(), u.tolist(), v.tolist()):
+                hops.setdefault(route, []).append((a, b))
+        for row, src in enumerate(srcs.tolist()):
+            for d in range(n):
+                step = 1 if d > src else -1
+                expected = [(k, k + step) for k in range(src, d, step)]
+                assert hops.get(row * n + d, []) == expected
+        lengths = [len(hops.get(route, [])) for route in order.tolist()]
+        assert lengths == sorted(lengths, reverse=True)
+        assert sorted(order.tolist()) == list(range(len(srcs) * n))
+
+    def test_cycle_raises_at_call_not_first_step(self):
+        pred = np.array([0, 2, 1, 2])
+        pred_rows = np.stack([_line_pred_row(1, 4), pred])
+        with pytest.raises(RuntimeError, match=r"cycle \[1 -> 2 -> 1\]"):
+            forward_steps(pred_rows, np.array([1, 0]), 4)

@@ -1,0 +1,247 @@
+"""Every all-pairs NoC table equals its reference builder bit for bit.
+
+The simulator builds the dense latency tables, the pairwise energy
+tables, the flow-usage matrices and the calibration channel loads from
+one forward route walk (:mod:`repro.noc.pathwalk`).  The reference
+builders in ``tests/noc/table_oracles.py`` are the per-pair float64 and
+blocked float32 builders that walk preceded; each test here compares
+with ``np.array_equal`` (csr matrices: ``indptr``, ``indices``, ``data``
+and dtype), never with a tolerance.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from repro.core.geometry import DieGeometry
+from repro.noc import calibration
+from repro.noc.calibration import calibrate_wireless_routing, channel_utilizations
+from repro.noc.dense import DenseLatencyModel, PairwiseEnergy
+from repro.noc.network import FlowNetworkModel, NocParams
+from repro.noc.pathwalk import route_blocks
+from repro.noc.placement import center_wireless_placement
+from repro.noc.routing import (
+    build_mesh_routing,
+    build_routing_table,
+    default_link_weight,
+)
+from repro.noc.smallworld import SmallWorldConfig, build_small_world
+from repro.noc.topology import LinkKind, build_mesh
+from repro.noc.wireless import WirelessSpec, assign_wireless_links
+
+from tests.noc import table_oracles as oracle
+
+PAPER = DieGeometry.paper()
+MIXED_FREQS = [2.5e9, 2.25e9, 2.0e9, 1.75e9]
+
+
+def _bulk_weight(link):
+    if link.kind is LinkKind.WIRELESS:
+        return 1e4
+    return default_link_weight(link)
+
+
+def _winoc(die: DieGeometry, seed: int = 3):
+    grid = die.grid()
+    clusters = list(die.layout().node_cluster)
+    spec = WirelessSpec().sized_for_islands(die.num_islands)
+    wireline = build_small_world(
+        grid, clusters,
+        config=SmallWorldConfig().sized_for(die.num_cores, die.num_islands),
+        seed=seed,
+    )
+    placement = center_wireless_placement(grid, clusters, spec.num_channels)
+    return assign_wireless_links(wireline, placement, spec), spec
+
+
+def _model(topology, routing, die, freqs, params=NocParams(), wireless=None,
+           bulk_routing=None):
+    clusters = list(die.layout().node_cluster)
+    return FlowNetworkModel(
+        topology, routing, clusters,
+        [freqs[c % len(freqs)] for c in range(die.num_islands)],
+        params=params,
+        wireless=wireless or WirelessSpec(),
+        bulk_routing=bulk_routing,
+    )
+
+
+def mesh_model(die=PAPER, freqs=MIXED_FREQS, params=NocParams()):
+    mesh = build_mesh(die.grid())
+    return _model(mesh, build_mesh_routing(mesh), die, freqs, params)
+
+
+def winoc_model(die=PAPER, freqs=MIXED_FREQS, params=NocParams()):
+    winoc, spec = _winoc(die)
+    return _model(
+        winoc, build_routing_table(winoc), die, freqs, params, spec,
+        bulk_routing=build_routing_table(winoc, weight=_bulk_weight),
+    )
+
+
+def degraded_winoc_model(die=PAPER, freqs=MIXED_FREQS, params=NocParams()):
+    winoc, spec = _winoc(die)
+    wire = next(l for l in winoc.links if l.kind is LinkKind.WIRE)
+    radio = next(l for l in winoc.links if l.kind is LinkKind.WIRELESS)
+    degraded = winoc.without_links([wire.key, radio.key])
+    return _model(
+        degraded, build_routing_table(degraded), die, freqs, params, spec,
+        bulk_routing=build_routing_table(degraded, weight=_bulk_weight),
+    )
+
+
+FABRICS = {
+    "mesh": mesh_model,
+    "winoc": winoc_model,
+    "degraded_winoc": degraded_winoc_model,
+}
+
+#: (fabric, die, dense_block_nodes): single-block float64 on the paper
+#: die, float32 blocks on the paper die and on a 16x8 128-core die.
+CASES = [
+    (fabric, die, block)
+    for fabric in FABRICS
+    for die, block in (
+        (PAPER, None),
+        (PAPER, 16),
+        (DieGeometry.for_cores(128), 64),
+    )
+]
+
+
+def _case_id(case):
+    fabric, die, block = case
+    return f"{fabric}-{die.num_cores}-{'f64' if block is None else f'b{block}'}"
+
+
+@pytest.fixture(scope="module", params=CASES, ids=_case_id)
+def model(request):
+    fabric, die, block = request.param
+    params = NocParams() if block is None else replace(
+        NocParams(), dense_block_nodes=block
+    )
+    return FABRICS[fabric](die, params=params)
+
+
+def assert_csr_equal(actual, expected):
+    assert actual.shape == expected.shape
+    assert actual.dtype == expected.dtype
+    assert np.array_equal(actual.indptr, expected.indptr)
+    assert np.array_equal(actual.indices, expected.indices)
+    assert np.array_equal(actual.data, expected.data)
+
+
+def assert_array_equal(actual, expected):
+    assert actual.dtype == expected.dtype
+    assert np.array_equal(actual, expected)
+
+
+@pytest.mark.parametrize("bulk", [False, True], ids=["latency", "bulk"])
+class TestTablesMatchOracles:
+    def test_dense_latency_tables(self, model, bulk):
+        actual = DenseLatencyModel._build_static(model, bulk)
+        expected = oracle.dense_static(model, bulk)
+        assert actual["num_resources"] == expected["num_resources"]
+        for key in ("node_freq", "service", "capacity", "buffer_flits",
+                    "head", "raw_bottleneck"):
+            assert_array_equal(actual[key], expected[key])
+        assert_csr_equal(actual["usage"], expected["usage"])
+        assert_csr_equal(actual["binary_usage"], expected["binary_usage"])
+
+    def test_pairwise_energy_tables(self, model, bulk):
+        actual = PairwiseEnergy._build_static(model, bulk)
+        expected = oracle.pairwise_static(model, bulk)
+        for got, want in zip(actual, expected):
+            assert_array_equal(got, want)
+
+    def test_flow_usage(self, model, bulk):
+        fresh = FlowNetworkModel(
+            model.topology, model.routing, model.clusters,
+            model.cluster_frequencies_hz, params=model.params,
+            wireless=model.wireless, bulk_routing=model.bulk_routing,
+        )
+        assert_csr_equal(fresh._flow_usage(bulk), oracle.flow_usage(model, bulk))
+
+
+class TestBlockSize:
+    def test_blocked_float64_sums_equal_per_pair_tables(self):
+        """A multi-block walk still sums every route in path order: with
+        float32 storage cast away, its float64 sums are the per-pair
+        builder's, whatever the block size."""
+        single = winoc_model()
+        blocked = winoc_model(params=replace(NocParams(), dense_block_nodes=16))
+        expected = oracle.per_pair_dense_static(single, False)
+        actual = DenseLatencyModel._build_static(blocked, False)
+        assert actual["head"].dtype == np.float32
+        assert np.array_equal(actual["head"], expected["head"].astype(np.float32))
+
+
+class TestForwardWalk:
+    @pytest.mark.parametrize("fabric", sorted(FABRICS))
+    @pytest.mark.parametrize("block", [None, 24])
+    def test_reproduces_every_routed_path(self, fabric, block):
+        params = NocParams() if block is None else replace(
+            NocParams(), dense_block_nodes=block
+        )
+        model = FABRICS[fabric](params=params)
+        n = model.topology.num_nodes
+        for bulk, routing in ((False, model.routing), (True, model.bulk_routing)):
+            walked = {}
+            for start, end, order, steps in route_blocks(model, bulk):
+                for u, v in steps:
+                    route = order[: len(u)]
+                    for r, a, b in zip(route.tolist(), u.tolist(), v.tolist()):
+                        pair = (start + r // n, r % n)
+                        nodes = walked.setdefault(pair, [a])
+                        assert nodes[-1] == a  # hops chain src -> dst
+                        nodes.append(b)
+            for src in range(n):
+                for dst in range(n):
+                    expected = routing.path(src, dst)
+                    assert tuple(walked.get((src, dst), [src])) == expected
+
+
+def _traffic(n, seed):
+    rng = np.random.default_rng(seed)
+    rate = rng.uniform(1e6, 4e9, size=(n, n))
+    rate[rng.random((n, n)) < 0.2] = 0.0
+    rate[rng.random((n, n)) < 0.02] = -1.0  # skipped, like add_flow never sees it
+    return rate
+
+
+class TestChannelLoads:
+    @pytest.mark.parametrize("fabric", ["winoc", "degraded_winoc"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_channel_utilizations_match_add_flow(self, fabric, seed):
+        model = FABRICS[fabric]()
+        args = (
+            model.topology, model.routing, model.clusters,
+            model.cluster_frequencies_hz, _traffic(model.topology.num_nodes, seed),
+            model.wireless,
+        )
+        assert np.array_equal(
+            channel_utilizations(*args),
+            oracle.add_flow_channel_utilizations(*args),
+        )
+
+    def test_every_calibration_call_matches(self, monkeypatch):
+        """Each channel-load evaluation of a multi-iteration calibration
+        equals the add_flow loop, so the calibrated routing is unchanged."""
+        winoc, spec = _winoc(PAPER)
+        clusters = list(PAPER.layout().node_cluster)
+        heavy = np.full((64, 64), 1.5e12 / (64 * 63))
+        np.fill_diagonal(heavy, 0.0)
+        calls = []
+
+        def checked(*args, **kwargs):
+            actual = channel_utilizations(*args, **kwargs)
+            expected = oracle.add_flow_channel_utilizations(*args, **kwargs)
+            calls.append(np.array_equal(actual, expected))
+            return actual
+
+        monkeypatch.setattr(calibration, "channel_utilizations", checked)
+        calibrate_wireless_routing(
+            winoc, clusters, MIXED_FREQS, heavy, wireless=spec
+        )
+        assert len(calls) > 1 and all(calls)
