@@ -10,7 +10,9 @@ Two guards against the failure modes a smoke trace cannot see:
   replays a 100k-arrival trace against the real cost model (cold batch
   fan-out first, then a warm cache-only pass) inside generous wall-clock
   budgets, and commits the reference numbers to
-  ``results/cluster_scale.json``.
+  ``results/cluster_scale.json`` -- the replay budget covers re-run plus
+  verification, and the re-run, the verification and the record's save
+  and load are also reported one by one.
 
 The budgets hold roughly 10x headroom over a warm local run (the
 engine clears 100k arrivals in ~4 s): they catch superlinear blowups,
@@ -30,7 +32,7 @@ from repro.cluster import (
     fleet_for,
     generate_trace,
 )
-from repro.cluster.record import replay, verify_replay
+from repro.cluster.record import ClusterRunResult, replay, verify_replay
 from repro.orchestrator.cache import StudyCache
 
 RESULT_NAME = "cluster_scale.json"
@@ -145,12 +147,27 @@ def test_100k_arrival_replay_within_budget(results_dir, tmp_path):
     assert report.completed + report.rejected == len(trace)
     assert report.completed > 0
 
+    # Replay budget: re-run plus byte-identity verification, each timed.
     start = time.perf_counter()
     fresh = replay(result, cache=cache, prefetch_jobs=PREFETCH_JOBS)
-    assert verify_replay(result, fresh) is None
-    replay_wall_s = time.perf_counter() - start
+    replay_run_s = time.perf_counter() - start
+    start = time.perf_counter()
+    divergence = verify_replay(result, fresh)
+    verify_s = time.perf_counter() - start
+    assert divergence is None
+    replay_wall_s = replay_run_s + verify_s
     assert replay_wall_s < REPLAY_BUDGET_S
     assert fresh.study_stats["computed"] == 0
+
+    # The record round trip, timed alone (no budget: reference numbers).
+    path = tmp_path / "record.json"
+    start = time.perf_counter()
+    result.save(path)
+    save_s = time.perf_counter() - start
+    start = time.perf_counter()
+    loaded = ClusterRunResult.load(path)
+    load_s = time.perf_counter() - start
+    assert loaded.replay_digest == result.replay_digest
 
     write_result(results_dir, RESULT_NAME, json.dumps({
         "num_jobs": NUM_JOBS,
@@ -171,6 +188,10 @@ def test_100k_arrival_replay_within_budget(results_dir, tmp_path):
         "wall_clock": {
             "run_s": round(run_wall_s, 2),
             "replay_s": round(replay_wall_s, 2),
+            "replay_run_s": round(replay_run_s, 2),
+            "verify_s": round(verify_s, 2),
+            "save_s": round(save_s, 2),
+            "load_s": round(load_s, 2),
             "arrivals_per_s": round(NUM_JOBS / run_wall_s),
             "run_budget_s": RUN_BUDGET_S,
             "replay_budget_s": REPLAY_BUDGET_S,

@@ -727,10 +727,10 @@ def _cluster_run(args) -> int:
     )
     from repro.analysis.report import CLUSTER_COLUMNS, cluster_rows
     from repro.faults import FaultPlan
+    from repro.utils.jsonutil import load_json_object
 
     if args.trace is not None:
-        with open(args.trace) as handle:
-            trace = ArrivalTrace.from_json(handle.read())
+        trace = load_json_object(args.trace, ArrivalTrace.from_dict)
     else:
         trace = preset_trace(args.workload, seed=args.seed)
 

@@ -25,7 +25,7 @@ from typing import (
 )
 
 from repro.cluster.jobs import ClusterJob
-from repro.utils.jsonutil import canonical_json, to_builtin
+from repro.utils.jsonutil import canonical_json, read_member
 from repro.utils.rng import derive_rng, spawn_seed
 
 #: Bump when the trace JSON schema changes (invalidates recorded runs).
@@ -71,17 +71,21 @@ class ArrivalTrace:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "ArrivalTrace":
-        data = to_builtin(dict(data))
         version = data.get("schema_version", TRACE_SCHEMA_VERSION)
         if version != TRACE_SCHEMA_VERSION:
             raise ValueError(
                 f"trace schema version {version} not supported "
                 f"(expected {TRACE_SCHEMA_VERSION})"
             )
+        # __post_init__ (here and on each job) coerces every field to
+        # its builtin type, so the document is never walked first.
         return cls(
-            name=data["name"],
-            seed=data["seed"],
-            jobs=tuple(ClusterJob.from_dict(j) for j in data["jobs"]),
+            name=read_member(data, "name", str),
+            seed=read_member(data, "seed", int),
+            jobs=read_member(
+                data, "jobs",
+                lambda rows: tuple(map(ClusterJob.from_dict, rows)),
+            ),
         )
 
     def to_json(self) -> str:

@@ -227,7 +227,8 @@ class Fleet:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "Fleet":
-        data = to_builtin(dict(data))
+        # Each chip is normalized once by ChipSpec.from_dict; the two
+        # scalars are coerced by __post_init__.
         return cls(
             chips=tuple(ChipSpec.from_dict(c) for c in data["chips"]),
             interconnect_gbps=data.get("interconnect_gbps", 1.0),

@@ -16,7 +16,7 @@ replayed and compared byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, Optional, TYPE_CHECKING
 
 from repro.apps.registry import canonical_app_name
@@ -108,11 +108,13 @@ class ClusterJob:
         )
 
     def to_dict(self) -> Dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        names = self.__dataclass_fields__
+        return {name: getattr(self, name) for name in names}
 
     @classmethod
     def from_dict(cls, data: Dict) -> "ClusterJob":
-        return cls(**to_builtin(dict(data)))
+        # __post_init__ coerces every field to its builtin type.
+        return cls(**data)
 
     @property
     def label(self) -> str:
@@ -184,7 +186,6 @@ class JobRecord:
 
     def to_dict(self) -> Dict:
         out = {
-            "job": self.job.to_dict(),
             "status": self.status,
             "chip_id": self.chip_id,
             "admitted_s": self.admitted_s,
@@ -205,23 +206,24 @@ class JobRecord:
             out["preemptions"] = self.preemptions
         if self.wasted_transfer_s != 0.0:
             out["wasted_transfer_s"] = self.wasted_transfer_s
-        return to_builtin(out)
+        # The job skips the walk: ClusterJob coerces every field to a
+        # builtin at construction.
+        return {"job": self.job.to_dict(), **to_builtin(out)}
 
     @classmethod
     def from_dict(cls, data: Dict) -> "JobRecord":
-        data = to_builtin(dict(data))
         return cls(
             job=ClusterJob.from_dict(data["job"]),
-            status=data["status"],
-            chip_id=data["chip_id"],
-            admitted_s=data["admitted_s"],
-            dispatched_s=data["dispatched_s"],
-            completed_s=data["completed_s"],
+            status=to_builtin(data["status"]),
+            chip_id=to_builtin(data["chip_id"]),
+            admitted_s=to_builtin(data["admitted_s"]),
+            dispatched_s=to_builtin(data["dispatched_s"]),
+            completed_s=to_builtin(data["completed_s"]),
             transfer_s=float(data["transfer_s"]),
             service_s=float(data["service_s"]),
             energy_j=float(data["energy_j"]),
             attempts=int(data.get("attempts", 1)),
             preemptions=int(data.get("preemptions", 0)),
             wasted_transfer_s=float(data.get("wasted_transfer_s", 0.0)),
-            extra=dict(data.get("extra", {})),
+            extra=to_builtin(dict(data.get("extra", {}))),
         )

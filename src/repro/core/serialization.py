@@ -331,9 +331,11 @@ def study_to_dict(study: AppStudy) -> Dict:
     """Serialize a complete :class:`AppStudy` to JSON-compatible data.
 
     The app itself is stored as its (name, scale, seed) construction
-    recipe -- app objects are cheap to rebuild (datasets are generated
-    lazily by ``make_job``), while the trace, design and every simulated
-    configuration are stored in full so nothing is re-simulated on load.
+    recipe, while the trace, design and every simulated configuration
+    are stored in full so nothing is re-simulated on load.  The recipe
+    trades file size for load time: every app generates its dataset in
+    ``__init__``, so :func:`study_from_dict` regenerates it, and for
+    wordcount that is most of a warm read.
     """
     return {
         "app": {

@@ -1,10 +1,13 @@
 """The `repro cluster` CLI: run / replay / report round trips."""
 
 import json
+import pathlib
 
 import pytest
 
 from repro.cli import main
+
+GOLDEN_DIR = pathlib.Path(__file__).parent.parent / "data" / "cluster_golden"
 
 
 @pytest.fixture(scope="module")
@@ -116,3 +119,49 @@ def test_cluster_run_custom_trace(capsys, cache_dir, tmp_path):
     captured = capsys.readouterr()
     assert rc == 0
     assert "locality" in captured.out
+
+
+
+def _bogus_record_job_key(data):
+    data["records"][0]["job"]["bogus"] = 1
+
+
+def _records_not_a_list(data):
+    data["records"] = 5
+
+
+def _records_missing(data):
+    del data["records"]
+
+
+def _bogus_trace_job_key(data):
+    data["jobs"][0]["bogus"] = 1
+
+
+@pytest.mark.parametrize(
+    "golden, tamper, member",
+    [
+        ("smoke_fifo.json", _bogus_record_job_key, "records"),
+        ("smoke_fifo.json", _records_not_a_list, "records"),
+        ("smoke_fifo.json", _records_missing, "records"),
+        ("smoke.trace.json", _bogus_trace_job_key, "jobs"),
+    ],
+)
+def test_malformed_input_is_one_line_exit_2(
+    capsys, tmp_path, golden, tamper, member
+):
+    data = json.loads((GOLDEN_DIR / golden).read_text())
+    tamper(data)
+    path = tmp_path / golden
+    path.write_text(json.dumps(data))
+    if golden.endswith(".trace.json"):
+        argv = ["cluster", "run", "--trace", str(path), "--policy", "fifo"]
+    else:
+        argv = ["cluster", "replay", "--record", str(path)]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith(f"repro: error: {path}: member {member!r}")
+    assert "Traceback" not in captured.err
