@@ -360,19 +360,11 @@ class FaultEngine:
         the resilience policy asks for rebalancing; other policy types
         (and opted-out runs) pass through unchanged.
         """
-        from repro.mapreduce.scheduler import CappedStealingPolicy
+        from repro.mapreduce.scheduler import retune_policy
 
-        if base_policy is None:
-            return None
         if not self.policy.rebalance_steal_caps:
             return base_policy
-        if not isinstance(base_policy, CappedStealingPolicy):
-            return base_policy
-        freqs = self.effective_worker_freqs(platform)
-        return CappedStealingPolicy(
-            core_frequencies_hz=[float(f) for f in freqs],
-            fmax_hz=float(freqs.max()),
-        )
+        return retune_policy(base_policy, self.effective_worker_freqs(platform))
 
     # ------------------------------------------------------------------ #
     # substitution + accounting

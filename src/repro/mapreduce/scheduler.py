@@ -144,6 +144,20 @@ class CappedStealingPolicy(StealingPolicy):
         return executed_by_worker < self.cap_for(worker)
 
 
+def retune_policy(
+    policy: Optional[StealingPolicy], core_frequencies_hz: Sequence[float]
+) -> Optional[StealingPolicy]:
+    """*policy* with its Eq. (3) caps rebuilt for a new frequency map.
+
+    A :class:`CappedStealingPolicy` becomes a fresh one for
+    *core_frequencies_hz*, with ``fmax`` their maximum; every other
+    policy (and ``None``) is returned unchanged."""
+    if not isinstance(policy, CappedStealingPolicy):
+        return policy
+    freqs = [float(f) for f in core_frequencies_hz]
+    return CappedStealingPolicy(core_frequencies_hz=freqs, fmax_hz=max(freqs))
+
+
 @dataclass
 class TaskQueueSet:
     """Per-worker FIFO task queues with stealing.

@@ -82,53 +82,6 @@ def _describe_cycle(pred_row: np.ndarray, src: int, dst: int, n: int) -> str:
     return f"chain from {dst} exceeds {2 * n} hops without repeating"
 
 
-def walk_steps(
-    pred_row: np.ndarray, src: int, n: int
-) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Walk all destinations' routes back toward *src* in lockstep.
-
-    Yields ``(dst, prev, cur)`` index arrays per step: for every
-    still-walking destination ``dst``, the route's hop ``prev -> cur``
-    (in forward, src-to-dst direction).  Iterating to exhaustion visits
-    every hop of every route exactly once.
-
-    The walk is validated eagerly: a predecessor cycle or an unroutable
-    destination raises *before the first step is yielded*, so a consumer
-    accumulating per-destination sums is never left holding a partially
-    consumed walk.  The error names the offending route and the exact
-    cycle the chain fell into.
-    """
-    steps = []
-    destinations = np.arange(n)
-    current = destinations.copy()
-    alive = current != src
-    count = 0
-    while alive.any():
-        count += 1
-        dst = destinations[alive]
-        cur = current[alive]
-        if count > 2 * n:
-            broken = int(dst[0])
-            raise RuntimeError(
-                f"predecessor chains from {src} do not terminate "
-                f"({alive.sum()} destination(s) affected): "
-                f"{_describe_cycle(pred_row, src, broken, n)}"
-            )
-        prev = pred_row[cur]
-        if (prev < 0).any():
-            missing = dst[prev < 0]
-            raise RuntimeError(
-                f"no route from {src} to destination(s) "
-                f"{missing[:8].tolist()}"
-                f"{'...' if len(missing) > 8 else ''}: predecessor chain "
-                f"breaks {count} hop(s) before the destination"
-            )
-        steps.append((dst, prev, cur))
-        current[alive] = prev
-        alive = current != src
-    return iter(steps)
-
-
 def walk_steps_block(
     pred_rows: np.ndarray, srcs: np.ndarray, n: int
 ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
@@ -140,9 +93,10 @@ def walk_steps_block(
     ``rows`` indexes into *srcs*, and for each still-walking route the
     step contributes the hop ``prev -> cur`` (forward direction).  Step
     ``k`` carries the ``k``-th hop counted backward from each
-    destination -- the same per-route order as :func:`walk_steps` -- and
-    within one step every (src, dst) pair appears at most once, so
-    consumers may accumulate with plain fancy-indexed ``+=``.
+    destination -- the same per-route order as the single-source walk
+    kept in ``tests/noc/table_oracles.py`` -- and within one step every
+    (src, dst) pair appears at most once, so consumers may accumulate
+    with plain fancy-indexed ``+=``.
 
     Validation here is per step; a cycle raises with the offending route
     spelled out.  :func:`forward_steps` runs a block's walk to its end

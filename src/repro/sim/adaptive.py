@@ -22,13 +22,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.design_flow import VfiDesign
-from repro.energy.metrics import EnergyBreakdown
 from repro.mapreduce.tasks import Phase
 from repro.mapreduce.trace import JobTrace
+from repro.power.spec import normalize_cap
 from repro.sim.config import SimulationParams
 from repro.sim.platform import Platform
-from repro.sim.stats import NetworkStats, PhaseStats, SimulationResult
-from repro.sim.system import SystemSimulator
+from repro.sim.stats import PhaseStats, SimulationResult
+from repro.sim.system import SystemSimulator, _fold_segments, _Segment
 from repro.mapreduce.scheduler import StealingPolicy
 from repro.utils.validation import check_positive
 from repro.vfi.islands import DVFS_LADDER, VfPoint
@@ -100,6 +100,11 @@ class PhaseAdaptiveSimulator:
     transition penalty whenever consecutive phases use different
     assignments.  Busy time and energy are accounted per assignment, so
     idle islands parked at the floor V/F pay floor-level idle power.
+
+    Fault plans and power caps are runtime controls applied at phase
+    boundaries by :meth:`SystemSimulator.run`, which this simulator
+    bypasses; a non-empty plan or a bounded cap in *params* raises
+    :class:`ValueError` rather than being half applied.
     """
 
     def __init__(
@@ -110,6 +115,14 @@ class PhaseAdaptiveSimulator:
         stealing_policy: Optional[StealingPolicy] = None,
         params: SimulationParams = SimulationParams(),
     ):
+        if params.fault_plan is not None and len(params.fault_plan):
+            raise ValueError(
+                "PhaseAdaptiveSimulator does not apply fault plans"
+            )
+        if normalize_cap(params.power_cap) is not None:
+            raise ValueError(
+                "PhaseAdaptiveSimulator does not enforce power caps"
+            )
         self.schedule = schedule
         self.base_platform = platform
         self._simulators: Dict[Tuple[VfPoint, ...], SystemSimulator] = {}
@@ -173,9 +186,9 @@ class PhaseAdaptiveSimulator:
             # reduce
             points, sim = enter(Phase.REDUCE)
             start = now
-            now = sim._run_reduce(
-                iteration.reduce_phase.tasks, now, busy_by_points[points],
-                phases, iteration.iteration,
+            now = sim._run_barrier(
+                Phase.REDUCE, iteration.reduce_phase.tasks, now,
+                busy_by_points[points], phases, iteration.iteration,
             )
             elapsed_by_points[points] += now - start
             # merge stages
@@ -183,9 +196,9 @@ class PhaseAdaptiveSimulator:
                 points, sim = enter(Phase.MERGE)
                 start = now
                 for stage in iteration.merge_stages:
-                    now = sim._run_merge_stage(
-                        stage.tasks, now, busy_by_points[points], phases,
-                        iteration.iteration,
+                    now = sim._run_barrier(
+                        Phase.MERGE, stage.tasks, now, busy_by_points[points],
+                        phases, iteration.iteration,
                     )
                 elapsed_by_points[points] += now - start
 
@@ -205,41 +218,17 @@ class PhaseAdaptiveSimulator:
         elapsed_by_points: Dict[Tuple[VfPoint, ...], float],
     ) -> SimulationResult:
         num_workers = self.base_platform.num_cores
-        breakdown = EnergyBreakdown()
         total_busy = np.zeros(num_workers)
         committed = np.zeros(num_workers)
-        bits = hops_bits = wireless = dynamic = static = 0.0
+        segments = []
         for points, sim in self._simulators.items():
-            platform = sim.platform
-            elapsed = elapsed_by_points[points]
             busy = busy_by_points[points]
             total_busy += busy
             committed += sim._committed
-            for worker in range(num_workers):
-                power = platform.core_power_of(platform.island_of_worker(worker))
-                vf = platform.vf_of_worker(worker)
-                busy_s = float(min(busy[worker], elapsed))
-                idle_s = max(elapsed - busy_s, 0.0)
-                breakdown.core_dynamic_j += (
-                    power.dynamic_power_w(vf, 1.0) * busy_s
-                    + power.dynamic_power_w(vf, power.params.idle_activity) * idle_s
-                )
-                breakdown.core_static_j += power.leakage_power_w(vf) * elapsed
-            network = platform.network
-            dynamic += network.energy.dynamic_joules
-            static += network.static_energy(elapsed)
-            bits += network.energy.bits_moved
-            hops_bits += network.energy.bit_hops
-            wireless += network.energy.wireless_bits
-        breakdown.noc_dynamic_j = dynamic
-        breakdown.noc_static_j = static
-        stats = NetworkStats(
-            bits_moved=bits,
-            average_hops=hops_bits / bits if bits else 0.0,
-            wireless_fraction=wireless / bits if bits else 0.0,
-            dynamic_energy_j=dynamic,
-            static_energy_j=static,
-        )
+            segments.append(
+                _Segment.snapshot(sim.platform, elapsed_by_points[points], busy)
+            )
+        breakdown, stats = _fold_segments(segments)
         # Report utilization against the MAP assignment's frequencies (the
         # dominant phase), consistent with the static simulator.
         map_platform = self._simulators[

@@ -8,7 +8,7 @@ corners.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 # Imported from the leaf modules (not the ``repro.faults`` package) so the
@@ -16,10 +16,7 @@ from typing import Optional, Tuple
 from repro.faults.policy import ResiliencePolicy
 from repro.faults.spec import FaultPlan
 from repro.power.spec import PowerCapSpec
-from repro.utils.validation import check_in_range, check_positive
-
-#: Valid adaptive-relaxation convergence criteria.
-RELAXATION_CRITERIA = ("phase_end", "worker_residual")
+from repro.utils.validation import check_positive
 
 
 @dataclass(frozen=True)
@@ -73,36 +70,20 @@ class MemoryParams:
 class SimulationParams:
     """Solver knobs.
 
-    Phase relaxation (durations -> flows -> latencies) runs in one of two
-    modes:
-
-    * **adaptive** (default): iterate until the phase end time changes by
-      less than ``relaxation_rtol`` relative to the phase duration,
-      bounded by ``max_relaxation_iterations`` rounds.  The converged
-      schedule is committed directly -- no extra scheduling pass.
-    * **legacy** (``relaxation_rtol=None``): exactly
-      ``relaxation_iterations`` rounds followed by one final scheduling
-      pass, reproducing the historical fixed-round behaviour bit-for-bit
-      (used by the equivalence tests).
+    Phase relaxation (durations -> flows -> latencies) iterates until the
+    phase end time changes by at most ``relaxation_rtol`` relative to the
+    phase duration, bounded by ``max_relaxation_iterations`` rounds; the
+    converged schedule is committed directly -- no extra scheduling
+    pass.
     """
 
-    #: Legacy fixed-round count (only used when ``relaxation_rtol`` is
-    #: ``None``).
-    relaxation_iterations: int = 2
     #: KV stream chunking granularity (bytes per packet payload).
     kv_chunk_bytes: float = 256.0
-    #: Relative tolerance on the phase end time for adaptive relaxation;
-    #: ``None`` selects the legacy fixed-round mode.
-    relaxation_rtol: Optional[float] = 1e-5
-    #: Upper bound on adaptive relaxation rounds (safety net for
-    #: oscillating fixed points).
+    #: Relative tolerance on the phase end time for relaxation.
+    relaxation_rtol: float = 1e-5
+    #: Upper bound on relaxation rounds (safety net for oscillating
+    #: fixed points).
     max_relaxation_iterations: int = 10
-    #: Adaptive convergence criterion: ``"phase_end"`` watches the phase
-    #: end time (default, historical behaviour); ``"worker_residual"``
-    #: watches the largest per-worker busy-time change between rounds
-    #: relative to the phase duration (stricter: load can migrate between
-    #: workers without moving the makespan).
-    relaxation_criterion: str = "phase_end"
     #: Timed degradation events injected into the run; ``None`` (or an
     #: empty plan) is the bit-identical fault-free simulator.
     fault_plan: Optional[FaultPlan] = None
@@ -115,13 +96,8 @@ class SimulationParams:
     power_cap: Optional[PowerCapSpec] = None
 
     def __post_init__(self) -> None:
-        check_positive("relaxation_iterations", self.relaxation_iterations)
         check_positive("kv_chunk_bytes", self.kv_chunk_bytes)
-        if self.relaxation_rtol is not None:
-            check_positive("relaxation_rtol", self.relaxation_rtol)
+        if self.relaxation_rtol is None:
+            raise ValueError("relaxation_rtol must be a float > 0, got None")
+        check_positive("relaxation_rtol", self.relaxation_rtol)
         check_positive("max_relaxation_iterations", self.max_relaxation_iterations)
-        if self.relaxation_criterion not in RELAXATION_CRITERIA:
-            raise ValueError(
-                f"relaxation_criterion must be one of {RELAXATION_CRITERIA}, "
-                f"got {self.relaxation_criterion!r}"
-            )

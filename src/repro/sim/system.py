@@ -15,13 +15,14 @@ Replays a :class:`repro.mapreduce.trace.JobTrace` on a
 
 Each phase is relaxed to a latency/traffic fixed point: durations are
 computed with the current NoC load estimate, the implied flows are
-re-registered, latencies refreshed, and the phase re-scheduled.  By
-default the loop runs until the phase end time converges
-(``SimulationParams.relaxation_rtol`` relative change, bounded by
-``max_relaxation_iterations``); setting ``relaxation_rtol=None``
-reproduces the legacy fixed-round schedule
-(``relaxation_iterations`` rounds plus a final pass) bit-for-bit.
-Energy is recorded once, for the committed schedule.
+re-registered, latencies refreshed, and the phase re-scheduled until the
+phase end time converges (``SimulationParams.relaxation_rtol`` relative
+change, bounded by ``max_relaxation_iterations``).  Energy is recorded
+once, for the committed schedule.
+
+Clean and fault-injected runs share one implementation of each
+mechanism -- map dispatch, barrier-phase pricing, the energy fold; the
+scalar references live on as oracles in ``tests/sim/``.
 
 Flow registration is vectorized: per-phase miss traffic enters the NoC
 through one mat-vec over precomputed per-node resource rows
@@ -36,14 +37,19 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.energy.metrics import EnergyBreakdown
 from repro.faults.engine import FaultEngine
 from repro.faults.spec import FaultInjectionError
-from repro.mapreduce.scheduler import StealingPolicy, TaskQueueSet
+from repro.mapreduce.scheduler import (
+    DefaultStealingPolicy,
+    StealingPolicy,
+    TaskQueueSet,
+    retune_policy,
+)
 from repro.mapreduce.tasks import Phase, Task
 from repro.mapreduce.trace import JobTrace, TaskRecord
 from repro.noc.packets import kv_stream_bits
@@ -88,7 +94,8 @@ class _Recovery:
 
 @dataclass
 class _Segment:
-    """One closed energy-accounting segment of a segmented run.
+    """One closed energy-accounting segment: a stretch of the run on one
+    platform configuration (a clean run is a single segment).
 
     Network counters are captured when the segment closes (at the
     platform switch), not at finalize: a run that revisits a platform
@@ -105,6 +112,42 @@ class _Segment:
     bit_hops: float
     wireless_bits: float
 
+    @classmethod
+    def snapshot(
+        cls, platform: Platform, elapsed_s: float, busy_s: np.ndarray
+    ) -> "_Segment":
+        """Snapshot *platform*'s network counters as of now."""
+        network = platform.network
+        return cls(
+            platform=platform,
+            elapsed_s=elapsed_s,
+            busy_s=busy_s,
+            noc_dynamic_j=network.energy.dynamic_joules,
+            noc_static_j=network.static_energy(elapsed_s),
+            bits_moved=network.energy.bits_moved,
+            bit_hops=network.energy.bit_hops,
+            wireless_bits=network.energy.wireless_bits,
+        )
+
+
+@dataclass
+class _MapPlan:
+    """Phase-invariant map-dispatch structures, built once per phase:
+    task costs (columns, to broadcast against workers), queue-set tasks,
+    record ``id`` -> duration row, and the epoch batches' scatter
+    indices (record rows sorted by home worker, own-queue lengths,
+    owning worker and queue slot per sorted row)."""
+
+    instructions: np.ndarray
+    l2: np.ndarray
+    mem: np.ndarray
+    tasks: List[Task]
+    row_of: dict
+    order: np.ndarray
+    lengths: np.ndarray
+    owner: np.ndarray
+    slot: np.ndarray
+
 
 @dataclass
 class _KvPlan:
@@ -113,19 +156,19 @@ class _KvPlan:
     Everything here depends only on the records -- home workers, task
     costs, and the flattened key-value source list (record row, source
     node, stream bits) -- so it is built once per phase and reused by
-    every relaxation round's batched duration evaluation, the flow
+    every relaxation round's duration evaluation, the flow
     registration, and the committed energy fold.  Only the latency
-    tables change between rounds.
+    tables and (under faults) the executing workers change between
+    rounds.
 
     ``kv_*`` arrays are flattened over all records' sources in record
-    order (the exact order the scalar path iterates); ``kv_bounds`` is
-    the CSR-style record boundary, and ``kv_slot`` each source's
-    position within its record (for scattering per-source terms into
-    the zero-padded per-record summation rows).
+    order (the order :meth:`SystemSimulator._kv_sources` lists them);
+    ``kv_bounds`` is the CSR-style record boundary, and ``kv_slot`` each
+    source's position within its record (for scattering per-source
+    terms into the zero-padded per-record summation rows).
     """
 
     home: np.ndarray
-    nodes: np.ndarray
     instructions: np.ndarray
     l2: np.ndarray
     mem: np.ndarray
@@ -198,7 +241,7 @@ class SystemSimulator:
             else None
         )
         # Power capping: the unbounded spec is normalized to "no cap" so
-        # uncapped runs construct no governor and keep the legacy path.
+        # uncapped runs construct no governor and never poll one.
         cap = normalize_cap(params.power_cap)
         self.governor: Optional[CapGovernor] = (
             CapGovernor(platform, cap, tracer=self.tracer)
@@ -227,14 +270,13 @@ class SystemSimulator:
             self.faults.begin(trace)
         if self.governor is not None:
             self.governor.begin(trace)
-        if self.faults is not None or self.governor is not None:
-            # Segmented energy accounting: each platform change (throttle
-            # or fabric degradation) closes a :class:`_Segment`,
-            # mirroring PhaseAdaptiveSimulator's bookkeeping.
-            self._segments: List[_Segment] = []
-            self._segment_start = 0.0
-            self._busy_snapshot = np.zeros(self.platform.num_cores)
-            self._run_busy = busy
+        # Segmented energy accounting: each platform change (throttle or
+        # fabric degradation) closes a :class:`_Segment`; the last one
+        # closes at the end of the run.
+        self._segments: List[_Segment] = []
+        self._segment_start = 0.0
+        self._busy_snapshot = np.zeros(self.platform.num_cores)
+        self._run_busy = busy
         for iteration in trace.iterations:
             self._apply_boundary_controls(now)
             now = self._run_lib_init(iteration.lib_init, now, busy, phases, iteration.iteration)
@@ -243,13 +285,15 @@ class SystemSimulator:
                 iteration.map_phase.tasks, now, busy, phases, iteration.iteration
             )
             self._apply_boundary_controls(now)
-            now = self._run_reduce(
-                iteration.reduce_phase.tasks, now, busy, phases, iteration.iteration
+            now = self._run_barrier(
+                Phase.REDUCE, iteration.reduce_phase.tasks, now, busy, phases,
+                iteration.iteration,
             )
             for stage in iteration.merge_stages:
                 self._apply_boundary_controls(now)
-                now = self._run_merge_stage(
-                    stage.tasks, now, busy, phases, iteration.iteration
+                now = self._run_barrier(
+                    Phase.MERGE, stage.tasks, now, busy, phases,
+                    iteration.iteration,
                 )
         total_time = now
         return self._finalize(trace, total_time, busy, phases)
@@ -301,17 +345,11 @@ class SystemSimulator:
     def _close_segment(self, now: float) -> None:
         """Snapshot the outgoing platform's elapsed/busy/network state."""
         elapsed = max(float(now - self._segment_start), 0.0)
-        network = self.platform.network
         self._segments.append(
-            _Segment(
-                platform=self.platform,
-                elapsed_s=elapsed,
-                busy_s=(self._run_busy - self._busy_snapshot).copy(),
-                noc_dynamic_j=network.energy.dynamic_joules,
-                noc_static_j=network.static_energy(elapsed),
-                bits_moved=network.energy.bits_moved,
-                bit_hops=network.energy.bit_hops,
-                wireless_bits=network.energy.wireless_bits,
+            _Segment.snapshot(
+                self.platform,
+                elapsed,
+                (self._run_busy - self._busy_snapshot).copy(),
             )
         )
         self._busy_snapshot = self._run_busy.copy()
@@ -327,19 +365,10 @@ class SystemSimulator:
                 self._base_policy, self.platform
             )
             return
-        from repro.mapreduce.scheduler import CappedStealingPolicy
-
         freqs = np.array(self.platform.effective_worker_frequencies())
         self._worker_freqs = freqs
-        # Mirror FaultEngine.effective_policy: Eq. (3) caps track the
-        # throttled frequency map; other policy types pass through.
-        if isinstance(self._base_policy, CappedStealingPolicy):
-            self.policy = CappedStealingPolicy(
-                core_frequencies_hz=[float(f) for f in freqs],
-                fmax_hz=float(freqs.max()),
-            )
-        else:
-            self.policy = self._base_policy
+        # Eq. (3) caps track the throttled frequency map.
+        self.policy = retune_policy(self._base_policy, freqs)
 
     # ------------------------------------------------------------------ #
     # phases
@@ -355,15 +384,10 @@ class SystemSimulator:
     ) -> float:
         self.platform.network.reset_flows()
         self.memory.refresh_latencies()
-        if self.faults is None:
-            worker = record.home_worker
-            duration = self._task_time(record, worker)
-            item = _ScheduledTask(record, worker, start, duration)
-        else:
-            item, recovery = self._execute_with_substitution(
-                record, start, kv=False
-            )
-            self._fold_recovery(recovery, busy)
+        item, recovery = self._execute_with_substitution(
+            record, start, lambda worker: self._task_time(record, worker)
+        )
+        self._fold_recovery(recovery, busy)
         busy[item.worker] += item.duration_s
         self._record_task_energy(record, item.worker)
         phases.append(
@@ -378,8 +402,6 @@ class SystemSimulator:
         self,
         schedule_fn,
         start: float,
-        kv: bool,
-        legacy_rounds: int,
         plan: Optional[_KvPlan] = None,
     ):
         """Drive one phase to its latency/traffic fixed point.
@@ -387,59 +409,32 @@ class SystemSimulator:
         ``schedule_fn`` reschedules the phase under the current latency
         estimate and returns a tuple whose first two entries are
         ``(schedule, end)``; the committed result tuple is returned.
-        ``plan`` (barrier kv phases, fault-free) lets flow registration
-        reuse the phase-invariant index arrays instead of re-walking the
-        schedule.
+        ``plan`` carries a barrier phase's key-value streams into the
+        flow registration (map phases have none).
 
-        Adaptive mode (``relaxation_rtol`` set) iterates until the phase
-        end time moves by less than ``rtol`` relative to the phase
-        duration and commits the converged schedule directly.  Legacy mode
-        (``relaxation_rtol=None``) runs exactly ``legacy_rounds``
-        register/refresh rounds followed by one final scheduling pass,
-        reproducing the historical fixed-round behaviour.
+        Rounds run until the phase end time moves by at most
+        ``relaxation_rtol`` of the phase duration (at most
+        ``max_relaxation_iterations``); the converged schedule commits.
         """
         params = self.params
         rtol = params.relaxation_rtol
-        if rtol is None:
-            for _ in range(legacy_rounds):
-                result = schedule_fn()
-                schedule, end = result[0], result[1]
-                self._register_phase_flows(
-                    schedule, max(end - start, 1e-12), kv=kv, plan=plan
-                )
-                self.memory.refresh_latencies()
-            # Final schedule under converged latencies.
-            return schedule_fn()
-        residual_mode = params.relaxation_criterion == "worker_residual"
         result = schedule_fn()
         iterations = 1
         residual = 0.0
-        prev_busy = self._schedule_busy(result[0]) if residual_mode else None
         for _ in range(params.max_relaxation_iterations):
             schedule, end = result[0], result[1]
             self._register_phase_flows(
-                schedule, max(end - start, 1e-12), kv=kv, plan=plan
+                schedule, max(end - start, 1e-12), plan
             )
             self.memory.refresh_latencies()
             result = schedule_fn()
             iterations += 1
             new_end = result[1]
-            if residual_mode:
-                # Converge on the largest per-worker busy-time movement:
-                # load can migrate between workers (steals flip) without
-                # moving the makespan at all.
-                new_busy = self._schedule_busy(result[0])
-                scale = max(new_end - start, 1e-12)
-                residual = float(np.max(np.abs(new_busy - prev_busy))) / scale
-                prev_busy = new_busy
-                if residual <= rtol:
-                    break
-            else:
-                # The residual is reported either way; the break condition
-                # is kept as the exact historical comparison.
-                residual = abs(new_end - end) / max(new_end - start, 1e-12)
-                if abs(new_end - end) <= rtol * max(new_end - start, 1e-12):
-                    break
+            residual = abs(new_end - end) / max(new_end - start, 1e-12)
+            # The break test is kept undivided: dividing first rounds
+            # differently and would move where some phases stop.
+            if abs(new_end - end) <= rtol * max(new_end - start, 1e-12):
+                break
         if self.tracer.enabled:
             pid = self.platform.name
             self.tracer.counter_add(
@@ -457,13 +452,6 @@ class SystemSimulator:
             )
         return result
 
-    def _schedule_busy(self, schedule: Sequence[_ScheduledTask]) -> np.ndarray:
-        """Per-worker busy seconds of one phase schedule."""
-        busy = np.zeros(self.platform.num_cores)
-        for item in schedule:
-            busy[item.worker] += item.duration_s
-        return busy
-
     def _run_map(
         self,
         records: Sequence[TaskRecord],
@@ -472,49 +460,14 @@ class SystemSimulator:
         phases: List[PhaseStats],
         iteration: int,
     ) -> float:
-        instructions = np.array([r.cost.instructions for r in records])
-        l2 = np.array([r.cost.l2_accesses for r in records])
-        mem = np.array([r.cost.memory_accesses for r in records])
-        # Task wrappers, record-row lookup, and per-worker home rows are
-        # invariant across relaxation rounds; build them once per phase
-        # instead of once per _schedule_map call.
-        tasks = [
-            Task(
-                task_id=record.task_id,
-                phase=Phase.MAP,
-                payload=record,
-                home_worker=record.home_worker,
-            )
-            for record in records
-        ]
-        row_of = {id(record): index for index, record in enumerate(records)}
-        num_workers = self.platform.num_cores
-        home = np.fromiter(
-            (r.home_worker for r in records), dtype=np.int64, count=len(records)
-        )
-        order = np.argsort(home, kind="stable")
-        boundaries = np.searchsorted(home[order], np.arange(num_workers + 1))
-        lengths = np.diff(boundaries)
-        # (sorted record rows, own-queue lengths, owning worker and
-        # queue slot per sorted row): the scatter indices the epoch-
-        # batched prologue uses to gather each round's durations.
-        dispatch = (
-            order,
-            lengths,
-            np.repeat(np.arange(num_workers), lengths),
-            np.arange(len(records)) - np.repeat(boundaries[:-1], lengths),
-        )
-
-        def schedule_fn():
-            durations = self._map_durations(instructions, l2, mem)
-            return self._schedule_map(
-                records, start, durations,
-                tasks=tasks, row_of=row_of, dispatch=dispatch,
-            )
-
+        plan = self._map_plan(records)
         schedule, end, queues, recovery = self._relax_phase(
-            schedule_fn, start, kv=False,
-            legacy_rounds=self.params.relaxation_iterations,
+            lambda: self._schedule_map(
+                start,
+                self._task_durations(plan, np.arange(self.platform.num_cores)),
+                plan,
+            ),
+            start,
         )
         for item in schedule:
             busy[item.worker] += item.duration_s
@@ -538,54 +491,20 @@ class SystemSimulator:
             self.platform.network.sample_channel_occupancy(start)
         return end
 
-    def _map_durations(
-        self, instructions: np.ndarray, l2: np.ndarray, mem: np.ndarray
-    ) -> np.ndarray:
-        """(records, workers) task durations under current latencies.
-
-        Broadcasts the exact per-element operation order of
-        :meth:`_task_time_parts`, so entries are bit-identical to the
-        per-call scalar path."""
-        core = self.platform.core_params
-        compute = (instructions[:, None] / core.ipc) / self._worker_freqs[None, :]
-        round_trip = self.memory.l2_round_trip_all_s()[self._worker_nodes]
-        extra = self.memory.memory_extra_all_s()[self._worker_nodes]
-        stall = (
-            l2[:, None] * round_trip[None, :] + mem[:, None] * extra[None, :]
-        ) / core.mlp_overlap
-        return compute + stall
-
-    def _schedule_map(
-        self,
-        records: Sequence[TaskRecord],
-        start: float,
-        durations: np.ndarray,
-        tasks: Optional[List[Task]] = None,
-        row_of: Optional[dict] = None,
-        dispatch: Optional[Tuple[np.ndarray, ...]] = None,
-    ) -> Tuple[List[_ScheduledTask], float, TaskQueueSet, Optional[_Recovery]]:
-        """Event-driven map scheduling with stealing.
-
-        ``durations[i, w]`` is the precomputed runtime of ``records[i]``
-        on worker ``w`` under the current latency estimate.  Returns the
-        queue set as well so the caller can fold its stealing statistics
-        for the committed schedule only.
-
-        ``tasks``/``row_of``/``dispatch`` are the phase-invariant
-        structures :meth:`_run_map` hoists out of the relaxation loop;
-        when ``dispatch`` is present and no faults are armed, the whole
-        phase is dispatched in steal-epoch batches
-        (:meth:`_dispatch_epochs`) and only the steal *decisions* run
-        event by event.
-
-        Under fault injection, an execution that would cross its worker's
-        failure instant is killed: the burnt interval is recorded, the
-        task returns to the victim's queue head (survivors steal it from
-        the tail), and the dead worker never pops again.
-        """
+    def _map_plan(self, records: Sequence[TaskRecord]) -> _MapPlan:
+        """Build the phase-invariant :class:`_MapPlan` for *records*."""
         num_workers = self.platform.num_cores
-        if tasks is None:
-            tasks = [
+        home = np.fromiter(
+            (r.home_worker for r in records), dtype=np.int64, count=len(records)
+        )
+        order = np.argsort(home, kind="stable")
+        boundaries = np.searchsorted(home[order], np.arange(num_workers + 1))
+        lengths = np.diff(boundaries)
+        return _MapPlan(
+            instructions=np.array([r.cost.instructions for r in records])[:, None],
+            l2=np.array([r.cost.l2_accesses for r in records])[:, None],
+            mem=np.array([r.cost.memory_accesses for r in records])[:, None],
+            tasks=[
                 Task(
                     task_id=record.task_id,
                     phase=Phase.MAP,
@@ -593,76 +512,82 @@ class SystemSimulator:
                     home_worker=record.home_worker,
                 )
                 for record in records
-            ]
-        if row_of is None:
-            row_of = {id(record): index for index, record in enumerate(records)}
-        policy = self.policy or _fresh_default_policy()
+            ],
+            row_of={id(record): index for index, record in enumerate(records)},
+            order=order,
+            lengths=lengths,
+            owner=np.repeat(np.arange(num_workers), lengths),
+            slot=np.arange(len(records)) - np.repeat(boundaries[:-1], lengths),
+        )
+
+    def _task_durations(self, plan, workers: np.ndarray) -> np.ndarray:
+        """Compute + stall seconds of a map or kv *plan*'s tasks on
+        *workers* under current latencies (one worker per kv row; the map
+        plan's column-shaped costs broadcast to a (records, workers)
+        matrix).
+
+        Mirrors the exact per-element operation order of
+        :meth:`_task_time_parts`, so entries are bit-identical to the
+        per-call scalar path."""
+        core = self.platform.core_params
+        nodes = self._worker_nodes[workers]
+        compute = (plan.instructions / core.ipc) / self._worker_freqs[workers]
+        stall = (
+            plan.l2 * self.memory.l2_round_trip_all_s()[nodes]
+            + plan.mem * self.memory.memory_extra_all_s()[nodes]
+        ) / core.mlp_overlap
+        return compute + stall
+
+    def _fail_times(self) -> np.ndarray:
+        """Per-worker failure instants (``inf`` = survives, as on clean runs)."""
+        if self.faults is not None:
+            return self.faults.fail_time
+        return np.full(self.platform.num_cores, np.inf)
+
+    def _schedule_map(
+        self, start: float, durations: np.ndarray, plan: _MapPlan
+    ) -> Tuple[List[_ScheduledTask], float, TaskQueueSet, _Recovery]:
+        """Map scheduling with stealing.
+
+        ``durations[i, w]`` is the runtime of record row ``i`` on worker
+        ``w`` under the current latency estimate.  Returns the queue set
+        as well so the caller can fold its stealing statistics for the
+        committed schedule only, and the phase's fault recovery.
+
+        The phase is dispatched in steal-epoch batches, core failures
+        included (:meth:`_dispatch_epochs`); ``tests/sim/map_oracle.py``
+        keeps the per-task event loop this reproduces bit for bit.
+        """
+        num_workers = self.platform.num_cores
+        policy = self.policy or DefaultStealingPolicy()
         queues = TaskQueueSet(num_workers, policy)
-        queues.load(tasks)
-        faults = self.faults
-        fail_time = faults.fail_time if faults is not None else None
-        recovery = _Recovery() if faults is not None else None
-        batched = faults is None and dispatch is not None
-        if batched:
-            schedule, end = self._dispatch_epochs(
-                start, durations, queues, dispatch, row_of
-            )
-            # The epochs append per-worker batch runs interleaved with
-            # boundary pops; the event loop's pop order is (time, worker)
-            # lexicographic, so a stable sort restores it exactly (energy
-            # accounting folds floats in schedule order, so order is part
-            # of the golden contract).
-            schedule.sort(key=lambda item: (item.start_s, item.worker))
-        else:
-            heap = [(start, w) for w in range(num_workers)]
-            heapq.heapify(heap)
-            schedule = []
-            end = start
-            while heap and queues.remaining > 0:
-                now, worker = heapq.heappop(heap)
-                if fail_time is not None and fail_time[worker] <= now:
-                    # Dead core: drops out of the event loop for good.
-                    continue
-                task = queues.next_task(worker)
-                if task is None:
-                    # Capped out or nothing to steal: this core is done.
-                    continue
-                record: TaskRecord = task.payload
-                duration = float(durations[row_of[id(record)], worker])
-                if (
-                    fail_time is not None
-                    and now + duration > fail_time[worker]
-                ):
-                    # Killed mid-execution (now < fail strictly, see above).
-                    fail = float(fail_time[worker])
-                    recovery.lost.append(
-                        (worker, now, fail - now, record.task_id)
-                    )
-                    recovery.reexecutions += 1
-                    queues.requeue(worker, task)
-                    end = max(end, fail)
-                    continue
-                schedule.append(_ScheduledTask(record, worker, now, duration))
-                end = max(end, now + duration)
-                heapq.heappush(heap, (now + duration, worker))
+        queues.load(plan.tasks)
+        fail_time = self._fail_times()
+        recovery = _Recovery()
+        schedule, end = self._dispatch_epochs(
+            start, durations, queues, plan, fail_time, recovery
+        )
+        # The epochs append per-worker batch runs interleaved with
+        # boundary pops; the event loop's pop order is (time, worker)
+        # lexicographic, so a stable sort restores it exactly (energy
+        # accounting folds floats in schedule order, so order is part of
+        # the golden contract).
+        schedule.sort(key=lambda item: (item.start_s, item.worker))
         if queues.remaining > 0:
             # Every worker is capped (possible only with a user-supplied
             # fmax above all cores) or the survivors exited before a killed
-            # task was requeued: run leftovers on the fastest core.
-            if faults is None:
-                fastest = int(np.argmax(self._worker_freqs))
-            else:
-                alive = np.isinf(fail_time)
-                if not alive.any():
-                    raise FaultInjectionError(
-                        "all workers fail before the map phase drains"
-                    )
-                masked = np.where(alive, self._worker_freqs, -np.inf)
-                fastest = int(np.argmax(masked))
+            # task was requeued: run leftovers on the fastest survivor.
+            alive = np.isinf(fail_time)
+            if not alive.any():
+                raise FaultInjectionError(
+                    "all workers fail before the map phase drains"
+                )
+            masked = np.where(alive, self._worker_freqs, -np.inf)
+            fastest = int(np.argmax(masked))
             now = end
             for worker, task in queues.force_drain(fastest):
                 record = task.payload
-                duration = float(durations[row_of[id(record)], worker])
+                duration = float(durations[plan.row_of[id(record)], worker])
                 schedule.append(_ScheduledTask(record, worker, now, duration))
                 now += duration
             end = now
@@ -673,10 +598,11 @@ class SystemSimulator:
         start: float,
         durations: np.ndarray,
         queues: TaskQueueSet,
-        dispatch: Tuple[np.ndarray, ...],
-        row_of: dict,
+        plan: _MapPlan,
+        fail_time: np.ndarray,
+        recovery: _Recovery,
     ) -> Tuple[List[_ScheduledTask], float]:
-        """Steal-epoch batched map dispatch (fault-free fast path).
+        """Steal-epoch batched map dispatch.
 
         Between steals, every event-loop pop is an own-queue pop that
         stealing cannot perturb: steals only remove victims' *tail*
@@ -686,39 +612,48 @@ class SystemSimulator:
             time (the next event time, for a worker whose queue is
             already empty -- its next pop is a steal attempt).
 
-        So each epoch batch-commits every own-queue pop whose start time
-        is strictly below ``t_steal``.  Start times come from one
+        So each epoch batch-commits every own-queue pop ``j`` with
+        ``chain[j] < t_steal``, ``chain[j] < fail`` and
+        ``chain[j + 1] <= fail`` -- the event loop's "dead at pop" and
+        "killed mid-execution" tests on the same floats (``fail`` is
+        ``inf`` on a clean run).  Start times ``chain`` come from one
         ``np.add.accumulate`` over a zero-padded duration matrix of the
         workers still holding own tasks -- a strictly sequential float64
-        recurrence per row that reproduces the event loop's
-        ``now + duration`` arithmetic bit-for-bit (unlike pairwise
-        ``np.sum``; trailing zero pads are exact no-ops).  The event
-        loop then handles only the epoch boundary: tie pops at exactly
-        ``t_steal`` and the next steal decision.  A successful steal
-        (some victim's queue changed) or a retiring worker (capped out /
-        nothing to steal -- it never pops again, so the min above loses
-        a contributor) ends the boundary and re-enters batching; only
-        the steal *decisions* ever run event by event.
+        recurrence per row that reproduces the event loop's ``now +
+        duration`` arithmetic bit-for-bit (unlike pairwise ``np.sum``;
+        trailing zero pads are exact no-ops).  The chain is monotone, so
+        each test holds on a prefix and the count is a prefix length.
 
-        Bookkeeping invariant: a worker's own queue is always the
+        The event loop then handles only the epoch boundary: tie pops at
+        exactly ``t_steal``, fault events and the next steal decision.
+        A successful steal (some victim's queue changed) or a worker
+        dropping out -- capped out, nothing to steal, dead at its pop, or
+        killed mid-execution (its task requeued at its head, the burnt
+        interval noted in *recovery*) -- ends the boundary and re-enters
+        batching: a worker that never pops again can only lift
+        ``t_steal``.
+
+        Bookkeeping invariant: an alive worker's own queue is always the
         contiguous slot run ``[head, head + queue_length)`` of its home
         allocation -- commits and own pops advance the head while steals
-        shorten the tail -- so each epoch gathers remaining durations
-        with one slice per holder.
+        shorten the tail; requeues only ever land on dead workers -- so
+        each epoch gathers remaining durations with one slice per
+        holder.
 
         Returns the schedule (batch runs grouped by worker, boundary
         pops in event order; the caller re-sorts into event order) and
         the phase end so far.
         """
-        order, lengths, owner, slot = dispatch
+        order, lengths, owner = plan.order, plan.lengths, plan.owner
         num_workers = self.platform.num_cores
         width = int(lengths.max()) if len(order) else 0
         dur_rows = np.zeros((num_workers, width))
         if len(order):
-            dur_rows[owner, slot] = durations[order, owner]
+            dur_rows[owner, plan.slot] = durations[order, owner]
         head = [0] * num_workers
         now_w = [float(start)] * num_workers
         alive = [True] * num_workers
+        fail_at = fail_time.tolist()
         schedule: List[_ScheduledTask] = []
         end = start
         while queues.remaining > 0:
@@ -744,7 +679,11 @@ class SystemSimulator:
                 # Padded tail entries repeat the drain time (>= t_steal),
                 # so the full-row count equals the count over the
                 # worker's real queue run.
-                committed = (chain[:, :-1] < t_steal).sum(axis=1)
+                holder_fail = fail_time[holders][:, None]
+                committed = (
+                    (chain[:, :-1] < np.minimum(t_steal, holder_fail))
+                    & (chain[:, 1:] <= holder_fail)
+                ).sum(axis=1)
                 for i, w in enumerate(holders):
                     k = int(committed[i])
                     if not k:
@@ -760,22 +699,36 @@ class SystemSimulator:
                     head[w] += k
                     now_w[w] = float(row[k])
                     end = max(end, now_w[w])
-            # --- boundary: tie pops, then the next steal decision ---
+            # --- boundary: tie pops, faults, then the next steal ---
             heap = [(now_w[w], w) for w in range(num_workers) if alive[w]]
             heapq.heapify(heap)
             changed = False
             while heap and queues.remaining > 0:
                 now, worker = heapq.heappop(heap)
+                fail = fail_at[worker]
                 own = queues.queue_length(worker) > 0
-                task = queues.next_task(worker)
+                # A core dead at its pop never asks for work again.
+                task = queues.next_task(worker) if now < fail else None
+                if task is not None:
+                    record: TaskRecord = task.payload
+                    duration = float(durations[plan.row_of[id(record)], worker])
+                    if now + duration > fail:
+                        # Killed mid-execution: the burnt interval is
+                        # lost and the task goes back to the victim's
+                        # queue head.
+                        recovery.lost.append(
+                            (worker, now, fail - now, record.task_id)
+                        )
+                        recovery.reexecutions += 1
+                        queues.requeue(worker, task)
+                        end = max(end, fail)
+                        task = None
                 if task is None:
-                    # Capped out or nothing to steal: this core retires,
-                    # which can only lift t_steal -- re-batch.
+                    # Dead, killed, capped out or nothing to steal: the
+                    # core retires, which can only lift t_steal -- re-batch.
                     alive[worker] = False
                     changed = True
                     break
-                record: TaskRecord = task.payload
-                duration = float(durations[row_of[id(record)], worker])
                 schedule.append(_ScheduledTask(record, worker, now, duration))
                 end = max(end, now + duration)
                 now_w[worker] = now + duration
@@ -790,56 +743,36 @@ class SystemSimulator:
                 break
         return schedule, end
 
-    def _run_reduce(
+    def _run_barrier(
         self,
+        phase: Phase,
         records: Sequence[TaskRecord],
         start: float,
         busy: np.ndarray,
         phases: List[PhaseStats],
         iteration: int,
     ) -> float:
-        plan = self._kv_plan(records) if self.faults is None else None
-        schedule, end, recovery = self._relax_phase(
-            lambda: self._schedule_parallel(records, start, plan=plan),
-            start, kv=True,
-            legacy_rounds=self.params.relaxation_iterations,
-            plan=plan,
-        )
-        for item in schedule:
-            busy[item.worker] += item.duration_s
-        self._record_kv_phase_energy(schedule, plan)
-        self._fold_recovery(recovery, busy)
-        phases.append(PhaseStats(Phase.REDUCE, iteration, start, end))
-        if self.tracer.enabled:
-            self._trace_phase(phases[-1])
-            self._trace_tasks(schedule, Phase.REDUCE)
-            self.platform.network.sample_channel_occupancy(start)
-        return end
+        """One reduce or merge-stage barrier phase, relaxed and committed.
 
-    def _run_merge_stage(
-        self,
-        records: Sequence[TaskRecord],
-        start: float,
-        busy: np.ndarray,
-        phases: List[PhaseStats],
-        iteration: int,
-    ) -> float:
-        if not records:
+        An empty merge stage takes no time and leaves no trace; a reduce
+        phase always runs (its relaxation refreshes the latencies the
+        next phase starts from)."""
+        if phase is Phase.MERGE and not records:
             return start
-        plan = self._kv_plan(records) if self.faults is None else None
+        plan = self._kv_plan(records)
         schedule, end, recovery = self._relax_phase(
-            lambda: self._schedule_parallel(records, start, plan=plan),
-            start, kv=True, legacy_rounds=1,
-            plan=plan,
+            lambda: self._schedule_parallel(records, start, plan),
+            start,
+            plan,
         )
         for item in schedule:
             busy[item.worker] += item.duration_s
         self._record_kv_phase_energy(schedule, plan)
         self._fold_recovery(recovery, busy)
-        phases.append(PhaseStats(Phase.MERGE, iteration, start, end))
+        phases.append(PhaseStats(phase, iteration, start, end))
         if self.tracer.enabled:
             self._trace_phase(phases[-1])
-            self._trace_tasks(schedule, Phase.MERGE)
+            self._trace_tasks(schedule, phase)
             self.platform.network.sample_channel_occupancy(start)
         return end
 
@@ -847,38 +780,35 @@ class SystemSimulator:
         self,
         records: Sequence[TaskRecord],
         start: float,
-        plan: Optional[_KvPlan] = None,
-    ) -> Tuple[List[_ScheduledTask], float, Optional[_Recovery]]:
+        plan: _KvPlan,
+    ) -> Tuple[List[_ScheduledTask], float, _Recovery]:
         """One task per owning worker, all starting at the barrier.
 
-        With a :class:`_KvPlan` (fault-free runs) the whole phase is
-        evaluated in one vectorized pass; the scalar per-record loop is
-        kept as the reference path and for faulted phases.
-
-        Under fault injection, a task whose home worker is dead (or dies
-        mid-execution) runs on a policy-chosen substitute instead."""
-        if self.faults is None and plan is not None:
-            return self._schedule_parallel_batched(records, start, plan)
-        schedule = []
-        end = start
-        if self.faults is None:
-            for record in records:
-                worker = record.home_worker
-                duration = self._task_time(record, worker) + self._kv_pull_time(
-                    record, worker
-                )
-                schedule.append(_ScheduledTask(record, worker, start, duration))
-                end = max(end, start + duration)
-            return schedule, end, None
+        Every task is priced on its home worker in one kernel pass
+        (:meth:`_kv_durations`).  Under fault injection, a task whose
+        home worker is dead at the barrier, or dies before the task
+        finishes, runs its substitution chain instead
+        (:meth:`_execute_with_substitution`), pricing each step with the
+        same kernel on a one-record plan."""
+        durations = self._kv_durations(plan, plan.home)
+        ends = start + durations
+        schedule = [
+            _ScheduledTask(record, record.home_worker, start, float(durations[i]))
+            for i, record in enumerate(records)
+        ]
         recovery = _Recovery()
-        for record in records:
+        fail = self._fail_times()[plan.home]
+        for i in np.flatnonzero((fail <= start) | (ends > fail)):
+            one = self._kv_plan([records[i]])
             item, item_recovery = self._execute_with_substitution(
-                record, start, kv=True
+                records[i],
+                start,
+                lambda w: float(self._kv_durations(one, np.array([w]))[0]),
             )
             recovery.merge(item_recovery)
-            schedule.append(item)
-            end = max(end, item.end_s)
-        return schedule, end, recovery
+            schedule[i] = item
+            ends[i] = item.end_s
+        return schedule, float(np.max(ends, initial=start)), recovery
 
     def _kv_plan(self, records: Sequence[TaskRecord]) -> _KvPlan:
         """Build the phase-invariant :class:`_KvPlan` for *records*."""
@@ -908,7 +838,6 @@ class SystemSimulator:
         bits = np.array(kv_bits, dtype=float)
         return _KvPlan(
             home=home,
-            nodes=np.asarray(worker_nodes)[home],
             instructions=instructions,
             l2=l2,
             mem=mem,
@@ -921,82 +850,67 @@ class SystemSimulator:
             width=int(np.diff(bounds).max()) if count else 0,
         )
 
-    def _schedule_parallel_batched(
-        self, records: Sequence[TaskRecord], start: float, plan: _KvPlan
-    ) -> Tuple[List[_ScheduledTask], float, None]:
-        """Vectorized barrier phase: one pass over the plan's arrays.
+    def _kv_durations(self, plan: _KvPlan, workers: np.ndarray) -> np.ndarray:
+        """Durations of the plan's rows run on *workers* (one per row).
 
-        Bit-equal to the scalar loop by construction:
+        The one pricing kernel of barrier phases, bit-equal to
+        ``_task_time`` plus the scalar per-source pull loop
+        (``tests/sim/kv_oracle.py``) by construction:
 
-        * compute/stall mirror :meth:`_task_time_parts`'s operation
-          order exactly (the same broadcast pattern
-          :meth:`_map_durations` pins against the scalar path);
+        * compute/stall come from :meth:`_task_durations`, which mirrors
+          :meth:`_task_time_parts`'s operation order exactly;
         * each source's head term divides in the latency table's own
           dtype -- ``pyfloat / float32_scalar`` computes in float32
           under NEP 50, so the gathered float32 rates must see float32
           numerators to reproduce the scalar bits;
         * per-record source sums run through one zero-padded
-          ``np.add.accumulate`` (sequential float64 recurrence ==
-          the scalar ``total += term`` loop; trailing zero pads are
-          exact no-ops for the non-negative terms).
+          ``np.add.accumulate`` (sequential float64 recurrence == the
+          scalar ``total += term`` loop; trailing zero pads are exact
+          no-ops for the non-negative terms).
         """
-        if not len(records):
-            return [], start, None
-        core = self.platform.core_params
-        freqs = self._worker_freqs[plan.home]
-        compute = (plan.instructions / core.ipc) / freqs
-        round_trip = self.memory.l2_round_trip_all_s()[plan.nodes]
-        extra = self.memory.memory_extra_all_s()[plan.nodes]
-        stall = (plan.l2 * round_trip + plan.mem * extra) / core.mlp_overlap
-        task_time = compute + stall
-        if len(plan.kv_rec):
-            memory = self.memory
-            base = memory.bulk_base_latency_s
-            raw = memory.bulk_raw_bottleneck_bps
-            effective = memory.bulk_capacity_bps
-            dst = plan.nodes[plan.kv_rec]
-            raw_g = raw[plan.kv_src, dst]
-            cap_g = effective[plan.kv_src, dst]
-            minbits = plan.kv_minbits.astype(raw_g.dtype, copy=False)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                head_ser = np.where(
-                    np.isfinite(raw_g), minbits / raw_g, 0.0
-                )
-                streaming = np.where(
-                    np.isfinite(cap_g), plan.kv_bits / cap_g, 0.0
-                )
-            terms = (base[plan.kv_src, dst] + head_ser) + streaming
-            pad = np.zeros((len(records), plan.width))
-            pad[plan.kv_rec, plan.kv_slot] = terms
-            totals = np.add.accumulate(pad, axis=1)[:, -1]
-            durations = task_time + totals
-        else:
-            durations = task_time + 0.0
-        schedule = [
-            _ScheduledTask(record, record.home_worker, start, float(durations[i]))
-            for i, record in enumerate(records)
-        ]
-        end = max(start, float((start + durations).max()))
-        return schedule, end, None
+        task_time = self._task_durations(plan, workers)
+        if not len(plan.kv_rec):
+            return task_time + 0.0
+        memory = self.memory
+        src = plan.kv_src
+        dst = self._worker_nodes[workers][plan.kv_rec]
+        raw = memory.bulk_raw_bottleneck_bps[src, dst]
+        capacity = memory.bulk_capacity_bps[src, dst]
+        minbits = plan.kv_minbits.astype(raw.dtype, copy=False)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            head_ser = np.where(np.isfinite(raw), minbits / raw, 0.0)
+            streaming = np.where(
+                np.isfinite(capacity), plan.kv_bits / capacity, 0.0
+            )
+        pad = np.zeros((len(workers), plan.width))
+        pad[plan.kv_rec, plan.kv_slot] = (
+            memory.bulk_base_latency_s[src, dst] + head_ser
+        ) + streaming
+        return task_time + np.add.accumulate(pad, axis=1)[:, -1]
 
     def _execute_with_substitution(
-        self, record: TaskRecord, start: float, kv: bool
+        self,
+        record: TaskRecord,
+        start: float,
+        price: Callable[[int], float],
     ) -> Tuple[_ScheduledTask, _Recovery]:
         """Run one barrier-phase task to completion despite core failures.
 
-        The execution chain is deterministic: a dead home worker is
-        replaced per the resilience policy's substitute order; an
-        execution the worker's failure would cut short burns the interval
-        up to the failure (recorded as lost busy time) and re-executes on
-        the next substitute.  Each worker dies at most once, so the chain
+        ``price(worker)`` is the task's duration on *worker*.  The
+        execution chain is deterministic: a dead home worker is replaced
+        per the resilience policy's substitute order; an execution the
+        worker's failure would cut short burns the interval up to the
+        failure (recorded as lost busy time) and re-executes on the next
+        substitute.  Each worker dies at most once, so the chain
         terminates; a run with no survivors raises
         :class:`FaultInjectionError`."""
         faults = self.faults
+        fail_time = self._fail_times()
         recovery = _Recovery()
         worker = record.home_worker
         t = start
         while True:
-            if faults.fail_time[worker] <= t:
+            if fail_time[worker] <= t:
                 substitute = faults.substitute_for(
                     worker, t, self._worker_freqs
                 )
@@ -1007,10 +921,8 @@ class SystemSimulator:
                     )
                 worker = substitute
                 recovery.substitutions += 1
-            duration = self._task_time(record, worker)
-            if kv:
-                duration += self._kv_pull_time(record, worker)
-            fail = float(faults.fail_time[worker])
+            duration = price(worker)
+            fail = float(fail_time[worker])
             if t + duration <= fail:
                 return _ScheduledTask(record, worker, t, duration), recovery
             recovery.lost.append((worker, t, fail - t, record.task_id))
@@ -1024,12 +936,10 @@ class SystemSimulator:
                 )
             worker = substitute
 
-    def _fold_recovery(
-        self, recovery: Optional[_Recovery], busy: np.ndarray
-    ) -> None:
+    def _fold_recovery(self, recovery: _Recovery, busy: np.ndarray) -> None:
         """Charge a committed phase's lost intervals as busy time and fold
         the counts into the fault engine's impact record."""
-        if recovery is None or self.faults is None:
+        if self.faults is None:
             return
         for worker, _start_s, duration_s, _task_id in recovery.lost:
             busy[worker] += duration_s
@@ -1076,38 +986,6 @@ class SystemSimulator:
             if record.partner_worker != record.home_worker:
                 sources.append((record.partner_worker, record.cost.kv_bytes_in))
         return sources
-
-    def _kv_pull_time(self, record: TaskRecord, worker: int) -> float:
-        """Time to stream the task's remote key-value inputs.
-
-        Evaluated from the memory system's refreshed bulk-class matrices
-        (zero-payload head latency, raw serialization rate and effective
-        path capacity), so each source costs a few table lookups instead
-        of two path walks."""
-        sources = self._kv_sources(record)
-        if not sources:
-            return 0.0
-        memory = self.memory
-        base = memory.bulk_base_latency_s
-        raw = memory.bulk_raw_bottleneck_bps
-        effective = memory.bulk_capacity_bps
-        dst = self._worker_nodes[worker]
-        total = 0.0
-        for src_worker, nbytes in sources:
-            src = self._worker_nodes[src_worker]
-            bits = kv_stream_bits(nbytes, self.params.kv_chunk_bytes)
-            line_rate = raw[src, dst]
-            head = base[src, dst] + (
-                min(bits, self._kv_chunk_bits) / line_rate
-                if np.isfinite(line_rate)
-                else 0.0
-            )
-            capacity = effective[src, dst]
-            streaming = bits / capacity if np.isfinite(capacity) else 0.0
-            total += head + streaming
-        # Plain float: this feeds schedule timestamps that end up in JSON
-        # telemetry exports.
-        return float(total)
 
     # ------------------------------------------------------------------ #
     # telemetry
@@ -1163,92 +1041,61 @@ class SystemSimulator:
         self,
         schedule: Sequence[_ScheduledTask],
         phase_duration: float,
-        kv: bool = False,
-        plan: Optional[_KvPlan] = None,
+        plan: Optional[_KvPlan],
     ) -> None:
         """Convert a phase schedule into sustained flows on the NoC.
 
         Miss traffic is registered with one batched mat-vec over every
-        node's accumulated access rate; key-value streams are registered
-        with one batched ``add_flows`` call.  With a :class:`_KvPlan`
-        (barrier phases, fault-free -- where the schedule is the record
-        list in order) both inputs come straight from the plan's flat
-        arrays, in the same accumulation order as the schedule walk.
+        node's accumulated access rate (``np.add.at`` over the executing
+        nodes adds in schedule order); a barrier phase's *plan* adds its
+        key-value streams, into each task's executing node, with one
+        batched ``add_flows`` call.
         """
         network = self.platform.network
         network.reset_flows()
-        if plan is not None and self.faults is None:
-            accesses_per_node = np.zeros(self.platform.num_cores)
-            np.add.at(accesses_per_node, plan.nodes, plan.l2)
-            self.memory.add_miss_flows_batch(accesses_per_node / phase_duration)
-            if kv:
-                network.add_flows(
-                    plan.kv_src,
-                    plan.nodes[plan.kv_rec],
-                    plan.kv_bits / phase_duration,
-                    bulk=True,
-                )
-            return
+        nodes = self._worker_nodes[[item.worker for item in schedule]]
+        l2 = [item.record.cost.l2_accesses for item in schedule]
         accesses_per_node = np.zeros(self.platform.num_cores)
-        for item in schedule:
-            node = self._worker_nodes[item.worker]
-            accesses_per_node[node] += item.record.cost.l2_accesses
+        np.add.at(accesses_per_node, nodes, l2)
         self.memory.add_miss_flows_batch(accesses_per_node / phase_duration)
-        if kv:
-            srcs: List[int] = []
-            dsts: List[int] = []
-            rates: List[float] = []
-            for item in schedule:
-                dst = self._worker_nodes[item.worker]
-                for src_worker, nbytes in self._kv_sources(item.record):
-                    bits = kv_stream_bits(nbytes, self.params.kv_chunk_bytes)
-                    srcs.append(self._worker_nodes[src_worker])
-                    dsts.append(dst)
-                    rates.append(bits / phase_duration)
-            network.add_flows(srcs, dsts, rates, bulk=True)
+        if plan is not None:
+            network.add_flows(
+                plan.kv_src,
+                nodes[plan.kv_rec],
+                plan.kv_bits / phase_duration,
+                bulk=True,
+            )
 
-    def _record_task_energy(
-        self, record: TaskRecord, worker: int, kv: bool = False
-    ) -> None:
+    def _record_task_energy(self, record: TaskRecord, worker: int) -> None:
         self._committed[worker] += record.cost.instructions
         node = self.platform.node_of_worker(worker)
         self.memory.record_miss_energy(
             node, record.cost.l2_accesses, record.cost.memory_accesses
         )
-        if kv:
-            for src_worker, nbytes in self._kv_sources(record):
-                src = self.platform.node_of_worker(src_worker)
-                bits = kv_stream_bits(nbytes, self.params.kv_chunk_bytes)
-                self._bulk_energy.record(src, node, bits)
 
     def _record_kv_phase_energy(
-        self,
-        schedule: List[_ScheduledTask],
-        plan: Optional[_KvPlan],
+        self, schedule: List[_ScheduledTask], plan: _KvPlan
     ) -> None:
         """Fold a kv phase's committed work and energy counters.
 
-        With a plan the committed-instruction fold is one ``np.add.at``
-        (element order == record order == the scalar loop's accumulation
-        order) and the kv source lists / stream-bit computations are
-        reused instead of rebuilt per record.  The miss-energy and
-        kv-transfer recordings stay *interleaved per record*: both feed
-        the same pairwise energy counters, so splitting them into two
-        bulk passes would reorder the float accumulation.
+        The committed-instruction fold is one ``np.add.at`` (element
+        order == record order == schedule order) and the kv source lists
+        / stream-bit computations come from the plan; each task charges
+        its executing worker.  The miss-energy and kv-transfer
+        recordings stay *interleaved per record*: both feed the same
+        pairwise energy counters, so splitting them into two bulk passes
+        would reorder the float accumulation.
         """
-        if plan is None:
-            for item in schedule:
-                self._record_task_energy(item.record, item.worker, kv=True)
-            return
-        np.add.at(self._committed, plan.home, plan.instructions)
+        workers = [item.worker for item in schedule]
+        np.add.at(self._committed, workers, plan.instructions)
         record_miss = self.memory.record_miss_energy
         record_bulk = self._bulk_energy.record
-        bounds = plan.kv_bounds
-        for i in range(len(plan.home)):
-            node = int(plan.nodes[i])
+        bounds = plan.kv_bounds.tolist()
+        srcs, bits = plan.kv_src.tolist(), plan.kv_bits.tolist()
+        for i, node in enumerate(self._worker_nodes[workers].tolist()):
             record_miss(node, plan.l2[i], plan.mem[i])
             for f in range(bounds[i], bounds[i + 1]):
-                record_bulk(int(plan.kv_src[f]), node, float(plan.kv_bits[f]))
+                record_bulk(srcs[f], node, bits[f])
 
     # ------------------------------------------------------------------ #
 
@@ -1259,101 +1106,24 @@ class SystemSimulator:
         busy: np.ndarray,
         phases: List[PhaseStats],
     ) -> SimulationResult:
-        if self.faults is not None or self.governor is not None:
-            return self._finalize_segmented(trace, total_time, busy, phases)
-        platform = self.platform
-        breakdown = EnergyBreakdown()
-        for worker in range(platform.num_cores):
-            point = platform.vf_of_worker(worker)
-            busy_s = float(min(busy[worker], total_time))
-            idle_s = max(total_time - busy_s, 0.0)
-            power = platform.core_power_of(platform.island_of_worker(worker))
-            breakdown.core_dynamic_j += (
-                power.dynamic_power_w(point, 1.0) * busy_s
-                + power.dynamic_power_w(point, power.params.idle_activity) * idle_s
-            )
-            breakdown.core_static_j += power.leakage_power_w(point) * total_time
-        network = platform.network
-        breakdown.noc_dynamic_j = network.energy.dynamic_joules
-        breakdown.noc_static_j = network.static_energy(total_time)
-        stats = NetworkStats(
-            bits_moved=network.energy.bits_moved,
-            average_hops=network.energy.average_hops,
-            wireless_fraction=network.energy.wireless_fraction,
-            dynamic_energy_j=breakdown.noc_dynamic_j,
-            static_energy_j=breakdown.noc_static_j,
-        )
-        return SimulationResult(
-            app_name=trace.app_name,
-            platform_name=platform.name,
-            total_time_s=total_time,
-            busy_s=busy,
-            committed_instructions=self._committed.copy(),
-            worker_frequencies_hz=np.array(platform.effective_worker_frequencies()),
-            issue_width=platform.core_params.issue_width,
-            phases=phases,
-            energy=breakdown,
-            network=stats,
-        )
-
-    def _finalize_segmented(
-        self,
-        trace: JobTrace,
-        total_time: float,
-        busy: np.ndarray,
-        phases: List[PhaseStats],
-    ) -> SimulationResult:
-        """Segmented energy accounting for faulted and/or capped runs.
+        """Close the last energy segment and fold the run's energy.
 
         Each platform configuration the run passed through (throttles,
         degraded fabrics, governor cap assignments) is one segment
         charged at its own V/F and with its own network's accumulated
-        dynamic energy -- the same bookkeeping
-        :class:`repro.sim.adaptive.PhaseAdaptiveSimulator` uses for
-        per-phase V/F switching.  Lost (killed) intervals were folded
-        into ``busy``, so wasted dynamic energy is charged; dead cores
-        keep burning idle and leakage power (a functional failure is not
-        a power-gated core).  The result reports the *base* platform's
-        name and frequencies so downstream normalization compares
-        degraded runs against their clean counterparts.
+        dynamic energy; a clean run is a single segment.  Lost (killed)
+        intervals were folded into ``busy``, so wasted dynamic energy is
+        charged; dead cores keep burning idle and leakage power (a
+        functional failure is not a power-gated core).  The result
+        reports the *base* platform's name and frequencies so downstream
+        normalization compares degraded runs against their clean
+        counterparts.
         """
         if self.governor is not None:
             self.governor.finish(total_time)
         self._close_segment(total_time)
         base = self._base_platform
-        num_workers = base.num_cores
-        breakdown = EnergyBreakdown()
-        bits = hops_bits = wireless = dynamic = static = 0.0
-        for segment in self._segments:
-            platform = segment.platform
-            elapsed = segment.elapsed_s
-            for worker in range(num_workers):
-                power = platform.core_power_of(platform.island_of_worker(worker))
-                point = platform.vf_of_worker(worker)
-                busy_s = float(min(segment.busy_s[worker], elapsed))
-                idle_s = max(elapsed - busy_s, 0.0)
-                breakdown.core_dynamic_j += (
-                    power.dynamic_power_w(point, 1.0) * busy_s
-                    + power.dynamic_power_w(point, power.params.idle_activity)
-                    * idle_s
-                )
-                breakdown.core_static_j += (
-                    power.leakage_power_w(point) * elapsed
-                )
-            dynamic += segment.noc_dynamic_j
-            static += segment.noc_static_j
-            bits += segment.bits_moved
-            hops_bits += segment.bit_hops
-            wireless += segment.wireless_bits
-        breakdown.noc_dynamic_j = dynamic
-        breakdown.noc_static_j = static
-        stats = NetworkStats(
-            bits_moved=bits,
-            average_hops=hops_bits / bits if bits else 0.0,
-            wireless_fraction=wireless / bits if bits else 0.0,
-            dynamic_energy_j=dynamic,
-            static_energy_j=static,
-        )
+        breakdown, stats = _fold_segments(self._segments)
         return SimulationResult(
             app_name=trace.app_name,
             platform_name=base.name,
@@ -1370,10 +1140,46 @@ class SystemSimulator:
         )
 
 
-def _fresh_default_policy() -> StealingPolicy:
-    from repro.mapreduce.scheduler import DefaultStealingPolicy
-
-    return DefaultStealingPolicy()
+def _fold_segments(
+    segments: Sequence[_Segment],
+) -> Tuple[EnergyBreakdown, NetworkStats]:
+    """Core and NoC energy of a run made of *segments* (static, faulted,
+    capped and phase-adaptive runs alike): each core is charged at its
+    segment's V/F -- busy time at full activity, the rest at idle
+    activity, leakage throughout -- and NoC counters add up."""
+    breakdown = EnergyBreakdown()
+    bits = hops_bits = wireless = dynamic = static = 0.0
+    for segment in segments:
+        platform = segment.platform
+        elapsed = segment.elapsed_s
+        for worker in range(platform.num_cores):
+            power = platform.core_power_of(platform.island_of_worker(worker))
+            point = platform.vf_of_worker(worker)
+            busy_s = float(min(segment.busy_s[worker], elapsed))
+            idle_s = max(elapsed - busy_s, 0.0)
+            breakdown.core_dynamic_j += (
+                power.dynamic_power_w(point, 1.0) * busy_s
+                + power.dynamic_power_w(point, power.params.idle_activity)
+                * idle_s
+            )
+            breakdown.core_static_j += (
+                power.leakage_power_w(point) * elapsed
+            )
+        dynamic += segment.noc_dynamic_j
+        static += segment.noc_static_j
+        bits += segment.bits_moved
+        hops_bits += segment.bit_hops
+        wireless += segment.wireless_bits
+    breakdown.noc_dynamic_j = dynamic
+    breakdown.noc_static_j = static
+    stats = NetworkStats(
+        bits_moved=bits,
+        average_hops=hops_bits / bits if bits else 0.0,
+        wireless_fraction=wireless / bits if bits else 0.0,
+        dynamic_energy_j=dynamic,
+        static_energy_j=static,
+    )
+    return breakdown, stats
 
 
 def simulate(

@@ -7,18 +7,24 @@ blocked lockstep builder producing float32 tables for dies with
 ``NocParams.dense_block_nodes`` set, plus the ``add_flow`` loop the
 wireless-routing calibration used for its channel loads.  They are kept
 verbatim as oracles: ``tests/noc/test_table_oracles.py`` asserts the
-simulator's tables equal theirs bit for bit.
+simulator's tables equal theirs bit for bit.  The single-source lockstep
+walk the blocked walk generalizes (:func:`walk_steps`) is kept here too,
+for ``tests/noc/test_pathwalk.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix, vstack
 
 from repro.noc.network import FlowNetworkModel, NocParams
-from repro.noc.pathwalk import edge_resource_tables, walk_steps_block
+from repro.noc.pathwalk import (
+    _describe_cycle,
+    edge_resource_tables,
+    walk_steps_block,
+)
 from repro.noc.topology import LinkKind
 
 
@@ -421,3 +427,55 @@ def add_flow_channel_utilizations(
             if rate > 0 and src != dst:
                 model.add_flow(src, dst, rate)
     return model.load.channel_load / wireless.bandwidth_bps
+
+
+# ---------------------------------------------------------------------- #
+# single-source predecessor walk
+# ---------------------------------------------------------------------- #
+
+
+def walk_steps(
+    pred_row: np.ndarray, src: int, n: int
+) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Walk all destinations' routes back toward *src* in lockstep.
+
+    Yields ``(dst, prev, cur)`` index arrays per step: for every
+    still-walking destination ``dst``, the route's hop ``prev -> cur``
+    (in forward, src-to-dst direction).  Iterating to exhaustion visits
+    every hop of every route exactly once.
+
+    The walk is validated eagerly: a predecessor cycle or an unroutable
+    destination raises *before the first step is yielded*, so a consumer
+    accumulating per-destination sums is never left holding a partially
+    consumed walk.  The error names the offending route and the exact
+    cycle the chain fell into.
+    """
+    steps = []
+    destinations = np.arange(n)
+    current = destinations.copy()
+    alive = current != src
+    count = 0
+    while alive.any():
+        count += 1
+        dst = destinations[alive]
+        cur = current[alive]
+        if count > 2 * n:
+            broken = int(dst[0])
+            raise RuntimeError(
+                f"predecessor chains from {src} do not terminate "
+                f"({alive.sum()} destination(s) affected): "
+                f"{_describe_cycle(pred_row, src, broken, n)}"
+            )
+        prev = pred_row[cur]
+        if (prev < 0).any():
+            missing = dst[prev < 0]
+            raise RuntimeError(
+                f"no route from {src} to destination(s) "
+                f"{missing[:8].tolist()}"
+                f"{'...' if len(missing) > 8 else ''}: predecessor chain "
+                f"breaks {count} hop(s) before the destination"
+            )
+        steps.append((dst, prev, cur))
+        current[alive] = prev
+        alive = current != src
+    return iter(steps)

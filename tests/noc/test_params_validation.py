@@ -5,7 +5,7 @@ import pytest
 from repro.noc.network import NocParams
 from repro.noc.smallworld import SmallWorldConfig
 from repro.noc.energy import NocEnergyParams
-from repro.sim.config import CoreParams, MemoryParams, SimulationParams
+from repro.sim.config import CoreParams, MemoryParams
 
 
 class TestNocParams:
@@ -72,9 +72,3 @@ class TestMemoryParams:
     def test_rejects_bad_latency(self):
         with pytest.raises(ValueError):
             MemoryParams(dram_latency_s=0)
-
-
-class TestSimulationParams:
-    def test_rejects_zero_relaxations(self):
-        with pytest.raises(ValueError):
-            SimulationParams(relaxation_iterations=0)

@@ -10,7 +10,9 @@ cycle spelled out.
 import numpy as np
 import pytest
 
-from repro.noc.pathwalk import forward_steps, walk_steps, walk_steps_block
+from repro.noc.pathwalk import forward_steps, walk_steps_block
+
+from tests.noc.table_oracles import walk_steps
 
 
 def _line_pred_row(src: int, n: int) -> np.ndarray:

@@ -1,20 +1,34 @@
 """Phase-adaptive VFI simulation."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from repro.apps import create_app
 from repro.core.design_flow import design_vfi, structural_bottleneck_workers
-from repro.core.platforms import build_nvfi_mesh, build_vfi_mesh
+from repro.core.platforms import build_nvfi_mesh, build_vfi_mesh, geometry_for
+from repro.core.serialization import result_to_dict
 from repro.core.traffic import total_node_traffic
+from repro.faults import FaultPlan, preset_plan
 from repro.mapreduce.tasks import Phase
+from repro.power.spec import PowerCapSpec
 from repro.sim.adaptive import (
     PhaseAdaptiveSimulator,
     VfSchedule,
     phase_adaptive_schedule,
 )
+from repro.sim.config import SimulationParams
 from repro.sim.system import simulate
 from repro.vfi.islands import DVFS_LADDER, NOMINAL
+
+#: sha256 of ``result_to_dict`` for the 16-core histogram run below,
+#: captured before the phase-adaptive energy fold moved onto the
+#: simulator's segment fold.
+SMALL_RUN_SHA256 = (
+    "69d68c7bc46c13d37f3b2e6234e8d44eef2f9fa9f9a9ae6a336aff371bfee767"
+)
 
 
 @pytest.fixture(scope="module")
@@ -139,3 +153,66 @@ class TestPhaseAdaptiveSimulator:
         simulator = PhaseAdaptiveSimulator(platform, phase_adaptive_schedule(design))
         with pytest.raises(ValueError):
             simulator.run(small)
+
+
+@pytest.fixture(scope="module")
+def small():
+    app = create_app("histogram", scale=0.05, seed=9)
+    trace = app.run(num_workers=16)
+    locality = app.profile.l2_locality
+    geometry = geometry_for(16)
+    nvfi = simulate(build_nvfi_mesh(geometry), trace, locality=locality)
+    design = design_vfi(
+        nvfi.utilization,
+        total_node_traffic(trace, locality),
+        seed=3,
+        structural_workers=structural_bottleneck_workers(trace),
+    )
+    platform = build_vfi_mesh(design, "vfi2", geometry=geometry, seed=3)
+    return trace, locality, design, platform, nvfi
+
+
+def _small_simulator(small, params=SimulationParams()):
+    trace, locality, design, platform, _ = small
+    return PhaseAdaptiveSimulator(
+        platform,
+        phase_adaptive_schedule(design),
+        locality=locality,
+        stealing_policy=design.stealing_policy("vfi2"),
+        params=params,
+    )
+
+
+def _sha256(result):
+    text = json.dumps(result_to_dict(result), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestRuntimeControls:
+    """Fault plans and caps act at phase boundaries, which the
+    phase-adaptive driver never runs: they are refused, not half
+    applied."""
+
+    def test_result_bytes_pinned(self, small):
+        result = _small_simulator(small).run(small[0])
+        assert _sha256(result) == SMALL_RUN_SHA256
+
+    def test_fault_plan_rejected(self, small):
+        horizon = small[4].total_time_s
+        for scenario in ("core_failure", "throttle"):
+            plan = preset_plan(scenario, horizon, 16)
+            with pytest.raises(ValueError, match="fault plans"):
+                _small_simulator(small, SimulationParams(fault_plan=plan))
+
+    def test_bounded_cap_rejected(self, small):
+        cap = PowerCapSpec(chip_cap_w=1.0)
+        with pytest.raises(ValueError, match="power caps"):
+            _small_simulator(small, SimulationParams(power_cap=cap))
+
+    def test_empty_plan_and_unbounded_cap_accepted(self, small):
+        params = SimulationParams(
+            fault_plan=FaultPlan(events=()), power_cap=PowerCapSpec()
+        )
+        result = _small_simulator(small, params).run(small[0])
+        assert result.faults is None and result.power is None
+        assert _sha256(result) == SMALL_RUN_SHA256

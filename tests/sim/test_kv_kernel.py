@@ -1,0 +1,163 @@
+"""The barrier-phase pricing kernel against the scalar reference.
+
+``SystemSimulator._kv_durations`` prices every reduce and merge task,
+clean or fault-injected.  It must equal ``_task_time`` plus the scalar
+per-source pull loop (``tests/sim/kv_oracle.py``) bit for bit, for
+every record on every worker -- the home worker a clean phase runs on
+and any substitute a faulted one may pick -- and a barrier phase, clean
+or faulted, must schedule exactly as the scalar per-record loop did.
+"""
+
+import numpy as np
+import pytest
+
+from repro.apps import create_app
+from repro.core.geometry import DieGeometry
+from repro.core.platforms import build_nvfi_mesh
+from repro.faults import FaultKind, FaultPlan, FaultSpec
+from repro.faults.policy import ResiliencePolicy
+from repro.faults.spec import FaultInjectionError
+from repro.sim.config import SimulationParams
+from repro.sim.system import SystemSimulator, _ScheduledTask
+
+from tests.sim import kv_oracle
+
+
+def _barrier_records(trace):
+    """Every reduce and merge record of the trace's first iteration."""
+    iteration = trace.iterations[0]
+    records = list(iteration.reduce_phase.tasks)
+    for stage in iteration.merge_stages:
+        records.extend(stage.tasks)
+    return records
+
+
+def _loaded_simulator(num_cores, params=SimulationParams()):
+    """A simulator whose bulk tables carry one relaxation round's load,
+    and the first iteration's barrier records."""
+    app = create_app("histogram", scale=0.05, seed=9)
+    trace = app.run(num_workers=num_cores)
+    simulator = SystemSimulator(
+        build_nvfi_mesh(DieGeometry.for_cores(num_cores)),
+        locality=app.profile.l2_locality,
+        params=params,
+    )
+    reduce_records = trace.iterations[0].reduce_phase.tasks
+    plan = simulator._kv_plan(reduce_records)
+    durations = simulator._kv_durations(plan, plan.home)
+    schedule = [
+        _ScheduledTask(record, record.home_worker, 0.0, d)
+        for record, d in zip(reduce_records, durations)
+    ]
+    simulator._register_phase_flows(schedule, float(durations.max()), plan)
+    simulator.memory.refresh_latencies()
+    return simulator, _barrier_records(trace)
+
+
+@pytest.fixture(scope="module")
+def mesh16():
+    return _loaded_simulator(16)
+
+
+@pytest.fixture(scope="module")
+def die128():
+    return _loaded_simulator(128)
+
+
+def _assert_kernel_matches_scalar(simulator, records, workers):
+    plan = simulator._kv_plan(records)
+    # One-record plans: what the substitution chain prices each step on.
+    singles = [simulator._kv_plan([record]) for record in records]
+    home = simulator._kv_durations(plan, plan.home)
+    for i, record in enumerate(records):
+        assert home[i] == simulator._task_time(
+            record, record.home_worker
+        ) + kv_oracle.kv_pull_time(simulator, record, record.home_worker)
+    for worker in workers:
+        batch = simulator._kv_durations(plan, np.full(len(records), worker))
+        for i, record in enumerate(records):
+            scalar = simulator._task_time(record, worker) + kv_oracle.kv_pull_time(
+                simulator, record, worker
+            )
+            single = simulator._kv_durations(singles[i], np.array([worker]))[0]
+            assert batch[i] == scalar  # bit-for-bit
+            assert single == scalar
+
+
+class TestKernelMatchesScalar:
+    def test_mesh16_every_worker(self, mesh16):
+        simulator, records = mesh16
+        # The relaxation round put load on the bulk paths: their
+        # effective capacity now sits below the raw line rate.
+        memory = simulator.memory
+        assert (memory.bulk_capacity_bps < memory.bulk_raw_bottleneck_bps).any()
+        _assert_kernel_matches_scalar(simulator, records, range(16))
+
+    def test_die128_float32_tables(self, die128):
+        simulator, records = die128
+        # Blocked large-die tables store float32: the head term must
+        # divide in float32, as the scalar loop does under NEP 50.
+        assert simulator.memory.bulk_raw_bottleneck_bps.dtype == np.float32
+        _assert_kernel_matches_scalar(simulator, records, range(128))
+
+
+def _faulted(fail_times, order="ring"):
+    """A loaded 16-core simulator whose cores fail at *fail_times*."""
+    plan = FaultPlan(
+        events=tuple(
+            FaultSpec(FaultKind.CORE_FAILURE, t, (worker,))
+            for worker, t in sorted(fail_times.items())
+        ),
+        name="kernel",
+    )
+    params = SimulationParams(
+        fault_plan=plan, resilience=ResiliencePolicy(substitute_order=order)
+    )
+    return _loaded_simulator(16, params)
+
+
+def _assert_phase_matches_scalar(simulator, records, start):
+    plan = simulator._kv_plan(records)
+    schedule, end, recovery = simulator._schedule_parallel(records, start, plan)
+    want_schedule, want_end, want = kv_oracle.schedule_parallel(
+        simulator, records, start
+    )
+    assert end == want_end
+    assert [(i.record, i.worker, i.start_s, i.duration_s) for i in schedule] == [
+        (i.record, i.worker, i.start_s, i.duration_s) for i in want_schedule
+    ]
+    if want is None:  # the scalar loop keeps no recovery on clean runs
+        assert not recovery.lost and not recovery.substitutions
+        return recovery
+    assert recovery.lost == want.lost
+    assert recovery.reexecutions == want.reexecutions
+    assert recovery.substitutions == want.substitutions
+    return recovery
+
+
+class TestBarrierPhaseMatchesScalar:
+    START = 1.0
+
+    def test_clean_phase(self, mesh16):
+        _assert_phase_matches_scalar(*mesh16, self.START)
+
+    @pytest.mark.parametrize("order", ["ring", "fastest"])
+    def test_dead_and_dying_homes(self, order):
+        start = self.START
+        simulator, records = _faulted(
+            # dead before the barrier, at it, mid-task (twice in a row on
+            # the ring), and long after the phase
+            {3: 0.5, 4: start, 7: start + 1e-6, 8: start + 2e-6, 12: 50.0},
+            order,
+        )
+        recovery = _assert_phase_matches_scalar(simulator, records, start)
+        assert recovery.substitutions and recovery.reexecutions
+
+    def test_no_survivor_raises_the_same_error(self):
+        simulator, records = _faulted({w: 0.5 for w in range(16)})
+        plan = simulator._kv_plan(records)
+        with pytest.raises(FaultInjectionError) as got:
+            simulator._schedule_parallel(records, self.START, plan)
+        with pytest.raises(FaultInjectionError) as want:
+            kv_oracle.schedule_parallel(simulator, records, self.START)
+        assert str(got.value) == str(want.value)

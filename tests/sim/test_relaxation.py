@@ -1,112 +1,19 @@
-"""Phase-relaxation modes: legacy fixed-round equivalence and adaptive
-convergence.
+"""Phase relaxation: convergence, its bounds and its telemetry."""
 
-The legacy goldens below were captured from the pre-vectorization
-simulator (fixed ``relaxation_iterations=2`` rounds plus a final pass,
-per-call flow registration); pinning ``relaxation_rtol=None`` must keep
-reproducing them to float tolerance.
-"""
-
-import numpy as np
 import pytest
 
 from repro.apps import create_app
-from repro.core.design_flow import design_vfi, structural_bottleneck_workers
-from repro.core.platforms import build_nvfi_mesh, build_vfi_winoc, geometry_for
-from repro.core.traffic import total_node_traffic
+from repro.core.platforms import build_nvfi_mesh
 from repro.sim.config import SimulationParams
 from repro.sim.system import simulate
-from repro.utils.rng import spawn_seed
 
-LEGACY = SimulationParams(relaxation_rtol=None)
-
-#: Captured from the pre-change simulator (histogram, scale 0.25, seed 13,
-#: 64 workers, NVFI mesh).
+#: Totals of the historical fixed-round schedule (two register/refresh
+#: rounds plus a final pass) for histogram, scale 0.25, seed 13, 64
+#: workers, NVFI mesh: the converged fixed point must stay close to it.
 GOLDEN_MESH = {
     "total_time_s": 11.170587333172145,
     "total_energy_j": 1482.3986895602088,
-    "core_dynamic_j": 1194.0842594548753,
-    "core_static_j": 178.7293973307545,
-    "noc_dynamic_j": 106.72536241728706,
-    "noc_static_j": 2.859670357292068,
-    "bits_moved": 7259845639627.693,
-    "average_hops": 4.291762369675085,
-    "busy_sum_s": 623.9152844704645,
-    "phase_ends": [
-        0.8881801303019502,
-        10.128596113437734,
-        10.935189553684662,
-        10.939737636800094,
-        10.947797475666876,
-        10.963914444888406,
-        10.995207575310195,
-        11.054543236746142,
-        11.170587333172145,
-    ],
 }
-
-#: Captured from the pre-change simulator (wordcount, scale 0.2, seed 7,
-#: full VFI-2 WiNoC design flow).
-GOLDEN_WINOC = {
-    "total_time_s": 1.9604288234959255,
-    "total_energy_j": 102.90119862385218,
-    "core_dynamic_j": 66.86960551022793,
-    "core_static_j": 15.407352261682549,
-    "noc_dynamic_j": 20.181183937831626,
-    "noc_static_j": 0.4430569141100787,
-    "bits_moved": 1138765886760.4597,
-    "average_hops": 3.048311009870378,
-    "wireless_fraction": 0.0013308502707764108,
-    "busy_sum_s": 78.16290590188679,
-    "phase_ends": [
-        0.061733014657768745,
-        1.597232506599525,
-        1.8344081259896514,
-        1.8369458651235755,
-        1.8411805062161042,
-        1.8491563883891284,
-        1.8651381774152642,
-        1.8972856883065203,
-        1.9604288234959255,
-    ],
-}
-
-REL = 1e-6  # cross-platform / cross-numpy float headroom
-
-
-def _check_golden(result, golden):
-    assert result.total_time_s == pytest.approx(golden["total_time_s"], rel=REL)
-    assert result.total_energy_j == pytest.approx(
-        golden["total_energy_j"], rel=REL
-    )
-    assert result.energy.core_dynamic_j == pytest.approx(
-        golden["core_dynamic_j"], rel=REL
-    )
-    assert result.energy.core_static_j == pytest.approx(
-        golden["core_static_j"], rel=REL
-    )
-    assert result.energy.noc_dynamic_j == pytest.approx(
-        golden["noc_dynamic_j"], rel=REL
-    )
-    assert result.energy.noc_static_j == pytest.approx(
-        golden["noc_static_j"], rel=REL
-    )
-    assert result.network.bits_moved == pytest.approx(
-        golden["bits_moved"], rel=REL
-    )
-    assert result.network.average_hops == pytest.approx(
-        golden["average_hops"], rel=REL
-    )
-    if "wireless_fraction" in golden:
-        assert result.network.wireless_fraction == pytest.approx(
-            golden["wireless_fraction"], rel=REL
-        )
-    assert float(result.busy_s.sum()) == pytest.approx(
-        golden["busy_sum_s"], rel=REL
-    )
-    assert [p.end_s for p in result.phases] == pytest.approx(
-        golden["phase_ends"], rel=REL
-    )
 
 
 @pytest.fixture(scope="module")
@@ -115,58 +22,9 @@ def mesh_case():
     return app, app.run(num_workers=64)
 
 
-@pytest.fixture(scope="module")
-def winoc_case():
-    app = create_app("wordcount", scale=0.2, seed=7)
-    locality = app.profile.l2_locality
-    trace = app.run(num_workers=64)
-    geometry = geometry_for(64)
-    nvfi = simulate(
-        build_nvfi_mesh(geometry), trace, locality=locality, params=LEGACY
-    )
-    traffic = total_node_traffic(trace, locality)
-    design = design_vfi(
-        utilization=nvfi.utilization,
-        traffic=traffic,
-        seed=spawn_seed(7, "wordcount", "clustering"),
-        structural_workers=structural_bottleneck_workers(trace),
-    )
-    platform = build_vfi_winoc(
-        design,
-        "vfi2",
-        geometry=geometry,
-        seed=spawn_seed(7, "wordcount", "winoc"),
-        traffic_rate_bps=traffic * 8.0 / nvfi.total_time_s,
-    )
-    return trace, locality, design, platform
-
-
-class TestLegacyEquivalence:
-    def test_mesh_golden(self, mesh_case):
-        app, trace = mesh_case
-        result = simulate(
-            build_nvfi_mesh(),
-            trace,
-            locality=app.profile.l2_locality,
-            params=LEGACY,
-        )
-        _check_golden(result, GOLDEN_MESH)
-
-    def test_winoc_golden(self, winoc_case):
-        trace, locality, design, platform = winoc_case
-        result = simulate(
-            platform,
-            trace,
-            locality=locality,
-            stealing_policy=design.stealing_policy("vfi2"),
-            params=LEGACY,
-        )
-        _check_golden(result, GOLDEN_WINOC)
-
-
 class TestAdaptiveConvergence:
     def test_matches_legacy_closely(self, mesh_case):
-        """The converged fixed point agrees with the legacy rounds."""
+        """The converged fixed point agrees with the fixed-round totals."""
         app, trace = mesh_case
         adaptive = simulate(
             build_nvfi_mesh(), trace, locality=app.profile.l2_locality
@@ -221,70 +79,21 @@ class TestAdaptiveConvergence:
             SimulationParams(relaxation_rtol=-1e-6)
         with pytest.raises(ValueError):
             SimulationParams(max_relaxation_iterations=0)
-        # None is the legacy switch, not an error.
-        SimulationParams(relaxation_rtol=None)
-
-
-class TestResidualCriterion:
-    """The ``worker_residual`` convergence criterion (per-worker busy-time
-    movement) and the relaxation telemetry instrumentation."""
-
-    def test_criterion_validation(self):
-        SimulationParams(relaxation_criterion="phase_end")
-        SimulationParams(relaxation_criterion="worker_residual")
         with pytest.raises(ValueError):
-            SimulationParams(relaxation_criterion="nope")
+            SimulationParams(relaxation_rtol=None)
 
-    def test_residual_criterion_converges_near_phase_end(self, mesh_case):
-        app, trace = mesh_case
-        locality = app.profile.l2_locality
-        by_end = simulate(
-            build_nvfi_mesh(), trace, locality=locality,
-            params=SimulationParams(relaxation_rtol=1e-8),
-        )
-        by_residual = simulate(
-            build_nvfi_mesh(), trace, locality=locality,
-            params=SimulationParams(
-                relaxation_rtol=1e-8, relaxation_criterion="worker_residual"
-            ),
-        )
-        # Both criteria drive the same fixed-point iteration; at tight
-        # tolerance they must land on (essentially) the same point.
-        assert by_residual.total_time_s == pytest.approx(
-            by_end.total_time_s, rel=1e-5
-        )
-        assert float(by_residual.busy_s.sum()) == pytest.approx(
-            float(by_end.busy_s.sum()), rel=1e-5
-        )
-
-    def test_residual_criterion_is_deterministic(self, mesh_case):
-        app, trace = mesh_case
-        params = SimulationParams(relaxation_criterion="worker_residual")
-        first = simulate(
-            build_nvfi_mesh(), trace, locality=app.profile.l2_locality,
-            params=params,
-        )
-        second = simulate(
-            build_nvfi_mesh(), trace, locality=app.profile.l2_locality,
-            params=params,
-        )
-        assert first.total_time_s == second.total_time_s
-        assert np.array_equal(first.busy_s, second.busy_s)
-
-    @pytest.mark.parametrize("criterion", ["phase_end", "worker_residual"])
-    def test_relaxation_telemetry_recorded(self, mesh_case, criterion):
+    def test_relaxation_telemetry_recorded(self, mesh_case):
         from repro.telemetry import RecordingTracer, use_tracer
 
         app, trace = mesh_case
         tracer = RecordingTracer()
         with use_tracer(tracer):
             simulate(
-                build_nvfi_mesh(), trace, locality=app.profile.l2_locality,
-                params=SimulationParams(relaxation_criterion=criterion),
+                build_nvfi_mesh(), trace, locality=app.profile.l2_locality
             )
         # One iteration count per relaxed phase, plus the histogram view.
         total_iterations = tracer.counter_total("sim.relaxation_iterations")
-        assert total_iterations >= 2.0  # adaptive mode always runs >= 2
+        assert total_iterations >= 2.0  # relaxation always runs >= 2 rounds
         histogram = tracer.histograms["sim.relaxation_iterations"]
         assert histogram.count >= 1
         residuals = [
