@@ -634,12 +634,24 @@ def _cmd_trace(args) -> int:
     return 0
 
 
+def _load_fault_plan(path):
+    """The :class:`FaultPlan` stored at *path*; a malformed file raises
+    one ``ValueError`` naming it."""
+    from repro.faults import FaultPlan
+    from repro.utils.jsonutil import load_json_object
+
+    return load_json_object(path, FaultPlan.from_dict)
+
+
 def _cmd_faults(args) -> int:
     from repro.analysis.report import DEGRADATION_COLUMNS, degradation_rows
-    from repro.faults import FaultPlan, preset_plan
+    from repro.faults import preset_plan
     from repro.orchestrator.executor import run_campaign
     from repro.orchestrator.spec import StudySpec
 
+    # A plan file is read before any study runs, so a malformed one
+    # fails fast instead of after the clean baseline campaign.
+    plan = _load_fault_plan(args.plan) if args.plan is not None else None
     clean_spec = StudySpec(
         args.app, scale=args.scale, seed=args.seed, num_workers=args.num_workers
     )
@@ -651,10 +663,7 @@ def _cmd_faults(args) -> int:
     clean = baseline.study(clean_spec)
     horizon = clean.result(NVFI_MESH).total_time_s
 
-    if args.plan is not None:
-        with open(args.plan) as handle:
-            plan = FaultPlan.from_json(handle.read())
-    else:
+    if plan is None:
         plan = preset_plan(args.scenario, horizon, args.num_workers)
     if len(plan) == 0:
         raise ValueError("fault plan is empty; nothing to inject")
@@ -726,7 +735,6 @@ def _cluster_run(args) -> int:
         scheduler_names,
     )
     from repro.analysis.report import CLUSTER_COLUMNS, cluster_rows
-    from repro.faults import FaultPlan
     from repro.utils.jsonutil import load_json_object
 
     if args.trace is not None:
@@ -736,8 +744,7 @@ def _cluster_run(args) -> int:
 
     fault_plans = None
     if args.fault_plan is not None:
-        with open(args.fault_plan) as handle:
-            plan = FaultPlan.from_json(handle.read())
+        plan = _load_fault_plan(args.fault_plan)
         fault_plans = [plan] + [None] * (args.chips - 1)
     fleet = fleet_for(
         args.chips, num_workers=args.num_workers, fault_plans=fault_plans
@@ -1074,10 +1081,7 @@ def _power_sweep(args) -> int:
 
     fault_plan = None
     if args.plan is not None:
-        from repro.faults import FaultPlan
-
-        with open(args.plan) as handle:
-            fault_plan = FaultPlan.from_json(handle.read())
+        fault_plan = _load_fault_plan(args.plan)
     caps = tuple(args.caps) if args.caps else default_caps_w(args.num_workers)
     cap_studies, campaign = run_cap_sweep(
         args.app, caps_w=caps, scale=args.scale, seed=args.seed,

@@ -175,6 +175,8 @@ class TaskQueueSet:
         self._queues: List[Deque[Task]] = [deque() for _ in range(self.num_workers)]
         self._executed: Dict[int, int] = {w: 0 for w in range(self.num_workers)}
         self._total = 0
+        # Tasks queued across all workers, kept by every push and pop.
+        self._remaining = 0
         # Stealing statistics for the current load() generation.  Plain int
         # increments (cheap enough to keep always-on); the simulator folds
         # them into telemetry counters when tracing is enabled.
@@ -186,6 +188,7 @@ class TaskQueueSet:
         """Distribute *tasks* to their home workers and arm the policy."""
         for queue in self._queues:
             queue.clear()
+        self._remaining = 0
         self._executed = {w: 0 for w in range(self.num_workers)}
         self._total = len(tasks)
         self.steal_attempts = 0
@@ -202,25 +205,18 @@ class TaskQueueSet:
         self.policy.prepare(self._total, self.num_workers, initial_counts)
         for task in tasks:
             self._queues[task.home_worker].append(task)
+        self._remaining = len(tasks)
 
     def queue_length(self, worker: int) -> int:
         return len(self._queues[worker])
-
-    def own_queue_lengths(self) -> List[int]:
-        """All workers' own-queue lengths in one call.
-
-        The steal-epoch batched dispatch reads every queue length at the
-        top of each epoch to find the next possible steal time; one list
-        comprehension here beats ``num_workers`` :meth:`queue_length`
-        calls in the hot loop."""
-        return [len(queue) for queue in self._queues]
 
     def executed_count(self, worker: int) -> int:
         return self._executed[worker]
 
     @property
     def remaining(self) -> int:
-        return sum(len(queue) for queue in self._queues)
+        """Tasks still queued, over every worker (O(1))."""
+        return self._remaining
 
     def next_task(self, worker: int) -> Optional[Task]:
         """Pop the next task for *worker*: own queue first, then steal.
@@ -233,6 +229,7 @@ class TaskQueueSet:
         own = self._queues[worker]
         if own:
             task = own.popleft()
+            self._remaining -= 1
             self._executed[worker] += 1
             return task
         if self.remaining == 0:
@@ -246,6 +243,7 @@ class TaskQueueSet:
         if victim is None or not self._queues[victim]:
             return None
         task = self._queues[victim].pop()
+        self._remaining -= 1
         self._executed[worker] += 1
         self.steals += 1
         return task
@@ -269,6 +267,7 @@ class TaskQueueSet:
                 f"cannot commit {count}"
             )
         popped = [own.popleft() for _ in range(count)]
+        self._remaining -= count
         self._executed[worker] += count
         return popped
 
@@ -281,6 +280,7 @@ class TaskQueueSet:
         and executed counts are untouched -- the original pop already
         charged them, and the re-execution will charge its own."""
         self._queues[worker].appendleft(task)
+        self._remaining += 1
 
     def drain_serial(self) -> List[tuple]:
         """Execute all queues in a deterministic round-robin order.
@@ -315,4 +315,5 @@ class TaskQueueSet:
                 task = queue.popleft()
                 self._executed[worker] += 1
                 order.append((worker, task))
+        self._remaining = 0
         return order

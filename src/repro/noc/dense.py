@@ -15,7 +15,18 @@ Both classes build their tables in one pass of the forward route walk
 path order; ``NocParams.dense_block_nodes`` picks the source block size
 and float32 storage (:func:`repro.noc.pathwalk.table_layout`).
 ``tests/noc/test_table_oracles.py`` asserts the tables equal those of
-the per-pair and blocked reference builders bit for bit.
+the per-pair and blocked reference builders bit for bit.  Tables are
+keyed by routing, not by message class
+(:meth:`repro.noc.network.FlowNetworkModel.routing_key`): where the bulk
+class routes like the latency class (every mesh), both share one set.
+
+A load refresh is split into the pieces its consumers read --
+:meth:`DenseLatencyModel.utilization`,
+:meth:`~DenseLatencyModel.queue_per_resource`,
+:meth:`~DenseLatencyModel.loaded_head`, :meth:`~DenseLatencyModel.latency`
+and :meth:`~DenseLatencyModel.inverse_capacity` -- so a caller computes
+each once; effective path capacity is gathered only at the pairs asked
+for (:meth:`~DenseLatencyModel.path_capacity`).
 """
 
 from __future__ import annotations
@@ -50,7 +61,7 @@ class DenseLatencyModel:
         # against a stale cache being handed to a re-clocked network.
         key = (
             "dense_static",
-            bulk,
+            model.routing_key(bulk),
             model.topology.epoch,
             len(model.topology.links),
         )
@@ -169,93 +180,105 @@ class DenseLatencyModel:
 
     # ------------------------------------------------------------------ #
 
-    def _resource_load(self) -> np.ndarray:
-        load = np.zeros(self.num_resources)
-        link_load = self.model.load.link_load
-        for index, link in enumerate(self.model.topology.links):
-            if link.kind is LinkKind.WIRELESS:
-                continue
-            load[2 * index] = link_load[index, 0]
-            load[2 * index + 1] = link_load[index, 1]
-        channels = self.model.load.channel_load
-        load[2 * self._num_links : 2 * self._num_links + len(channels)] = channels
-        return load
-
     def utilization(self) -> np.ndarray:
-        """Per-resource utilization (capped at the model's maximum)."""
-        load = self._resource_load()
+        """Per-resource utilization (capped at the model's maximum).
+
+        Resource ``2 * i + d`` is direction ``d`` of link ``i``, so the
+        link loads copy over in one ravel; wireless links bill against
+        their channel instead, and their zero-capacity link columns read
+        zero utilization."""
+        load = self.model.load
+        resource_load = np.concatenate((load.link_load.ravel(), load.channel_load))
         with np.errstate(divide="ignore", invalid="ignore"):
-            rho = np.where(self._capacity > 0, load / self._capacity, 0.0)
+            rho = np.where(self._capacity > 0, resource_load / self._capacity, 0.0)
         return np.minimum(rho, self.model.params.max_utilization)
+
+    def queue_per_resource(self, rho: np.ndarray) -> np.ndarray:
+        """M/D/1 wait per resource at utilization *rho*, bounded by the
+        port buffer.  Resources are the fabric's, so both message
+        classes share one vector."""
+        return np.minimum(
+            self._service * rho / (2.0 * (1.0 - rho)),
+            np.maximum(self._buffer_flits - 1, 0) * self._service,
+        )
+
+    def loaded_head(self, queue: np.ndarray) -> np.ndarray:
+        """All-pairs head latency under the per-resource waits *queue*:
+        the static head plus each path's queueing -- everything but
+        serialization, i.e. the zero-payload latency.
+
+        With a tracer installed, records each wireless channel's access
+        wait (token acquisition + queueing), one observation per call."""
+        model = self.model
+        if model._tracer.enabled and model._wireless_channels:
+            token = model.wireless.token_overhead_s
+            for channel in model._wireless_channels:
+                model._tracer.histogram_record(
+                    f"noc.token_wait_s/{model.trace_label}",
+                    token + queue[2 * self._num_links + channel],
+                )
+        n = self.num_nodes
+        return self._head + np.asarray(self._usage @ queue).reshape(n, n)
+
+    def latency(self, head: np.ndarray, payload_bits: float) -> np.ndarray:
+        """All-pairs latency of a *payload_bits* packet given the loaded
+        *head*: serialization runs at the raw bottleneck line rate
+        (contention is already in the queueing term; see
+        :mod:`repro.noc.network`)."""
+        bottleneck = self._raw_bottleneck
+        return head + np.where(
+            np.isinf(bottleneck), 0.0, payload_bits / bottleneck
+        )
 
     def latency_matrices(
         self, payload_bits: Sequence[float]
     ) -> Dict[float, np.ndarray]:
         """All-pairs latency for each payload size, under current load."""
-        n = self.num_nodes
-        rho = self.utilization()
-        queue_per_resource = np.minimum(
-            self._service * rho / (2.0 * (1.0 - rho)),
-            np.maximum(self._buffer_flits - 1, 0) * self._service,
-        )
-        model = self.model
-        if model._tracer.enabled and model._wireless_channels:
-            # Channel-access wait (token acquisition + queueing) per shared
-            # channel, one observation per load refresh.
-            token = model.wireless.token_overhead_s
-            for channel in model._wireless_channels:
-                model._tracer.histogram_record(
-                    f"noc.token_wait_s/{model.trace_label}",
-                    token + queue_per_resource[2 * self._num_links + channel],
-                )
-        queue = np.asarray(
-            self._usage @ queue_per_resource
-        ).reshape(n, n)
-        # Raw line rate for per-packet serialization (contention is already
-        # in the queueing term; see repro.noc.network module docs).
-        bottleneck = self._raw_bottleneck
-        head = self._head + queue
-        return {
-            bits: head + np.where(np.isinf(bottleneck), 0.0, bits / bottleneck)
-            for bits in payload_bits
-        }
+        head = self.loaded_head(self.queue_per_resource(self.utilization()))
+        return {bits: self.latency(head, bits) for bits in payload_bits}
 
     def raw_bottleneck_matrix(self) -> np.ndarray:
         """Load-independent per-pair bottleneck line rate (bits/s)."""
         return self._raw_bottleneck
 
-    def bottleneck_matrix(self) -> np.ndarray:
-        """Effective per-pair path capacity (bits/s) under current load.
-
-        The per-pair min over path resources is evaluated as a sparse
-        row-max of inverse capacities (all effective capacities are
-        positive because utilization is capped below 1), so a refresh
-        costs one sparse reduction instead of an O(n^2) Python loop.
-        """
-        rho = self.utilization()
+    def inverse_capacity(self, rho: np.ndarray) -> np.ndarray:
+        """Per-resource inverse effective capacity (s/bit) at utilization
+        *rho*; zero for resources without capacity.  All effective
+        capacities of routed resources are positive because utilization
+        is capped below 1."""
         effective = self._capacity * (1.0 - rho)
         inverse = np.zeros(self.num_resources)
         used = effective > 0
         inverse[used] = 1.0 / effective[used]
-        # Per-pair max of inverse capacities over the pair's resources,
-        # straight off the csr structure: gather by column index, then a
-        # segmented max per row.  Equivalent to
-        # ``binary_usage.multiply(inverse).max(axis=1)`` (inverse >= 0,
-        # so implicit zeros never win) without materializing the scaled
-        # sparse intermediate on every load refresh.
+        return inverse
+
+    def path_capacity(
+        self, inverse: np.ndarray, src: np.ndarray, dst: np.ndarray
+    ) -> np.ndarray:
+        """Effective path capacity (bits/s) of each ``(src[i], dst[i])``
+        pair under the per-resource *inverse* capacities.
+
+        The min over the pair's path resources is the reciprocal of the
+        max of their inverse capacities, gathered straight off the
+        pair's row of the deduplicated usage csr; a pair whose path
+        crosses no resource (``src == dst``) has infinite capacity.
+        Only the requested rows are read, so pricing a phase's pulls
+        costs O(pairs x path length), not O(n^2)."""
         usage = self._binary_usage
-        worst = np.zeros(usage.shape[0])
-        if len(usage.indices):
-            data = inverse[usage.indices]
-            indptr = usage.indptr
-            starts = np.minimum(indptr[:-1], len(data) - 1)
-            worst = np.maximum.reduceat(data, starts)
-            worst[indptr[:-1] == indptr[1:]] = 0.0
-        n = self.num_nodes
-        bottleneck = np.full(n * n, np.inf)
-        nonzero = worst > 0
-        bottleneck[nonzero] = 1.0 / worst[nonzero]
-        return bottleneck.reshape(n, n)
+        pairs = np.asarray(src) * self.num_nodes + np.asarray(dst)
+        starts = usage.indptr[pairs]
+        counts = usage.indptr[pairs + 1] - starts
+        offsets = np.cumsum(counts) - counts
+        entries = np.repeat(starts - offsets, counts) + np.arange(counts.sum())
+        data = inverse[usage.indices[entries]]
+        worst = np.zeros(len(pairs))
+        routed = counts > 0
+        if routed.any():
+            worst[routed] = np.maximum.reduceat(data, offsets[routed])
+        capacity = np.full(len(pairs), np.inf)
+        positive = worst > 0
+        capacity[positive] = 1.0 / worst[positive]
+        return capacity
 
 
 class PairwiseEnergy:
@@ -274,7 +297,7 @@ class PairwiseEnergy:
         # load; share the tables across rebuilt networks of one platform.
         key = (
             "pairwise_static",
-            bulk,
+            model.routing_key(bulk),
             model.topology.epoch,
             len(model.topology.links),
         )

@@ -197,6 +197,15 @@ class FlowNetworkModel:
         self._tracer = get_tracer()
         self.trace_label = "noc"
 
+    def routing_key(self, bulk: bool) -> bool:
+        """Static-cache key part of a message class's all-pairs tables.
+
+        True only for a bulk class routed apart from the latency class.
+        A fabric without wireless links (every mesh, or a WiNoC that
+        lost all of them) routes bulk traffic on the latency routing
+        itself, so both classes key -- and share -- one table set."""
+        return bulk and self.bulk_routing is not self.routing
+
     # ------------------------------------------------------------------ #
     # flow registration
     # ------------------------------------------------------------------ #
@@ -227,12 +236,14 @@ class FlowNetworkModel:
     ) -> None:
         """Batch :meth:`add_flow`: register many flows in one mat-vec.
 
-        The per-pair rates are accumulated into a dense (src, dst) rate
-        vector and scattered onto directed links and wireless channels
-        through a precomputed sparse pair -> resource usage matrix, so the
-        cost is independent of path lengths and flow count beyond the
-        initial accumulation.  Produces the same loads as the equivalent
-        sequence of ``add_flow`` calls.
+        The per-pair rates are accumulated per distinct active pair and
+        scattered onto directed links and wireless channels through
+        those pairs' rows of the precomputed sparse pair -> resource
+        usage matrix, so the cost grows with the active pairs' path
+        lengths, never with ``n^2``.  Pairs stay ascending and pairs
+        without traffic add nothing, so the loads are array-equal to the
+        full ``usage.T @ rate`` product over every pair, and match the
+        equivalent sequence of ``add_flow`` calls.
         """
         src = np.asarray(src, dtype=np.intp)
         dst = np.asarray(dst, dtype=np.intp)
@@ -254,9 +265,13 @@ class FlowNetworkModel:
         active = (src != dst) & (rate > 0)
         if not active.any():
             return
-        rate_by_pair = np.zeros(n * n)
-        np.add.at(rate_by_pair, src[active] * n + dst[active], rate[active])
-        self.apply_resource_load(self._flow_usage(bulk).T @ rate_by_pair)
+        pairs, row = np.unique(
+            src[active] * n + dst[active], return_inverse=True
+        )
+        rate_by_pair = np.zeros(len(pairs))
+        np.add.at(rate_by_pair, row, rate[active])
+        usage = self._flow_usage(bulk)[pairs]
+        self.apply_resource_load(usage.T @ rate_by_pair)
 
     def apply_resource_load(self, load_per_resource: np.ndarray) -> None:
         """Add a per-resource load vector (bits/s) onto the current loads.
@@ -283,12 +298,12 @@ class FlowNetworkModel:
         Row ``src * n + dst`` counts how often that pair's path crosses
         each directed link (wire *and* wireless, mirroring ``add_flow``'s
         per-link bookkeeping) and each shared wireless channel.  Built
-        once per message class from the forward route walk and shared
-        through :attr:`static_cache`.
+        once per routing (:meth:`routing_key`) from the forward route
+        walk and shared through :attr:`static_cache`.
         """
         key = (
             "flow_usage",
-            bulk,
+            self.routing_key(bulk),
             self.topology.epoch,
             len(self.topology.links),
         )

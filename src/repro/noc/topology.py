@@ -23,7 +23,7 @@ from repro.utils.validation import check_positive
 #: Monotonic epoch source for mutated topologies.  Fresh-built topologies
 #: keep epoch 0; every derived topology (``with_links`` /
 #: ``without_links``) draws a new process-unique epoch so static caches
-#: keyed on ``(bulk, epoch, len(links))`` can never alias tables computed
+#: keyed on ``(routing, epoch, len(links))`` can never alias tables computed
 #: for a different link set.
 _EPOCH = itertools.count(1)
 

@@ -21,6 +21,17 @@ probability ``locality`` an access hits the core's own bank (private
 data, near-core sharing -- LR's behaviour), otherwise the
 address-interleaved uniform S-NUCA distribution applies (WC/Kmeans's
 distant key traffic).
+
+One load refresh (:meth:`MemorySystem.refresh_latencies`) computes
+each NoC quantity once: one per-resource utilization and queueing
+vector for both classes, the control and data latency matrices the
+bank-distribution expectations read, the bulk class's loaded head
+(which is its zero-payload latency) and the bulk class's per-resource
+inverse capacities.  Effective path capacity is gathered only at the
+(src, dst) pairs a barrier phase prices
+(:meth:`MemorySystem.bulk_path_capacity`), never as an n x n matrix.
+On a fabric where both classes share one routing (every mesh) they
+share one table set, and the loaded head is computed once.
 """
 
 from __future__ import annotations
@@ -77,10 +88,14 @@ class MemorySystem:
                 for bank in range(n)
             ]
         )
-        self.dense = DenseLatencyModel(platform.network)
-        self.dense_bulk = DenseLatencyModel(platform.network, bulk=True)
-        self.pairwise = PairwiseEnergy(platform.network)
-        self.pairwise_bulk = PairwiseEnergy(platform.network, bulk=True)
+        network = platform.network
+        self.dense = DenseLatencyModel(network)
+        self.dense_bulk = DenseLatencyModel(network, bulk=True)
+        self.pairwise = PairwiseEnergy(network)
+        self.pairwise_bulk = PairwiseEnergy(network, bulk=True)
+        # Both classes route on the latency routing, so they hold the
+        # very same tables (FlowNetworkModel.routing_key).
+        self._one_routing = not network.routing_key(bulk=True)
         # Bank service time at the bank island's clock (static).
         freqs = np.array(
             [
@@ -95,7 +110,7 @@ class MemorySystem:
         #: with the miss latencies (see :meth:`refresh_latencies`).
         self.bulk_base_latency_s: np.ndarray = np.zeros((n, n))
         self.bulk_raw_bottleneck_bps: np.ndarray = self.dense_bulk.raw_bottleneck_matrix()
-        self.bulk_capacity_bps: np.ndarray = np.full((n, n), np.inf)
+        self._bulk_inverse_capacity = np.zeros(self.dense_bulk.num_resources)
         self._precompute_energy_expectations()
         self._precompute_miss_usage()
         self.refresh_latencies()
@@ -107,15 +122,23 @@ class MemorySystem:
     def refresh_latencies(self) -> None:
         """Recompute expected miss latencies under the current NoC load.
 
-        Also refreshes the bulk-class matrices the simulator uses for
-        key-value pulls: the zero-payload latency matrix (head + queueing,
-        i.e. everything but serialization) and the effective per-pair
-        path capacity under the current load."""
-        l_ctrl = self.dense.latency_matrices([self._ctrl_bits])[self._ctrl_bits]
-        bulk = self.dense_bulk.latency_matrices([self._data_bits, 0.0])
-        l_data = bulk[self._data_bits]
-        self.bulk_base_latency_s = bulk[0.0]
-        self.bulk_capacity_bps = self.dense_bulk.bottleneck_matrix()
+        One utilization and queueing vector serves both message classes.
+        The control and data latency matrices feed the home-bank
+        expectations below; the bulk class's loaded head (head +
+        queueing, everything but serialization) is kept as the
+        key-value pulls' zero-payload latency, and its per-resource
+        inverse capacities as the input of :meth:`bulk_path_capacity`.
+        When both classes share one routing, the loaded head is
+        computed once."""
+        dense, bulk = self.dense, self.dense_bulk
+        rho = dense.utilization()
+        queue = dense.queue_per_resource(rho)
+        head = dense.loaded_head(queue)
+        bulk_head = head if self._one_routing else bulk.loaded_head(queue)
+        l_ctrl = dense.latency(head, self._ctrl_bits)
+        l_data = bulk.latency(bulk_head, self._data_bits)
+        self.bulk_base_latency_s = bulk_head
+        self._bulk_inverse_capacity = bulk.inverse_capacity(rho)
         n = self.num_nodes
         # Expected L2 round trip per requesting node (request to bank,
         # bank service, response back) and expected extra L2-miss time
@@ -143,6 +166,14 @@ class MemorySystem:
             mem_extra[start:end] = (prob * extra_per_bank[None, :]).sum(axis=1)
         self._l2_round_trip = l2_round_trip
         self._mem_extra = mem_extra
+
+    def bulk_path_capacity(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Effective bulk-class path capacity (bits/s) of each
+        ``(src[i], dst[i])`` node pair under the last refresh's load
+        (``inf`` for ``src == dst``)."""
+        return self.dense_bulk.path_capacity(
+            self._bulk_inverse_capacity, src, dst
+        )
 
     def l2_round_trip_s(self, node: int) -> float:
         """Expected L1-miss service time for a core at *node*."""

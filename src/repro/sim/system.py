@@ -35,7 +35,6 @@ per relaxation round.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -134,19 +133,18 @@ class _Segment:
 class _MapPlan:
     """Phase-invariant map-dispatch structures, built once per phase:
     task costs (columns, to broadcast against workers), queue-set tasks,
-    record ``id`` -> duration row, and the epoch batches' scatter
-    indices (record rows sorted by home worker, own-queue lengths,
-    owning worker and queue slot per sorted row)."""
+    record ``id`` -> duration row, and the dispatch chain's layout (per
+    record row its home worker and its slot in that worker's queue;
+    per worker its own-queue length)."""
 
     instructions: np.ndarray
     l2: np.ndarray
     mem: np.ndarray
     tasks: List[Task]
     row_of: dict
-    order: np.ndarray
-    lengths: np.ndarray
-    owner: np.ndarray
+    home: np.ndarray
     slot: np.ndarray
+    lengths: np.ndarray
 
 
 @dataclass
@@ -500,6 +498,8 @@ class SystemSimulator:
         order = np.argsort(home, kind="stable")
         boundaries = np.searchsorted(home[order], np.arange(num_workers + 1))
         lengths = np.diff(boundaries)
+        slot = np.empty(len(records), dtype=np.intp)
+        slot[order] = np.arange(len(records)) - np.repeat(boundaries[:-1], lengths)
         return _MapPlan(
             instructions=np.array([r.cost.instructions for r in records])[:, None],
             l2=np.array([r.cost.l2_accesses for r in records])[:, None],
@@ -514,10 +514,9 @@ class SystemSimulator:
                 for record in records
             ],
             row_of={id(record): index for index, record in enumerate(records)},
-            order=order,
+            home=home,
+            slot=slot,
             lengths=lengths,
-            owner=np.repeat(np.arange(num_workers), lengths),
-            slot=np.arange(len(records)) - np.repeat(boundaries[:-1], lengths),
         )
 
     def _task_durations(self, plan, workers: np.ndarray) -> np.ndarray:
@@ -616,102 +615,112 @@ class SystemSimulator:
         ``chain[j] < t_steal``, ``chain[j] < fail`` and
         ``chain[j + 1] <= fail`` -- the event loop's "dead at pop" and
         "killed mid-execution" tests on the same floats (``fail`` is
-        ``inf`` on a clean run).  Start times ``chain`` come from one
-        ``np.add.accumulate`` over a zero-padded duration matrix of the
-        workers still holding own tasks -- a strictly sequential float64
-        recurrence per row that reproduces the event loop's ``now +
-        duration`` arithmetic bit-for-bit (unlike pairwise ``np.sum``;
-        trailing zero pads are exact no-ops).  The chain is monotone, so
-        each test holds on a prefix and the count is a prefix length.
+        ``inf`` on a clean run).  The chain is monotone, so each test
+        holds on a prefix and the count is a prefix length.
+
+        ``chain[w]`` is worker ``w``'s completion chain over its whole
+        home allocation, accumulated once per call: one
+        ``np.add.accumulate`` over the zero-padded duration matrix, a
+        strictly sequential float64 recurrence per row that reproduces
+        the event loop's ``now + duration`` arithmetic bit for bit
+        (unlike pairwise ``np.sum``).  An alive worker that still holds
+        own tasks has run nothing but its queue's head, in order, so
+        its clock is ``chain[w, head]`` and the rest of the row is
+        bit-identical to re-accumulating from that clock; an epoch
+        only reads it.
 
         The event loop then handles only the epoch boundary: tie pops at
-        exactly ``t_steal``, fault events and the next steal decision.
-        A successful steal (some victim's queue changed) or a worker
-        dropping out -- capped out, nothing to steal, dead at its pop, or
-        killed mid-execution (its task requeued at its head, the burnt
-        interval noted in *recovery*) -- ends the boundary and re-enters
-        batching: a worker that never pops again can only lift
-        ``t_steal``.
+        exactly ``t_steal``, fault events and the next steal decision,
+        popping the alive worker with the earliest clock (lowest id on
+        ties, as a ``(time, worker)`` heap would).  A successful steal
+        (some victim's queue changed) or a worker dropping out --
+        capped out, nothing to steal, dead at its pop, or killed
+        mid-execution (its task requeued at its head, the burnt
+        interval noted in *recovery*) -- ends the boundary and
+        re-enters batching: a worker that never pops again can only
+        lift ``t_steal``.
 
         Bookkeeping invariant: an alive worker's own queue is always the
-        contiguous slot run ``[head, head + queue_length)`` of its home
-        allocation -- commits and own pops advance the head while steals
-        shorten the tail; requeues only ever land on dead workers -- so
-        each epoch gathers remaining durations with one slice per
-        holder.
+        contiguous slot run ``[head, head + qlen)`` of its home
+        allocation -- commits and own pops advance the head while
+        steals shorten the tail; requeues only ever land on dead
+        workers.  So per-worker head, queue length, clock and liveness
+        live in arrays, and a stolen record shortens its home worker's
+        run exactly when it sits in that run.
 
         Returns the schedule (batch runs grouped by worker, boundary
         pops in event order; the caller re-sorts into event order) and
         the phase end so far.
         """
-        order, lengths, owner = plan.order, plan.lengths, plan.owner
+        home, slot, lengths = plan.home, plan.slot, plan.lengths
         num_workers = self.platform.num_cores
-        width = int(lengths.max()) if len(order) else 0
-        dur_rows = np.zeros((num_workers, width))
-        if len(order):
-            dur_rows[owner, plan.slot] = durations[order, owner]
-        head = [0] * num_workers
-        now_w = [float(start)] * num_workers
-        alive = [True] * num_workers
+        width = int(lengths.max()) if len(home) else 0
+        pad = np.zeros((num_workers, width + 1))
+        pad[:, 0] = start
+        pad[home, slot + 1] = durations[np.arange(len(home)), home]
+        chain = np.add.accumulate(pad, axis=1)
+        columns = np.arange(width)
+        head = np.zeros(num_workers, dtype=np.intp)
+        qlen = lengths.copy()
+        now_w = chain[:, 0].copy()
+        alive = np.ones(num_workers, dtype=bool)
         fail_at = fail_time.tolist()
         schedule: List[_ScheduledTask] = []
         end = start
         while queues.remaining > 0:
             # --- batch: commit own-queue runs strictly below t_steal ---
-            qlen = queues.own_queue_lengths()
-            holders = [w for w in range(num_workers) if alive[w] and qlen[w]]
-            waiting = [
-                now_w[w] for w in range(num_workers)
-                if alive[w] and not qlen[w]
-            ]
-            t_steal = min(waiting) if waiting else np.inf
-            if holders:
-                counts = np.array([qlen[w] for w in holders])
-                pad = np.zeros((len(holders), int(counts.max()) + 1))
-                pad[:, 0] = [now_w[w] for w in holders]
-                for i, w in enumerate(holders):
-                    pad[i, 1 : 1 + qlen[w]] = dur_rows[
-                        w, head[w] : head[w] + qlen[w]
-                    ]
-                chain = np.add.accumulate(pad, axis=1)
-                drains = chain[np.arange(len(holders)), counts]
-                t_steal = min(t_steal, float(drains.min()))
-                # Padded tail entries repeat the drain time (>= t_steal),
-                # so the full-row count equals the count over the
-                # worker's real queue run.
-                holder_fail = fail_time[holders][:, None]
+            holders = np.flatnonzero(alive & (qlen > 0))
+            t_steal = float(np.min(now_w[alive & (qlen == 0)], initial=np.inf))
+            if len(holders):
+                first = head[holders]
+                stop = first + qlen[holders]
+                t_steal = min(t_steal, float(chain[holders, stop].min()))
+                run = chain[holders]
+                fail = fail_time[holders][:, None]
                 committed = (
-                    (chain[:, :-1] < np.minimum(t_steal, holder_fail))
-                    & (chain[:, 1:] <= holder_fail)
+                    (columns >= first[:, None])
+                    & (columns < stop[:, None])
+                    & (run[:, :-1] < np.minimum(t_steal, fail))
+                    & (run[:, 1:] <= fail)
                 ).sum(axis=1)
-                for i, w in enumerate(holders):
-                    k = int(committed[i])
-                    if not k:
-                        continue
-                    row = chain[i]
-                    for j, task in enumerate(queues.commit_own(w, k)):
+                batch = committed > 0
+                for w, j0, k in zip(
+                    holders[batch].tolist(),
+                    first[batch].tolist(),
+                    committed[batch].tolist(),
+                ):
+                    times, durs = chain[w], pad[w]
+                    for j, task in enumerate(queues.commit_own(w, k), j0):
                         schedule.append(
                             _ScheduledTask(
-                                task.payload, w, float(row[j]),
-                                float(pad[i, j + 1]),
+                                task.payload, w, float(times[j]),
+                                float(durs[j + 1]),
                             )
                         )
-                    head[w] += k
-                    now_w[w] = float(row[k])
-                    end = max(end, now_w[w])
+                    now_w[w] = times[j0 + k]
+                    end = max(end, float(times[j0 + k]))
+                head[holders] += committed
+                qlen[holders] -= committed
             # --- boundary: tie pops, faults, then the next steal ---
-            heap = [(now_w[w], w) for w in range(num_workers) if alive[w]]
-            heapq.heapify(heap)
             changed = False
-            while heap and queues.remaining > 0:
-                now, worker = heapq.heappop(heap)
+            while queues.remaining > 0:
+                worker = int(np.argmin(np.where(alive, now_w, np.inf)))
+                if not alive[worker]:
+                    break  # every worker has retired
+                now = float(now_w[worker])
                 fail = fail_at[worker]
-                own = queues.queue_length(worker) > 0
+                own = qlen[worker] > 0
                 # A core dead at its pop never asks for work again.
                 task = queues.next_task(worker) if now < fail else None
                 if task is not None:
                     record: TaskRecord = task.payload
-                    duration = float(durations[plan.row_of[id(record)], worker])
+                    row = plan.row_of[id(record)]
+                    duration = float(durations[row, worker])
+                    owner = record.home_worker
+                    if not own and alive[owner] and (
+                        head[owner] <= slot[row] < head[owner] + qlen[owner]
+                    ):
+                        qlen[owner] -= 1  # stolen off its owner's tail
                     if now + duration > fail:
                         # Killed mid-execution: the burnt interval is
                         # lost and the task goes back to the victim's
@@ -732,13 +741,13 @@ class SystemSimulator:
                 schedule.append(_ScheduledTask(record, worker, now, duration))
                 end = max(end, now + duration)
                 now_w[worker] = now + duration
-                heapq.heappush(heap, (now_w[worker], worker))
                 if not own:
                     # Successful steal: the victim's queue shrank, so the
                     # next epoch recomputes t_steal from the survivors.
                     changed = True
                     break
                 head[worker] += 1
+                qlen[worker] -= 1
             if not changed:
                 break
         return schedule, end
@@ -863,6 +872,9 @@ class SystemSimulator:
           dtype -- ``pyfloat / float32_scalar`` computes in float32
           under NEP 50, so the gathered float32 rates must see float32
           numerators to reproduce the scalar bits;
+        * effective capacity is gathered at exactly the priced (src,
+          dst) pairs (:meth:`MemorySystem.bulk_path_capacity`), never
+          as a full matrix;
         * per-record source sums run through one zero-padded
           ``np.add.accumulate`` (sequential float64 recurrence == the
           scalar ``total += term`` loop; trailing zero pads are exact
@@ -875,7 +887,7 @@ class SystemSimulator:
         src = plan.kv_src
         dst = self._worker_nodes[workers][plan.kv_rec]
         raw = memory.bulk_raw_bottleneck_bps[src, dst]
-        capacity = memory.bulk_capacity_bps[src, dst]
+        capacity = memory.bulk_path_capacity(src, dst)
         minbits = plan.kv_minbits.astype(raw.dtype, copy=False)
         with np.errstate(divide="ignore", invalid="ignore"):
             head_ser = np.where(np.isfinite(raw), minbits / raw, 0.0)

@@ -5,6 +5,7 @@ task is executed exactly once, across own-queue pops, steals, and the
 force-drain fallback.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -165,3 +166,57 @@ def test_force_drain_conserves_tasks(case):
     assert sorted(task.task_id for _, task in order) == sorted(
         task.task_id for task in tasks
     )
+
+
+QUEUE_OPERATIONS = (
+    "load", "invalid_load", "next_task", "commit_own", "requeue",
+    "force_drain", "drain_serial",
+)
+
+
+def queued_total(queues):
+    return sum(queues.queue_length(w) for w in range(queues.num_workers))
+
+
+@settings(max_examples=200, deadline=None)
+@given(capped_workload(), st.booleans(), st.data())
+def test_remaining_counts_every_queued_task(case, capped, data):
+    """``remaining`` is a counter kept by every push and pop; after any
+    sequence of queue operations -- a load rejected half-way included --
+    it equals the summed queue lengths."""
+    num_workers, homes, freqs, fmax = case
+    policy = (
+        CappedStealingPolicy(freqs, fmax_hz=fmax) if capped
+        else DefaultStealingPolicy()
+    )
+    queues = TaskQueueSet(num_workers, policy)
+    worker = st.integers(0, num_workers - 1)
+    popped = []
+    assert queues.remaining == queued_total(queues) == 0
+    operations = data.draw(
+        st.lists(st.sampled_from(QUEUE_OPERATIONS), max_size=40),
+        label="operations",
+    )
+    for operation in operations:
+        if operation == "load":
+            queues.load(make_tasks(homes))
+            popped.clear()
+        elif operation == "invalid_load":
+            with pytest.raises(ValueError):
+                queues.load(make_tasks(homes + [num_workers]))
+            popped.clear()
+        elif operation == "next_task":
+            task = queues.next_task(data.draw(worker))
+            if task is not None:
+                popped.append(task)
+        elif operation == "commit_own":
+            w = data.draw(worker)
+            count = data.draw(st.integers(0, queues.queue_length(w)))
+            popped.extend(queues.commit_own(w, count))
+        elif operation == "requeue" and popped:
+            queues.requeue(data.draw(worker), popped.pop())
+        elif operation == "force_drain":
+            queues.force_drain(data.draw(worker))
+        elif operation == "drain_serial":
+            queues.drain_serial()
+        assert queues.remaining == queued_total(queues)

@@ -10,6 +10,12 @@ verbatim as oracles: ``tests/noc/test_table_oracles.py`` asserts the
 simulator's tables equal theirs bit for bit.  The single-source lockstep
 walk the blocked walk generalizes (:func:`walk_steps`) is kept here too,
 for ``tests/noc/test_pathwalk.py``.
+
+The load-dependent matrices a refresh used to build in full -- the
+per-link utilization loop, the zero-payload latency matrix and the
+effective-capacity matrix (:func:`zero_payload_latency`,
+:func:`bottleneck_matrix`) -- are kept as references for the pieces
+that replaced them and for ``tests/sim/kv_oracle.py``.
 """
 
 from __future__ import annotations
@@ -255,6 +261,68 @@ def blocked_dense_static(model: FlowNetworkModel, bulk: bool, block: int) -> Dic
 
 
 # ---------------------------------------------------------------------- #
+# DenseLatencyModel load-dependent matrices
+# ---------------------------------------------------------------------- #
+
+
+def utilization(dense) -> np.ndarray:
+    """Per-resource utilization, one link at a time."""
+    model = dense.model
+    load = np.zeros(dense.num_resources)
+    link_load = model.load.link_load
+    for index, link in enumerate(model.topology.links):
+        if link.kind is LinkKind.WIRELESS:
+            continue
+        load[2 * index] = link_load[index, 0]
+        load[2 * index + 1] = link_load[index, 1]
+    channels = model.load.channel_load
+    num_links = len(model.topology.links)
+    load[2 * num_links : 2 * num_links + len(channels)] = channels
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = np.where(dense._capacity > 0, load / dense._capacity, 0.0)
+    return np.minimum(rho, model.params.max_utilization)
+
+
+def zero_payload_latency(dense) -> np.ndarray:
+    """All-pairs latency of a zero-bit packet under the current load:
+    the full-matrix evaluation a refresh kept as the bulk base latency."""
+    n = dense.num_nodes
+    rho = utilization(dense)
+    queue_per_resource = np.minimum(
+        dense._service * rho / (2.0 * (1.0 - rho)),
+        np.maximum(dense._buffer_flits - 1, 0) * dense._service,
+    )
+    queue = np.asarray(dense._usage @ queue_per_resource).reshape(n, n)
+    bottleneck = dense._raw_bottleneck
+    head = dense._head + queue
+    return head + np.where(np.isinf(bottleneck), 0.0, 0.0 / bottleneck)
+
+
+def bottleneck_matrix(dense) -> np.ndarray:
+    """Effective per-pair path capacity (bits/s) under the current load,
+    for every pair: a segmented max of inverse capacities over every
+    row of the deduplicated usage csr."""
+    rho = utilization(dense)
+    effective = dense._capacity * (1.0 - rho)
+    inverse = np.zeros(dense.num_resources)
+    used = effective > 0
+    inverse[used] = 1.0 / effective[used]
+    usage = dense._binary_usage
+    worst = np.zeros(usage.shape[0])
+    if len(usage.indices):
+        data = inverse[usage.indices]
+        indptr = usage.indptr
+        starts = np.minimum(indptr[:-1], len(data) - 1)
+        worst = np.maximum.reduceat(data, starts)
+        worst[indptr[:-1] == indptr[1:]] = 0.0
+    n = dense.num_nodes
+    bottleneck = np.full(n * n, np.inf)
+    nonzero = worst > 0
+    bottleneck[nonzero] = 1.0 / worst[nonzero]
+    return bottleneck.reshape(n, n)
+
+
+# ---------------------------------------------------------------------- #
 # PairwiseEnergy tables
 # ---------------------------------------------------------------------- #
 
@@ -400,6 +468,19 @@ def blocked_flow_usage(model, bulk: bool, block: int, num_resources: int):
         return np.concatenate(rows_parts), np.concatenate(cols_parts)
 
     return assemble_blocked_csr(block_entries, n, block, num_resources)
+
+
+def add_flows_full(model: FlowNetworkModel, src, dst, rate, bulk: bool):
+    """Per-resource load of a flow batch by the full mat-vec: every
+    pair's accumulated rate in one ``n * n`` vector times the whole
+    usage matrix."""
+    n = model.topology.num_nodes
+    src, dst = np.asarray(src), np.asarray(dst)
+    rate = np.asarray(rate, dtype=float)
+    active = (src != dst) & (rate > 0)
+    rate_by_pair = np.zeros(n * n)
+    np.add.at(rate_by_pair, src[active] * n + dst[active], rate[active])
+    return model._flow_usage(bulk).T @ rate_by_pair
 
 
 def add_flow_channel_utilizations(

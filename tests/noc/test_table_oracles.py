@@ -6,7 +6,9 @@ one forward route walk (:mod:`repro.noc.pathwalk`).  The reference
 builders in ``tests/noc/table_oracles.py`` are the per-pair float64 and
 blocked float32 builders that walk preceded; each test here compares
 with ``np.array_equal`` (csr matrices: ``indptr``, ``indices``, ``data``
-and dtype), never with a tolerance.
+and dtype), never with a tolerance.  The same holds for a load
+refresh's pieces against the full matrices a refresh used to build,
+and for the restricted ``add_flows`` scatter against the full mat-vec.
 """
 
 from dataclasses import replace
@@ -162,6 +164,82 @@ class TestTablesMatchOracles:
             wireless=model.wireless, bulk_routing=model.bulk_routing,
         )
         assert_csr_equal(fresh._flow_usage(bulk), oracle.flow_usage(model, bulk))
+
+
+def _loaded(model, seed=0, flows=40):
+    """A fresh network over *model*'s fabric carrying random flows on
+    both message classes, sparse enough to leave many pairs unloaded."""
+    fresh = FlowNetworkModel(
+        model.topology, model.routing, model.clusters,
+        model.cluster_frequencies_hz, params=model.params,
+        wireless=model.wireless, bulk_routing=model.bulk_routing,
+    )
+    n = model.topology.num_nodes
+    rng = np.random.default_rng(seed)
+    for bulk in (False, True):
+        fresh.add_flows(
+            rng.integers(n, size=flows), rng.integers(n, size=flows),
+            rng.uniform(1e8, 4e9, size=flows), bulk=bulk,
+        )
+    return fresh
+
+
+def _all_pairs(n):
+    return np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
+
+
+@pytest.mark.parametrize("bulk", [False, True], ids=["latency", "bulk"])
+class TestRefreshMatchesFullMatrices:
+    """A refresh's pieces equal the full matrices it used to build."""
+
+    def test_utilization_matches_link_loop(self, model, bulk):
+        dense = DenseLatencyModel(_loaded(model), bulk=bulk)
+        assert_array_equal(dense.utilization(), oracle.utilization(dense))
+
+    def test_loaded_head_is_zero_payload_latency(self, model, bulk):
+        dense = DenseLatencyModel(_loaded(model), bulk=bulk)
+        head = dense.loaded_head(dense.queue_per_resource(dense.utilization()))
+        assert_array_equal(head, oracle.zero_payload_latency(dense))
+
+    def test_pair_capacity_matches_every_pair(self, model, bulk):
+        dense = DenseLatencyModel(_loaded(model), bulk=bulk)
+        n = dense.num_nodes
+        inverse = dense.inverse_capacity(dense.utilization())
+        expected = oracle.bottleneck_matrix(dense)
+        src, dst = _all_pairs(n)
+        capacity = dense.path_capacity(inverse, src, dst)
+        assert_array_equal(capacity.reshape(n, n), expected)
+        # src == dst crosses nothing; some loaded paths lost capacity
+        # and some pairs see no load at all.
+        assert np.isinf(np.diag(expected)).all()
+        raw = dense.raw_bottleneck_matrix()
+        off = ~np.eye(n, dtype=bool)
+        assert (expected[off] < raw[off]).any()
+        assert (expected[off] == raw[off]).any()
+        # Any subset, in any order and with repeats, gathers the same.
+        rng = np.random.default_rng(1)
+        pick = rng.integers(n * n, size=500)
+        assert_array_equal(
+            dense.path_capacity(inverse, src[pick], dst[pick]),
+            expected.ravel()[pick],
+        )
+        assert dense.path_capacity(inverse, src[:0], dst[:0]).shape == (0,)
+
+    def test_restricted_add_flows_matches_full_matvec(self, model, bulk):
+        fresh = _loaded(model, flows=0)
+        n = fresh.topology.num_nodes
+        rng = np.random.default_rng(2)
+        few = rng.integers(n, size=6)  # few nodes: many duplicate pairs
+        src = np.concatenate([rng.choice(few, 150), rng.integers(n, size=150)])
+        dst = np.concatenate([rng.choice(few, 150), rng.integers(n, size=150)])
+        dst[:10] = src[:10]  # src == dst moves nothing
+        rate = rng.uniform(1e6, 4e9, size=len(src))
+        rate[rng.random(len(src)) < 0.2] = 0.0
+        expected = oracle.add_flows_full(fresh, src, dst, rate, bulk)
+        fresh.add_flows(src, dst, rate, bulk=bulk)
+        load = fresh.load
+        got = np.concatenate((load.link_load.ravel(), load.channel_load))
+        assert_array_equal(got, expected)
 
 
 class TestBlockSize:

@@ -20,21 +20,45 @@ from repro.mapreduce.trace import TaskRecord
 from repro.noc.packets import kv_stream_bits
 from repro.sim.system import _Recovery, _ScheduledTask
 
+from tests.noc import table_oracles
+
+#: (memory system, its refreshed bulk latency, reference matrices) of the
+#: last lookup: the full matrices are rebuilt only after a refresh.
+_reference = [None, None, None]
+
+
+def bulk_matrices(memory) -> Tuple[np.ndarray, np.ndarray]:
+    """Full bulk-class zero-payload latency and effective-capacity
+    matrices under the network's current load, from the reference
+    builders in ``tests/noc/table_oracles.py``.
+
+    The simulator keeps neither matrix: it stores the loaded head and
+    gathers capacity per priced pair.  The network load is the one its
+    last refresh saw, so these are the matrices that refresh built."""
+    if _reference[0] is not memory or _reference[1] is not memory.bulk_base_latency_s:
+        _reference[:] = [
+            memory,
+            memory.bulk_base_latency_s,
+            (
+                table_oracles.zero_payload_latency(memory.dense_bulk),
+                table_oracles.bottleneck_matrix(memory.dense_bulk),
+            ),
+        ]
+    return _reference[2]
+
 
 def kv_pull_time(simulator, record: TaskRecord, worker: int) -> float:
     """Time to stream the task's remote key-value inputs.
 
-    Evaluated from the memory system's refreshed bulk-class matrices
-    (zero-payload head latency, raw serialization rate and effective
-    path capacity), so each source costs a few table lookups instead
-    of two path walks."""
+    Evaluated from the full bulk-class matrices (zero-payload head
+    latency, raw serialization rate and effective path capacity), so
+    each source costs a few table lookups instead of two path walks."""
     sources = simulator._kv_sources(record)
     if not sources:
         return 0.0
     memory = simulator.memory
-    base = memory.bulk_base_latency_s
+    base, effective = bulk_matrices(memory)
     raw = memory.bulk_raw_bottleneck_bps
-    effective = memory.bulk_capacity_bps
     dst = simulator._worker_nodes[worker]
     total = 0.0
     for src_worker, nbytes in sources:

@@ -90,7 +90,8 @@ class TestKernelMatchesScalar:
         # The relaxation round put load on the bulk paths: their
         # effective capacity now sits below the raw line rate.
         memory = simulator.memory
-        assert (memory.bulk_capacity_bps < memory.bulk_raw_bottleneck_bps).any()
+        _, capacity = kv_oracle.bulk_matrices(memory)
+        assert (capacity < memory.bulk_raw_bottleneck_bps).any()
         _assert_kernel_matches_scalar(simulator, records, range(16))
 
     def test_die128_float32_tables(self, die128):
