@@ -71,6 +71,11 @@ class AppProfile:
 class BenchmarkApp:
     """One benchmark application: dataset + job factory + profile.
 
+    Construction only records the recipe: each app builds its dataset
+    on first use (``make_job`` / ``verify_result``), from seeds derived
+    per component, so an app rebuilt from a stored study to read its
+    profile never generates data it does not need.
+
     Parameters
     ----------
     scale:
@@ -93,7 +98,7 @@ class BenchmarkApp:
     # ------------------------------------------------------------------ #
 
     def make_job(self) -> MapReduceJob:
-        """Build a fresh job instance over a freshly generated dataset."""
+        """Build a fresh job instance over the app's dataset."""
         raise NotImplementedError
 
     def verify_result(self, result: Any) -> None:

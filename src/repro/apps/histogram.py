@@ -10,6 +10,7 @@ the V/F reassignment of VFI 2.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, List
 
 import numpy as np
@@ -76,7 +77,10 @@ class HistogramApp(BenchmarkApp):
     def __init__(self, scale: float = 1.0, seed: int = 7):
         super().__init__(scale, seed)
         self.num_pixels = max(10_000, int(self.BASE_NUM_PIXELS * scale))
-        self._pixels = datasets.pixel_image(
+
+    @cached_property
+    def _pixels(self) -> np.ndarray:
+        return datasets.pixel_image(
             self.num_pixels, seed=self.component_seed("image")
         )
 

@@ -19,6 +19,7 @@ The mechanism is reproduced faithfully:
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, Hashable, List, Tuple
 
 import numpy as np
@@ -181,24 +182,30 @@ class KmeansApp(BenchmarkApp):
         super().__init__(scale, seed)
         self.num_points = max(512, int(self.BASE_NUM_POINTS * scale))
         self.dimension = self.BASE_DIMENSION
-        rng_seed = self.component_seed("points")
-        self._points, self._true_labels = datasets.clustered_points(
+
+    @cached_property
+    def _dataset(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(points, true labels, initial centroids)``, built together
+        on first use."""
+        points, labels = datasets.clustered_points(
             self.num_points,
             self.dimension,
             self.NUM_CLUSTERS,
-            seed=rng_seed,
+            seed=self.component_seed("points"),
         )
         # Vary per-cluster tightness so convergence rates differ (this is
         # what makes iteration-2 work non-homogeneous; see module docstring).
         rng = np.random.default_rng(self.component_seed("spread"))
         for cluster in range(self.NUM_CLUSTERS):
-            mask = self._true_labels == cluster
-            center = self._points[mask].mean(axis=0)
+            mask = labels == cluster
+            center = points[mask].mean(axis=0)
             factor = rng.uniform(0.3, 4.0)
-            self._points[mask] = center + (self._points[mask] - center) * factor
-        self._initial_centroids = self._choose_initial_centroids()
+            points[mask] = center + (points[mask] - center) * factor
+        return points, labels, self._choose_initial_centroids(points, labels)
 
-    def _choose_initial_centroids(self) -> np.ndarray:
+    def _choose_initial_centroids(
+        self, points: np.ndarray, labels: np.ndarray
+    ) -> np.ndarray:
         """k-means++-style seeding: one sample point per true cluster.
 
         Good seeding makes most clusters converge after one Lloyd step --
@@ -209,10 +216,10 @@ class KmeansApp(BenchmarkApp):
         rng = np.random.default_rng(self.component_seed("init"))
         centroids = np.empty((self.NUM_CLUSTERS, self.dimension))
         for cluster in range(self.NUM_CLUSTERS):
-            members = np.nonzero(self._true_labels == cluster)[0]
+            members = np.nonzero(labels == cluster)[0]
             sample_size = max(5, len(members) // 4)
             sample = rng.choice(members, size=min(sample_size, len(members)), replace=False)
-            centroids[cluster] = self._points[sample].mean(axis=0)
+            centroids[cluster] = points[sample].mean(axis=0)
         return centroids + rng.normal(
             0.0, 1e-3, size=(self.NUM_CLUSTERS, self.dimension)
         )
@@ -230,9 +237,8 @@ class KmeansApp(BenchmarkApp):
             / float(self.num_points * self.dimension),
             tasks_per_worker=3.0,
         )
-        return KmeansJob(
-            self._points, self.NUM_CLUSTERS, self._initial_centroids, config
-        )
+        points, _, centroids = self._dataset
+        return KmeansJob(points, self.NUM_CLUSTERS, centroids, config)
 
     def verify_result(self, result: np.ndarray) -> None:
         expected = self._reference_centroids()
@@ -245,15 +251,16 @@ class KmeansApp(BenchmarkApp):
 
     def _reference_centroids(self) -> np.ndarray:
         """Plain-numpy two-iteration Lloyd reference."""
-        centroids = self._initial_centroids.copy()
+        points, _, centroids = self._dataset
+        centroids = centroids.copy()
         for _ in range(2):
             distances = np.linalg.norm(
-                self._points[:, None, :] - centroids[None, :, :], axis=2
+                points[:, None, :] - centroids[None, :, :], axis=2
             )
             assignment = np.argmin(distances, axis=1)
             new_centroids = centroids.copy()
             for cluster in range(self.NUM_CLUSTERS):
-                members = self._points[assignment == cluster]
+                members = points[assignment == cluster]
                 if len(members):
                     new_centroids[cluster] = members.mean(axis=0)
             centroids = new_centroids

@@ -11,6 +11,7 @@ carries the highest ``l2_locality``.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, Hashable, List, Tuple
 
 import numpy as np
@@ -117,7 +118,10 @@ class LinearRegressionApp(BenchmarkApp):
     def __init__(self, scale: float = 1.0, seed: int = 7):
         super().__init__(scale, seed)
         self.num_samples = max(5_000, int(self.BASE_NUM_SAMPLES * scale))
-        self._samples = datasets.linear_samples(
+
+    @cached_property
+    def _samples(self) -> np.ndarray:
+        return datasets.linear_samples(
             self.num_samples,
             slope=self.TRUE_SLOPE,
             intercept=self.TRUE_INTERCEPT,

@@ -10,6 +10,7 @@ of the three applications needing the VFI 2 V/F reassignment (Sec. 4.2).
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -107,10 +108,16 @@ class MatrixMultiplyApp(BenchmarkApp):
         # Keep the row count a multiple of the task count so every map
         # task computes the same number of rows (homogeneous utilization).
         self.dimension = max(64, (int(self.BASE_DIMENSION * scale) // 64) * 64)
-        self._a = datasets.dense_matrix(
+
+    @cached_property
+    def _a(self) -> np.ndarray:
+        return datasets.dense_matrix(
             self.dimension, self.dimension, seed=self.component_seed("a")
         )
-        self._b = datasets.dense_matrix(
+
+    @cached_property
+    def _b(self) -> np.ndarray:
+        return datasets.dense_matrix(
             self.dimension, self.dimension, seed=self.component_seed("b")
         )
 

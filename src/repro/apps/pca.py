@@ -16,6 +16,7 @@ ever-fewer cores busy on a large sorted key space.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, Hashable, List, Tuple
 
 import numpy as np
@@ -144,7 +145,10 @@ class PcaApp(BenchmarkApp):
     def __init__(self, scale: float = 1.0, seed: int = 7):
         super().__init__(scale, seed)
         self.dimension = max(24, int(self.BASE_DIMENSION * scale))
-        self._matrix = datasets.correlated_matrix(
+
+    @cached_property
+    def _matrix(self) -> np.ndarray:
+        return datasets.correlated_matrix(
             self.dimension, self.dimension, seed=self.component_seed("matrix")
         )
 

@@ -12,6 +12,7 @@ compute-bound Histogram.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, List
 
 from repro.apps import datasets
@@ -84,6 +85,9 @@ class StringMatchApp(BenchmarkApp):
     def __init__(self, scale: float = 1.0, seed: int = 7):
         super().__init__(scale, seed)
         self.num_words = max(1000, int(self.BASE_NUM_WORDS * scale))
+
+    @cached_property
+    def _words(self) -> List[str]:
         words = datasets.zipf_text(
             self.num_words, vocabulary_size=4000, seed=self.component_seed("text")
         )
@@ -91,7 +95,7 @@ class StringMatchApp(BenchmarkApp):
             words[position] = SEARCH_KEYS[
                 (position // self.KEY_PERIOD) % len(SEARCH_KEYS)
             ]
-        self._words = words
+        return words
 
     def make_job(self) -> StringMatchJob:
         config = JobConfig(

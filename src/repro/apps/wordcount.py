@@ -12,6 +12,7 @@ utilization, no V/F reassignment needed.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, List
 
 from repro.apps import datasets
@@ -81,7 +82,10 @@ class WordCountApp(BenchmarkApp):
     def __init__(self, scale: float = 1.0, seed: int = 7):
         super().__init__(scale, seed)
         self.num_words = max(1000, int(self.BASE_NUM_WORDS * scale))
-        self._words = datasets.zipf_text(
+
+    @cached_property
+    def _words(self) -> List[str]:
+        return datasets.zipf_text(
             self.num_words,
             vocabulary_size=5000,
             num_segments=40,

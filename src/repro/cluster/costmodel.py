@@ -13,7 +13,7 @@ prove it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Union
+from typing import Dict, Iterable, Optional, Tuple, Union
 
 from repro.cluster.fleet import ChipSpec
 from repro.cluster.jobs import ClusterJob
@@ -86,6 +86,8 @@ class CostModel:
             cache = StudyCache(cache)
         self.cache = cache
         self._memo: Dict[StudySpec, AppStudy] = {}
+        #: (app, scale, seed, chip class) -> estimate; see :meth:`estimate`.
+        self._estimates: Dict[Tuple, JobEstimate] = {}
         #: Units actually simulated by this model (cold resolutions).
         self.computed = 0
         #: Units served by the persistent StudyCache.
@@ -126,13 +128,23 @@ class CostModel:
         """Predicted service time and energy of *job* on *chip*.
 
         The "estimate" is the exact simulated outcome -- the simulator
-        *is* the cost model, and the StudyCache makes asking cheap.
+        *is* the cost model, and the StudyCache makes asking cheap.  Each
+        (job class, chip class) pair is priced once per model: a repeat
+        skips building the :class:`StudySpec` and counts as the memo hit
+        :meth:`study` would have counted, so :meth:`stats` is unchanged.
         """
+        key = (job.app, job.scale, job.seed, chip.class_key)
+        estimate = self._estimates.get(key)
+        if estimate is not None:
+            self.memo_hits += 1
+            return estimate
         result = self.study(job.spec_for(chip)).result(chip.config)
-        return JobEstimate(
+        estimate = JobEstimate(
             service_s=float(result.total_time_s),
             energy_j=float(result.total_energy_j),
         )
+        self._estimates[key] = estimate
+        return estimate
 
     def prefetch(
         self,

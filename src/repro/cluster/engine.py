@@ -11,7 +11,9 @@ event heap of :mod:`repro.cluster.events`:
   policy's ``select`` loop emits ``DISPATCH`` events against
   incrementally maintained views (the waiting queue and the sorted
   free-chip list -- no per-call copies), and when jobs wait with no
-  chip free, ``select_preemption`` may emit a ``PREEMPT``.
+  chip free, ``select_preemption`` may emit a ``PREEMPT`` (it sees the
+  :class:`~repro.cluster.policies.RunningJob` view each execution got
+  at dispatch).
 * ``DISPATCH`` starts an execution: the cost model prices the job on
   the chip (optionally re-timed at a policy-chosen DVFS
   :class:`~repro.cluster.costmodel.SpeedStep`), and a ``COMPLETE`` is
@@ -23,6 +25,9 @@ event heap of :mod:`repro.cluster.events`:
   work is un-charged -- no joule is ever counted twice), an unfinished
   transfer is discarded into ``wasted_transfer_s``, and the job is
   requeued.
+* When the heap drains, an end-of-run audit requires an empty queue, no
+  busy chip and a terminal record for every job; a policy that leaves
+  work undone fails the run instead of leaving it on record as done.
 
 The engine is also the :class:`~repro.cluster.policies.SchedulingContext`
 the policy observes.  With an open-loop source and a non-preemptive,
@@ -33,8 +38,7 @@ golden record tests).
 
 from __future__ import annotations
 
-from bisect import insort
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Set
 
 from repro.cluster.arrivals import Source
@@ -54,6 +58,7 @@ from repro.cluster.jobs import (
     PREEMPTED,
     REJECTED,
     RETRYING,
+    TERMINAL_STATUSES,
     ClusterJob,
     JobRecord,
 )
@@ -79,6 +84,9 @@ class _Execution:
     work_start: float
     completion_s: float
     token: int
+    #: The preemption policy's view of this execution, built once at
+    #: dispatch with ``preemptable=True``.
+    view: RunningJob
     speed_label: Optional[str] = None
     cancelled: bool = False
 
@@ -149,7 +157,38 @@ class ClusterEngine:
         for job in trace.jobs:
             self.events.schedule(job.arrival_s, ARRIVAL, tie=job.job_id, payload=job)
         self.events.run(self._apply, self._round)
+        self._audit(trace)
         return [self.records[job.job_id] for job in trace.jobs]
+
+    def _audit(self, trace) -> None:
+        """End-of-run audit: once the heap drains, nothing may be left
+        queued or busy and every record must be terminal.  A policy whose
+        ``select`` never dispatches would otherwise leave its queue on
+        record as completed (admission marks records so)."""
+
+        def finished(record: JobRecord) -> bool:
+            if record.status == COMPLETED:
+                return record.completed_s is not None
+            return record.status in TERMINAL_STATUSES
+
+        first = next(
+            (job for job in trace.jobs if not finished(self.records[job.job_id])),
+            None,
+        )
+        chips = len(self.fleet.chips)
+        if (
+            first is None
+            and not self.queue
+            and not self.busy
+            and len(self.free_chips) == chips
+        ):
+            return
+        raise RuntimeError(
+            f"policy {self.policy.name!r} left the run unfinished: first "
+            f"unfinished job {first.label if first is not None else None}; "
+            f"{len(self.queue)} queued, {len(self.busy)} busy, "
+            f"{len(self.free_chips)} of {chips} chips free"
+        )
 
     def _prefetch(self, trace) -> None:
         """Resolve the run's distinct (study, chip-class) units in one
@@ -265,6 +304,15 @@ class ClusterEngine:
             work_start=work_start,
             completion_s=completion,
             token=self._token,
+            view=RunningJob(
+                job=job,
+                chip=chip,
+                dispatched_s=now,
+                transfer_end_s=now + transfer,
+                completion_s=completion,
+                preemptable=True,
+                token=self._token,
+            ),
             speed_label=step.label if step is not None else None,
         )
         self.busy[chip.chip_id] = execution
@@ -406,7 +454,10 @@ class ClusterEngine:
 
     def _release_chip(self, chip: ChipSpec) -> None:
         self._free_ids.add(chip.chip_id)
-        insort(self.free_chips, chip, key=lambda c: c.chip_id)
+        # Insert by chip_id: ChipSpec defines no ordering, and
+        # ``insort(..., key=)`` needs Python 3.10.
+        index = sum(1 for free in self.free_chips if free.chip_id < chip.chip_id)
+        self.free_chips.insert(index, chip)
 
     def _round(self, now: float) -> bool:
         produced = False
@@ -440,16 +491,13 @@ class ClusterEngine:
         return produced
 
     def _consider_preemption(self, now: float) -> Optional[RunningJob]:
+        # Views in chip-id order, each built once at dispatch; one
+        # dispatched at *now* has made no progress and is passed as a
+        # preemptable=False twin.
         running = [
-            RunningJob(
-                job=execution.job,
-                chip=execution.chip,
-                dispatched_s=execution.dispatched_s,
-                transfer_end_s=execution.transfer_end_s,
-                completion_s=execution.completion_s,
-                preemptable=execution.dispatched_s < now,
-                token=execution.token,
-            )
+            execution.view
+            if execution.dispatched_s < now
+            else replace(execution.view, preemptable=False)
             for _, execution in sorted(self.busy.items())
         ]
         victim = self.policy.select_preemption(now, self.queue, running, self)

@@ -333,9 +333,9 @@ def study_to_dict(study: AppStudy) -> Dict:
     The app itself is stored as its (name, scale, seed) construction
     recipe, while the trace, design and every simulated configuration
     are stored in full so nothing is re-simulated on load.  The recipe
-    trades file size for load time: every app generates its dataset in
-    ``__init__``, so :func:`study_from_dict` regenerates it, and for
-    wordcount that is most of a warm read.
+    costs nothing on load: apps build their datasets on first use, so
+    :func:`study_from_dict` generates no data, and a reader that only
+    needs the stored results never pays for it.
     """
     return {
         "app": {
