@@ -1,9 +1,16 @@
 """Markdown report generation.
 
-:func:`generate_report` runs (or reuses) the six application studies and
-renders a complete paper-vs-measured markdown report -- the programmatic
+:func:`generate_report` renders the six application studies as a
+complete paper-vs-measured markdown report -- the programmatic
 counterpart of ``EXPERIMENTS.md`` -- suitable for CI artifacts or for
 checking a modified configuration against the paper's shapes.
+
+The sections beyond the paper are public functions of their own:
+:func:`degradation_section`, :func:`cluster_section`,
+:func:`tech_section`, :func:`power_section` and
+:func:`power_ladder_section`.  A caller that has their inputs appends
+them to the report, e.g.
+``generate_report(studies, scale, seed) + "\n" + cluster_section(runs)``.
 """
 
 from __future__ import annotations
@@ -14,7 +21,6 @@ from typing import Mapping, Optional
 from repro.analysis.figures import (
     ALL_APPS,
     average_edp_savings,
-    collect_studies,
     figure2_utilization,
     figure4_vfi1_vs_vfi2,
     figure5_bottleneck_utilization,
@@ -25,7 +31,10 @@ from repro.analysis.tables import table1_datasets, table2_vf_assignments
 from repro.core.experiment import AppStudy, NVFI_MESH, VFI1_MESH, VFI2_MESH, VFI2_WINOC
 
 
-def _md_table(rows, columns) -> str:
+def _md_table(rows, columns=None) -> str:
+    """Render dict rows as a markdown table; the columns default to the
+    first row's keys, as :func:`repro.analysis.tables.format_table`."""
+    columns = list(columns) if columns else list(rows[0].keys())
     header = "| " + " | ".join(columns) + " |"
     rule = "|" + "|".join("---" for _ in columns) + "|"
     body = "\n".join(
@@ -33,19 +42,6 @@ def _md_table(rows, columns) -> str:
         for row in rows
     )
     return f"{header}\n{rule}\n{body}"
-
-
-#: Column order of the degradation table (shared by report and CLI).
-DEGRADATION_COLUMNS = (
-    "config",
-    "makespan x",
-    "energy %",
-    "EDP x",
-    "re-executed",
-    "substituted",
-    "lost busy (ms)",
-    "events",
-)
 
 
 def degradation_rows(clean: AppStudy, faulted: AppStudy) -> list:
@@ -126,25 +122,10 @@ def degradation_section(
                 )
             if notes:
                 write("Injected: " + ", ".join(notes) + ".\n\n")
-        write(_md_table(rows, list(DEGRADATION_COLUMNS)) + "\n\n")
+        write(_md_table(rows) + "\n\n")
     if not wrote_any:
         write("No app present in both the clean and the faulted study set.\n\n")
     return out.getvalue()
-
-
-#: Column order of the cluster policy-comparison table (report + CLI).
-CLUSTER_COLUMNS = (
-    "policy",
-    "done/rej",
-    "retry/preempt",
-    "throughput (/ks)",
-    "goodput (/ks)",
-    "latency p50/p95 (s)",
-    "wait mean (s)",
-    "deadline hit",
-    "energy (kJ)",
-    "fleet EDP (MJ·s)",
-)
 
 
 def cluster_rows(results) -> list:
@@ -218,21 +199,9 @@ def cluster_section(results) -> str:
             f"Queue bound {first.max_queue_depth}; trace "
             f"`{trace.trace_key[:12]}`.\n\n"
         )
-        write(_md_table(cluster_rows(grouped), list(CLUSTER_COLUMNS)) + "\n\n")
+        write(_md_table(cluster_rows(grouped)) + "\n\n")
     return out.getvalue()
 
-
-#: Column order of the dark-silicon frontier table (report + CLI).
-TECH_FRONTIER_COLUMNS = (
-    "node",
-    "variant",
-    "mix",
-    "cap (W)",
-    "chip peak (W)",
-    "active cores",
-    "dark %",
-    "throughput",
-)
 
 #: Default shape of the frontier sweep when none is given: the paper
 #: node plus two shrinks, homogeneous OoO vs big.LITTLE, three caps.
@@ -342,11 +311,7 @@ def tech_section(
         "core); the 65 nm row is the identity, so the default pipeline "
         "is untouched by the tech axis.\n\n"
     )
-    node_columns = [
-        "node", "variant", "Vdd (V)", "Vth (V)", "clock (GHz)",
-        "OoO peak (W)", "IO peak (W)", "ladder (V)", "area x",
-    ]
-    write(_md_table(tech_node_rows(nodes, variant), node_columns) + "\n\n")
+    write(_md_table(tech_node_rows(nodes, variant)) + "\n\n")
     write(
         f"Dark-silicon frontier on a {num_cores}-core die: the largest "
         "active set whose summed peak power fits the cap (cheapest cores "
@@ -354,10 +319,7 @@ def tech_section(
         "core at nominal clock.\n\n"
     )
     write(
-        _md_table(
-            tech_frontier_rows(nodes, mixes, caps_w, num_cores, variant),
-            list(TECH_FRONTIER_COLUMNS),
-        )
+        _md_table(tech_frontier_rows(nodes, mixes, caps_w, num_cores, variant))
         + "\n\n"
     )
     if variant == "itrs":
@@ -367,41 +329,14 @@ def tech_section(
             "fraction grows faster than the ITRS projection above.\n\n"
         )
         write(
-            _md_table(
-                tech_frontier_rows(nodes, mixes, caps_w, num_cores, "cons"),
-                list(TECH_FRONTIER_COLUMNS),
-            )
+            _md_table(tech_frontier_rows(nodes, mixes, caps_w, num_cores, "cons"))
             + "\n\n"
         )
     if tech_studies:
         first = next(iter(tech_studies.values()))
         write(f"### Measured sweep — {first.label}\n\n")
-        write(
-            _md_table(
-                tech_study_rows(tech_studies),
-                [
-                    "tech", "config", "time (ms)", "energy (J)", "EDP",
-                    "time vs NVFI", "EDP vs NVFI",
-                ],
-            )
-            + "\n\n"
-        )
+        write(_md_table(tech_study_rows(tech_studies)) + "\n\n")
     return out.getvalue()
-
-
-#: Column order of the measured power-cap frontier table (report + CLI).
-POWER_FRONTIER_COLUMNS = (
-    "cap (W)",
-    "time (ms)",
-    "throughput (/s)",
-    "energy (J)",
-    "EDP",
-    "peak power (W)",
-    "throttle events",
-    "throttled islands",
-    "throttled (s)",
-    "unmet",
-)
 
 
 def power_frontier_table(
@@ -499,62 +434,58 @@ def power_section(
         "estimated chip power fits the cap (master islands shielded), "
         "and re-raising when activity headroom returns.\n\n"
     )
-    write(
-        _md_table(
-            power_frontier_table(power_studies, config),
-            list(POWER_FRONTIER_COLUMNS),
-        )
-        + "\n\n"
-    )
+    write(_md_table(power_frontier_table(power_studies, config)) + "\n\n")
     residency = power_residency_rows(power_studies, config)
     if residency:
-        columns = list(residency[0].keys())
         write(
             "DVFS-ladder residency per cap (island-seconds at each ladder "
             "step; higher steps are faster):\n\n"
         )
-        write(_md_table(residency, columns) + "\n\n")
+        write(_md_table(residency) + "\n\n")
     return out.getvalue()
 
 
-def generate_report(
-    studies: Optional[Mapping[str, AppStudy]] = None,
-    scale: float = 1.0,
-    seed: int = 7,
-    jobs: int = 1,
-    cache_dir=None,
-    progress=None,
-    tracer=None,
-    faulted_studies: Optional[Mapping[str, AppStudy]] = None,
-    cluster_results=None,
-    tech_studies: Optional[Mapping[str, AppStudy]] = None,
-    power_studies: Optional[Mapping[Optional[float], AppStudy]] = None,
-) -> str:
-    """Render the full reproduction report as markdown.
+def power_ladder_rows(sizes) -> list:
+    """One row per die size: the estimated uncapped chip peak and the
+    default sweep caps derived from it."""
+    from repro.power import chip_peak_power_w, default_caps_w
 
-    ``jobs``/``cache_dir``/``progress`` are forwarded to
-    :func:`repro.analysis.figures.collect_studies` (and are ignored when
-    pre-built *studies* are passed in).  When a
-    :class:`repro.telemetry.RecordingTracer` that observed the runs is
-    passed as *tracer*, the report closes with the measured per-phase
-    timelines from its spans instead of leaving phase timing to be
-    recomputed from aggregate statistics.  *faulted_studies* (apps run
-    under a fault plan, keyed like *studies*) appends the fault
-    degradation section.  *cluster_results* (an iterable of
-    :class:`repro.cluster.record.ClusterRunResult`) appends the cluster
-    service policy-comparison section.  *tech_studies* (one app measured
-    under several technology configurations, keyed by tech label)
-    appends the technology-frontier / dark-silicon section.
-    *power_studies* (one app measured under a sweep of chip power caps,
-    keyed by the cap in watts with ``None`` for the uncapped baseline --
-    the :func:`repro.power.run_cap_sweep` output) appends the power-cap
-    frontier section.
-    """
-    if studies is None:
-        studies = collect_studies(
-            scale=scale, seed=seed, jobs=jobs, cache_dir=cache_dir,
-            progress=progress,
+    rows = []
+    for workers in sizes:
+        peak = chip_peak_power_w(workers)
+        caps = default_caps_w(workers)
+        rows.append(
+            {
+                "cores": workers,
+                "est. peak (W)": f"{peak:.1f}",
+                "default caps (W)": " ".join(f"{cap:g}" for cap in caps),
+            }
         )
+    return rows
+
+
+def power_ladder_section(sizes) -> str:
+    """Markdown "power-cap ladders" section: :func:`power_ladder_rows`
+    under the default cap fractions."""
+    from repro.power import DEFAULT_CAP_FRACTIONS
+
+    return (
+        "## Power-cap ladders — estimated peaks and default sweep caps\n\n"
+        "Default sweep fractions of the estimated uncapped chip peak: "
+        + ", ".join(f"{f:g}" for f in DEFAULT_CAP_FRACTIONS)
+        + ".\n\n"
+        + _md_table(power_ladder_rows(sizes))
+        + "\n"
+    )
+
+
+def generate_report(
+    studies: Mapping[str, AppStudy], scale: float = 1.0, seed: int = 7
+) -> str:
+    """Render the paper's evaluation of the six app *studies* (keyed by
+    app name, e.g. from :func:`repro.analysis.figures.collect_studies`)
+    as markdown; *scale* and *seed* label the header.
+    """
     out = io.StringIO()
     write = out.write
 
@@ -581,7 +512,7 @@ def generate_report(
                 "cv": f"{values.std() / values.mean():.3f}",
             }
         )
-    write(_md_table(rows, ["app", "mean", "max", "cv"]) + "\n\n")
+    write(_md_table(rows) + "\n\n")
 
     write("## Figure 4 — VFI 1 vs VFI 2 (normalized to NVFI mesh)\n\n")
     fig4 = figure4_vfi1_vs_vfi2(studies)
@@ -595,10 +526,7 @@ def generate_report(
         }
         for label in fig4["execution_time"]
     ]
-    write(
-        _md_table(rows, ["app", "time VFI1", "time VFI2", "EDP VFI1", "EDP VFI2"])
-        + "\n\n"
-    )
+    write(_md_table(rows) + "\n\n")
 
     write("## Figure 5 — bottleneck vs average utilization\n\n")
     rows = [
@@ -610,7 +538,7 @@ def generate_report(
         }
         for label, (avg, hot) in figure5_bottleneck_utilization(studies).items()
     ]
-    write(_md_table(rows, ["app", "average", "bottleneck", "ratio"]) + "\n\n")
+    write(_md_table(rows) + "\n\n")
 
     write("## Figure 7 — per-phase execution time (normalized)\n\n")
     rows = []
@@ -637,7 +565,7 @@ def generate_report(
         {"app": label, "VFI Mesh": f"{mesh:.3f}", "VFI WiNoC": f"{winoc:.3f}"}
         for label, (mesh, winoc) in figure8_full_system_edp(studies).items()
     ]
-    write(_md_table(rows, ["app", "VFI Mesh", "VFI WiNoC"]) + "\n\n")
+    write(_md_table(rows) + "\n\n")
     average, maximum = average_edp_savings(studies)
     write(
         f"WiNoC EDP savings vs NVFI mesh: **average {average * 100:.1f}%** "
@@ -663,51 +591,5 @@ def generate_report(
                     "wireless %": f"{result.network.wireless_fraction * 100:.1f}",
                 }
             )
-    write(
-        _md_table(
-            rows,
-            ["app", "config", "time (ms)", "energy (J)", "EDP", "avg hops", "wireless %"],
-        )
-        + "\n"
-    )
-
-    if tracer is not None and getattr(tracer, "enabled", False):
-        from repro.telemetry.summary import PHASE_ORDER, phase_summary
-
-        measured = phase_summary(tracer)
-        if measured:
-            write("\n## Telemetry — measured per-phase timelines\n\n")
-            write(
-                "Recorded by `repro.telemetry` during the simulations "
-                "above (simulated time per platform, summed over all "
-                "traced runs: every iteration of every app).\n\n"
-            )
-            rows = []
-            for platform, phases in measured.items():
-                rows.append(
-                    {
-                        "platform": platform,
-                        **{
-                            phase: f"{phases.get(phase, 0.0) * 1e3:.3f}"
-                            for phase in PHASE_ORDER
-                        },
-                        "total (ms)": f"{sum(phases.values()) * 1e3:.3f}",
-                    }
-                )
-            write(
-                _md_table(rows, ["platform", *PHASE_ORDER, "total (ms)"]) + "\n"
-            )
-
-    if faulted_studies:
-        write("\n")
-        write(degradation_section(studies, faulted_studies))
-    if cluster_results:
-        write("\n")
-        write(cluster_section(cluster_results))
-    if tech_studies:
-        write("\n")
-        write(tech_section(tech_studies))
-    if power_studies:
-        write("\n")
-        write(power_section(power_studies))
+    write(_md_table(rows) + "\n")
     return out.getvalue()

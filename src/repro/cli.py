@@ -62,13 +62,22 @@ Commands
     Build the application's WiNoC and render it (die map, V/F floorplan,
     degrees, link histogram).
 
+Flags shared by several commands -- ``--scale/--seed``,
+``--num-workers``, ``--jobs/--cache-dir``, ``--manifest``,
+``--output/--format`` -- are declared once, as argparse parent parsers,
+and each leaf parser names its handler with ``set_defaults``.  Swept
+values (``--values``, ``--nodes``, ``--mixes``, ``--caps``) run once
+each, in the order given.
+
 Every subcommand exits nonzero with a one-line message on stderr when
-given bad arguments; tracebacks are reserved for actual bugs.
+given bad arguments, and prints nothing else first; tracebacks are
+reserved for actual bugs.
 """
 
 from __future__ import annotations
 
 import argparse
+import pathlib
 import sys
 from typing import List, Optional
 
@@ -87,8 +96,75 @@ from repro.faults.scenarios import SCENARIOS as FAULT_SCENARIOS
 #: Simulated configurations addressable from the command line.
 CONFIG_CHOICES = (NVFI_MESH, VFI1_MESH, VFI2_MESH, VFI2_WINOC)
 
+class _Distinct(argparse.Action):
+    """Store a list option with repeats dropped, first occurrence kept."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, list(dict.fromkeys(values)))
+
+
+def _command(commands, name, handler, help, *parents):
+    """Add leaf command *name* to *commands*, dispatched to *handler*."""
+    parser = commands.add_parser(name, help=help, parents=list(parents))
+    parser.set_defaults(handler=handler)
+    return parser
+
 
 def _build_parser() -> argparse.ArgumentParser:
+    # Flag groups that several commands share, each declared once as a
+    # parent parser.
+    study = argparse.ArgumentParser(add_help=False)
+    study.add_argument("--scale", type=float, default=1.0)
+    study.add_argument("--seed", type=int, default=7)
+    die = argparse.ArgumentParser(add_help=False)
+    die.add_argument(
+        "--num-workers", type=int, default=64, help="cores on the die"
+    )
+    campaign = argparse.ArgumentParser(add_help=False)
+    campaign.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes for the study campaign (default: serial)",
+    )
+    campaign.add_argument(
+        "--cache-dir", default=None,
+        help="persistent study cache directory (re-runs resolve instantly)",
+    )
+    manifest = argparse.ArgumentParser(add_help=False)
+    manifest.add_argument(
+        "--manifest", default=None,
+        help="save the campaign's run manifest (JSON) to this path; a "
+        "sibling .trace.json with the per-unit timeline is written too",
+    )
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument(
+        "--output", default=None, help="write to file (default: stdout)"
+    )
+    export = argparse.ArgumentParser(add_help=False, parents=[output])
+    export.add_argument("--format", choices=("md", "json"), default="md")
+    axis_sweep = argparse.ArgumentParser(add_help=False)
+    axis_sweep.add_argument("--app", default="histogram", choices=APP_NAMES)
+    axis_sweep.add_argument(
+        "--report", default=None,
+        help="write the markdown report section to this path",
+    )
+    variant = argparse.ArgumentParser(add_help=False)
+    variant.add_argument(
+        "--variant", choices=("itrs", "cons"), default="itrs",
+        help="technology-scaling trajectory (optimistic vs conservative)",
+    )
+    die_sizes = argparse.ArgumentParser(add_help=False)
+    die_sizes.add_argument(
+        "--num-workers", type=int, nargs="+", default=None, metavar="N",
+        help="die sizes to price (default: 16 64 256)",
+    )
+    prefetch = argparse.ArgumentParser(add_help=False)
+    prefetch.add_argument("--cache-dir", default=None)
+    prefetch.add_argument(
+        "--jobs", type=int, default=None,
+        help="prefetch the run's distinct studies through N parallel "
+        "orchestrator workers before the event loop starts",
+    )
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -101,70 +177,37 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list-apps", help="list the six benchmark applications")
-
-    study = sub.add_parser("run-study", help="run one app through the pipeline")
-    study.add_argument("app", choices=APP_NAMES)
-    study.add_argument("--scale", type=float, default=1.0)
-    study.add_argument("--seed", type=int, default=7)
-
-    design = sub.add_parser("design", help="run only the VFI design flow")
+    _command(sub, "list-apps", _cmd_list_apps,
+             "list the six benchmark applications")
+    run_study = _command(sub, "run-study", _cmd_run_study,
+                         "run one app through the pipeline", study)
+    run_study.add_argument("app", choices=APP_NAMES)
+    design = _command(sub, "design", _cmd_design,
+                      "run only the VFI design flow", study)
     design.add_argument("app", choices=APP_NAMES)
-    design.add_argument("--scale", type=float, default=1.0)
-    design.add_argument("--seed", type=int, default=7)
+    _command(sub, "report", _cmd_report, "full markdown reproduction report",
+             output, study, campaign)
 
-    report = sub.add_parser("report", help="full markdown reproduction report")
-    report.add_argument("--output", default=None, help="write to file")
-    report.add_argument("--scale", type=float, default=1.0)
-    report.add_argument("--seed", type=int, default=7)
-    report.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the study campaign (default: serial)",
-    )
-    report.add_argument(
-        "--cache-dir", default=None,
-        help="persistent study cache directory (re-runs resolve instantly)",
-    )
-
-    sweep = sub.add_parser(
-        "sweep", help="orchestrated seed/size sweep of one app"
-    )
+    sweep = _command(sub, "sweep", _cmd_sweep,
+                     "orchestrated seed/size sweep of one app",
+                     study, die, campaign, manifest)
     sweep.add_argument("app", nargs="?", default="histogram", choices=APP_NAMES)
     sweep.add_argument(
         "--parameter", choices=("seed", "size"), default="seed",
         help="sweep random seeds (robustness) or die sizes (scalability)",
     )
     sweep.add_argument(
-        "--values", type=int, nargs="+", default=None,
+        "--values", type=int, nargs="+", default=None, action=_Distinct,
         help="swept values (default: seeds 7-11, or sizes 16 36 64)",
     )
-    sweep.add_argument("--scale", type=float, default=1.0)
-    sweep.add_argument(
-        "--seed", type=int, default=7, help="base seed for size sweeps"
-    )
-    sweep.add_argument(
-        "--num-workers", type=int, default=64,
-        help="die size for seed sweeps",
-    )
-    sweep.add_argument("--jobs", type=int, default=1)
-    sweep.add_argument("--cache-dir", default=None)
-    sweep.add_argument(
-        "--manifest", default=None,
-        help="save the campaign's run manifest (JSON) to this path; a "
-        "sibling .trace.json with the per-unit timeline is written too",
-    )
 
-    trace = sub.add_parser(
-        "trace", help="record a telemetry trace of one app study"
-    )
+    trace = _command(sub, "trace", _cmd_trace,
+                     "record a telemetry trace of one app study", study, die)
     trace.add_argument("--app", required=True, choices=APP_NAMES)
     trace.add_argument(
         "--system", choices=CONFIG_CHOICES, default=VFI2_WINOC,
         help="configuration the summary tables focus on",
     )
-    trace.add_argument("--scale", type=float, default=1.0)
-    trace.add_argument("--seed", type=int, default=7)
-    trace.add_argument("--num-workers", type=int, default=64)
     trace.add_argument(
         "--output", default=None,
         help="Chrome trace-event JSON path (default <app>_<system>.trace.json)",
@@ -179,9 +222,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "makes the export non-deterministic",
     )
 
-    faults = sub.add_parser(
-        "faults", help="deterministic fault-injection study of one app"
-    )
+    faults = _command(sub, "faults", _cmd_faults,
+                      "deterministic fault-injection study of one app",
+                      study, die, campaign, manifest)
     faults.add_argument("app", choices=APP_NAMES)
     faults.add_argument(
         "--scenario", choices=FAULT_SCENARIOS, default="mixed",
@@ -190,18 +233,6 @@ def _build_parser() -> argparse.ArgumentParser:
     faults.add_argument(
         "--plan", default=None,
         help="JSON fault-plan file to inject instead of a preset scenario",
-    )
-    faults.add_argument("--scale", type=float, default=1.0)
-    faults.add_argument("--seed", type=int, default=7)
-    faults.add_argument("--num-workers", type=int, default=64)
-    faults.add_argument("--jobs", type=int, default=1)
-    faults.add_argument(
-        "--cache-dir", default=None,
-        help="persistent study cache shared by the clean and faulted runs",
-    )
-    faults.add_argument(
-        "--manifest", default=None,
-        help="save the campaign's run manifest (JSON) to this path",
     )
     faults.add_argument(
         "--trace", default=None,
@@ -215,11 +246,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cluster = sub.add_parser(
         "cluster", help="multi-job cluster service (run/replay/report)"
-    )
-    cluster_sub = cluster.add_subparsers(dest="cluster_command", required=True)
-
-    cluster_run = cluster_sub.add_parser(
-        "run", help="serve an arrival trace through a scheduling policy"
+    ).add_subparsers(dest="cluster_command", required=True)
+    cluster_run = _command(
+        cluster, "run", _cluster_run,
+        "serve an arrival trace through a scheduling policy", prefetch,
     )
     from repro.cluster.arrivals import WORKLOADS as _WORKLOADS
 
@@ -250,7 +280,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--fault-plan", default=None,
         help="JSON fault-plan file degrading chip 0 (fault-axis composition)",
     )
-    cluster_run.add_argument("--cache-dir", default=None)
     cluster_run.add_argument(
         "--record", default=None,
         help="save the run record(s) as canonical JSON; with --policy all "
@@ -277,163 +306,83 @@ def _build_parser() -> argparse.ArgumentParser:
         "--backoff-cap", type=float, default=120.0,
         help="closed loop: backoff ceiling (seconds)",
     )
-    cluster_run.add_argument(
-        "--jobs", type=int, default=None,
-        help="prefetch the run's distinct studies through N parallel "
-        "orchestrator workers before the event loop starts",
-    )
-
-    cluster_replay = cluster_sub.add_parser(
-        "replay", help="re-run a recorded cluster run and verify it"
-    )
+    cluster_replay = _command(cluster, "replay", _cluster_replay,
+                              "re-run a recorded cluster run and verify it",
+                              prefetch)
     cluster_replay.add_argument("--record", required=True)
-    cluster_replay.add_argument("--cache-dir", default=None)
-    cluster_replay.add_argument(
-        "--jobs", type=int, default=None,
-        help="prefetch the replay's distinct studies through N parallel "
-        "orchestrator workers before the event loop starts",
-    )
-
-    cluster_report = cluster_sub.add_parser(
-        "report", help="markdown policy comparison from saved records"
-    )
+    cluster_report = _command(cluster, "report", _cluster_report,
+                              "markdown policy comparison from saved records",
+                              output)
     cluster_report.add_argument("--record", nargs="+", required=True)
-    cluster_report.add_argument("--output", default=None)
 
     tech = sub.add_parser(
         "tech", help="technology axis (list/frontier/export)"
-    )
-    tech_sub = tech.add_subparsers(dest="tech_command", required=True)
-
-    tech_sub.add_parser(
-        "list", help="show node tables and core-type registry"
-    )
-
-    tech_frontier = tech_sub.add_parser(
-        "frontier",
-        help="sweep an app across nodes x core mixes via the orchestrator",
+    ).add_subparsers(dest="tech_command", required=True)
+    _command(tech, "list", _tech_list,
+             "show node tables and core-type registry")
+    tech_frontier = _command(
+        tech, "frontier", _tech_frontier,
+        "sweep an app across nodes x core mixes via the orchestrator",
+        axis_sweep, variant, study, die, campaign, manifest,
     )
     tech_frontier.add_argument(
-        "--app", default="histogram", choices=APP_NAMES
-    )
-    tech_frontier.add_argument(
-        "--nodes", nargs="+", default=None, metavar="NODE",
+        "--nodes", nargs="+", default=None, metavar="NODE", action=_Distinct,
         help="technology nodes to sweep (default: 65nm 45nm 32nm)",
     )
     tech_frontier.add_argument(
-        "--mixes", nargs="+", default=None, metavar="MIX",
+        "--mixes", nargs="+", default=None, metavar="MIX", action=_Distinct,
         help="core types / mix presets to sweep (default: ooo big_little)",
     )
     tech_frontier.add_argument(
         "--caps", type=float, nargs="+", default=None, metavar="W",
+        action=_Distinct,
         help="chip power caps for the dark-silicon table "
         "(default: 40 80 120)",
     )
-    tech_frontier.add_argument(
-        "--variant", choices=("itrs", "cons"), default="itrs",
-        help="technology-scaling trajectory (optimistic vs conservative)",
-    )
-    tech_frontier.add_argument("--scale", type=float, default=1.0)
-    tech_frontier.add_argument("--seed", type=int, default=7)
-    tech_frontier.add_argument("--num-workers", type=int, default=64)
-    tech_frontier.add_argument("--jobs", type=int, default=1)
-    tech_frontier.add_argument("--cache-dir", default=None)
-    tech_frontier.add_argument(
-        "--manifest", default=None,
-        help="save the campaign's run manifest (JSON) to this path; a "
-        "sibling .trace.json with the per-unit timeline is written too",
-    )
-    tech_frontier.add_argument(
-        "--report", default=None,
-        help="write the markdown technology-frontier section (with the "
-        "measured sweep) to this path",
-    )
-
-    tech_export = tech_sub.add_parser(
-        "export", help="export node/core tables and the frontier"
-    )
-    tech_export.add_argument(
-        "--output", default=None, help="write to file (default: stdout)"
-    )
-    tech_export.add_argument(
-        "--format", choices=("md", "json"), default="md"
-    )
+    tech_export = _command(tech, "export", _tech_export,
+                           "export node/core tables and the frontier",
+                           export, variant)
     tech_export.add_argument(
         "--nodes", nargs="+", default=None, metavar="NODE",
         help="nodes to export (default: every node)",
     )
-    tech_export.add_argument(
-        "--variant", choices=("itrs", "cons"), default="itrs"
-    )
 
     power = sub.add_parser(
         "power", help="power-cap axis (list/sweep/export)"
+    ).add_subparsers(dest="power_command", required=True)
+    _command(power, "list", _power_list,
+             "show estimated chip peaks and the default cap ladders",
+             die_sizes)
+    power_sweep = _command(
+        power, "sweep", _power_sweep,
+        "run an app at several chip power caps via the orchestrator",
+        axis_sweep, study, die, campaign, manifest,
     )
-    power_sub = power.add_subparsers(dest="power_command", required=True)
-
-    power_list = power_sub.add_parser(
-        "list", help="show estimated chip peaks and the default cap ladders"
-    )
-    power_list.add_argument(
-        "--num-workers", type=int, nargs="+", default=None, metavar="N",
-        help="die sizes to price (default: 16 64 256)",
-    )
-
-    power_sweep = power_sub.add_parser(
-        "sweep",
-        help="run an app at several chip power caps via the orchestrator",
-    )
-    power_sweep.add_argument("--app", default="histogram", choices=APP_NAMES)
     power_sweep.add_argument(
         "--caps", type=float, nargs="+", default=None, metavar="W",
+        action=_Distinct,
         help="chip caps in watts (default: 90/75/60/45%% of the "
         "estimated uncapped chip peak)",
     )
-    power_sweep.add_argument("--scale", type=float, default=1.0)
-    power_sweep.add_argument("--seed", type=int, default=7)
-    power_sweep.add_argument("--num-workers", type=int, default=64)
     power_sweep.add_argument(
         "--plan", default=None, metavar="FILE",
         help="compose every cap level with this fault plan (canonical "
         "JSON file), demonstrating the cap x fault product",
     )
-    power_sweep.add_argument("--jobs", type=int, default=1)
-    power_sweep.add_argument("--cache-dir", default=None)
-    power_sweep.add_argument(
-        "--manifest", default=None,
-        help="save the campaign's run manifest (JSON) to this path; a "
-        "sibling .trace.json with the per-unit timeline is written too",
-    )
-    power_sweep.add_argument(
-        "--report", default=None,
-        help="write the markdown power-cap frontier section to this path",
-    )
+    _command(power, "export", _power_export,
+             "export the default cap ladders as markdown or JSON",
+             export, die_sizes)
 
-    power_export = power_sub.add_parser(
-        "export", help="export the default cap ladders as markdown or JSON"
-    )
-    power_export.add_argument(
-        "--output", default=None, help="write to file (default: stdout)"
-    )
-    power_export.add_argument(
-        "--format", choices=("md", "json"), default="md"
-    )
-    power_export.add_argument(
-        "--num-workers", type=int, nargs="+", default=None, metavar="N",
-        help="die sizes to price (default: 16 64 256)",
-    )
-
-    topology = sub.add_parser("topology", help="render an app's WiNoC")
+    topology = _command(sub, "topology", _cmd_topology,
+                        "render an app's WiNoC", study)
     topology.add_argument("app", choices=APP_NAMES)
-    topology.add_argument("--scale", type=float, default=1.0)
-    topology.add_argument("--seed", type=int, default=7)
     topology.add_argument(
         "--methodology", choices=("max_wireless", "min_hop"), default="max_wireless"
     )
     return parser
 
 
-def _cmd_list_apps() -> int:
+def _cmd_list_apps(args) -> int:
     print(table1_datasets())
     return 0
 
@@ -500,6 +449,25 @@ def _print_progress(record) -> None:
     print(line, file=sys.stderr)
 
 
+def _write_or_print(text: str, path: Optional[str], what: str, end: str = "") -> None:
+    """Write *text* to *path* and say so, or print it when no path is given."""
+    if path:
+        with open(path, "w") as handle:
+            handle.write(text)
+        print(f"{what} written to {path}")
+    else:
+        print(text, end=end)
+
+
+def _save_manifest(manifest, path: str) -> None:
+    """Save a campaign's run manifest plus its sibling .trace.json timeline."""
+    manifest_path = pathlib.Path(path)
+    manifest.save(manifest_path)
+    trace_path = manifest_path.with_suffix(".trace.json")
+    manifest.save_trace(trace_path)
+    print(f"run manifest saved to {manifest_path} (+ {trace_path})")
+
+
 def _cmd_report(args) -> int:
     from repro.analysis.figures import collect_studies
     from repro.analysis.report import generate_report
@@ -511,13 +479,8 @@ def _cmd_report(args) -> int:
         cache_dir=args.cache_dir,
         progress=_print_progress,
     )
-    text = generate_report(studies=studies, scale=args.scale, seed=args.seed)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
-        print(f"report written to {args.output}")
-    else:
-        print(text)
+    text = generate_report(studies, args.scale, args.seed)
+    _write_or_print(text, args.output, "report", end="\n")
     return 0
 
 
@@ -572,14 +535,9 @@ def _cmd_sweep(args) -> int:
             }
         )
     print(format_table(rows))
-    if args.manifest and sweep.manifest is not None:
-        import pathlib
-
-        manifest_path = pathlib.Path(args.manifest)
-        sweep.manifest.save(manifest_path)
-        trace_path = manifest_path.with_suffix(".trace.json")
-        sweep.manifest.save_trace(trace_path)
-        print(f"\nrun manifest saved to {manifest_path} (+ {trace_path})")
+    if args.manifest:
+        print()
+        _save_manifest(sweep.manifest, args.manifest)
     return 0
 
 
@@ -644,7 +602,7 @@ def _load_fault_plan(path):
 
 
 def _cmd_faults(args) -> int:
-    from repro.analysis.report import DEGRADATION_COLUMNS, degradation_rows
+    from repro.analysis.report import degradation_rows
     from repro.faults import preset_plan
     from repro.orchestrator.executor import run_campaign
     from repro.orchestrator.spec import StudySpec
@@ -698,13 +656,7 @@ def _cmd_faults(args) -> int:
     print(format_table(degradation_rows(clean, faulted)))
 
     if args.manifest:
-        import pathlib
-
-        manifest_path = pathlib.Path(args.manifest)
-        campaign.manifest.save(manifest_path)
-        trace_path = manifest_path.with_suffix(".trace.json")
-        campaign.manifest.save_trace(trace_path)
-        print(f"run manifest saved to {manifest_path} (+ {trace_path})")
+        _save_manifest(campaign.manifest, args.manifest)
 
     if args.trace:
         from repro.telemetry import RecordingTracer, use_tracer
@@ -726,15 +678,14 @@ def _cmd_faults(args) -> int:
 
 
 def _cluster_run(args) -> int:
-    from repro.analysis.tables import format_table
+    from repro.analysis.report import cluster_rows
     from repro.cluster import (
         ArrivalTrace,
+        ClusterService,
         fleet_for,
         preset_trace,
-        run_workload,
         scheduler_names,
     )
-    from repro.analysis.report import CLUSTER_COLUMNS, cluster_rows
     from repro.utils.jsonutil import load_json_object
 
     if args.trace is not None:
@@ -754,6 +705,15 @@ def _cluster_run(args) -> int:
         policies = scheduler_names()
     else:
         policies = [args.policy]
+    # One service per policy, all built before the banner: the service
+    # vets the policy name, the queue bound and the prefetch width.
+    services = [
+        ClusterService(
+            fleet, policy=policy, cache=args.cache_dir,
+            max_queue_depth=args.queue_depth, prefetch_jobs=args.jobs,
+        )
+        for policy in policies
+    ]
 
     print(
         f"workload {trace.name} (seed {trace.seed}, {len(trace)} jobs, "
@@ -769,12 +729,10 @@ def _cluster_run(args) -> int:
             "backoff_cap_s": args.backoff_cap,
         }
     results = []
-    for policy in policies:
-        result = run_workload(
-            trace, fleet, policy=policy, cache=args.cache_dir,
-            max_queue_depth=args.queue_depth,
-            source=args.source, source_options=source_options,
-            prefetch_jobs=args.jobs,
+    while services:
+        # Popped, so each policy's study memo is freed after its run.
+        result = services.pop(0).run(
+            trace, source=args.source, source_options=source_options
         )
         stats = result.study_stats
         extras = ""
@@ -784,7 +742,7 @@ def _cluster_run(args) -> int:
                 f"{result.report.preemptions} preemptions"
             )
         print(
-            f"{policy}: {result.report.completed} completed, "
+            f"{result.policy}: {result.report.completed} completed, "
             f"{stats['computed']} studies simulated, "
             f"{stats['cache_hits']} cache hits{extras} "
             f"(digest {result.replay_digest[:12]})",
@@ -798,8 +756,6 @@ def _cluster_run(args) -> int:
             handle.write(trace.to_json() + "\n")
         print(f"arrival trace written to {args.export_trace}", file=sys.stderr)
     if args.record:
-        import pathlib
-
         base = pathlib.Path(args.record)
         for result in results:
             if len(results) == 1:
@@ -844,23 +800,8 @@ def _cluster_report(args) -> int:
     from repro.cluster.record import ClusterRunResult
 
     results = [ClusterRunResult.load(path) for path in args.record]
-    text = cluster_section(results)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
-        print(f"cluster report written to {args.output}")
-    else:
-        print(text, end="")
+    _write_or_print(cluster_section(results), args.output, "cluster report")
     return 0
-
-
-def _cmd_cluster(args) -> int:
-    handlers = {
-        "run": _cluster_run,
-        "replay": _cluster_replay,
-        "report": _cluster_report,
-    }
-    return handlers[args.cluster_command](args)
 
 
 def _tech_list(args) -> int:
@@ -927,9 +868,13 @@ def _tech_frontier(args) -> int:
     nodes = tuple(args.nodes) if args.nodes else TECH_DEFAULT_NODES
     mixes = tuple(args.mixes) if args.mixes else TECH_DEFAULT_MIXES
     caps = tuple(args.caps) if args.caps else TECH_DEFAULT_CAPS_W
-    # Vet the axes up front so a typo fails before the campaign starts.
+    # Vet the axes up front so a typo or a non-positive cap fails before
+    # the campaign starts.
     for node in nodes:
         get_node(node, args.variant)
+    for cap in caps:
+        if cap <= 0:
+            raise ValueError(f"chip_cap_w must be > 0, got {cap}")
     sweep = [
         TechSpec(node=node, variant=args.variant, cores=mix)
         for node in nodes
@@ -966,21 +911,16 @@ def _tech_frontier(args) -> int:
     print(format_table(tech_study_rows(tech_studies)))
 
     if args.report:
-        text = tech_section(
-            tech_studies, nodes=nodes, mixes=mixes, caps_w=caps,
-            num_cores=args.num_workers, variant=args.variant,
+        print()
+        _write_or_print(
+            tech_section(
+                tech_studies, nodes=nodes, mixes=mixes, caps_w=caps,
+                num_cores=args.num_workers, variant=args.variant,
+            ),
+            args.report, "tech report",
         )
-        with open(args.report, "w") as handle:
-            handle.write(text)
-        print(f"\ntech report written to {args.report}")
     if args.manifest:
-        import pathlib
-
-        manifest_path = pathlib.Path(args.manifest)
-        campaign.manifest.save(manifest_path)
-        trace_path = manifest_path.with_suffix(".trace.json")
-        campaign.manifest.save_trace(trace_path)
-        print(f"run manifest saved to {manifest_path} (+ {trace_path})")
+        _save_manifest(campaign.manifest, args.manifest)
     return 0
 
 
@@ -1024,54 +964,26 @@ def _tech_export(args) -> int:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         text = tech_section(nodes=nodes, variant=args.variant)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
-        print(f"tech tables written to {args.output}")
-    else:
-        print(text, end="")
+    _write_or_print(text, args.output, "tech tables")
     return 0
-
-
-def _cmd_tech(args) -> int:
-    handlers = {
-        "list": _tech_list,
-        "frontier": _tech_frontier,
-        "export": _tech_export,
-    }
-    return handlers[args.tech_command](args)
 
 
 #: Die sizes the ``power list`` / ``power export`` ladders price.
 POWER_DIE_SIZES = (16, 64, 256)
 
 
-def _power_ladder_rows(sizes) -> list:
-    from repro.power import chip_peak_power_w, default_caps_w
-
-    rows = []
-    for workers in sizes:
-        peak = chip_peak_power_w(workers)
-        caps = default_caps_w(workers)
-        rows.append(
-            {
-                "cores": workers,
-                "est. peak (W)": f"{peak:.1f}",
-                "default caps (W)": " ".join(f"{cap:g}" for cap in caps),
-            }
-        )
-    return rows
-
-
 def _power_list(args) -> int:
+    from repro.analysis.report import power_ladder_rows
     from repro.power import DEFAULT_CAP_FRACTIONS
 
     sizes = tuple(args.num_workers) if args.num_workers else POWER_DIE_SIZES
+    # Price every die before printing, so a bad size prints nothing.
+    rows = power_ladder_rows(sizes)
     print(
         "default sweep caps are fractions of the estimated uncapped chip "
         "peak: " + " ".join(f"{f:g}" for f in DEFAULT_CAP_FRACTIONS)
     )
-    print(format_table(_power_ladder_rows(sizes)))
+    print(format_table(rows))
     return 0
 
 
@@ -1097,22 +1009,15 @@ def _power_sweep(args) -> int:
     print(format_table(power_frontier_table(cap_studies)))
 
     if args.report:
-        text = power_section(cap_studies)
-        with open(args.report, "w") as handle:
-            handle.write(text)
-        print(f"\npower report written to {args.report}")
+        print()
+        _write_or_print(power_section(cap_studies), args.report, "power report")
     if args.manifest:
-        import pathlib
-
-        manifest_path = pathlib.Path(args.manifest)
-        campaign.manifest.save(manifest_path)
-        trace_path = manifest_path.with_suffix(".trace.json")
-        campaign.manifest.save_trace(trace_path)
-        print(f"run manifest saved to {manifest_path} (+ {trace_path})")
+        _save_manifest(campaign.manifest, args.manifest)
     return 0
 
 
 def _power_export(args) -> int:
+    from repro.analysis.report import power_ladder_section
     from repro.power import DEFAULT_CAP_FRACTIONS
 
     sizes = tuple(args.num_workers) if args.num_workers else POWER_DIE_SIZES
@@ -1134,41 +1039,12 @@ def _power_export(args) -> int:
         }
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        from repro.analysis.report import _md_table
-
-        text = (
-            "## Power-cap ladders — estimated peaks and default sweep "
-            "caps\n\n"
-            "Default sweep fractions of the estimated uncapped chip "
-            "peak: "
-            + ", ".join(f"{f:g}" for f in DEFAULT_CAP_FRACTIONS)
-            + ".\n\n"
-            + _md_table(
-                _power_ladder_rows(sizes),
-                ["cores", "est. peak (W)", "default caps (W)"],
-            )
-            + "\n"
-        )
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
-        print(f"power ladders written to {args.output}")
-    else:
-        print(text, end="")
+        text = power_ladder_section(sizes)
+    _write_or_print(text, args.output, "power ladders")
     return 0
 
 
-def _cmd_power(args) -> int:
-    handlers = {
-        "list": _power_list,
-        "sweep": _power_sweep,
-        "export": _power_export,
-    }
-    return handlers[args.power_command](args)
-
-
 def _cmd_topology(args) -> int:
-    from repro.core.experiment import NVFI_MESH
     from repro.core.platforms import build_vfi_winoc
     from repro.noc.visualize import describe_topology, render_vf_map
     from repro.utils.rng import spawn_seed
@@ -1191,28 +1067,10 @@ def _cmd_topology(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "list-apps": lambda args: _cmd_list_apps(),
-    "run-study": _cmd_run_study,
-    "design": _cmd_design,
-    "report": _cmd_report,
-    "sweep": _cmd_sweep,
-    "trace": _cmd_trace,
-    "faults": _cmd_faults,
-    "cluster": _cmd_cluster,
-    "tech": _cmd_tech,
-    "power": _cmd_power,
-    "topology": _cmd_topology,
-}
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    handler = _COMMANDS.get(args.command)
-    if handler is None:
-        raise AssertionError(f"unhandled command {args.command!r}")
     try:
-        return handler(args)
+        return args.handler(args)
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
         # Bad arguments that argparse cannot vet (out-of-range scales,
         # non-square die sizes, unwritable output paths, failed campaign

@@ -9,7 +9,9 @@ discrete-event mechanics live one layer down in
 event heap of :mod:`repro.cluster.events`; the service wires a fresh
 engine per run, carries the persistent pieces across runs (the
 :class:`~repro.cluster.costmodel.CostModel` memo and the policy), and
-folds the engine's records into the SLO report and run record.
+folds the engine's records into the SLO report and run record.  The
+engine is also the :class:`~repro.cluster.policies.SchedulingContext`
+the policy observes; outside a run, ask ``service.cost_model.estimate``.
 
 Determinism contract (unchanged by the engine refactor): events advance
 to exact float minima, completions at a timestamp are applied before
@@ -24,13 +26,12 @@ tests).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Union
+from typing import Dict, Optional, Union
 
 from repro.cluster.arrivals import ArrivalTrace, Source, make_source
-from repro.cluster.costmodel import CostModel, JobEstimate
+from repro.cluster.costmodel import CostModel
 from repro.cluster.engine import ClusterEngine
-from repro.cluster.fleet import ChipSpec, Fleet
-from repro.cluster.jobs import ClusterJob
+from repro.cluster.fleet import Fleet
 from repro.cluster.metrics import slo_report
 from repro.cluster.policies import ClusterScheduler, create_scheduler
 from repro.cluster.record import ClusterRunResult
@@ -68,32 +69,6 @@ class ClusterService:
         #: When set, each run resolves its distinct (study, chip-class)
         #: units through one parallel orchestrator batch up front.
         self.prefetch_jobs = prefetch_jobs
-        # Residency is part of the SchedulingContext the policy observes
-        # (estimate/transfer_s/is_resident), so it must exist from
-        # construction -- policies probe costs before the first run()
-        # and between runs.  run() replaces it with the engine's view:
-        # residency is per-trace.
-        self._resident: Dict[int, Set[str]] = {
-            chip.chip_id: set() for chip in self.fleet
-        }
-
-    # ------------------------------------------------------------------ #
-    # the SchedulingContext the policy observes (between runs; during a
-    # run the engine itself is the context)
-    # ------------------------------------------------------------------ #
-
-    def estimate(self, job: ClusterJob, chip: ChipSpec) -> JobEstimate:
-        return self.cost_model.estimate(job, chip)
-
-    def transfer_s(self, job: ClusterJob, chip: ChipSpec) -> float:
-        if self.is_resident(job, chip):
-            return 0.0
-        return self.fleet.transfer_s(job.input_mb)
-
-    def is_resident(self, job: ClusterJob, chip: ChipSpec) -> bool:
-        return job.dataset_key in self._resident.get(chip.chip_id, set())
-
-    # ------------------------------------------------------------------ #
 
     def run(
         self,
@@ -123,7 +98,6 @@ class ClusterService:
             prefetch_jobs=self.prefetch_jobs,
         )
         ordered = engine.run(src)
-        self._resident = engine.resident
         report = slo_report(self.policy.name, ordered, self.fleet)
         return ClusterRunResult(
             trace=src.trace,

@@ -41,3 +41,13 @@ def test_report_markdown_tables_well_formed(report_text):
     for line in report_text.splitlines():
         if line.startswith("|") and not line.startswith("|-"):
             assert line.endswith("|"), line
+
+
+def test_generate_report_takes_only_the_paper_inputs():
+    # Sections beyond the paper (faults, cluster, tech, power) are public
+    # functions that callers append; the report itself renders studies.
+    import inspect
+
+    assert list(inspect.signature(generate_report).parameters) == [
+        "studies", "scale", "seed",
+    ]

@@ -161,7 +161,26 @@ def test_malformed_input_is_one_line_exit_2(
     rc = main(argv)
     captured = capsys.readouterr()
     assert rc == 2
+    assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1, captured.err
     assert lines[0].startswith(f"repro: error: {path}: member {member!r}")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--policy", "bogus"], "unknown scheduler 'bogus'"),
+        (["--queue-depth", "0"], "max_queue_depth must be >= 1, got 0"),
+        (["--jobs", "0"], "prefetch_jobs must be >= 1, got 0"),
+    ],
+)
+def test_bad_run_arguments_fail_before_the_banner(capsys, flags, message):
+    rc = main(["cluster", "run"] + flags)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith(f"repro: error: {message}")

@@ -11,7 +11,7 @@ import pathlib
 
 import pytest
 
-from repro.analysis.report import CLUSTER_COLUMNS, cluster_section
+from repro.analysis.report import cluster_section
 from repro.cluster import (
     ArrivalTrace,
     ClusterJob,
@@ -177,7 +177,6 @@ class TestSpeedScaleCriterion:
         assert "deadline_demo" in section
         assert "| edf " in section and "| speed_scale " in section
         assert "goodput (/ks)" in section
-        assert "goodput (/ks)" in CLUSTER_COLUMNS
 
     def test_scaled_run_replays_byte_identical(self, runs, study_cache):
         _, scaled = runs

@@ -164,8 +164,8 @@ class TestFaultComposition:
         fleet = fleet_for(2, num_workers=16, fault_plans=[plan, None])
         service = ClusterService(fleet, "fifo", cache=study_cache)
         job = smoke_trace.jobs[0]
-        degraded = service.estimate(job, fleet.chip(0))
-        clean = service.estimate(job, fleet.chip(1))
+        degraded = service.cost_model.estimate(job, fleet.chip(0))
+        clean = service.cost_model.estimate(job, fleet.chip(1))
         assert degraded.service_s > clean.service_s
         # The faulty chip resolves to a distinct cached study.
         assert job.spec_for(fleet.chip(0)) != job.spec_for(fleet.chip(1))
@@ -251,33 +251,12 @@ class TestPolicyMisbehavior:
 
 
 class TestContextBeforeRun:
-    def test_context_queries_work_before_first_run(
-        self, smoke_trace, small_fleet, study_cache
-    ):
-        # estimate/transfer_s/is_resident form the SchedulingContext a
-        # policy probes; they used to crash with AttributeError before
-        # the first run() because residency state was created lazily.
-        service = ClusterService(small_fleet, "fifo", cache=study_cache)
-        job = smoke_trace.jobs[0]
-        chip = next(iter(small_fleet))
-        assert service.is_resident(job, chip) is False
-        assert service.transfer_s(job, chip) == pytest.approx(
-            small_fleet.transfer_s(job.input_mb)
-        )
-        assert service.estimate(job, chip).service_s > 0.0
-
     def test_residency_resets_between_runs(
         self, smoke_trace, small_fleet, study_cache
     ):
         service = ClusterService(small_fleet, "fifo", cache=study_cache)
         first = service.run(smoke_trace)
-        served = [r for r in first.records if r.status == COMPLETED]
-        # After a run the served datasets are resident on their chips...
-        assert any(
-            service.is_resident(r.job, small_fleet.chip(r.chip_id))
-            for r in served
-        )
-        # ...but a new run starts cold: stale residency must not leak
+        # A new run starts cold: the first run's residency must not leak
         # into the second trace's transfer charges.
         second = service.run(smoke_trace)
         assert [r.transfer_s for r in second.records] == [

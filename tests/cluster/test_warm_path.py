@@ -178,7 +178,7 @@ def test_estimates_equal_the_spec_study_result_path(config):
 
 def test_repeat_estimates_build_no_study_spec(monkeypatch):
     """One StudySpec per (job class, chip class), shared by the run and
-    by ``ClusterService.estimate`` between runs."""
+    by ``service.cost_model.estimate`` between runs."""
     fleet = Fleet(
         chips=(ChipSpec(chip_id=0), ChipSpec(chip_id=1), ChipSpec(chip_id=2))
     )
@@ -190,14 +190,14 @@ def test_repeat_estimates_build_no_study_spec(monkeypatch):
     trace = ArrivalTrace(name="one-class", seed=1, jobs=jobs)
     model = CostModel(FakeStudyCache())
     service = ClusterService(fleet, policy="edf", cost_model=model)
-    first = service.estimate(jobs[0], fleet.chips[0])
+    first = service.cost_model.estimate(jobs[0], fleet.chips[0])
 
     def refuse(self, chip):
         raise AssertionError("a repeat estimate built a StudySpec")
 
     monkeypatch.setattr(ClusterJob, "spec_for", refuse)
     result = service.run(trace)
-    assert service.estimate(jobs[5], fleet.chips[2]) == first
+    assert service.cost_model.estimate(jobs[5], fleet.chips[2]) == first
     assert model.cache.gets == 1
     # Each call after the first counts as the memo hit it used to be.
     calls = result.study_stats["memo_hits"]

@@ -71,6 +71,16 @@ def test_sweep_seed_parameter(tmp_path, capsys):
     assert "cached" in err
 
 
+def test_sweep_runs_each_repeated_value_once(tmp_path, capsys):
+    assert main([
+        "sweep", "histogram", "--parameter", "size", "--values", "16", "16",
+        "--scale", "0.05", "--cache-dir", str(tmp_path / "cache"),
+    ]) == 0
+    captured = capsys.readouterr()
+    assert "sweep over num_workers = [16]" in captured.out
+    assert captured.err.count(": computed") == 1
+
+
 def test_sweep_rejects_unknown_app():
     with pytest.raises(SystemExit):
         main(["sweep", "sorting"])

@@ -77,5 +77,18 @@ def test_power_errors_are_one_line_on_stderr(capsys, argv):
     rc = main(argv)
     captured = capsys.readouterr()
     assert rc == 2
+    assert captured.out == ""
     assert captured.err.startswith("repro: error: ")
     assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_power_sweep_runs_each_repeated_cap_once(capsys, tmp_path):
+    rc = main([
+        "power", "sweep", "--caps", "20", "20", "--scale", "0.05",
+        "--seed", "9", "--num-workers", "16",
+        "--cache-dir", str(tmp_path / "cache"),
+    ])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert "uncapped baseline + 1 cap levels" in captured.out
+    assert captured.err.count(": computed") == 2  # baseline + one cap

@@ -75,11 +75,28 @@ def test_tech_frontier_end_to_end(capsys, tmp_path):
         ["tech", "frontier", "--mixes", "vliw", "--num-workers", "16",
          "--scale", "0.05"],
         ["tech", "export", "--nodes", "bogus"],
+        # A non-positive cap is refused before any study runs.
+        ["tech", "frontier", "--caps", "0", "-5", "--num-workers", "16",
+         "--scale", "0.05"],
     ],
 )
 def test_tech_errors_are_one_line_on_stderr(capsys, argv):
     rc = main(argv)
     captured = capsys.readouterr()
     assert rc == 2
+    assert captured.out == ""
     assert captured.err.startswith("repro: error: ")
     assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_frontier_runs_each_repeated_node_once(capsys, tmp_path):
+    rc = main([
+        "tech", "frontier", "--nodes", "45nm", "45nm", "--mixes", "ooo",
+        "--caps", "40", "40", "--scale", "0.05", "--seed", "9",
+        "--num-workers", "16", "--cache-dir", str(tmp_path / "cache"),
+    ])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert "1 technology configurations (1 nodes x 1 mixes" in captured.out
+    assert captured.out.count("45nm | itrs    | ooo | 40") == 1
+    assert captured.err.count(": computed") == 1
