@@ -25,7 +25,7 @@ from repro.noc.placement import (
     center_wireless_placement,
     optimize_wireless_placement,
 )
-from repro.noc.routing import RoutingTable, build_routing_table, xy_route
+from repro.noc.routing import RoutingTable, build_routing_table
 from repro.noc.smallworld import SmallWorldConfig, build_small_world
 from repro.noc.topology import (
     GridGeometry,
@@ -55,7 +55,6 @@ __all__ = [
     "assign_wireless_links",
     "RoutingTable",
     "build_routing_table",
-    "xy_route",
     "FlowNetworkModel",
     "NetworkLoad",
     "PacketClass",

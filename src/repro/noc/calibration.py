@@ -69,10 +69,10 @@ def channel_utilizations(
         raise ValueError(
             f"traffic {traffic_rate_bps.shape} does not match {n} nodes"
         )
-    # One add_flow per positive-rate pair, in (src, dst) order: every
+    # One flow per positive-rate pair, in (src, dst) order: every
     # crossing adds the pair's rate to its channel.  bincount adds in
     # entry order, and csr rows run in pair order, so each channel sums
-    # exactly the sequence of rates a per-pair add_flow loop would.
+    # exactly the sequence of rates a per-pair registration loop would.
     channels = model._flow_usage()[:, 2 * len(topology.links):]
     crossings = channels.data.astype(np.intp)
     pairs = np.repeat(np.arange(n * n), np.diff(channels.indptr))

@@ -1,24 +1,29 @@
-"""Vectorized all-pairs latency evaluation.
+"""The all-pairs NoC tables: latency, capacity and transfer energy.
 
-:meth:`repro.noc.network.FlowNetworkModel.latency` walks a path per call;
-the system simulator needs all-pairs latencies for several packet classes
-at every phase relaxation, which would cost ~10^4 path walks per refresh.
+These tables are the flow model's evaluation (:mod:`repro.noc.network`
+states the formulas).  The system simulator needs all-pairs latencies
+for several packet classes at every phase relaxation, which per-packet
+path walks would turn into ~10^4 walks per refresh.
 :class:`DenseLatencyModel` precomputes the load-independent pieces
 (router pipeline, wire traversal, synchronizers, wireless propagation and
 token overhead) per (src, dst) pair once, and reduces the load-dependent
 pieces to one sparse mat-vec (queueing) plus a ragged min (bottleneck
 capacity) over shared *resources* -- directed wire links and wireless
-channels.
+channels.  :class:`PairwiseEnergy` prices a transfer's energy per pair
+the same way.
 
 Both classes build their tables in one pass of the forward route walk
 (:func:`repro.noc.pathwalk.route_blocks`), adding each hop's terms in
 path order; ``NocParams.dense_block_nodes`` picks the source block size
 and float32 storage (:func:`repro.noc.pathwalk.table_layout`).
 ``tests/noc/test_table_oracles.py`` asserts the tables equal those of
-the per-pair and blocked reference builders bit for bit.  Tables are
-keyed by routing, not by message class
-(:meth:`repro.noc.network.FlowNetworkModel.routing_key`): where the bulk
-class routes like the latency class (every mesh), both share one set.
+the per-pair and blocked reference builders bit for bit, and
+``tests/noc/test_dense.py`` checks every pair's loaded latency, path
+capacity and transfer energy against the per-packet path walk of
+``tests/noc/path_oracle.py``.  Tables are keyed by routing, not by
+message class (:meth:`repro.noc.network.FlowNetworkModel.routing_key`):
+where the bulk class routes like the latency class (every mesh), both
+share one set.
 
 A load refresh is split into the pieces its consumers read --
 :meth:`DenseLatencyModel.utilization`,
@@ -285,9 +290,8 @@ class PairwiseEnergy:
     """Load-independent per-pair transfer energy, hops and wireless share.
 
     Path energy per bit never depends on load, so it is precomputed for
-    every (src, dst) pair; recording a transfer is then O(1) while still
-    feeding the same counters as
-    :meth:`repro.noc.energy.NocEnergyModel.transfer_energy`.
+    every (src, dst) pair; recording a transfer is then O(1) and feeds
+    the model's :class:`repro.noc.energy.NocEnergyModel` counters.
     """
 
     def __init__(self, model: FlowNetworkModel, bulk: bool = False):
@@ -343,7 +347,7 @@ class PairwiseEnergy:
         return energy_per_bit, hops, wireless_links
 
     def record(self, src: int, dst: int, bits: float) -> float:
-        """O(1) equivalent of ``model.record_transfer(src, dst, bits)``."""
+        """Account the energy (J) of moving *bits* from *src* to *dst*."""
         if bits < 0:
             raise ValueError(f"bits must be >= 0, got {bits}")
         if src == dst or bits == 0:
@@ -355,10 +359,17 @@ class PairwiseEnergy:
         counters.bit_hops += bits * self.hops[src, dst]
         counters.wireless_bits += bits * self.wireless_links[src, dst]
         if self.model._tracer.enabled:
-            # Path lists are cached, so this is a lookup + O(hops) loop;
-            # with the default NullTracer it costs one attribute check.
-            links, _ = self.model._path(src, dst, bulk=self.bulk)
-            self.model._count_flits(links, bits)
+            # The pair's directed-link columns of its flow-usage row, one
+            # per hop on link ``col // 2``; with the default NullTracer
+            # this costs one attribute check.
+            usage = self.model._flow_usage(self.bulk)
+            pair = src * self.model.topology.num_nodes + dst
+            links = self.model.topology.links
+            self.model._count_flits([
+                links[col // 2]
+                for col in usage.indices[usage.indptr[pair]:usage.indptr[pair + 1]]
+                if col < 2 * len(links)
+            ], bits)
         return energy
 
     def record_aggregate(

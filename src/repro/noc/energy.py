@@ -19,10 +19,7 @@ long-range transfer moved onto a wireless shortcut saves energy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
-from repro.noc.topology import Link, LinkKind
-from repro.utils.units import PJ
 from repro.utils.validation import check_positive
 
 
@@ -42,12 +39,13 @@ class NocEnergyParams:
 
 
 class NocEnergyModel:
-    """Accumulates dynamic NoC energy per transfer.
+    """Dynamic NoC energy counters and the switch leakage model.
 
     Dynamic energy of moving *bits* along a path is the sum of a router
     traversal per hop (plus the ejection router) and the link-specific
-    transport term.  Static energy is charged per switch over the elapsed
-    simulated time by :meth:`static_energy`.
+    transport term; :class:`repro.noc.dense.PairwiseEnergy` prices it per
+    pair and accumulates into these counters.  Static energy is charged
+    per switch over the elapsed simulated time by :meth:`static_energy`.
     """
 
     def __init__(self, params: NocEnergyParams = NocEnergyParams()):
@@ -56,31 +54,6 @@ class NocEnergyModel:
         self.bits_moved = 0.0
         self.bit_hops = 0.0
         self.wireless_bits = 0.0
-
-    def transfer_energy(self, links: Iterable[Link], bits: float) -> float:
-        """Energy (J) to move *bits* along *links*; also accumulates."""
-        if bits < 0:
-            raise ValueError(f"bits must be >= 0, got {bits}")
-        params = self.params
-        energy_pj = 0.0
-        hops = 0
-        wireless_bits = 0.0
-        for link in links:
-            hops += 1
-            energy_pj += params.router_pj_per_bit * bits
-            if link.kind is LinkKind.WIRELESS:
-                energy_pj += params.wireless_pj_per_bit * bits
-                wireless_bits += bits
-            else:
-                energy_pj += params.wire_pj_per_bit_per_mm * link.length_mm * bits
-        # Ejection router at the destination.
-        energy_pj += params.router_pj_per_bit * bits
-        energy = energy_pj * PJ
-        self.dynamic_joules += energy
-        self.bits_moved += bits
-        self.bit_hops += bits * hops
-        self.wireless_bits += wireless_bits
-        return energy
 
     def static_energy(
         self, num_switches: int, elapsed_s: float, voltage_scale: float = 1.0
@@ -94,21 +67,3 @@ class NocEnergyModel:
             * num_switches
             * elapsed_s
         )
-
-    @property
-    def average_hops(self) -> float:
-        if self.bits_moved == 0:
-            return 0.0
-        return self.bit_hops / self.bits_moved
-
-    @property
-    def wireless_fraction(self) -> float:
-        if self.bits_moved == 0:
-            return 0.0
-        return self.wireless_bits / self.bits_moved
-
-    def reset(self) -> None:
-        self.dynamic_joules = 0.0
-        self.bits_moved = 0.0
-        self.bit_hops = 0.0
-        self.wireless_bits = 0.0

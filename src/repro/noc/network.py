@@ -7,10 +7,11 @@ modeled at the *flow* level, the standard analytic approach for NoC
 design-space exploration:
 
 * Every (source, destination) pair uses one deterministic path (XY on the
-  mesh, weighted shortest path on the WiNoC).
+  mesh, weighted shortest path on the WiNoC), which its routing's
+  predecessor matrix encodes.
 * During each execution phase the simulator registers the phase's traffic
-  as flows (bits/s); the model attributes them to link *directions* and
-  to shared wireless channels.
+  as flows (bits/s, :meth:`FlowNetworkModel.add_flows`); the model
+  attributes them to link *directions* and to shared wireless channels.
 * Per-hop latency = router pipeline (at the switch's VFI clock) + link
   traversal (wire clocked by the slower adjacent domain, or wireless
   propagation + token overhead) + an M/D/1-style queueing term driven by
@@ -20,8 +21,15 @@ design-space exploration:
   + payload serialization at the path's raw bottleneck line rate (the
   queueing term already accounts for contention; degrading the
   serialization rate too would double-count it).  Bulk *streams* instead
-  see the utilization-degraded effective capacity
-  (:meth:`FlowNetworkModel.path_capacity`).
+  see the utilization-degraded effective capacity.
+
+:class:`FlowNetworkModel` holds the fabric, its clocks, the current loads
+and the energy counters.  The all-pairs tables of :mod:`repro.noc.dense`
+are the model's only evaluation: they compute the latency, capacity and
+transfer energy of every pair from one walk of the routing, and
+:meth:`FlowNetworkModel._flow_usage` maps pairs onto resources.
+``tests/noc/path_oracle.py`` keeps the per-packet path walk as the
+reference they are checked against.
 
 VFI clocking matters twice: lowering a cluster's V/F slows its routers
 (raising inter-cluster latency through it), and the mesh baseline pays it
@@ -32,7 +40,7 @@ sidesteps with single-hop long-range links.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -144,14 +152,11 @@ class FlowNetworkModel:
         self.params = params
         self.wireless = wireless
         self.energy = NocEnergyModel(energy_params)
-        self._link_index: Dict[frozenset, int] = {
-            link.key: index for index, link in enumerate(topology.links)
-        }
         # Wireless channel ids index directly into the shared channel-load
         # table, so an out-of-range id would either IndexError deep inside
-        # add_flow mid-simulation or (with num_channels == 0, where the
-        # table keeps a single placeholder row) silently alias every
-        # channel onto row 0.  Fail at construction instead.
+        # flow registration mid-simulation or (with num_channels == 0,
+        # where the table keeps a single placeholder row) silently alias
+        # every channel onto row 0.  Fail at construction instead.
         for link in topology.links:
             if link.kind is not LinkKind.WIRELESS:
                 continue
@@ -180,9 +185,6 @@ class FlowNetworkModel:
         #: (message-class routing, as with protocol-class virtual
         #: channels).  Defaults to the latency routing (mesh platforms).
         self.bulk_routing = bulk_routing or routing
-        # Path caches: (src, dst) -> (links, directions)
-        self._path_cache: Dict[Tuple[int, int], Tuple[List[Link], List[int]]] = {}
-        self._bulk_path_cache: Dict[Tuple[int, int], Tuple[List[Link], List[int]]] = {}
         #: Cross-instance cache for load-independent precomputes (batch
         #: flow-usage matrices, dense latency tables, pairwise energy).
         #: :meth:`repro.sim.platform.Platform.build_network` hands every
@@ -213,20 +215,6 @@ class FlowNetworkModel:
     def reset_flows(self) -> None:
         self.load.clear()
 
-    def add_flow(
-        self, src: int, dst: int, bits_per_s: float, bulk: bool = False
-    ) -> None:
-        """Register sustained traffic from *src* to *dst*."""
-        if bits_per_s < 0:
-            raise ValueError(f"bits_per_s must be >= 0, got {bits_per_s}")
-        if src == dst or bits_per_s == 0:
-            return
-        for link, direction in zip(*self._path(src, dst, bulk=bulk)):
-            index = self._link_index[link.key]
-            self.load.link_load[index, direction] += bits_per_s
-            if link.kind is LinkKind.WIRELESS:
-                self.load.channel_load[link.channel] += bits_per_s
-
     def add_flows(
         self,
         src: Sequence[int],
@@ -234,7 +222,8 @@ class FlowNetworkModel:
         bits_per_s: Sequence[float],
         bulk: bool = False,
     ) -> None:
-        """Batch :meth:`add_flow`: register many flows in one mat-vec.
+        """Register sustained traffic: ``bits_per_s[i]`` from ``src[i]``
+        to ``dst[i]``, every hop of the pair's path loaded once.
 
         The per-pair rates are accumulated per distinct active pair and
         scattered onto directed links and wireless channels through
@@ -242,8 +231,7 @@ class FlowNetworkModel:
         usage matrix, so the cost grows with the active pairs' path
         lengths, never with ``n^2``.  Pairs stay ascending and pairs
         without traffic add nothing, so the loads are array-equal to the
-        full ``usage.T @ rate`` product over every pair, and match the
-        equivalent sequence of ``add_flow`` calls.
+        full ``usage.T @ rate`` product over every pair.
         """
         src = np.asarray(src, dtype=np.intp)
         dst = np.asarray(dst, dtype=np.intp)
@@ -296,10 +284,9 @@ class FlowNetworkModel:
         """Sparse (n*n, resources) pair -> resource usage counts.
 
         Row ``src * n + dst`` counts how often that pair's path crosses
-        each directed link (wire *and* wireless, mirroring ``add_flow``'s
-        per-link bookkeeping) and each shared wireless channel.  Built
-        once per routing (:meth:`routing_key`) from the forward route
-        walk and shared through :attr:`static_cache`.
+        each directed link (wire *and* wireless) and each shared wireless
+        channel.  Built once per routing (:meth:`routing_key`) from the
+        forward route walk and shared through :attr:`static_cache`.
         """
         key = (
             "flow_usage",
@@ -331,121 +318,8 @@ class FlowNetworkModel:
         return usage
 
     # ------------------------------------------------------------------ #
-    # latency
-    # ------------------------------------------------------------------ #
-
-    def latency(
-        self, src: int, dst: int, payload_bits: float, bulk: bool = False
-    ) -> float:
-        """Latency (s) of one packet of *payload_bits* from *src* to *dst*."""
-        if payload_bits < 0:
-            raise ValueError(f"payload_bits must be >= 0, got {payload_bits}")
-        if src == dst:
-            # Local port: one router traversal.
-            return self.params.router_pipeline_cycles / self._node_freq[src]
-        params = self.params
-        head = 0.0
-        bottleneck = np.inf
-        links, directions = self._path(src, dst, bulk=bulk)
-        node = src
-        for link, direction in zip(links, directions):
-            peer = link.other(node)
-            f_node = self._node_freq[node]
-            head += params.router_pipeline_cycles / f_node
-            index = self._link_index[link.key]
-            if link.kind is LinkKind.WIRELESS:
-                capacity = self.wireless.bandwidth_bps
-                rho = min(
-                    self.load.channel_load[link.channel] / capacity,
-                    params.max_utilization,
-                )
-                service = params.flit_bits / capacity
-                head += self.wireless.propagation_s + self.wireless.token_overhead_s
-                buffer_flits = params.wi_buffer_flits
-            else:
-                f_link = min(f_node, self._node_freq[peer])
-                capacity = params.flit_bits * f_link / params.link_traversal_cycles
-                rho = min(
-                    self.load.link_load[index, direction] / capacity,
-                    params.max_utilization,
-                )
-                service = params.link_traversal_cycles / f_link
-                head += service
-                buffer_flits = params.wire_buffer_flits
-            # M/D/1 waiting time, bounded by the port's finite buffer
-            # (at most depth-1 flits can be queued in front).
-            wait = min(
-                service * rho / (2.0 * (1.0 - rho)),
-                (buffer_flits - 1) * service,
-            )
-            head += wait
-            if link.kind is LinkKind.WIRELESS and self._tracer.enabled:
-                # Channel-access wait: token acquisition + queueing.
-                self._tracer.histogram_record(
-                    f"noc.token_wait_s/{self.trace_label}",
-                    self.wireless.token_overhead_s + wait,
-                )
-            if self.clusters[node] != self.clusters[peer]:
-                head += params.domain_sync_cycles / min(
-                    f_node, self._node_freq[peer]
-                )
-            bottleneck = min(bottleneck, capacity)
-            node = peer
-        # Ejection pipeline at the destination router.
-        head += params.router_pipeline_cycles / self._node_freq[dst]
-        return head + payload_bits / bottleneck
-
-    def latency_matrix(self, payload_bits: float) -> np.ndarray:
-        """All-pairs packet latency under the current load."""
-        n = self.topology.num_nodes
-        matrix = np.zeros((n, n))
-        for src in range(n):
-            for dst in range(n):
-                matrix[src, dst] = self.latency(src, dst, payload_bits)
-        return matrix
-
-    def path_capacity(self, src: int, dst: int, bulk: bool = False) -> float:
-        """Effective bottleneck throughput (bits/s) of the (src,dst) path."""
-        if src == dst:
-            return np.inf
-        params = self.params
-        bottleneck = np.inf
-        links, directions = self._path(src, dst, bulk=bulk)
-        node = src
-        for link, direction in zip(links, directions):
-            peer = link.other(node)
-            index = self._link_index[link.key]
-            if link.kind is LinkKind.WIRELESS:
-                capacity = self.wireless.bandwidth_bps
-                rho = min(
-                    self.load.channel_load[link.channel] / capacity,
-                    params.max_utilization,
-                )
-            else:
-                f_link = min(self._node_freq[node], self._node_freq[peer])
-                capacity = params.flit_bits * f_link / params.link_traversal_cycles
-                rho = min(
-                    self.load.link_load[index, direction] / capacity,
-                    params.max_utilization,
-                )
-            bottleneck = min(bottleneck, capacity * (1.0 - rho))
-            node = peer
-        return bottleneck
-
-    # ------------------------------------------------------------------ #
     # energy / statistics
     # ------------------------------------------------------------------ #
-
-    def record_transfer(
-        self, src: int, dst: int, bits: float, bulk: bool = False
-    ) -> float:
-        """Account the energy of moving *bits* from *src* to *dst*."""
-        if src == dst:
-            return 0.0
-        links, _ = self._path(src, dst, bulk=bulk)
-        if self._tracer.enabled:
-            self._count_flits(links, bits)
-        return self.energy.transfer_energy(links, bits)
 
     def _count_flits(self, links: Sequence[Link], bits: float) -> None:
         """Telemetry: per-link and per-kind flit counters for a transfer."""
@@ -470,9 +344,6 @@ class FlowNetworkModel:
             total += self.energy.static_energy(1, elapsed_s, scale)
         return total
 
-    def hop_count(self, src: int, dst: int) -> int:
-        return self.routing.hop_count(src, dst)
-
     def sample_channel_occupancy(self, ts_s: float) -> None:
         """Telemetry: one offered-load sample per wireless channel.
 
@@ -495,23 +366,3 @@ class FlowNetworkModel:
                 series="fraction",
             )
 
-    # ------------------------------------------------------------------ #
-
-    def _path(
-        self, src: int, dst: int, bulk: bool = False
-    ) -> Tuple[List[Link], List[int]]:
-        cache = self._bulk_path_cache if bulk else self._path_cache
-        key = (src, dst)
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-        routing = self.bulk_routing if bulk else self.routing
-        nodes = routing.path(src, dst)
-        links: List[Link] = []
-        directions: List[int] = []
-        for a, b in zip(nodes, nodes[1:]):
-            link = self.topology.find_link(a, b)
-            links.append(link)
-            directions.append(0 if a == link.a else 1)
-        cache[key] = (links, directions)
-        return links, directions

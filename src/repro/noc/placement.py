@@ -19,7 +19,7 @@ in :mod:`repro.mapping.thread_mapping`.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -112,7 +112,6 @@ def optimize_wireless_placement(
     initial_temperature: Optional[float] = None,
     cooling: float = 0.985,
     seed: SeedLike = None,
-    cost_fn: Optional[Callable[[Topology], float]] = None,
 ) -> Placement:
     """Simulated-annealing WI placement (min-hop-count methodology).
 
@@ -122,10 +121,10 @@ def optimize_wireless_placement(
     """
     members = cluster_members(clusters)
     rng = derive_rng(seed)
-    cost_of = cost_fn or (lambda topo: traffic_weighted_cost(topo, traffic))
 
     def evaluate(placement: Placement) -> float:
-        return cost_of(assign_wireless_links(wireline, placement, spec))
+        topology = assign_wireless_links(wireline, placement, spec)
+        return traffic_weighted_cost(topology, traffic)
 
     current = {
         channel: list(nodes)

@@ -155,9 +155,6 @@ class Topology:
     def average_degree(self) -> float:
         return 2.0 * len(self.links) / self.num_nodes
 
-    def neighbors(self, node: int) -> List[int]:
-        return [link.other(node) for link in self.adjacency()[node]]
-
     def is_connected(self) -> bool:
         if self.num_nodes == 0:
             return True

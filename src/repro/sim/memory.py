@@ -216,7 +216,7 @@ class MemorySystem:
         packets to every home bank over the latency class, data responses
         back over the bulk class, weighted by the home-bank distribution.
         ``add_miss_flows`` is then a single scaled row add instead of
-        2 * banks ``add_flow`` path walks."""
+        2 * banks per-pair path walks."""
         from scipy.sparse import csr_matrix
 
         network = self.platform.network

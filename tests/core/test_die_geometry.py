@@ -28,6 +28,8 @@ from repro.noc.wireless import (
 )
 from repro.vfi.islands import quadrant_clusters
 
+from tests.noc.test_network import latency
+
 
 class TestPaperDie:
     def test_shape(self):
@@ -248,8 +250,8 @@ class TestFlowModelProperties:
             return
         model = self.fresh_model()
         probes = [(0, 23), (5, 18), (b, a)]
-        before = [model.latency(x, y, 544) for x, y in probes]
-        model.add_flow(a, b, rate)
-        after = [model.latency(x, y, 544) for x, y in probes]
+        before = [latency(model, x, y, 544) for x, y in probes]
+        model.add_flows([a], [b], [rate])
+        after = [latency(model, x, y, 544) for x, y in probes]
         for earlier, later in zip(before, after):
             assert later >= earlier - 1e-15

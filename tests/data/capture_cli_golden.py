@@ -14,13 +14,15 @@ in a fresh working directory, so its ``.study_cache`` starts empty and
 warm re-runs and replays see exactly the files the calls before them
 wrote, as they do in CI; the in-process study memo is cleared before
 every call, as a new process would start.  The markdown files a
-sequence writes are pinned too.  Wall times such as ``(0.2s)``, the
-working directory and the class name Python 3.10+ puts in ``__init__``
-argument errors are normalized.
+sequence writes are pinned too, and so is the sha256 of every file a
+``trace`` step exports (Chrome JSON and JSONL).  Wall times such as
+``(0.2s)``, the working directory and the class name Python 3.10+ puts
+in ``__init__`` argument errors are normalized.
 """
 
 import contextlib
 import glob
+import hashlib
 import io
 import json
 import os
@@ -87,6 +89,11 @@ SEQUENCES = {
         "trace --app histogram --system vfi2_winoc --scale 0.05 --seed 9"
         " --num-workers 16 --output artifacts/histogram_vfi2_winoc.trace.json"
         " --jsonl artifacts/histogram_vfi2_winoc.jsonl",
+        # CI re-runs the trace under another PYTHONHASHSEED and compares.
+        "trace --app histogram --system vfi2_winoc --scale 0.05 --seed 9"
+        " --num-workers 16"
+        " --output artifacts/histogram_vfi2_winoc.rerun.trace.json"
+        " --jsonl artifacts/histogram_vfi2_winoc.rerun.jsonl",
     ],
     "ci-large-die": [
         "sweep histogram --parameter seed --values 9 --scale 0.05"
@@ -283,9 +290,21 @@ def run_step(command, workdir):
     }
 
 
+def _trace_exports(step):
+    """The paths a ``trace`` step names with ``--output`` and ``--jsonl``."""
+    if callable(step) or not step.startswith("trace "):
+        return []
+    words = shlex.split(step)
+    return [
+        path for flag, path in zip(words, words[1:])
+        if flag in ("--output", "--jsonl")
+    ]
+
+
 def run_sequence(name, workdir):
     """Run sequence *name* with *workdir* as the working directory: one
-    result per command, then the markdown files the commands wrote."""
+    result per command, then the markdown files the commands wrote, then
+    the sha256 of each trace export that was written."""
     workdir = pathlib.Path(workdir)
     (workdir / "artifacts").mkdir()
     previous = os.getcwd()
@@ -304,6 +323,14 @@ def run_sequence(name, workdir):
             "file": str(path.relative_to(workdir)),
             "text": path.read_text().split("\n"),
         })
+    for step in SEQUENCES[name]:
+        for export in _trace_exports(step):
+            path = workdir / export
+            if path.exists():
+                steps.append({
+                    "file": export,
+                    "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+                })
     return steps
 
 

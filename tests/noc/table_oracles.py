@@ -2,8 +2,9 @@
 
 These are the builders the simulator used before every table came from
 one forward route walk (:mod:`repro.noc.pathwalk`): a per-pair Python
-loop over ``FlowNetworkModel._path`` producing float64 tables, and a
-blocked lockstep builder producing float32 tables for dies with
+loop over the per-packet path walk (``PathModel._path`` of
+``tests/noc/path_oracle.py``) producing float64 tables, and a blocked
+lockstep builder producing float32 tables for dies with
 ``NocParams.dense_block_nodes`` set, plus the ``add_flow`` loop the
 wireless-routing calibration used for its channel loads.  They are kept
 verbatim as oracles: ``tests/noc/test_table_oracles.py`` asserts the
@@ -32,6 +33,8 @@ from repro.noc.pathwalk import (
     walk_steps_block,
 )
 from repro.noc.topology import LinkKind
+
+from tests.noc.path_oracle import PathModel
 
 
 def _resource_constants(model: FlowNetworkModel):
@@ -81,6 +84,7 @@ def per_pair_dense_static(model: FlowNetworkModel, bulk: bool) -> Dict:
     num_resources, service, capacity, buffer_flits = _resource_constants(model)
     node_freq = model._node_freq
     params = model.params
+    paths = PathModel(model)
 
     # Static head latency and path resource membership per pair.
     head = np.zeros((n, n))
@@ -97,11 +101,11 @@ def per_pair_dense_static(model: FlowNetworkModel, bulk: bool) -> Dict:
             pair_resources: List[int] = []
             t = 0.0
             node = src
-            path_links, directions = model._path(src, dst, bulk=bulk)
+            path_links, directions = paths._path(src, dst, bulk=bulk)
             for link, direction in zip(path_links, directions):
                 peer = link.other(node)
                 t += params.router_pipeline_cycles / node_freq[node]
-                index = model._link_index[link.key]
+                index = paths._link_index[link.key]
                 if link.kind is LinkKind.WIRELESS:
                     t += (
                         model.wireless.propagation_s
@@ -339,11 +343,12 @@ def per_pair_pairwise(model: FlowNetworkModel, bulk: bool):
     energy_per_bit = np.zeros((n, n))  # joules per bit
     hops = np.zeros((n, n))
     wireless_links = np.zeros((n, n))  # wireless hops on path
+    paths = PathModel(model)
     for src in range(n):
         for dst in range(n):
             if src == dst:
                 continue
-            links, _ = model._path(src, dst, bulk=bulk)
+            links, _ = paths._path(src, dst, bulk=bulk)
             pj_per_bit = params.router_pj_per_bit  # ejection router
             wireless = 0
             for link in links:
@@ -424,13 +429,14 @@ def per_pair_flow_usage(model: FlowNetworkModel, bulk: bool):
     num_channels = model.load.channel_load.shape[0]
     rows: List[int] = []
     cols: List[int] = []
+    paths = PathModel(model)
     for src in range(n):
         for dst in range(n):
             if src == dst:
                 continue
             pair = src * n + dst
-            for link, direction in zip(*model._path(src, dst, bulk=bulk)):
-                index = model._link_index[link.key]
+            for link, direction in zip(*paths._path(src, dst, bulk=bulk)):
+                index = paths._link_index[link.key]
                 rows.append(pair)
                 cols.append(2 * index + direction)
                 if link.kind is LinkKind.WIRELESS:
@@ -493,14 +499,14 @@ def add_flow_channel_utilizations(
     params: NocParams = NocParams(),
 ) -> np.ndarray:
     """Per-channel utilization by one ``add_flow`` per (src, dst) pair."""
-    model = FlowNetworkModel(
+    model = PathModel(FlowNetworkModel(
         topology=topology,
         routing=routing,
         clusters=list(clusters),
         cluster_frequencies_hz=list(cluster_frequencies_hz),
         params=params,
         wireless=wireless,
-    )
+    ))
     n = topology.num_nodes
     for src in range(n):
         for dst in range(n):

@@ -1,4 +1,6 @@
-"""Batch flow registration (`add_flows`) and wireless-channel validation."""
+"""Batch flow registration (`add_flows`) and wireless-channel validation.
+
+The reference is the per-pair ``add_flow`` of ``tests/noc/path_oracle.py``."""
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from repro.noc.smallworld import build_small_world
 from repro.noc.topology import GridGeometry, Link, LinkKind, build_mesh
 from repro.noc.wireless import WirelessSpec, assign_wireless_links
 from repro.vfi.islands import quadrant_clusters
+
+from tests.noc.path_oracle import PathModel
 
 GEO = GridGeometry(8, 8)
 CLUSTERS = list(quadrant_clusters(GEO).node_cluster)
@@ -57,7 +61,7 @@ class TestAddFlowsEquivalence:
 
     @pytest.mark.parametrize("bulk", [False, True])
     def test_mesh_exact(self, bulk):
-        reference = mesh_model()
+        reference = PathModel(mesh_model())
         batched = mesh_model()
         src, dst, rate = self._flows(64, seed=11)
         for s, d, r in zip(src, dst, rate):
@@ -72,7 +76,7 @@ class TestAddFlowsEquivalence:
 
     @pytest.mark.parametrize("bulk", [False, True])
     def test_winoc_exact(self, bulk):
-        reference = winoc_model()
+        reference = PathModel(winoc_model())
         batched = winoc_model()
         src, dst, rate = self._flows(64, seed=23)
         for s, d, r in zip(src, dst, rate):
@@ -92,7 +96,7 @@ class TestAddFlowsEquivalence:
         assert not model.load.channel_load.any()
 
     def test_duplicate_pairs_accumulate(self):
-        reference = mesh_model()
+        reference = PathModel(mesh_model())
         batched = mesh_model()
         reference.add_flow(0, 9, 1e9)
         reference.add_flow(0, 9, 2e9)
@@ -125,7 +129,7 @@ class TestWirelessChannelValidation:
 
     def test_out_of_range_channel_rejected(self):
         """A spec with fewer channels than the topology's links use must
-        fail at construction, not IndexError inside add_flow later."""
+        fail at construction, not IndexError inside add_flows later."""
         wireline = build_small_world(GEO, CLUSTERS, seed=3)
         winoc = assign_wireless_links(
             wireline, center_wireless_placement(GEO, CLUSTERS)

@@ -1,131 +1,164 @@
-"""DenseLatencyModel must agree with the reference per-path loop."""
+"""The all-pairs tables agree with the per-packet path walk at every pair.
+
+``tests/noc/path_oracle.py`` keeps the per-packet ``latency``,
+``path_capacity`` and ``record_transfer`` the tables of
+:mod:`repro.noc.dense` replaced.  Every check runs over all (src, dst)
+pairs, ``src == dst`` included, on the three 64-core fabrics of
+``tests/noc/test_table_oracles.py`` (XY mesh, small-world WiNoC with a
+wire-preferring bulk routing, and that WiNoC with one wire and one
+wireless link removed), clocked per island at four different
+frequencies and loaded through ``add_flows``.
+"""
 
 import numpy as np
 import pytest
 
 from repro.noc.dense import DenseLatencyModel, PairwiseEnergy
-from repro.noc.network import FlowNetworkModel
-from repro.noc.routing import build_mesh_routing, build_routing_table
-from repro.noc.smallworld import build_small_world
-from repro.noc.topology import GridGeometry, build_mesh
-from repro.noc.wireless import assign_wireless_links
-from repro.noc.placement import center_wireless_placement
-from repro.vfi.islands import quadrant_clusters
+from repro.telemetry import RecordingTracer, use_tracer
 
-GEO = GridGeometry(8, 8)
-CLUSTERS = list(quadrant_clusters(GEO).node_cluster)
-MIXED_FREQS = [2.5e9, 2.25e9, 2.0e9, 1.75e9]
+from tests.noc.path_oracle import PathModel
+from tests.noc.test_table_oracles import FABRICS
+
+PAYLOADS = [64.0, 544.0, 2080.0]
 
 
-def build_models():
-    wireline = build_small_world(GEO, CLUSTERS, seed=3)
-    winoc = assign_wireless_links(
-        wireline, center_wireless_placement(GEO, CLUSTERS)
-    )
-    model = FlowNetworkModel(
-        winoc, build_routing_table(winoc), CLUSTERS, MIXED_FREQS
-    )
-    return model
+def every_pair(n, value):
+    """``value(src, dst)`` at every pair, as an (n, n) array."""
+    return np.array([[value(src, dst) for dst in range(n)] for src in range(n)])
 
 
 @pytest.fixture(scope="module")
-def loaded_model():
-    model = build_models()
+def loaded():
+    """Fabric name -> model carrying random flows on both classes."""
     rng = np.random.default_rng(0)
-    for _ in range(200):
-        src, dst = rng.integers(64), rng.integers(64)
-        if src != dst:
-            model.add_flow(int(src), int(dst), float(rng.uniform(1e8, 5e9)))
-    return model
+    models = {}
+    for name, build in FABRICS.items():
+        model = build()
+        n = model.topology.num_nodes
+        for bulk in (False, True):
+            model.add_flows(
+                rng.integers(n, size=200), rng.integers(n, size=200),
+                rng.uniform(1e8, 5e9, size=200), bulk=bulk,
+            )
+        models[name] = model
+    return models
+
+
+def assert_latency_matches(models, bulk, payloads):
+    for name, model in models.items():
+        reference = PathModel(model)
+        matrices = DenseLatencyModel(model, bulk).latency_matrices(payloads)
+        for payload in payloads:
+            np.testing.assert_allclose(
+                matrices[payload],
+                every_pair(
+                    model.topology.num_nodes,
+                    lambda src, dst: reference.latency(src, dst, payload, bulk=bulk),
+                ),
+                rtol=1e-9, err_msg=f"{name}, {payload} bits",
+            )
+
+
+def assert_energy_matches(bulk):
+    """Every pair's recorded energy and the four counters, on a fresh
+    model of each fabric (energy does not depend on load)."""
+    for name, build in FABRICS.items():
+        model = build()
+        n = model.topology.num_nodes
+        pairwise = PairwiseEnergy(model, bulk=bulk)
+        reference = PathModel(model)
+        bits = np.random.default_rng(2).uniform(1e3, 1e6, size=(n, n))
+        np.testing.assert_allclose(
+            every_pair(n, lambda src, dst: pairwise.record(src, dst, bits[src, dst])),
+            every_pair(
+                n,
+                lambda src, dst: reference.record_transfer(
+                    src, dst, bits[src, dst], bulk=bulk
+                ),
+            ),
+            rtol=1e-12, err_msg=name,
+        )
+        for counter in ("dynamic_joules", "bits_moved", "bit_hops", "wireless_bits"):
+            assert getattr(model.energy, counter) == pytest.approx(
+                getattr(reference.energy, counter), rel=1e-12
+            ), (name, counter)
 
 
 class TestDenseAgreesWithReference:
-    @pytest.mark.parametrize("payload", [64.0, 544.0, 2080.0])
-    def test_all_pairs_match(self, loaded_model, payload):
-        dense = DenseLatencyModel(loaded_model)
-        matrix = dense.latency_matrices([payload])[payload]
-        rng = np.random.default_rng(1)
-        for _ in range(150):
-            src, dst = int(rng.integers(64)), int(rng.integers(64))
-            assert matrix[src, dst] == pytest.approx(
-                loaded_model.latency(src, dst, payload), rel=1e-9
-            )
+    @pytest.mark.parametrize("payload", PAYLOADS)
+    def test_all_pairs_match(self, loaded, payload):
+        assert_latency_matches(loaded, False, [payload])
 
     def test_unloaded_match_too(self):
-        model = build_models()
-        dense = DenseLatencyModel(model)
-        matrix = dense.latency_matrices([544.0])[544.0]
-        for src, dst in [(0, 63), (5, 5), (17, 43)]:
-            assert matrix[src, dst] == pytest.approx(
-                model.latency(src, dst, 544.0), rel=1e-9
+        unloaded = {name: build() for name, build in FABRICS.items()}
+        for bulk in (False, True):
+            assert_latency_matches(unloaded, bulk, [544.0])
+
+
+class TestPathCapacity:
+    @pytest.mark.parametrize("bulk", [False, True])
+    def test_every_pair_matches_reference(self, loaded, bulk):
+        for name, model in loaded.items():
+            n = model.topology.num_nodes
+            dense = DenseLatencyModel(model, bulk)
+            src, dst = np.divmod(np.arange(n * n), n)
+            capacity = dense.path_capacity(
+                dense.inverse_capacity(dense.utilization()), src, dst
+            )
+            reference = PathModel(model)
+            np.testing.assert_allclose(
+                capacity.reshape(n, n),
+                every_pair(
+                    n, lambda s, d: reference.path_capacity(s, d, bulk=bulk)
+                ),
+                rtol=1e-9, err_msg=name,
             )
 
 
 class TestPairwiseEnergy:
-    def test_record_matches_reference(self, loaded_model):
-        pairwise = PairwiseEnergy(loaded_model)
-        reference = FlowNetworkModel(
-            loaded_model.topology,
-            loaded_model.routing,
-            loaded_model.clusters,
-            loaded_model.cluster_frequencies_hz,
-        )
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            src, dst = int(rng.integers(64)), int(rng.integers(64))
-            bits = float(rng.uniform(1e3, 1e6))
-            assert pairwise.record(src, dst, bits) == pytest.approx(
-                reference.record_transfer(src, dst, bits), rel=1e-12
-            )
-        # counters agree too
-        assert pairwise.model.energy.bits_moved == pytest.approx(
-            reference.energy.bits_moved
-        )
-        assert pairwise.model.energy.bit_hops == pytest.approx(
-            reference.energy.bit_hops
-        )
-        assert pairwise.model.energy.wireless_bits == pytest.approx(
-            reference.energy.wireless_bits
-        )
+    def test_record_matches_reference(self):
+        assert_energy_matches(bulk=False)
 
-    def test_rejects_negative_bits(self, loaded_model):
-        pairwise = PairwiseEnergy(loaded_model)
+    def test_rejects_negative_bits(self, loaded):
+        pairwise = PairwiseEnergy(loaded["winoc"])
         with pytest.raises(ValueError):
             pairwise.record(0, 1, -5)
 
 
+class TestTracedCounters:
+    def test_flit_counters_match_reference(self):
+        """Recording every pair of both classes feeds ``noc.link_flits``
+        and the per-medium flit counters exactly as the path walk does."""
+        for name, build in FABRICS.items():
+            with use_tracer(RecordingTracer()) as product:
+                model = build()
+            with use_tracer(RecordingTracer()) as oracle:
+                reference = PathModel(build())
+            n = model.topology.num_nodes
+            bits = np.random.default_rng(3).uniform(1e3, 1e6, size=(n, n))
+            for bulk in (False, True):
+                pairwise = PairwiseEnergy(model, bulk=bulk)
+                for src in range(n):
+                    for dst in range(n):
+                        pairwise.record(src, dst, bits[src, dst])
+                        reference.record_transfer(
+                            src, dst, bits[src, dst], bulk=bulk
+                        )
+            assert product.counters == oracle.counters, name
+            assert product.counter_total("noc.link_flits") > 0
+
+
 class TestUtilization:
-    def test_capped(self, loaded_model):
-        dense = DenseLatencyModel(loaded_model)
+    def test_capped(self, loaded):
+        dense = DenseLatencyModel(loaded["winoc"])
         rho = dense.utilization()
-        assert (rho <= loaded_model.params.max_utilization + 1e-12).all()
+        assert (rho <= loaded["winoc"].params.max_utilization + 1e-12).all()
         assert (rho >= 0).all()
 
 
 class TestBulkClass:
-    def test_bulk_dense_matches_reference(self, loaded_model):
-        dense_bulk = DenseLatencyModel(loaded_model, bulk=True)
-        matrix = dense_bulk.latency_matrices([544.0])[544.0]
-        rng = np.random.default_rng(3)
-        for _ in range(60):
-            src, dst = int(rng.integers(64)), int(rng.integers(64))
-            assert matrix[src, dst] == pytest.approx(
-                loaded_model.latency(src, dst, 544.0, bulk=True), rel=1e-9
-            )
+    def test_bulk_dense_matches_reference(self, loaded):
+        assert_latency_matches(loaded, True, PAYLOADS)
 
-    def test_bulk_pairwise_energy_matches_reference(self, loaded_model):
-        pairwise = PairwiseEnergy(loaded_model, bulk=True)
-        reference = FlowNetworkModel(
-            loaded_model.topology,
-            loaded_model.routing,
-            loaded_model.clusters,
-            loaded_model.cluster_frequencies_hz,
-            bulk_routing=loaded_model.bulk_routing,
-        )
-        rng = np.random.default_rng(4)
-        for _ in range(30):
-            src, dst = int(rng.integers(64)), int(rng.integers(64))
-            bits = float(rng.uniform(1e3, 1e6))
-            assert pairwise.record(src, dst, bits) == pytest.approx(
-                reference.record_transfer(src, dst, bits, bulk=True), rel=1e-12
-            )
+    def test_bulk_pairwise_energy_matches_reference(self):
+        assert_energy_matches(bulk=True)

@@ -14,6 +14,8 @@ from repro.noc.network import FlowNetworkModel
 from repro.noc.routing import build_mesh_routing, build_routing_table
 from repro.noc.topology import GridGeometry, build_mesh
 
+from tests.noc.path_oracle import PathModel
+
 GEO = GridGeometry(4, 4)
 
 
@@ -88,7 +90,7 @@ class TestSharedCacheInvalidation:
         batch = model_for(degraded_topo, routing, base.static_cache)
         batch.add_flows([0], [1], [1e9])
         scalar = model_for(degraded_topo, routing, base.static_cache)
-        scalar.add_flow(0, 1, 1e9)
+        PathModel(scalar).add_flow(0, 1, 1e9)
         np.testing.assert_allclose(
             batch.load.link_load, scalar.load.link_load, rtol=1e-12
         )

@@ -1,14 +1,21 @@
-"""Property-style invariants of the flow network model."""
+"""Property-style invariants of the flow network model.
+
+Loads go in through ``add_flows``; latency and energy come off the
+all-pairs tables of :mod:`repro.noc.dense`, as in the simulator."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.noc.dense import PairwiseEnergy
 from repro.noc.network import FlowNetworkModel
 from repro.noc.routing import build_mesh_routing
 from repro.noc.topology import GridGeometry, build_mesh
 from repro.vfi.islands import quadrant_clusters
+
+from tests.noc.path_oracle import PathModel
+from tests.noc.test_network import latency
 
 GEO = GridGeometry(8, 8)
 CLUSTERS = list(quadrant_clusters(GEO).node_cluster)
@@ -32,25 +39,24 @@ class TestLatencyProperties:
     @settings(max_examples=40, deadline=None)
     def test_unloaded_latency_symmetric_on_uniform_mesh(self, a, b):
         model = fresh_model()
-        assert model.latency(a, b, 544) == pytest.approx(
-            model.latency(b, a, 544), rel=1e-9
+        assert latency(model, a, b, 544) == pytest.approx(
+            latency(model, b, a, 544), rel=1e-9
         )
 
     @given(nodes, nodes, st.floats(0, 1e5))
     @settings(max_examples=40, deadline=None)
     def test_latency_positive_finite(self, a, b, payload):
         model = fresh_model()
-        latency = model.latency(a, b, payload)
-        assert 0 < latency < 1e-3
+        assert 0 < latency(model, a, b, payload) < 1e-3
 
     @given(nodes, nodes)
     @settings(max_examples=20, deadline=None)
     def test_more_load_never_faster(self, a, b):
         model = fresh_model()
-        before = model.latency(a, b, 544)
+        before = latency(model, a, b, 544)
         for node in range(0, 64, 4):
-            model.add_flow(node, (node + 17) % 64, 5e9)
-        assert model.latency(a, b, 544) >= before - 1e-15
+            model.add_flows([node], [(node + 17) % 64], [5e9])
+        assert latency(model, a, b, 544) >= before - 1e-15
 
     @given(st.sampled_from([1.5e9, 1.75e9, 2.0e9, 2.25e9]))
     @settings(max_examples=10, deadline=None)
@@ -58,7 +64,7 @@ class TestLatencyProperties:
         nominal = fresh_model()
         slowed = fresh_model([slow] * 4)
         for a, b in [(0, 63), (10, 53)]:
-            assert slowed.latency(a, b, 544) > nominal.latency(a, b, 544)
+            assert latency(slowed, a, b, 544) > latency(nominal, a, b, 544)
 
 
 class TestFlowConservation:
@@ -68,7 +74,7 @@ class TestFlowConservation:
         if a == b:
             return
         model = fresh_model()
-        model.add_flow(a, b, rate)
+        model.add_flows([a], [b], [rate])
         hops = model.routing.hop_count(a, b)
         assert model.load.link_load.sum() == pytest.approx(rate * hops, rel=1e-9)
 
@@ -79,9 +85,9 @@ class TestEnergyProperties:
     def test_energy_linear_in_bits(self, a, b, bits):
         if a == b:
             return
-        model = fresh_model()
-        single = model.record_transfer(a, b, bits)
-        double = model.record_transfer(a, b, 2 * bits)
+        pairwise = PairwiseEnergy(fresh_model())
+        single = pairwise.record(a, b, bits)
+        double = pairwise.record(a, b, 2 * bits)
         assert double == pytest.approx(2 * single, rel=1e-9)
 
 
@@ -97,16 +103,16 @@ class TestFlowRegistrationProperties:
     def test_resource_loads_never_negative(self, flows):
         model = fresh_model()
         for src, dst, rate in flows:
-            model.add_flow(src, dst, rate)
+            model.add_flows([src], [dst], [rate])
         assert (model.load.link_load >= 0).all()
         assert (model.load.channel_load >= 0).all()
 
     @given(flow_batches, st.booleans())
     @settings(max_examples=40, deadline=None)
     def test_batch_matches_scalar_registration(self, flows, bulk):
-        """``add_flows`` (sparse mat-vec) and a loop of ``add_flow``
-        calls must produce identical link and channel loads."""
-        scalar = fresh_model()
+        """``add_flows`` (sparse mat-vec) and a loop of the oracle's
+        ``add_flow`` calls must produce identical link and channel loads."""
+        scalar = PathModel(fresh_model())
         for src, dst, rate in flows:
             scalar.add_flow(src, dst, rate, bulk=bulk)
         batch = fresh_model()
@@ -132,9 +138,9 @@ class TestFlowRegistrationProperties:
             return
         model = fresh_model()
         probes = [(0, 63), (17, 42), (b, a)]
-        before = [model.latency(x, y, 544) for x, y in probes]
-        model.add_flow(a, b, rate)
-        after = [model.latency(x, y, 544) for x, y in probes]
+        before = [latency(model, x, y, 544) for x, y in probes]
+        model.add_flows([a], [b], [rate])
+        after = [latency(model, x, y, 544) for x, y in probes]
         for earlier, later in zip(before, after):
             assert later >= earlier - 1e-15
 
@@ -142,8 +148,8 @@ class TestFlowRegistrationProperties:
     @settings(max_examples=20, deadline=None)
     def test_reset_restores_unloaded_latency(self, flows):
         model = fresh_model()
-        baseline = model.latency(0, 63, 544)
+        baseline = latency(model, 0, 63, 544)
         for src, dst, rate in flows:
-            model.add_flow(src, dst, rate)
+            model.add_flows([src], [dst], [rate])
         model.reset_flows()
-        assert model.latency(0, 63, 544) == pytest.approx(baseline, rel=1e-12)
+        assert latency(model, 0, 63, 544) == pytest.approx(baseline, rel=1e-12)

@@ -97,39 +97,31 @@ class TestCostFunction:
 
 
 class TestSaRegression:
-    """Pinned SA outcome under the hop-count objective.
+    """Pinned SA outcome under its objective, ``traffic_weighted_cost``.
 
-    Guards the vectorized ``average_weighted_hops`` (cached hop matrix):
-    the placement and final cost below were captured with the per-pair
-    reference implementation, so any drift in the objective would move
-    the annealer to a different placement.
+    Any drift in the objective or in the annealer's move sequence would
+    move the annealer to a different placement.
     """
 
     GOLDEN_PLACEMENT = {
-        0: [26, 15, 58, 55],
-        1: [24, 12, 51, 63],
-        2: [9, 29, 42, 45],
+        0: [4, 9, 43, 47],
+        1: [5, 25, 58, 62],
+        2: [19, 30, 37, 41],
     }
-    GOLDEN_COST = 3.0521077939382724
+    GOLDEN_COST = 3.645944309513306
 
     def test_placement_and_cost_unchanged(self, wireline):
-        from repro.noc.routing import average_weighted_hops, build_routing_table
-
         rng = np.random.default_rng(5)
         traffic = rng.random((64, 64)) * 1e6
         np.fill_diagonal(traffic, 0.0)
 
-        def hop_cost(topology):
-            return average_weighted_hops(
-                build_routing_table(topology), traffic
-            )
-
         placement = optimize_wireless_placement(
             wireline, CLUSTERS, traffic, iterations=60, seed=17,
-            cost_fn=hop_cost,
         )
         assert {k: sorted(v) for k, v in placement.items()} == {
             k: sorted(v) for k, v in self.GOLDEN_PLACEMENT.items()
         }
-        cost = hop_cost(assign_wireless_links(wireline, placement))
+        cost = traffic_weighted_cost(
+            assign_wireless_links(wireline, placement), traffic
+        )
         assert cost == pytest.approx(self.GOLDEN_COST, rel=1e-9)

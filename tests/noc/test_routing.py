@@ -1,42 +1,54 @@
 """XY routing, Dijkstra tables, weights."""
 
+import signal
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.noc.dense import PairwiseEnergy
+from repro.noc.network import FlowNetworkModel
+from repro.noc.placement import traffic_weighted_cost
 from repro.noc.routing import (
-    MeshRoutingTable,
-    average_weighted_hops,
+    RoutingTable,
     build_mesh_routing,
     build_routing_table,
-    xy_route,
 )
 from repro.noc.topology import GridGeometry, build_mesh
 
 import numpy as np
 
+from tests.noc.path_oracle import xy_route
+
 GEO = GridGeometry(8, 8)
 MESH = build_mesh(GEO)
+XY = build_mesh_routing(MESH)
 
 nodes = st.integers(0, 63)
+
+
+def table_hops(table):
+    """The all-pairs hop table the simulator builds over *table*."""
+    model = FlowNetworkModel(table.topology, table, [0] * 64, [2.5e9])
+    return PairwiseEnergy(model).hops
 
 
 class TestXyRoute:
     @given(nodes, nodes)
     def test_endpoints_and_length(self, src, dst):
-        path = xy_route(GEO, src, dst)
+        path = XY.path(src, dst)
         assert path[0] == src and path[-1] == dst
         assert len(path) - 1 == GEO.manhattan_hops(src, dst)
 
     @given(nodes, nodes)
     def test_steps_are_grid_neighbours(self, src, dst):
-        path = xy_route(GEO, src, dst)
+        path = XY.path(src, dst)
         for a, b in zip(path, path[1:]):
             assert GEO.manhattan_hops(a, b) == 1
 
     @given(nodes, nodes)
     def test_x_before_y(self, src, dst):
-        path = xy_route(GEO, src, dst)
+        path = XY.path(src, dst)
         ys = [GEO.coordinates(n)[1] for n in path]
         # once y starts changing, x must be final
         changed = [i for i in range(1, len(ys)) if ys[i] != ys[i - 1]]
@@ -48,16 +60,19 @@ class TestXyRoute:
 
 class TestMeshRoutingTable:
     def test_matches_xy(self):
+        """The synthesized XY predecessors route every pair exactly as
+        the coordinate walk of the oracle does."""
         table = build_mesh_routing(MESH)
-        assert table.path(0, 63) == tuple(xy_route(GEO, 0, 63))
+        for src in range(64):
+            for dst in range(64):
+                assert table.path(src, dst) == tuple(xy_route(GEO, src, dst))
 
     def test_self_path(self):
         table = build_mesh_routing(MESH)
         assert table.path(5, 5) == (5,)
 
     def test_hop_matrix_symmetric_in_count(self):
-        table = build_mesh_routing(MESH)
-        hops = table.hop_matrix()
+        hops = table_hops(build_mesh_routing(MESH))
         assert (hops == hops.T).all()
         assert hops.mean() == pytest.approx(5.25, abs=0.01)
 
@@ -93,11 +108,11 @@ class TestDijkstraTable:
 
 
 class TestHopMatrixConsistency:
-    """The cached/vectorized hop matrix must equal per-pair path walks."""
+    """The vectorized all-pairs hop table must equal per-pair path walks."""
 
     def test_mesh_matches_path_walks(self):
         table = build_mesh_routing(MESH)
-        hops = table.hop_matrix()
+        hops = table_hops(table)
         for src in range(0, 64, 7):
             for dst in range(64):
                 assert hops[src, dst] == table.hop_count(src, dst)
@@ -110,53 +125,57 @@ class TestHopMatrixConsistency:
             GEO, list(quadrant_clusters(GEO).node_cluster), seed=3
         )
         table = build_routing_table(topo)
-        hops = table.hop_matrix()
+        hops = table_hops(table)
         for src in range(0, 64, 7):
             for dst in range(64):
                 assert hops[src, dst] == table.hop_count(src, dst)
 
     def test_cached_instance_reused(self):
-        table = build_mesh_routing(MESH)
-        assert table.hop_matrix() is table.hop_matrix()
-
-    def test_weighted_hops_matches_reference_loop(self):
-        from repro.noc.smallworld import build_small_world
-        from repro.vfi.islands import quadrant_clusters
-
-        topo = build_small_world(
-            GEO, list(quadrant_clusters(GEO).node_cluster), seed=3
-        )
-        table = build_routing_table(topo)
-        rng = np.random.default_rng(9)
-        traffic = rng.random((64, 64))
-        np.fill_diagonal(traffic, 0.0)
-        total_hops = 0.0
-        total_traffic = 0.0
-        for src in range(64):
-            for dst in range(64):
-                if src == dst or traffic[src, dst] <= 0:
-                    continue
-                total_hops += traffic[src, dst] * table.hop_count(src, dst)
-                total_traffic += traffic[src, dst]
-        assert average_weighted_hops(table, traffic) == pytest.approx(
-            total_hops / total_traffic, rel=1e-12
-        )
+        model = FlowNetworkModel(MESH, build_mesh_routing(MESH), [0] * 64, [2.5e9])
+        assert PairwiseEnergy(model).hops is PairwiseEnergy(model).hops
 
 
 class TestWeightedHops:
     def test_uniform_traffic(self):
-        table = build_mesh_routing(MESH)
+        """On the mesh every wire weighs one hop, so the SA objective
+        under uniform traffic is the mean hop count."""
         traffic = np.ones((64, 64))
         np.fill_diagonal(traffic, 0.0)
         # mean over off-diagonal pairs
-        expected = table.hop_matrix().sum() / (64 * 63)
-        assert average_weighted_hops(table, traffic) == pytest.approx(expected)
+        expected = table_hops(build_mesh_routing(MESH)).sum() / (64 * 63)
+        assert traffic_weighted_cost(MESH, traffic) == pytest.approx(expected)
 
-    def test_empty_traffic(self):
-        table = build_mesh_routing(MESH)
-        assert average_weighted_hops(table, np.zeros((64, 64))) == 0.0
 
-    def test_shape_mismatch(self):
-        table = build_mesh_routing(MESH)
-        with pytest.raises(ValueError):
-            average_weighted_hops(table, np.ones((4, 4)))
+def _alarm(signum, frame):
+    raise TimeoutError("route walk did not return")
+
+
+class TestPredecessorCycle:
+    """A walk that enters a predecessor cycle raises instead of hanging."""
+
+    @pytest.fixture
+    def cyclic(self):
+        mesh = build_mesh(GridGeometry(4, 4))
+        pred = build_routing_table(mesh).predecessor_matrix().copy()
+        pred[0, 2] = 1
+        pred[0, 1] = 2
+        return RoutingTable(mesh, pred)
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        previous = signal.signal(signal.SIGALRM, _alarm)
+        signal.alarm(10)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    def test_path_names_the_cycle(self, cyclic):
+        with pytest.raises(RuntimeError, match=r"do not terminate.*cycle \[2 -> 1 -> 2\]"):
+            cyclic.path(0, 2)
+
+    def test_hop_count_raises_too(self, cyclic):
+        with pytest.raises(RuntimeError, match="do not terminate"):
+            cyclic.hop_count(0, 2)
+
+    def test_routes_off_the_cycle_still_walk(self, cyclic):
+        assert cyclic.path(0, 4) == (0, 4)

@@ -15,6 +15,8 @@ from repro.sim.memory import MemorySystem
 from repro.sim.platform import Platform
 from repro.vfi.islands import NOMINAL, quadrant_clusters
 
+from tests.noc.path_oracle import PathModel
+
 
 def winoc_platform():
     geometry = default_geometry()
@@ -38,7 +40,7 @@ def winoc_platform():
 
 def reference_miss_flows(memory, node, accesses_per_s):
     """The pre-vectorization per-bank add_flow loop."""
-    network = memory.platform.network
+    network = PathModel(memory.platform.network)
     for bank in range(memory.num_nodes):
         share = accesses_per_s * memory.bank_prob[node, bank]
         if share <= 0:

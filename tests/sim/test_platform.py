@@ -52,6 +52,7 @@ class TestWinocPlatform:
         import numpy as np
 
         from repro.core.design_flow import design_vfi
+        from repro.noc.dense import PairwiseEnergy
 
         rng = np.random.default_rng(0)
         traffic = rng.random((64, 64))
@@ -59,9 +60,8 @@ class TestWinocPlatform:
         utilization = rng.uniform(0.3, 0.8, 64)
         design = design_vfi(utilization, traffic, seed=1)
         platform = build_vfi_winoc(design, seed=5)
-        from repro.noc.topology import LinkKind
 
-        network = platform.network
+        bulk = PairwiseEnergy(platform.network, bulk=True)
         for src, dst in [(0, 63), (7, 56), (20, 44)]:
-            links, _ = network._path(src, dst, bulk=True)
-            assert all(link.kind is LinkKind.WIRE for link in links)
+            assert bulk.hops[src, dst] > 0
+            assert bulk.wireless_links[src, dst] == 0

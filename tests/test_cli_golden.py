@@ -2,10 +2,11 @@
 
 ``tests/data/cli_golden.json`` pins the stdout, stderr and exit code of
 every ``repro`` invocation in CI and the README, plus the argv of the
-CLI error tests and the markdown files the commands write
-(``tests/data/capture_cli_golden.py`` lists them and re-captures the
-file).  Refactors of the CLI, the report renderers or the cluster
-service must reproduce each one exactly.
+CLI error tests, the markdown files the commands write and the sha256
+of every ``repro trace`` export (``tests/data/capture_cli_golden.py``
+lists them and re-captures the file).  Refactors of the CLI, the report
+renderers, the cluster service or the simulator layers a trace records
+must reproduce each one exactly.
 """
 
 import json
