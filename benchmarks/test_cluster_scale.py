@@ -14,10 +14,10 @@ Two guards against the failure modes a smoke trace cannot see:
   verification, and the re-run, the verification and the record's save
   and load are also reported one by one.
 
-The budgets hold roughly 10-20x headroom over a warm local run (the engine
-clears 100k arrivals in ~2.6 s, and re-runs and verifies them in
-~9.7 s, on a 2-vCPU host): they catch superlinear blowups, not
-scheduler jitter on a busy CI runner.
+The budgets hold roughly 30x headroom over a warm local run (the engine
+clears 100k arrivals in ~2 s, and re-runs and verifies them in ~2.6 s,
+on a 2-vCPU host): they catch superlinear blowups, not scheduler jitter
+on a busy CI runner.
 """
 
 import hashlib

@@ -211,9 +211,13 @@ class JobRecord:
         return {"job": self.job.to_dict(), **to_builtin(out)}
 
     @classmethod
-    def from_dict(cls, data: Dict) -> "JobRecord":
+    def from_dict(
+        cls, data: Dict, job: Optional[ClusterJob] = None
+    ) -> "JobRecord":
+        """*job*, when given, stands for ``data["job"]``: a loader that
+        already holds the job it encodes passes it instead of a rebuild."""
         return cls(
-            job=ClusterJob.from_dict(data["job"]),
+            job=ClusterJob.from_dict(data["job"]) if job is None else job,
             status=to_builtin(data["status"]),
             chip_id=to_builtin(data["chip_id"]),
             admitted_s=to_builtin(data["admitted_s"]),

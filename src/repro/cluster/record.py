@@ -17,13 +17,15 @@ simulation from the StudyCache without changing a single metric.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from math import copysign
+from operator import methodcaller
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.cluster.arrivals import ArrivalTrace
 from repro.cluster.fleet import Fleet
-from repro.cluster.jobs import JobRecord
+from repro.cluster.jobs import ClusterJob, JobRecord
 from repro.cluster.metrics import SloReport
 from repro.utils.jsonutil import (
     canonical_json,
@@ -60,20 +62,26 @@ class ClusterRunResult:
 
     # ------------------------------------------------------------------ #
 
-    def _member_values(self) -> Iterator[Tuple[str, object]]:
-        """(key, builtin value) of each payload member, in payload order,
-        each built only when the consumer reaches it."""
+    def _members(self) -> Iterator[Tuple[str, Any]]:
+        """(key, the object the run holds) of each payload member, in
+        payload order."""
         yield "schema_version", RECORD_SCHEMA_VERSION
-        yield "trace", self.trace.to_dict()
+        yield "trace", self.trace
         yield "policy", self.policy
-        yield "fleet", self.fleet.to_dict()
-        yield "max_queue_depth", int(self.max_queue_depth)
-        yield "records", [record.to_dict() for record in self.records]
-        yield "report", self.report.to_dict()
+        yield "fleet", self.fleet
+        yield "max_queue_depth", self.max_queue_depth
+        yield "records", self.records
+        yield "report", self.report
         # Open-loop runs omit the key so pre-engine records (and their
         # digests) remain byte-identical.
         if self.source is not None:
-            yield "source", to_builtin(dict(self.source))
+            yield "source", self.source
+
+    def _member_values(self) -> Iterator[Tuple[str, object]]:
+        """(key, builtin value) of each payload member, in payload order,
+        each built only when the consumer reaches it."""
+        for key, member in self._members():
+            yield key, _builtin_member(key, member)
 
     def _member_texts(self) -> Iterator[Tuple[str, str]]:
         """(key, canonical JSON text) of each payload member, in payload
@@ -116,15 +124,13 @@ class ClusterRunResult:
                 f"(expected {RECORD_SCHEMA_VERSION})"
             )
         trace = read_member(data, "trace", ArrivalTrace.from_dict)
-        records = read_member(
-            data, "records", lambda rows: list(map(JobRecord.from_dict, rows))
-        )
         # A served run's records hold the trace's own job objects; share
         # them on load too, so a loaded run carries one copy of each job.
         jobs = {job.job_id: job for job in trace.jobs}
-        for record in records:
-            if jobs.get(record.job.job_id) == record.job:
-                record.job = jobs[record.job.job_id]
+        records = read_member(
+            data, "records",
+            lambda rows: [_load_record(row, jobs) for row in rows],
+        )
         return cls(
             trace=trace,
             policy=read_member(data, "policy", str),
@@ -155,6 +161,44 @@ class ClusterRunResult:
         """Read a record written by :meth:`save`; a malformed file raises
         one ``ValueError`` naming the file and the member."""
         return load_json_object(path, cls.from_dict)
+
+
+#: How a payload member's object becomes the builtin value its text
+#: encodes; members missing here are encoded as the run holds them.
+_TO_BUILTIN = {
+    "trace": methodcaller("to_dict"),
+    "fleet": methodcaller("to_dict"),
+    "max_queue_depth": int,
+    "records": lambda records: [record.to_dict() for record in records],
+    "report": methodcaller("to_dict"),
+    "source": lambda source: to_builtin(dict(source)),
+}
+
+
+def _builtin_member(key: str, member: Any) -> Any:
+    convert = _TO_BUILTIN.get(key)
+    return member if convert is None else convert(member)
+
+
+def _load_record(row: Dict, jobs: Dict[int, ClusterJob]) -> JobRecord:
+    """One record row, holding the trace's job (from *jobs*, by id) when
+    the row's job equals it.
+
+    A row equal to a valid job's fields coerces to that job, so the
+    row is compared with the job's fields first and a job is built only
+    for a row that differs; one that still coerces to the trace's job
+    shares it too.
+    """
+    job_row = row["job"]
+    # Any other id (a numpy scalar, a malformed value) takes the building
+    # path, which coerces or rejects it exactly as before.
+    job_id = job_row.get("job_id") if type(job_row) is dict else None
+    job = jobs.get(job_id) if type(job_id) is int else None
+    if job is None or job_row != job.to_dict():
+        job = ClusterJob.from_dict(job_row)
+        if jobs.get(job.job_id) == job:
+            job = jobs[job.job_id]
+    return JobRecord.from_dict(row, job=job)
 
 
 def _object_pieces(members: Dict[str, str]) -> Iterator[str]:
@@ -210,13 +254,18 @@ def verify_replay(
     """``None`` when *replayed* reproduces *record* byte for byte, else a
     one-line description of the first divergence.
 
-    The two sides are serialized one payload member at a time, in
-    payload order, and the comparison stops at the first member that
-    differs; only then are the digests computed, for the message.
+    The payload members are compared in payload order without encoding
+    either run, and the comparison stops at the first member that
+    differs; only then are the digests computed, for the message.  A
+    member both runs hold as the same object is equal unread (a replay
+    shares the record's trace and fleet, and every record's job);
+    the rest compare as the builtin values they encode, record by
+    record, each the way :func:`_encodes_same` decides.
     """
-    fresh = replayed._member_texts()
-    for key, text in record._member_texts():
-        if next(fresh, None) != (key, text):
+    fresh = replayed._members()
+    for key, member in record._members():
+        other = next(fresh, None)
+        if other is None or not _same_member(key, member, other[1]):
             return (
                 f"replay diverged at {key!r}: digest "
                 f"{record.replay_digest[:12]} != {replayed.replay_digest[:12]}"
@@ -224,3 +273,93 @@ def verify_replay(
     if next(fresh, None) is not None:
         return "replay diverged (unlocated)"
     return None
+
+
+def _same_member(key: str, ours: Any, theirs: Any) -> bool:
+    """Whether payload member *key* encodes the same text on both runs."""
+    if ours is theirs:
+        return True
+    if key == "records":
+        return len(ours) == len(theirs) and all(
+            map(_same_record, ours, theirs)
+        )
+    return _encodes_same(
+        _builtin_member(key, ours), _builtin_member(key, theirs)
+    )
+
+
+def _same_record(ours: JobRecord, theirs: JobRecord) -> bool:
+    """Whether two job records encode the same text.
+
+    ``to_dict`` reads nothing but the fields, so two records holding
+    the same job whose other fields encode alike encode alike; any
+    other pair is compared on its ``to_dict()``.  (The fields are read
+    one by one: ``vars()`` would give every record a ``__dict__`` to
+    keep.)
+    """
+    if ours.job is theirs.job and all(
+        _encodes_same(getattr(ours, name), getattr(theirs, name))
+        for name in _OUTCOME_FIELDS
+    ):
+        return True
+    return _encodes_same(ours.to_dict(), theirs.to_dict())
+
+
+#: The fields of a job record besides its job.
+_OUTCOME_FIELDS = tuple(f.name for f in fields(JobRecord) if f.name != "job")
+#: Builtin types equal in text exactly when equal in type and value.
+_SCALARS = frozenset((str, int, bool, type(None)))
+#: Types :func:`_encodes_same` compares without encoding.
+_TYPED = _SCALARS | {float, dict, list, tuple}
+_ARRAYS = (list, tuple)
+
+
+def _encodes_same(a: Any, b: Any) -> bool:
+    """Whether *a* and *b* encode the same canonical JSON text, for
+    values canonical JSON can encode, without encoding the builtin
+    parts.
+
+    One object encodes as itself.  ``str``, ``int``, ``bool`` and
+    ``None`` compare by type and value (``1`` and ``1.0`` differ, so do
+    ``True`` and ``1``); ``float`` by value and the sign of zero;
+    ``dict`` by key set, then value by value; ``list`` and ``tuple``
+    element by element (both encode as arrays).  Two different builtin
+    types never encode alike; anything else -- a numpy scalar, a dict
+    keyed by numbers -- compares by its text.
+    """
+    if a is b:
+        return True
+    kind = type(a)
+    if kind is type(b):
+        if kind in _SCALARS:
+            return a == b
+        if kind is float:
+            return a == b and (a != 0.0 or copysign(1.0, a) == copysign(1.0, b))
+        if kind is dict:
+            return _dicts_encode_same(a, b)
+        if kind is list or kind is tuple:
+            return len(a) == len(b) and all(map(_encodes_same, a, b))
+    elif kind in _ARRAYS and type(b) in _ARRAYS:
+        return len(a) == len(b) and all(map(_encodes_same, a, b))
+    elif kind in _TYPED and type(b) in _TYPED:
+        return False
+    return canonical_json(a) == canonical_json(b)
+
+
+def _dicts_encode_same(a: Dict, b: Dict) -> bool:
+    # One encoded member per entry, so lengths must agree.  Sorting the
+    # keys of an encodable dict never compares a str with a non-str, so
+    # its keys are all strings or none are: the first key tells.
+    if len(a) != len(b):
+        return False
+    if not a:
+        return True
+    if not (isinstance(next(iter(a)), str) and isinstance(next(iter(b)), str)):
+        return canonical_json(a) == canonical_json(b)
+    if a.keys() != b.keys():
+        return False
+    for key, value in a.items():
+        other = b[key]
+        if value is not other and not _encodes_same(value, other):
+            return False
+    return True

@@ -11,8 +11,8 @@ intermediate (key, value) state depends on the key space:
 
 Each map worker owns one container; emission applies the combiner
 immediately (map-side combining).  After the Map phase the engine hashes
-keys into reduce partitions and each Reduce task merges the matching slice
-of every worker's container.
+each container's keys into reduce partitions once, and each Reduce task
+merges the matching slice of every worker's container.
 """
 
 from __future__ import annotations
@@ -39,17 +39,25 @@ class Container:
     def __len__(self) -> int:
         raise NotImplementedError
 
-    def partition_items(
-        self, num_partitions: int, partition: int
-    ) -> Iterator[Tuple[Hashable, Any]]:
-        """Yield the (key, accumulator) pairs that hash into *partition*."""
-        if not 0 <= partition < num_partitions:
+    def partitions(
+        self, num_partitions: int
+    ) -> Dict[int, List[Tuple[Hashable, Any]]]:
+        """The (key, accumulator) pairs of each non-empty reduce
+        partition, by :func:`stable_key_hash`, each in container order:
+        one pass over the container, one hash per key.
+
+        Only partitions that receive a pair get a list, so a reduce over
+        *n* workers holds no ``n x n`` grid of empty buckets.
+        """
+        if num_partitions < 1:
             raise ValueError(
-                f"partition {partition} out of range [0, {num_partitions})"
+                f"num_partitions must be >= 1, got {num_partitions}"
             )
-        for key, acc in self.items():
-            if stable_key_hash(key) % num_partitions == partition:
-                yield key, acc
+        buckets: Dict[int, List[Tuple[Hashable, Any]]] = {}
+        for item in self.items():
+            partition = stable_key_hash(item[0]) % num_partitions
+            buckets.setdefault(partition, []).append(item)
+        return buckets
 
 
 def stable_key_hash(key: Hashable) -> int:

@@ -189,16 +189,18 @@ class MapReduceRuntime:
         phase = PhaseTrace(Phase.REDUCE)
         partitions: List[Dict[Hashable, Any]] = []
         combiner = job.combiner()
+        slices = [
+            container.partitions(self.num_workers) for container in containers
+        ]
         for partition in range(self.num_workers):
             grouped: Dict[Hashable, List[Any]] = defaultdict(list)
             bytes_by_worker: Dict[int, float] = {}
-            for worker, container in enumerate(containers):
-                pulled = 0
-                for key, acc in container.partition_items(self.num_workers, partition):
+            for worker, buckets in enumerate(slices):
+                pulled = buckets.get(partition, ())
+                for key, acc in pulled:
                     grouped[key].append(acc)
-                    pulled += 1
                 if pulled:
-                    bytes_by_worker[worker] = pulled * config.bytes_per_pair
+                    bytes_by_worker[worker] = len(pulled) * config.bytes_per_pair
             output: Dict[Hashable, Any] = {}
             work = 0.0
             for key, accumulators in grouped.items():

@@ -92,7 +92,9 @@ class StudyCache:
         )
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(envelope, handle)
+                # The one-shot dumps takes the C encoder; json.dump always
+                # encodes in pure Python.  Same text either way.
+                handle.write(json.dumps(envelope))
             os.replace(tmp_name, path)
         except BaseException:
             try:

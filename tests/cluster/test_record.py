@@ -1,21 +1,32 @@
 """Run records: canonical persistence, replay verification, tampering."""
 
 import copy
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import record as record_module
-from repro.cluster import run_workload
+from repro.cluster import (
+    ArrivalTrace,
+    ClusterJob,
+    Fleet,
+    preset_trace,
+    run_workload,
+)
 from repro.cluster.record import (
     RECORD_SCHEMA_VERSION,
     ClusterRunResult,
     replay,
     verify_replay,
 )
+from repro.core.experiment import NVFI_MESH, VFI2_WINOC
 from repro.utils.jsonutil import canonical_json
+from tests.cluster.verify_oracle import verify_oracle
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +208,19 @@ class TestSharedJobs:
         for row in loaded.records[1:]:
             assert row.job is jobs[row.job.job_id]
 
+    def test_a_matching_row_builds_no_second_job(self, recorded, monkeypatch):
+        data = recorded.to_dict()
+        built = []
+        post_init = ClusterJob.__post_init__
+
+        def counting(job):
+            built.append(job.job_id)
+            post_init(job)
+
+        monkeypatch.setattr(ClusterJob, "__post_init__", counting)
+        ClusterRunResult.from_dict(data)
+        assert sorted(built) == sorted(job.job_id for job in recorded.trace.jobs)
+
 
 class TestMemberSerialization:
     """save, payload_json, replay_digest and verify share one per-member
@@ -290,3 +314,319 @@ class TestDivergenceMessages:
 
         monkeypatch.setattr(record_module.hashlib, "sha256", no_hashing)
         assert verify_replay(recorded, clone) is None
+
+
+class TestNothingEncodedOnAMatch:
+    @staticmethod
+    def _refuse_encoding(monkeypatch):
+        def refuse(value):
+            raise AssertionError("verify encoded a matching replay")
+
+        monkeypatch.setattr(record_module, "dump_builtin", refuse)
+        monkeypatch.setattr(record_module, "canonical_json", refuse)
+
+    def test_a_real_replay_encodes_nothing(
+        self, recorded, study_cache, monkeypatch
+    ):
+        fresh = replay(recorded, cache=study_cache)
+        assert fresh.trace is recorded.trace
+        self._refuse_encoding(monkeypatch)
+        assert verify_replay(recorded, fresh) is None
+
+    def test_a_loaded_clone_encodes_nothing(self, recorded, monkeypatch):
+        clone = ClusterRunResult.from_dict(recorded.to_dict())
+        assert clone.trace is not recorded.trace
+        self._refuse_encoding(monkeypatch)
+        assert verify_replay(recorded, clone) is None
+
+
+# ---------------------------------------------------------------------- #
+# The typed comparison against the text comparison it replaced
+# ---------------------------------------------------------------------- #
+
+#: Every value canonical JSON encodes (NaN and infinities are out:
+#: ``save`` cannot write them).
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**63), 2**63)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=10,
+)
+
+
+@st.composite
+def _twisted(draw, value):
+    """*value*, or a variant that may or may not encode the same: ints
+    and floats switch type, zeros their sign, bools become ints,
+    scalars become numpy scalars, lists tuples, and dicts reorder."""
+    kind = type(value)
+    if kind is bool:
+        return draw(st.sampled_from([value, int(value), np.bool_(value)]))
+    if kind is int:
+        options = [value, float(value)]
+        if value in (0, 1):
+            options.append(bool(value))
+        if -(2**63) <= value < 2**63:
+            options.append(np.int64(value))
+        return draw(st.sampled_from(options))
+    if kind is float:
+        options = [value, -value, np.float64(value)]
+        if value.is_integer():
+            options.append(int(value))
+        return draw(st.sampled_from(options))
+    if kind is str:
+        return draw(st.sampled_from([value, np.str_(value)]))
+    if kind is list:
+        items = [draw(_twisted(item)) for item in value]
+        return draw(st.sampled_from([items, tuple(items)]))
+    if kind is dict:
+        keys = draw(st.permutations(list(value)))
+        return {key: draw(_twisted(value[key])) for key in keys}
+    return value
+
+
+def _own_copy(run):
+    """*run* with its own records, report and source to perturb; its
+    trace, fleet and jobs stay the ones *run* holds."""
+    return dataclasses.replace(
+        run,
+        records=[
+            dataclasses.replace(r, extra=copy.deepcopy(r.extra))
+            for r in run.records
+        ],
+        report=copy.deepcopy(run.report),
+        source=copy.deepcopy(run.source),
+    )
+
+
+_NUMERIC_FIELDS = (
+    "chip_id", "admitted_s", "dispatched_s", "completed_s", "transfer_s",
+    "service_s", "energy_j", "attempts", "preemptions", "wasted_transfer_s",
+)
+
+
+def _perturb_field(draw, ours, theirs):
+    record = draw(st.sampled_from(theirs.records))
+    name = draw(st.sampled_from(_NUMERIC_FIELDS))
+    value = getattr(record, name)
+    if value is not None:
+        setattr(record, name, draw(_twisted(value)))
+
+
+def _bump_field(draw, ours, theirs):
+    record = draw(st.sampled_from(theirs.records))
+    name = draw(st.sampled_from(_NUMERIC_FIELDS))
+    value = getattr(record, name)
+    setattr(record, name, 1 if value is None else value + 1)
+
+
+def _switch_field(draw, ours, theirs):
+    # The same field on both sides, as two values that compare equal in
+    # Python; some encode alike (or are omitted alike), some do not.
+    index = draw(st.integers(0, len(ours.records) - 1))
+    name = draw(st.sampled_from(_NUMERIC_FIELDS))
+    mine, other = draw(st.sampled_from([
+        (0.0, -0.0), (0.0, 0), (1, 1.0), (1, True), (0, False), (2, 2.0),
+        (1.5, np.float64(1.5)), (3, np.int64(3)), (0.0, 0.0),
+    ]))
+    setattr(ours.records[index], name, mine)
+    setattr(theirs.records[index], name, other)
+
+
+def _perturb_extra(draw, ours, theirs):
+    index = draw(st.integers(0, len(ours.records) - 1))
+    value = draw(JSON_VALUES)
+    ours.records[index].extra["probe"] = value
+    theirs.records[index].extra["probe"] = draw(
+        st.sampled_from([value, copy.deepcopy(value)]) | _twisted(value)
+    )
+
+
+def _perturb_segments(draw, ours, theirs):
+    # A preempted record's extra holds its segments: a list of dicts.
+    record = draw(st.sampled_from(theirs.records))
+    record.extra = draw(_twisted(record.extra))
+
+
+def _add_extra_key(draw, ours, theirs):
+    record = draw(st.sampled_from(theirs.records))
+    record.extra[draw(st.text(min_size=1, max_size=4))] = draw(JSON_VALUES)
+
+
+def _rename_extra_key(draw, ours, theirs):
+    index = draw(st.integers(0, len(ours.records) - 1))
+    ours.records[index].extra["probe"] = None
+    theirs.records[index].extra[draw(st.sampled_from(["probe", "Probe"]))] = None
+
+
+def _bool_key(draw, ours, theirs):
+    # {True: 0} and {"true": 0} encode alike; a typed key compare
+    # would call them different.
+    ours.records[0].extra["probe"] = {True: 0}
+    theirs.records[0].extra["probe"] = draw(
+        st.sampled_from([{"true": 0}, {True: 0}, {"True": 0}, {1: 0}])
+    )
+
+
+def _records_as_tuple(draw, ours, theirs):
+    theirs.records = tuple(theirs.records)
+
+
+def _drop_record(draw, ours, theirs):
+    del theirs.records[draw(st.integers(0, len(theirs.records) - 1))]
+
+
+def _append_record(draw, ours, theirs):
+    theirs.records.append(
+        dataclasses.replace(draw(st.sampled_from(theirs.records)))
+    )
+
+
+def _copy_job(draw, ours, theirs):
+    record = draw(st.sampled_from(theirs.records))
+    changes = draw(
+        st.sampled_from([{}, {"input_mb": record.job.input_mb + 1.0}])
+    )
+    record.job = dataclasses.replace(record.job, **changes)
+
+
+def _copy_trace(draw, ours, theirs):
+    trace = theirs.trace
+    jobs = list(trace.jobs)
+    index = draw(st.integers(0, len(jobs) - 1))
+    changes = draw(st.sampled_from([
+        {},
+        {"input_mb": jobs[index].input_mb + 1.0},
+        {"priority": jobs[index].priority + 1},
+        {"seed": jobs[index].seed + 1},
+    ]))
+    jobs[index] = dataclasses.replace(jobs[index], **changes)
+    theirs.trace = draw(st.sampled_from([
+        ArrivalTrace(name=trace.name, seed=trace.seed, jobs=tuple(jobs)),
+        ArrivalTrace.from_dict(
+            ArrivalTrace(trace.name, trace.seed, tuple(jobs)).to_dict()
+        ),
+    ]))
+
+
+def _copy_fleet(draw, ours, theirs):
+    fleet = theirs.fleet
+    chips = list(fleet.chips)
+    index = draw(st.integers(0, len(chips) - 1))
+    other = NVFI_MESH if chips[index].config == VFI2_WINOC else VFI2_WINOC
+    changes = draw(st.sampled_from([{}, {"config": other}]))
+    chips[index] = dataclasses.replace(chips[index], **changes)
+    theirs.fleet = draw(st.sampled_from([
+        Fleet(chips=tuple(chips), interconnect_gbps=fleet.interconnect_gbps),
+        Fleet.from_dict(fleet.to_dict()),
+    ]))
+
+
+def _source_one_side(draw, ours, theirs):
+    side = draw(st.sampled_from([ours, theirs]))
+    side.source = None if side.source is not None else {
+        "kind": "closed", "retry_limit": 2,
+    }
+
+
+def _twist_source(draw, ours, theirs):
+    if theirs.source is not None:
+        theirs.source = draw(_twisted(theirs.source))
+
+
+def _twist_report(draw, ours, theirs):
+    name = draw(st.sampled_from(
+        ["completed", "makespan_s", "total_energy_j", "preemptions"]
+    ))
+    setattr(theirs.report, name, draw(_twisted(getattr(theirs.report, name))))
+
+
+def _twist_scalars(draw, ours, theirs):
+    theirs.policy = draw(st.sampled_from(
+        [theirs.policy, np.str_(theirs.policy), "fifo"]
+    ))
+    theirs.max_queue_depth = draw(_twisted(theirs.max_queue_depth))
+
+
+PERTURBATIONS = (
+    lambda draw, ours, theirs: None,
+    _perturb_field,
+    _bump_field,
+    _switch_field,
+    _perturb_extra,
+    _perturb_segments,
+    _add_extra_key,
+    _rename_extra_key,
+    _bool_key,
+    _records_as_tuple,
+    _drop_record,
+    _append_record,
+    _copy_job,
+    _copy_trace,
+    _copy_fleet,
+    _source_one_side,
+    _twist_source,
+    _twist_report,
+    _twist_scalars,
+)
+
+
+@pytest.fixture(scope="module")
+def replayed_runs(recorded, smoke_trace, small_fleet, study_cache):
+    """(run, its replay) for an open-loop run, a closed-loop run that
+    retries and a preempting run."""
+    closed = run_workload(
+        preset_trace("burst", seed=7), small_fleet, "fifo",
+        cache=study_cache, max_queue_depth=2, source="closed",
+        source_options={"retry_limit": 2, "backoff_base_s": 3.0},
+    )
+    preempting = run_workload(
+        preset_trace("deadline_tight", seed=7), small_fleet, "edf_preempt",
+        cache=study_cache,
+    )
+    assert closed.report.retries > 0
+    assert preempting.report.preemptions > 0
+    return [
+        (run, replay(run, cache=study_cache))
+        for run in (recorded, closed, preempting)
+    ]
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_typed_verdicts_equal_the_text_verdicts(replayed_runs, data):
+    run, fresh = data.draw(st.sampled_from(replayed_runs))
+    ours, theirs = _own_copy(run), _own_copy(fresh)
+    perturb = data.draw(st.sampled_from(PERTURBATIONS))
+    perturb(data.draw, ours, theirs)
+    if data.draw(st.booleans()):
+        ours, theirs = theirs, ours
+    assert verify_replay(ours, theirs) == verify_oracle(ours, theirs)
+
+
+@pytest.mark.parametrize("name", _NUMERIC_FIELDS + ("status", "extra"))
+def test_every_changed_record_field_diverges(replayed_runs, name):
+    # Each field of a record, changed on one record of a real replay
+    # (whose job the record shares), is a divergence at 'records'.
+    for run, fresh in replayed_runs:
+        theirs = _own_copy(fresh)
+        record = theirs.records[-1]
+        value = getattr(record, name)
+        if name == "status":
+            value = "rejected" if value == "completed" else "completed"
+        elif name == "extra":
+            value = {**value, "probe": 0}
+        else:
+            value = 1 if value is None else value + 1
+        setattr(record, name, value)
+        verdict = verify_replay(run, theirs)
+        assert verdict == verify_oracle(run, theirs)
+        assert verdict.startswith("replay diverged at 'records'")

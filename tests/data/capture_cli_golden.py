@@ -58,6 +58,21 @@ def _tampered(golden, tamper):
     return write
 
 
+def _energy_tampered(record, copy):
+    """Setup step: copy *record*, which an earlier step saved, to *copy*
+    with 1 J added to the energy of its first completed job."""
+
+    def write(workdir):
+        data = json.loads((workdir / record).read_text())
+        completed = next(
+            row for row in data["records"] if row["status"] == "completed"
+        )
+        completed["energy_j"] += 1.0
+        (workdir / copy).write_text(json.dumps(data))
+
+    return write
+
+
 def _plan_file(content):
     """Setup step: write *content* as ``plan.json``."""
 
@@ -172,6 +187,12 @@ SEQUENCES = {
         " --num-workers 16 --cache-dir .study_cache"
         " --record artifacts/cluster_edf_preempt.json",
         "cluster replay --record artifacts/cluster_edf_preempt.json"
+        " --cache-dir .study_cache",
+        _energy_tampered(
+            "artifacts/cluster_edf_preempt.json",
+            "artifacts/cluster_edf_preempt_tampered.json",
+        ),
+        "cluster replay --record artifacts/cluster_edf_preempt_tampered.json"
         " --cache-dir .study_cache",
     ],
     "readme-campaigns": [

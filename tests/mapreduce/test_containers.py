@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.mapreduce import containers as containers_module
 from repro.mapreduce.combiners import SumCombiner
 from repro.mapreduce.containers import (
     ArrayContainer,
@@ -11,6 +12,7 @@ from repro.mapreduce.containers import (
     OneBucketContainer,
     stable_key_hash,
 )
+from tests.mapreduce.partition_oracle import partition_items
 
 
 class TestStableKeyHash:
@@ -51,13 +53,13 @@ class TestHashContainer:
             c.emit(f"k{i}", 1)
         seen = []
         for p in range(8):
-            seen.extend(k for k, _ in c.partition_items(8, p))
+            seen.extend(k for k, _ in partition_items(c, 8, p))
         assert sorted(seen) == sorted(f"k{i}" for i in range(100))
 
     def test_partition_out_of_range(self):
         c = HashContainer(SumCombiner())
         with pytest.raises(ValueError):
-            list(c.partition_items(4, 4))
+            c.partitions(0)
 
 
 class TestArrayContainer:
@@ -96,3 +98,68 @@ class TestOneBucketContainer:
         assert len(items) == 1
         assert items[0][1] == 5.0
         assert len(c) == 1
+
+
+#: Keys of every type the reduce partitions by.
+KEYS = st.one_of(
+    st.text(max_size=8),
+    st.binary(max_size=8),
+    st.integers(-(2**40), 2**40),
+    st.booleans(),
+    st.tuples(st.integers(0, 100), st.text(max_size=3)),
+)
+
+
+@st.composite
+def filled_containers(draw):
+    """A container of each kind with emitted (key, value) pairs."""
+    kind = draw(st.sampled_from(["hash", "array", "one_bucket"]))
+    values = st.integers(0, 9)
+    if kind == "hash":
+        container = HashContainer(SumCombiner())
+        pairs = draw(st.lists(st.tuples(KEYS, values), max_size=40))
+    elif kind == "array":
+        size = draw(st.integers(1, 64))
+        container = ArrayContainer(SumCombiner(), size)
+        pairs = draw(
+            st.lists(st.tuples(st.integers(0, size - 1), values), max_size=40)
+        )
+    else:
+        container = OneBucketContainer(SumCombiner())
+        pairs = draw(st.lists(st.tuples(KEYS, values), max_size=5))
+    for key, value in pairs:
+        container.emit(key, value)
+    return container
+
+
+class TestPartitions:
+    @given(container=filled_containers(), num_partitions=st.integers(1, 300))
+    def test_buckets_equal_the_oracle_slices_hashing_each_key_once(
+        self, container, num_partitions
+    ):
+        expected = [
+            list(partition_items(container, num_partitions, p))
+            for p in range(num_partitions)
+        ]
+        hashed, depth = [], [0]
+
+        def counting_hash(key):
+            # A tuple key hashes its elements through the module global
+            # too; count the outermost call only.
+            if not depth[0]:
+                hashed.append(key)
+            depth[0] += 1
+            try:
+                return stable_key_hash(key)
+            finally:
+                depth[0] -= 1
+
+        original = containers_module.stable_key_hash
+        containers_module.stable_key_hash = counting_hash
+        try:
+            buckets = container.partitions(num_partitions)
+        finally:
+            containers_module.stable_key_hash = original
+        assert all(buckets.values())
+        assert [buckets.get(p, []) for p in range(num_partitions)] == expected
+        assert hashed == [key for key, _ in container.items()]

@@ -1,11 +1,13 @@
 """On-disk study cache: round trips, misses, corruption tolerance."""
 
+import io
 import json
 
 import numpy as np
 import pytest
 
 from repro.core.experiment import run_app_study
+from repro.core.serialization import study_to_dict
 from repro.orchestrator import StudyCache, StudySpec
 
 SPEC = StudySpec(app="histogram", scale=0.05, seed=9, num_workers=16)
@@ -19,6 +21,29 @@ def study():
 @pytest.fixture()
 def cache(tmp_path):
     return StudyCache(tmp_path / "cache")
+
+
+class TestFileBytes:
+    def test_written_file_is_json_dump_output(self, cache):
+        # A real 64-core study document: the write must produce exactly
+        # the bytes json.dump gives, so existing cache files stay valid
+        # byte for byte.
+        spec = StudySpec(
+            app="linear_regression", scale=0.05, seed=7, num_workers=64
+        )
+        document = study_to_dict(run_app_study(**spec.run_kwargs()))
+        path = cache.put_document(spec, document)
+        expected = io.StringIO()
+        json.dump(
+            {
+                "schema_version": cache.schema_version,
+                "key": spec.cache_key(cache.schema_version),
+                "spec": spec.to_dict(),
+                "study": document,
+            },
+            expected,
+        )
+        assert path.read_text() == expected.getvalue()
 
 
 class TestRoundTrip:
