@@ -16,6 +16,7 @@ replayed and compared byte for byte.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, TYPE_CHECKING
 
@@ -69,6 +70,14 @@ class ClusterJob:
         object.__setattr__(self, "input_mb", float(self.input_mb))
         if self.job_id < 0:
             raise ValueError(f"job_id must be >= 0, got {self.job_id}")
+        # NaN passes every comparison below, and an infinite time or
+        # size breaks the run (and its JSON record) far from here.
+        for name in ("arrival_s", "deadline_s", "input_mb"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(
+                    f"job {self.job_id}: {name} must be finite, got {value!r}"
+                )
         if self.arrival_s < 0.0:
             raise ValueError(f"arrival_s must be >= 0, got {self.arrival_s}")
         if not 0.0 < self.scale <= 1.0:

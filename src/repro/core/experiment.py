@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
 from repro.apps.base import BenchmarkApp
 from repro.apps.registry import create_app
 from repro.core.design_flow import VfiDesign, design_vfi, structural_bottleneck_workers
@@ -28,6 +26,7 @@ from repro.core.platforms import (
     build_vfi_mesh,
     build_vfi_winoc,
     die_for,
+    vfi_thread_mapping,
 )
 from repro.core.traffic import total_node_traffic
 from repro.faults import FaultPlan, ResiliencePolicy
@@ -190,11 +189,15 @@ def run_app_study(
                 nvfi, trace, locality=locality, params=sim_params
             )
 
-    # 3. VFI mesh systems (Eq. 3 stealing active).
-    map_seed = spawn_seed(seed, app_name, "mapping")
+    # 3. VFI mesh systems (Eq. 3 stealing active).  VFI 1 and VFI 2 are
+    #    one mesh at two V/F assignments: one communication-aware mapping
+    #    serves both.
+    mapping = vfi_thread_mapping(
+        design, geometry.layout(), seed=spawn_seed(seed, app_name, "mapping")
+    )
     if include_vfi1:
         vfi1_platform = build_vfi_mesh(
-            design, "vfi1", geometry=geometry, seed=map_seed, tech=tech
+            design, "vfi1", geometry=geometry, mapping=mapping, tech=tech
         )
         with tracer.wall_span(
             "study.sim_vfi1_mesh", cat="study", pid="pipeline", app=app_name,
@@ -207,7 +210,7 @@ def run_app_study(
                 params=sim_params,
             )
     vfi2_platform = build_vfi_mesh(
-        design, "vfi2", geometry=geometry, seed=map_seed, tech=tech
+        design, "vfi2", geometry=geometry, mapping=mapping, tech=tech
     )
     with tracer.wall_span(
         "study.sim_vfi2_mesh", cat="study", pid="pipeline", app=app_name,

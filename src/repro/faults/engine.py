@@ -9,8 +9,10 @@ the platform from it:
 * :meth:`effective_platform` -- the platform with failed links/channels
   removed (routes rebuilt via weighted Dijkstra -- XY routing cannot
   steer around holes) and throttled islands stepped down the DVFS
-  ladder.  Degraded platforms share the base platform's NoC static cache;
-  the topology mutation epoch keys keep the tables honest.
+  ladder.  A throttle-only view keeps the base fabric (one build of
+  the clock-free NoC tables, its own per-clock tables on top); a view
+  that lost links gets the fabric of its degraded topology
+  (:func:`repro.noc.fabric.fabric_for` keys fabrics by content).
 * :meth:`effective_worker_freqs` -- per-worker frequencies after island
   throttling and straggler slowdowns.
 * :meth:`effective_policy` -- the stealing policy with Eq. (3) caps
@@ -31,6 +33,7 @@ ties break on fixed keys, and no call reads global random state.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
@@ -124,7 +127,8 @@ class FaultEngine:
         self._base_link_keys = {
             link.key for link in platform.topology.links
         }
-        self._topo_cache: Dict[FrozenSet[FrozenSet[int]], object] = {}
+        #: Removed-link set -> (degraded topology, its routing).
+        self._topo_cache: Dict[FrozenSet[FrozenSet[int]], Tuple] = {}
         self._platform_cache: Dict[Tuple, Platform] = {}
 
     # ------------------------------------------------------------------ #
@@ -281,9 +285,10 @@ class FaultEngine:
         Returns the base platform object itself while nothing structural
         has changed, so the no-fault prefix of a run shares every cached
         table with a clean simulation.  Degraded platforms are cached per
-        (removed-link set, V/F assignment) and share the base platform's
-        NoC static cache -- the topology epoch in the cache keys prevents
-        any cross-talk between intact and degraded tables.
+        (removed-link set, V/F assignment); a throttle-only view shares
+        the base fabric, a view that lost links gets its degraded
+        topology's own (fabrics are keyed by content, so intact and
+        degraded tables never mix).
         """
         vf_points = self.effective_vf_points()
         if not self.removed_links and vf_points == tuple(
@@ -295,15 +300,11 @@ class FaultEngine:
         if platform is not None:
             return platform
 
-        from repro.sim.platform import Platform
-
         base = self.base_platform
-        topology = base.topology
-        routing = base.routing
+        topology, routing = base.topology, base.routing
         if self.removed_links:
             topo_key = frozenset(self.removed_links)
-            topology = self._topo_cache.get(topo_key)
-            if topology is None:
+            if topo_key not in self._topo_cache:
                 topology = base.topology.without_links(
                     self.removed_links,
                     name=f"{base.topology.name}-degraded",
@@ -314,33 +315,20 @@ class FaultEngine:
                         f"{sorted(sorted(k) for k in self.removed_links)} "
                         f"disconnects topology {base.topology.name!r}"
                     )
-                self._topo_cache[topo_key] = topology
-            # XY routing cannot steer around holes; degraded fabrics
-            # always route via the weighted shortest-path table.
-            routing = build_routing_table(topology)
+                # XY routing cannot steer around holes; degraded fabrics
+                # always route via the weighted shortest-path table.
+                self._topo_cache[topo_key] = (
+                    topology, build_routing_table(topology)
+                )
+            topology, routing = self._topo_cache[topo_key]
 
-        platform = Platform(
+        platform = replace(
+            base,
             name=f"{base.name}+degraded",
-            layout=base.layout,
             vf_points=list(vf_points),
             topology=topology,
             routing=routing,
-            mapping=base.mapping,
-            core_params=base.core_params,
-            memory_params=base.memory_params,
-            noc_params=base.noc_params,
-            wireless_spec=base.wireless_spec,
-            core_power_params=base.core_power_params,
-            noc_energy_params=base.noc_energy_params,
-            dvfs_ladder=base.dvfs_ladder,
-            island_core_power=base.island_core_power,
-            perf_scales=base.perf_scales,
         )
-        # Share the base static cache: epoch-aware keys keep degraded
-        # tables separate while V/F-only degradations reuse the base
-        # fabric's tables outright.
-        platform._noc_static_cache = base._noc_static_cache
-        platform.network = platform.build_network()
         self._platform_cache[cache_key] = platform
         return platform
 

@@ -73,7 +73,7 @@ def channel_utilizations(
     # crossing adds the pair's rate to its channel.  bincount adds in
     # entry order, and csr rows run in pair order, so each channel sums
     # exactly the sequence of rates a per-pair registration loop would.
-    channels = model._flow_usage()[:, 2 * len(topology.links):]
+    channels = model.fabric.flow_usage()[:, 2 * len(topology.links):]
     crossings = channels.data.astype(np.intp)
     pairs = np.repeat(np.arange(n * n), np.diff(channels.indptr))
     rate = traffic_rate_bps.ravel()

@@ -4,26 +4,34 @@ These tables are the flow model's evaluation (:mod:`repro.noc.network`
 states the formulas).  The system simulator needs all-pairs latencies
 for several packet classes at every phase relaxation, which per-packet
 path walks would turn into ~10^4 walks per refresh.
-:class:`DenseLatencyModel` precomputes the load-independent pieces
-(router pipeline, wire traversal, synchronizers, wireless propagation and
-token overhead) per (src, dst) pair once, and reduces the load-dependent
-pieces to one sparse mat-vec (queueing) plus a ragged min (bottleneck
-capacity) over shared *resources* -- directed wire links and wireless
-channels.  :class:`PairwiseEnergy` prices a transfer's energy per pair
-the same way.
+:class:`DenseLatencyModel` holds the load-independent pieces (router
+pipeline, wire traversal, synchronizers, wireless propagation and token
+overhead) per (src, dst) pair, and reduces the load-dependent pieces to
+one sparse mat-vec (queueing) plus a ragged min (bottleneck capacity)
+over shared *resources* -- directed wire links and wireless channels.
+:class:`PairwiseEnergy` prices a transfer's energy per pair the same
+way.
 
-Both classes build their tables in one pass of the forward route walk
-(:func:`repro.noc.pathwalk.route_blocks`), adding each hop's terms in
-path order; ``NocParams.dense_block_nodes`` picks the source block size
-and float32 storage (:func:`repro.noc.pathwalk.table_layout`).
+Both are views over the network's :class:`repro.noc.fabric.Fabric`,
+which holds one forward route walk per routing and everything that does
+not depend on clocks: the resource usage csr, the flow usage and the
+pairwise energy tables.  On top of it, the per-clock tables -- each
+resource's service time, capacity and buffer bound, the static head
+latency and the raw bottleneck -- are built here once per distinct
+clock vector (:func:`_resource_terms`, :func:`_clocked_tables`) by
+replaying the fabric's walk, adding each hop's terms in path order, and
+kept in the fabric, so every platform over it -- re-clocked, capped or
+throttled -- builds only its own clocks' tables, once.
+``NocParams.dense_block_nodes`` picks the source block size and float32
+storage (:func:`repro.noc.pathwalk.table_layout`).
 ``tests/noc/test_table_oracles.py`` asserts the tables equal those of
-the per-pair and blocked reference builders bit for bit, and
+the per-pair, blocked and one-walk reference builders bit for bit, and
 ``tests/noc/test_dense.py`` checks every pair's loaded latency, path
 capacity and transfer energy against the per-packet path walk of
 ``tests/noc/path_oracle.py``.  Tables are keyed by routing, not by
-message class (:meth:`repro.noc.network.FlowNetworkModel.routing_key`):
-where the bulk class routes like the latency class (every mesh), both
-share one set.
+message class (:meth:`repro.noc.fabric.Fabric.routing_key`): where the
+bulk class routes like the latency class (every mesh), both share one
+set.
 
 A load refresh is split into the pieces its consumers read --
 :meth:`DenseLatencyModel.utilization`,
@@ -39,13 +47,9 @@ from __future__ import annotations
 from typing import Dict, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from repro.noc.network import FlowNetworkModel
-from repro.noc.pathwalk import (
-    edge_resource_tables, route_blocks, stack_usage, table_layout, unsort,
-    usage_block,
-)
+from repro.noc.pathwalk import unsort
 from repro.noc.topology import LinkKind
 
 
@@ -53,135 +57,24 @@ class DenseLatencyModel:
     """All-pairs latency under load, vectorized over path resources.
 
     With ``bulk=True`` the model evaluates the wire-preferring bulk
-    message class (see :class:`repro.noc.network.FlowNetworkModel`)."""
+    message class (see :class:`repro.noc.network.FlowNetworkModel`).
+    Its per-clock tables are keyed by the network's ``clock_key``."""
 
     def __init__(self, model: FlowNetworkModel, bulk: bool = False):
         self.model = model
         self.bulk = bulk
-        self.num_nodes = model.topology.num_nodes
-        self._num_links = len(model.topology.links)
-        # Everything below is load-independent; share it across rebuilt
-        # networks of the same platform (same fabric and clocks) through
-        # the network's static cache.  The frequency fingerprint guards
-        # against a stale cache being handed to a re-clocked network.
-        key = (
-            "dense_static",
-            model.routing_key(bulk),
-            model.topology.epoch,
-            len(model.topology.links),
+        fabric = model.fabric
+        self.num_nodes = fabric.num_nodes
+        self._num_links = fabric.num_links
+        self.num_resources = fabric.num_resources
+        self._usage, self._binary_usage = fabric.usage(bulk)
+        self._service, self._capacity, self._buffer_flits = fabric.product(
+            ("resources", model.clock_key), lambda: _resource_terms(model)
         )
-        static = model.static_cache.get(key)
-        if static is None or not np.array_equal(
-            static["node_freq"], model._node_freq
-        ):
-            static = self._build_static(model, bulk)
-            model.static_cache[key] = static
-        self.num_resources = static["num_resources"]
-        self._service = static["service"]
-        self._capacity = static["capacity"]
-        self._buffer_flits = static["buffer_flits"]
-        self._head = static["head"]
-        self._usage = static["usage"]
-        self._binary_usage = static["binary_usage"]
-        self._raw_bottleneck = static["raw_bottleneck"]
-
-    @staticmethod
-    def _build_static(model: FlowNetworkModel, bulk: bool) -> Dict:
-        n = model.topology.num_nodes
-        links = model.topology.links
-        num_links = len(links)
-        num_channels = max(model.wireless.num_channels, 1)
-        num_resources = 2 * num_links + num_channels
-        _, dtype = table_layout(model.params, n)
-
-        # Per-resource service time, raw capacity and buffer bound.
-        service = np.zeros(num_resources)
-        capacity = np.zeros(num_resources)
-        buffer_flits = np.zeros(num_resources)
-        node_freq = model._node_freq
-        params = model.params
-        for index, link in enumerate(links):
-            if link.kind is LinkKind.WIRELESS:
-                continue  # wireless hops bill against their channel
-            f_link = min(node_freq[link.a], node_freq[link.b])
-            cap = params.flit_bits * f_link / params.link_traversal_cycles
-            for direction in (0, 1):
-                resource = 2 * index + direction
-                service[resource] = params.link_traversal_cycles / f_link
-                capacity[resource] = cap
-                buffer_flits[resource] = params.wire_buffer_flits
-        for channel in range(num_channels):
-            resource = 2 * num_links + channel
-            service[resource] = params.flit_bits / model.wireless.bandwidth_bps
-            capacity[resource] = model.wireless.bandwidth_bps
-            buffer_flits[resource] = params.wi_buffer_flits
-
-        # Per-hop terms over adjacent nodes u -> v: the billed resource
-        # column (whose ``capacity`` is the hop's raw line rate), the
-        # link term (wireless propagation + token, or wire traversal at
-        # the slower clock) and the island-crossing synchronizer (0
-        # inside an island).
-        link_col, chan_col = edge_resource_tables(model)
-        wireless = chan_col >= 0
-        billed_col = np.where(wireless, chan_col, link_col)
-        f_hop = np.minimum.outer(node_freq, node_freq)
-        link_s = np.where(
-            wireless,
-            model.wireless.propagation_s + model.wireless.token_overhead_s,
-            params.link_traversal_cycles / f_hop,
+        self._head, self._raw_bottleneck = fabric.product(
+            ("head", fabric.routing_key(bulk), model.clock_key),
+            lambda: _clocked_tables(model, bulk, self._capacity),
         )
-        clusters = np.asarray(model.clusters)
-        sync_s = np.where(
-            clusters[:, None] != clusters[None, :],
-            params.domain_sync_cycles / f_hop,
-            0.0,
-        )
-        pipeline_s = params.router_pipeline_cycles / node_freq
-
-        head = np.empty((n, n), dtype=dtype)
-        raw_bottleneck = np.empty((n, n), dtype=dtype)
-        parts = []
-        for start, end, order, steps in route_blocks(model, bulk):
-            # One slot per route in walk order.  Each hop adds its router
-            # pipeline, link and synchronizer terms in path order, so the
-            # float64 sums are exactly those of a per-path loop.
-            t = np.zeros(len(order))
-            line_rate = np.full(len(order), np.inf)
-            rows, cols = [], []
-            for u, v in steps:
-                walking = slice(len(u))
-                billed = billed_col[u, v]
-                t[walking] += pipeline_s[u]
-                t[walking] += link_s[u, v]
-                t[walking] += sync_s[u, v]
-                np.minimum(line_rate[walking], capacity[billed], out=line_rate[walking])
-                rows.append(order[walking])
-                cols.append(billed)
-            # Ejection pipeline at the destination; a zero-hop route is
-            # just the local port traversal.
-            head[start:end] = unsort(t, order, n) + pipeline_s
-            raw_bottleneck[start:end] = unsort(line_rate, order, n)
-            parts.append(usage_block(rows, cols, len(order), num_resources, dtype))
-        usage = stack_usage(parts)
-        # Deduplicated membership (a pair that crosses one channel twice
-        # still meets it once for min/max reductions): the csr already
-        # summed duplicates, so its structure with unit data is exactly
-        # that; share indices/indptr with ``usage`` instead of copying.
-        binary_usage = csr_matrix(
-            (np.ones_like(usage.data), usage.indices, usage.indptr),
-            shape=usage.shape,
-        )
-        return {
-            "node_freq": node_freq.copy(),
-            "num_resources": num_resources,
-            "service": service,
-            "capacity": capacity,
-            "buffer_flits": buffer_flits,
-            "head": head,
-            "usage": usage,
-            "binary_usage": binary_usage,
-            "raw_bottleneck": raw_bottleneck,
-        }
 
     # ------------------------------------------------------------------ #
 
@@ -289,62 +182,20 @@ class DenseLatencyModel:
 class PairwiseEnergy:
     """Load-independent per-pair transfer energy, hops and wireless share.
 
-    Path energy per bit never depends on load, so it is precomputed for
-    every (src, dst) pair; recording a transfer is then O(1) and feeds
-    the model's :class:`repro.noc.energy.NocEnergyModel` counters.
+    Path energy per bit never depends on load, so the fabric precomputes
+    it for every (src, dst) pair (:meth:`repro.noc.fabric.Fabric.pairwise`);
+    recording a transfer is then O(1) and feeds the model's
+    :class:`repro.noc.energy.NocEnergyModel` counters.
     """
 
     def __init__(self, model: FlowNetworkModel, bulk: bool = False):
         self.model = model
         self.bulk = bulk
-        # Path energies depend only on the fabric, never on clocks or
-        # load; share the tables across rebuilt networks of one platform.
-        key = (
-            "pairwise_static",
-            model.routing_key(bulk),
-            model.topology.epoch,
-            len(model.topology.links),
+        # Path energies depend only on the fabric and the energy
+        # constants, never on clocks or load.
+        self.energy_per_bit, self.hops, self.wireless_links = (
+            model.fabric.pairwise(bulk, model.energy.params)
         )
-        static = model.static_cache.get(key)
-        if static is None:
-            static = self._build_static(model, bulk)
-            model.static_cache[key] = static
-        self.energy_per_bit, self.hops, self.wireless_links = static
-
-    @staticmethod
-    def _build_static(model: FlowNetworkModel, bulk: bool):
-        n = model.topology.num_nodes
-        params = model.energy.params
-        _, dtype = table_layout(model.params, n)
-        # Per-hop energy beyond the hop's router, and wireless hops.
-        hop_pj = np.zeros((n, n))
-        hop_wireless = np.zeros((n, n))
-        for link in model.topology.links:
-            if link.kind is LinkKind.WIRELESS:
-                pj, wireless = params.wireless_pj_per_bit, 1.0
-            else:
-                pj = params.wire_pj_per_bit_per_mm * link.length_mm
-                wireless = 0.0
-            hop_pj[link.a, link.b] = hop_pj[link.b, link.a] = pj
-            hop_wireless[link.a, link.b] = hop_wireless[link.b, link.a] = wireless
-        energy_per_bit = np.empty((n, n), dtype=dtype)  # joules per bit
-        hops = np.empty((n, n), dtype=dtype)
-        wireless_links = np.empty((n, n), dtype=dtype)  # wireless hops on path
-        for start, end, order, steps in route_blocks(model, bulk):
-            pj_per_bit = np.full(len(order), params.router_pj_per_bit)  # ejection
-            route_hops = np.zeros(len(order))
-            route_wireless = np.zeros(len(order))
-            for u, v in steps:
-                walking = slice(len(u))
-                pj_per_bit[walking] += params.router_pj_per_bit
-                pj_per_bit[walking] += hop_pj[u, v]
-                route_hops[walking] += 1.0
-                route_wireless[walking] += hop_wireless[u, v]
-            pj_per_bit[route_hops == 0] = 0.0  # src == dst moves nothing
-            energy_per_bit[start:end] = unsort(pj_per_bit * 1e-12, order, n)
-            hops[start:end] = unsort(route_hops, order, n)
-            wireless_links[start:end] = unsort(route_wireless, order, n)
-        return energy_per_bit, hops, wireless_links
 
     def record(self, src: int, dst: int, bits: float) -> float:
         """Account the energy (J) of moving *bits* from *src* to *dst*."""
@@ -362,7 +213,7 @@ class PairwiseEnergy:
             # The pair's directed-link columns of its flow-usage row, one
             # per hop on link ``col // 2``; with the default NullTracer
             # this costs one attribute check.
-            usage = self.model._flow_usage(self.bulk)
+            usage = self.model.fabric.flow_usage(self.bulk)
             pair = src * self.model.topology.num_nodes + dst
             links = self.model.topology.links
             self.model._count_flits([
@@ -400,3 +251,83 @@ class PairwiseEnergy:
                 key=label,
             )
         return energy_j
+
+
+def _resource_terms(model: FlowNetworkModel):
+    """Per-resource service time, raw capacity and buffer bound at
+    *model*'s clocks."""
+    fabric = model.fabric
+    num_links = fabric.num_links
+    service = np.zeros(fabric.num_resources)
+    capacity = np.zeros(fabric.num_resources)
+    buffer_flits = np.zeros(fabric.num_resources)
+    node_freq = model._node_freq
+    params = model.params
+    for index, link in enumerate(fabric.topology.links):
+        if link.kind is LinkKind.WIRELESS:
+            continue  # wireless hops bill against their channel
+        f_link = min(node_freq[link.a], node_freq[link.b])
+        cap = params.flit_bits * f_link / params.link_traversal_cycles
+        for direction in (0, 1):
+            resource = 2 * index + direction
+            service[resource] = params.link_traversal_cycles / f_link
+            capacity[resource] = cap
+            buffer_flits[resource] = params.wire_buffer_flits
+    for channel in range(fabric.num_resources - 2 * num_links):
+        resource = 2 * num_links + channel
+        service[resource] = params.flit_bits / model.wireless.bandwidth_bps
+        capacity[resource] = model.wireless.bandwidth_bps
+        buffer_flits[resource] = params.wi_buffer_flits
+    return service, capacity, buffer_flits
+
+
+def _clocked_tables(model: FlowNetworkModel, bulk: bool, capacity: np.ndarray):
+    """``(head, raw_bottleneck)`` of a message class at *model*'s clocks,
+    from a replay of the fabric's forward walk.
+
+    Per hop ``u -> v`` the head adds the router pipeline, the link term
+    (wireless propagation + token, or wire traversal at the slower
+    clock) and the island-crossing synchronizer (0 inside an island),
+    in path order, so the float64 sums are exactly those of a per-path
+    loop; the raw bottleneck is the minimum line rate of the billed
+    resources (wire direction, or the wireless hop's channel)."""
+    fabric = model.fabric
+    n = fabric.num_nodes
+    params = model.params
+    node_freq = model._node_freq
+    link_col, chan_col = fabric.edge_columns()
+    wireless = chan_col >= 0
+    billed_col = np.where(wireless, chan_col, link_col)
+    f_hop = np.minimum.outer(node_freq, node_freq)
+    link_s = np.where(
+        wireless,
+        model.wireless.propagation_s + model.wireless.token_overhead_s,
+        params.link_traversal_cycles / f_hop,
+    )
+    clusters = np.asarray(model.clusters)
+    sync_s = np.where(
+        clusters[:, None] != clusters[None, :],
+        params.domain_sync_cycles / f_hop,
+        0.0,
+    )
+    pipeline_s = params.router_pipeline_cycles / node_freq
+    head = np.empty((n, n), dtype=fabric.dtype)
+    raw_bottleneck = np.empty((n, n), dtype=fabric.dtype)
+    for start, end, walk in fabric.walks(bulk):
+        order = walk.order
+        t = np.zeros(len(order))
+        line_rate = np.full(len(order), np.inf)
+        for u, v in walk.steps():
+            walking = slice(len(u))
+            t[walking] += pipeline_s[u]
+            t[walking] += link_s[u, v]
+            t[walking] += sync_s[u, v]
+            np.minimum(
+                line_rate[walking], capacity[billed_col[u, v]],
+                out=line_rate[walking],
+            )
+        # Ejection pipeline at the destination; a zero-hop route is
+        # just the local port traversal.
+        head[start:end] = unsort(t, order, n) + pipeline_s
+        raw_bottleneck[start:end] = unsort(line_rate, order, n)
+    return head, raw_bottleneck

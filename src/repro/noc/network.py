@@ -23,11 +23,13 @@ design-space exploration:
   serialization rate too would double-count it).  Bulk *streams* instead
   see the utilization-degraded effective capacity.
 
-:class:`FlowNetworkModel` holds the fabric, its clocks, the current loads
-and the energy counters.  The all-pairs tables of :mod:`repro.noc.dense`
-are the model's only evaluation: they compute the latency, capacity and
-transfer energy of every pair from one walk of the routing, and
-:meth:`FlowNetworkModel._flow_usage` maps pairs onto resources.
+:class:`FlowNetworkModel` holds the fabric (:class:`repro.noc.fabric.Fabric`,
+shared by every network over the same topology and routing), its
+clocks, the current loads and the energy counters.  The all-pairs tables
+of :mod:`repro.noc.dense` are the model's only evaluation: they compute
+the latency, capacity and transfer energy of every pair from the
+fabric's one walk of each routing, and :meth:`Fabric.flow_usage
+<repro.noc.fabric.Fabric.flow_usage>` maps pairs onto resources.
 ``tests/noc/path_oracle.py`` keeps the per-packet path walk as the
 reference they are checked against.
 
@@ -40,14 +42,12 @@ sidesteps with single-hop long-range links.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.noc.energy import NocEnergyModel, NocEnergyParams
-from repro.noc.pathwalk import (
-    edge_resource_tables, route_blocks, stack_usage, table_layout, usage_block,
-)
+from repro.noc.fabric import fabric_for
 from repro.noc.routing import RoutingTable
 from repro.noc.topology import Link, LinkKind, Topology
 from repro.noc.wireless import WirelessSpec
@@ -75,7 +75,7 @@ class NocParams:
     #: Source block size of the all-pairs NoC tables
     #: (:mod:`repro.noc.dense`, :mod:`repro.sim.memory`), which one
     #: forward route walk builds block by block
-    #: (:func:`repro.noc.pathwalk.route_blocks`).  ``None`` (the
+    #: (:meth:`repro.noc.fabric.Fabric.walks`).  ``None`` (the
     #: default) walks every source in one block and stores float64; a
     #: block size also switches storage to float32, so 128/256-core dies
     #: stay within a bounded peak RSS.
@@ -114,7 +114,9 @@ class FlowNetworkModel:
     Parameters
     ----------
     topology, routing:
-        The switch network and its deterministic routing.
+        The switch network and its deterministic routing; bulk
+        transfers take the fabric's wire-preferring routing
+        (:attr:`repro.noc.fabric.Fabric.bulk_routing`).
     clusters:
         VFI cluster id per node (all zeros for a non-VFI platform).
     cluster_frequencies_hz:
@@ -133,7 +135,6 @@ class FlowNetworkModel:
         params: NocParams = NocParams(),
         wireless: WirelessSpec = WirelessSpec(),
         energy_params: NocEnergyParams = NocEnergyParams(),
-        bulk_routing: Optional[RoutingTable] = None,
     ):
         if len(clusters) != topology.num_nodes:
             raise ValueError("clusters length does not match topology")
@@ -178,35 +179,27 @@ class FlowNetworkModel:
         self._node_freq = np.array(
             [self.cluster_frequencies_hz[cid] for cid in self.clusters]
         )
-        #: Routing for bulk (streaming) transfers.  Token-MAC wireless
-        #: channels are latency shortcuts, not bandwidth: a 16 Gbps shared
-        #: medium is much slower than a wormhole wire path for large
-        #: streams, so bulk key-value traffic uses a wire-preferring route
-        #: (message-class routing, as with protocol-class virtual
-        #: channels).  Defaults to the latency routing (mesh platforms).
-        self.bulk_routing = bulk_routing or routing
-        #: Cross-instance cache for load-independent precomputes (batch
-        #: flow-usage matrices, dense latency tables, pairwise energy).
-        #: :meth:`repro.sim.platform.Platform.build_network` hands every
-        #: rebuilt network of one platform the same dict, so the O(n^2)
-        #: path walks behind those tables run once per platform instead of
-        #: once per simulation.  Only valid across networks with identical
-        #: fabric and clocks; a standalone network keeps a private dict.
-        self.static_cache: Dict[object, object] = {}
+        #: The clock-free half of every table, shared with every network
+        #: over the same content (:func:`repro.noc.fabric.fabric_for`).
+        self.fabric = fabric_for(topology, routing, wireless.num_channels, params)
+        #: Everything the per-clock tables read besides the fabric: they
+        #: are built once per distinct value and kept in the fabric.
+        self.clock_key = (
+            params, wireless, tuple(self.clusters), self._node_freq.tobytes()
+        )
         # Telemetry: captured at construction (install the tracer first).
         # ``trace_label`` names this interconnect instance in counters and
         # samples; the simulator overwrites it with the platform name.
         self._tracer = get_tracer()
         self.trace_label = "noc"
 
-    def routing_key(self, bulk: bool) -> bool:
-        """Static-cache key part of a message class's all-pairs tables.
-
-        True only for a bulk class routed apart from the latency class.
-        A fabric without wireless links (every mesh, or a WiNoC that
-        lost all of them) routes bulk traffic on the latency routing
-        itself, so both classes key -- and share -- one table set."""
-        return bulk and self.bulk_routing is not self.routing
+    @property
+    def bulk_routing(self) -> RoutingTable:
+        """Routing of bulk (streaming) transfers: the latency routing
+        itself unless the fabric routes the bulk class apart."""
+        if self.fabric.routing_key(True):
+            return self.fabric.bulk_routing
+        return self.routing
 
     # ------------------------------------------------------------------ #
     # flow registration
@@ -258,13 +251,14 @@ class FlowNetworkModel:
         )
         rate_by_pair = np.zeros(len(pairs))
         np.add.at(rate_by_pair, row, rate[active])
-        usage = self._flow_usage(bulk)[pairs]
+        usage = self.fabric.flow_usage(bulk)[pairs]
         self.apply_resource_load(usage.T @ rate_by_pair)
 
     def apply_resource_load(self, load_per_resource: np.ndarray) -> None:
         """Add a per-resource load vector (bits/s) onto the current loads.
 
-        The resource layout matches :meth:`_flow_usage` columns: directed
+        The resource layout matches the flow-usage columns
+        (:meth:`repro.noc.fabric.Fabric.flow_usage`): directed
         link ``i`` occupies columns ``2*i`` / ``2*i + 1``, wireless channel
         ``c`` occupies column ``2 * num_links + c``.
         """
@@ -279,43 +273,6 @@ class FlowNetworkModel:
             num_links, 2
         )
         self.load.channel_load += load_per_resource[2 * num_links :]
-
-    def _flow_usage(self, bulk: bool = False):
-        """Sparse (n*n, resources) pair -> resource usage counts.
-
-        Row ``src * n + dst`` counts how often that pair's path crosses
-        each directed link (wire *and* wireless) and each shared wireless
-        channel.  Built once per routing (:meth:`routing_key`) from the
-        forward route walk and shared through :attr:`static_cache`.
-        """
-        key = (
-            "flow_usage",
-            self.routing_key(bulk),
-            self.topology.epoch,
-            len(self.topology.links),
-        )
-        usage = self.static_cache.get(key)
-        if usage is not None:
-            return usage
-        n = self.topology.num_nodes
-        num_resources = 2 * len(self.topology.links) + self.load.channel_load.shape[0]
-        _, dtype = table_layout(self.params, n)
-        link_col, chan_col = edge_resource_tables(self)
-        parts = []
-        for _, _, order, steps in route_blocks(self, bulk):
-            rows, cols = [], []
-            for u, v in steps:
-                route = order[: len(u)]
-                rows.append(route)
-                cols.append(link_col[u, v])
-                channel = chan_col[u, v]
-                on_channel = channel >= 0
-                rows.append(route[on_channel])
-                cols.append(channel[on_channel])
-            parts.append(usage_block(rows, cols, len(order), num_resources, dtype))
-        usage = stack_usage(parts)
-        self.static_cache[key] = usage
-        return usage
 
     # ------------------------------------------------------------------ #
     # energy / statistics

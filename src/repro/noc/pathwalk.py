@@ -3,14 +3,15 @@
 The all-pairs tables -- head latency, raw bottleneck and resource usage
 (:class:`repro.noc.dense.DenseLatencyModel`), per-pair energy
 (:class:`repro.noc.dense.PairwiseEnergy`), flow usage
-(:meth:`repro.noc.network.FlowNetworkModel._flow_usage`) and, through
-it, the calibration channel loads -- all come from one walk over a
-routing table's predecessor matrix.  Sources are taken in blocks
-(:func:`route_blocks`): :func:`walk_steps_block` advances every
+(:meth:`repro.noc.fabric.Fabric.flow_usage`) and, through it, the
+calibration channel loads -- all come from one walk over a routing
+table's predecessor matrix, which the fabric takes once per routing and
+replays for every table (:meth:`repro.noc.fabric.Fabric.walks`).
+Sources are taken in blocks: :func:`walk_steps_block` advances every
 (src, dst) route of a block one predecessor hop per step, and
 :func:`forward_steps` turns that backward walk into each route's hops
-in src -> dst order.  Per block that is ~diameter numpy steps instead
-of ``block * n`` Python path walks.
+in src -> dst order (a :class:`ForwardWalk`).  Per block that is
+~diameter numpy steps instead of ``block * n`` Python path walks.
 
 Forward order is what keeps float sums exact: a consumer that adds a
 hop's terms per step, in the order a Python loop over
@@ -134,56 +135,72 @@ def walk_steps_block(
         rows, dst, cur = rows[keep], dst[keep], prev[keep]
 
 
-def forward_steps(
-    pred_rows: np.ndarray, srcs: np.ndarray, n: int
-) -> Tuple[np.ndarray, Iterator[Tuple[np.ndarray, np.ndarray]]]:
-    """Every route of a source block, hop by hop in src -> dst order.
+class ForwardWalk:
+    """Every route of a source block, hop by hop in src -> dst order,
+    replayable.
 
-    Returns ``(order, steps)``.  ``order`` lists the block's routes --
-    ``row * n + dst``, ``row`` indexing *srcs* -- longest first, so the
-    routes still walking at any step are a prefix of it.  ``steps``
-    yields ``(u, v)`` per step: step ``j`` carries the ``j``-th hop
-    ``u -> v`` of routes ``order[:len(u)]``.  A consumer keeps one slot
-    per route in ``order``'s order, adds step ``j``'s terms to the
-    first ``len(u)`` slots, and scatters the slots back through
-    ``order`` at the end; zero-hop routes (``src == dst``) fill the
+    ``order`` lists the block's routes -- ``row * n + dst``, ``row``
+    indexing the block's sources -- longest first, so the routes still
+    walking at any step are a prefix of it.  :meth:`steps` yields
+    ``(u, v)`` per step: step ``j`` carries the ``j``-th hop ``u -> v``
+    of routes ``order[:len(u)]``.  A consumer keeps one slot per route
+    in ``order``'s order, adds step ``j``'s terms to the first
+    ``len(u)`` slots, and scatters the slots back through ``order`` at
+    the end (:func:`unsort`); zero-hop routes (``src == dst``) fill the
     tail slots and appear in no step.
+
+    The walk stores each step's destination nodes in the narrowest type
+    that holds a node id (one byte per hop up to 256 nodes), so every
+    per-clock table can replay it instead of walking the routing again.
+    """
+
+    def __init__(self, order: np.ndarray, first: np.ndarray, hops):
+        self.order = order
+        self._first = first
+        self._hops = hops
+
+    def steps(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        u = self._first
+        for v in self._hops:
+            yield u[: len(v)], v
+            u = v
+
+
+def forward_steps(pred_rows: np.ndarray, srcs: np.ndarray, n: int) -> ForwardWalk:
+    """The :class:`ForwardWalk` of a source block's routes.
 
     The block's backward walk (:func:`walk_steps_block`) runs to its end
     before this returns, so a broken predecessor chain raises before a
-    consumer has accumulated anything.  The walk keeps one padded table:
-    the node each backward step reached, in the narrowest type that
-    holds a node id.  Route indices are int32, which holds a one-block
-    walk of any die below ~46k nodes.
+    consumer has accumulated anything.  The walk keeps one padded
+    table: the node each backward step reached; route ``r``'s forward
+    hop ``j`` ends at the node its backward walk reached at step
+    ``hops[r] - 1 - j``.  Route indices are int32, which holds a
+    one-block walk of any die below ~46k nodes.
     """
     srcs = np.asarray(srcs)
     num_routes = len(srcs) * n
+    node_type = np.min_scalar_type(n - 1)
     hops = np.zeros(num_routes, dtype=np.int32)
     reached = []
     for step, (rows, dst, _prev, cur) in enumerate(
         walk_steps_block(pred_rows, srcs, n)
     ):
         route = rows * n + dst
-        nodes = np.empty(num_routes, dtype=np.min_scalar_type(n - 1))
+        nodes = np.empty(num_routes, dtype=node_type)
         nodes[route] = cur
         reached.append(nodes)
         hops[route] = step + 1
     order = np.argsort(-hops, kind="stable").astype(np.int32)
     walking = num_routes - np.cumsum(np.bincount(hops, minlength=1))
-    # Route r's hop j ends at the node its backward walk reached at step
-    # hops[r] - 1 - j: an index into the flattened table that moves back
-    # one row per step.
-    reached = np.concatenate(reached) if reached else np.empty(0, np.int32)
+    # An index into the flattened table that moves back one row per
+    # forward step.
+    reached = np.concatenate(reached) if reached else np.empty(0, node_type)
     last = (hops[order] - 1).astype(np.intp) * num_routes + order
-
-    def steps() -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        u = srcs[order // n]
-        for j, count in enumerate(walking[:-1]):
-            v = reached[last[:count] - j * num_routes]
-            yield u[:count], v
-            u = v
-
-    return order, steps()
+    forward = [
+        reached[last[:count] - j * num_routes]
+        for j, count in enumerate(walking[:-1])
+    ]
+    return ForwardWalk(order, srcs[order // n].astype(node_type), forward)
 
 
 def table_layout(params, n: int) -> Tuple[int, type]:
@@ -197,25 +214,6 @@ def table_layout(params, n: int) -> Tuple[int, type]:
     if params.dense_block_nodes is None:
         return n, np.float64
     return params.dense_block_nodes, np.float32
-
-
-def route_blocks(
-    model, bulk: bool = False
-) -> Iterator[Tuple[int, int, np.ndarray, Iterator[Tuple[np.ndarray, np.ndarray]]]]:
-    """``(start, end, order, steps)`` per source block of *model*'s routes.
-
-    ``order`` and ``steps`` are :func:`forward_steps` over sources
-    ``start <= src < end`` of the latency routing, or with *bulk* the
-    bulk routing.
-    """
-    n = model.topology.num_nodes
-    routing = model.bulk_routing if bulk else model.routing
-    pred = routing.predecessor_matrix()
-    block, _ = table_layout(model.params, n)
-    for start in range(0, n, block):
-        end = min(start + block, n)
-        srcs = np.arange(start, end)
-        yield (start, end) + forward_steps(pred[start:end], srcs, n)
 
 
 def unsort(slots: np.ndarray, order: np.ndarray, n: int) -> np.ndarray:

@@ -22,6 +22,7 @@ The evaluated configuration is ``(k_intra, k_inter) = (3, 1)``; the
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -117,6 +118,8 @@ def build_small_world(
         if len(nodes) < 2:
             raise ValueError(f"cluster {cid} has fewer than 2 nodes")
 
+    intra_table = _wiring_table(geometry, config.alpha_intra)
+    inter_table = _wiring_table(geometry, config.alpha_inter)
     degrees = np.zeros(geometry.num_nodes, dtype=int)
     links: List[Link] = []
     existing: set = set()
@@ -147,11 +150,8 @@ def build_small_world(
         rng.shuffle(order)
         connected = [order[0]]
         for node in order[1:]:
-            weights = np.array(
-                [
-                    _wiring_weight(geometry, node, peer, config.alpha_intra)
-                    for peer in connected
-                ]
+            weights = _wiring_weights(
+                intra_table, geometry, node, np.array(connected)
             )
             for peer in _weighted_order(connected, weights, rng):
                 if try_add(node, peer):
@@ -163,11 +163,13 @@ def build_small_world(
                 )
             connected.append(node)
         # Remaining intra links by power-law sampling.
+        first, second = np.triu_indices(len(nodes), 1)
         _add_sampled_links(
+            intra_table,
             geometry,
-            [(a, b) for a, b in itertools.combinations(nodes, 2)],
+            np.array(nodes)[first],
+            np.array(nodes)[second],
             target_links - (len(nodes) - 1),
-            config.alpha_intra,
             rng,
             try_add,
         )
@@ -179,21 +181,25 @@ def build_small_world(
         pair_list, cluster_ids, inter_cluster_traffic, total_inter
     )
     for (p, q), quota in quotas.items():
-        candidates = [(a, b) for a in members[p] for b in members[q]]
         added = _add_sampled_links(
-            geometry, candidates, quota, config.alpha_inter, rng, try_add
+            inter_table,
+            geometry,
+            np.repeat(members[p], len(members[q])),
+            np.tile(members[q], len(members[p])),
+            quota,
+            rng,
+            try_add,
         )
         if added < quota:
             # Port caps can exhaust a pair; spill the remainder anywhere.
+            first, second = np.triu_indices(geometry.num_nodes, 1)
+            apart = np.asarray(clusters)[first] != np.asarray(clusters)[second]
             _add_sampled_links(
+                inter_table,
                 geometry,
-                [
-                    (a, b)
-                    for a, b in itertools.combinations(range(geometry.num_nodes), 2)
-                    if clusters[a] != clusters[b]
-                ],
+                first[apart],
+                second[apart],
                 quota - added,
-                config.alpha_inter,
                 rng,
                 try_add,
             )
@@ -204,46 +210,74 @@ def build_small_world(
     return topology
 
 
-def _wiring_weight(geometry: GridGeometry, a: int, b: int, alpha: float) -> float:
-    distance = max(geometry.distance_mm(a, b), 1e-9)
-    return distance**-alpha
+def _wiring_table(geometry: GridGeometry, alpha: float) -> np.ndarray:
+    """Power-law wiring weight ``d^-alpha`` of two switches ``|dx|``
+    columns and ``|dy|`` rows apart, as ``table[|dx|, |dy|]``.
+
+    Each entry is the scalar ``GridGeometry.distance_mm`` would give the
+    pair raised to ``-alpha`` (``hypot`` ignores the offsets' signs), so
+    a lookup has the bits of the per-pair computation."""
+    return np.array([
+        [
+            max(math.hypot(dx, dy) * geometry.pitch_mm, 1e-9) ** -alpha
+            for dy in range(geometry.rows)
+        ]
+        for dx in range(geometry.columns)
+    ])
+
+
+def _wiring_weights(
+    table: np.ndarray, geometry: GridGeometry, a, b
+) -> np.ndarray:
+    """Wiring weights of the switch pairs ``(a[i], b[i])`` (broadcast)."""
+    columns = geometry.columns
+    a, b = np.asarray(a), np.asarray(b)
+    return table[
+        np.abs(a % columns - b % columns), np.abs(a // columns - b // columns)
+    ]
 
 
 def _weighted_order(
     items: Sequence[int], weights: np.ndarray, rng: np.random.Generator
 ) -> List[int]:
-    """Items in random order biased by weights (without replacement)."""
+    """Items in random order biased by weights (without replacement).
+
+    Each pick draws one ``rng.random()`` against the normalized cdf of
+    the remaining weights -- what ``rng.choice(len(items), p=p)`` does,
+    without its argument checks -- so the picks and the generator state
+    are those of a ``choice`` per pick."""
     remaining = list(items)
     remaining_weights = np.array(weights, dtype=float)
     ordered: List[int] = []
     while remaining:
         probabilities = remaining_weights / remaining_weights.sum()
-        index = int(rng.choice(len(remaining), p=probabilities))
+        cdf = probabilities.cumsum()
+        cdf /= cdf[-1]
+        index = int(cdf.searchsorted(rng.random(), side="right"))
         ordered.append(remaining.pop(index))
         remaining_weights = np.delete(remaining_weights, index)
     return ordered
 
 
 def _add_sampled_links(
+    table: np.ndarray,
     geometry: GridGeometry,
-    candidates: List[Tuple[int, int]],
+    first: np.ndarray,
+    second: np.ndarray,
     count: int,
-    alpha: float,
     rng: np.random.Generator,
     try_add,
 ) -> int:
-    """Sample *count* links from *candidates* with power-law probability."""
-    if count <= 0 or not candidates:
+    """Sample *count* of the candidate links ``(first[i], second[i])``
+    with power-law probability (weights from :func:`_wiring_table`)."""
+    if count <= 0 or not len(first):
         return 0
-    weights = np.array(
-        [_wiring_weight(geometry, a, b, alpha) for a, b in candidates]
-    )
+    weights = _wiring_weights(table, geometry, first, second)
     added = 0
     for index in map(int, _sample_order(weights, rng)):
         if added >= count:
             break
-        a, b = candidates[index]
-        if try_add(a, b):
+        if try_add(int(first[index]), int(second[index])):
             added += 1
     return added
 

@@ -22,9 +22,10 @@ from repro.utils.validation import check_positive
 
 #: Monotonic epoch source for mutated topologies.  Fresh-built topologies
 #: keep epoch 0; every derived topology (``with_links`` /
-#: ``without_links``) draws a new process-unique epoch so static caches
-#: keyed on ``(routing, epoch, len(links))`` can never alias tables computed
-#: for a different link set.
+#: ``without_links``) draws a new process-unique epoch.  Table sharing
+#: does not read it: :func:`repro.noc.fabric.fabric_for` keys fabrics by
+#: content, since two fresh builds (say a mesh and a small-world fabric
+#: with as many links) share epoch 0.
 _EPOCH = itertools.count(1)
 
 
@@ -119,8 +120,7 @@ class Topology:
     geometry: GridGeometry
     links: List[Link] = field(default_factory=list)
     #: Mutation epoch: 0 for fresh-built topologies, process-unique for
-    #: every derived one.  Static-table caches key on it, so removing or
-    #: adding links invalidates cached hop/energy tables.
+    #: every derived one.
     epoch: int = 0
 
     def __post_init__(self) -> None:
@@ -187,9 +187,9 @@ class Topology:
         """New topology with every link whose :attr:`Link.key` is in
         *keys* removed (fault injection: failed wires / lost channels).
 
-        The derived topology carries a fresh mutation epoch, so shared
-        static caches recompute hop and energy tables instead of reusing
-        those of the intact fabric.
+        The derived topology carries a fresh mutation epoch; its link
+        list differs, so it gets its own fabric and tables
+        (:func:`repro.noc.fabric.fabric_for`).
         """
         drop = set(keys)
         missing = drop - {link.key for link in self.links}

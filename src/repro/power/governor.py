@@ -330,8 +330,9 @@ class CapGovernor:
         Returns the base platform object itself while every island sits
         at its base point, so uncapped stretches of a run share every
         cached table with a clean simulation.  Capped platforms are
-        cached per assignment and share the base platform's NoC static
-        cache and bulk routing (the fabric never changes -- only V/F).
+        cached per assignment; :meth:`Platform.with_vf` keeps the base
+        fabric (only V/F changes), so each assignment builds just its
+        own per-clock tables, once.
         """
         steps = tuple(self._steps)
         if not any(steps):
@@ -344,9 +345,6 @@ class CapGovernor:
             self._point(island, down) for island, down in enumerate(steps)
         ]
         platform = base.with_vf(points, name=f"{base.name}+capped")
-        platform._bulk_routing = base._bulk_routing
-        platform._noc_static_cache = base._noc_static_cache
-        platform.network = platform.build_network()
         self._platform_cache[steps] = platform
         return platform
 

@@ -32,11 +32,20 @@ inverse capacities.  Effective path capacity is gathered only at the
 (:meth:`MemorySystem.bulk_path_capacity`), never as an n x n matrix.
 On a fabric where both classes share one routing (every mesh) they
 share one table set, and the loaded head is computed once.
+
+A memory system builds nothing that does not depend on its clocks.
+The NoC tables come from the platform's :class:`repro.noc.fabric.Fabric`
+through :class:`DenseLatencyModel` and :class:`PairwiseEnergy` (the
+per-clock ones once per clock vector), and the home-bank distribution,
+the per-node miss-usage rows and the per-access energy expectations are
+fabric products keyed by (locality, memory params[, NoC energy
+params]).  So every platform over one fabric -- the three meshes of a
+study, a governor's re-clocked views, a throttled fault view -- and
+every simulation on it share them; a new memory system at a platform
+switch costs the bank service times and one load refresh.
 """
 
 from __future__ import annotations
-
-from typing import List, Tuple
 
 import numpy as np
 
@@ -53,57 +62,38 @@ class MemorySystem:
         check_probability("locality", locality)
         self.platform = platform
         self.locality = locality
-        n = platform.num_cores
-        self.num_nodes = n
-        # Home-bank probability matrix.  S-NUCA interleaves cache lines by
-        # address, so the bulk of the distribution is uniform over all 64
-        # banks; a fraction `locality` of accesses instead hits the core's
-        # neighborhood (own bank and banks within a few hops, with
-        # exponentially decaying weight) -- modeling the share of hits to
-        # locally cached/forwarded data, largest for LR ("exchanges large
-        # data units with nearer cores").
-        geometry = platform.layout.geometry
-        nodes = np.arange(n)
-        cols = nodes % geometry.columns
-        rows = nodes // geometry.columns
-        hops = (
-            np.abs(cols[:, None] - cols[None, :])
-            + np.abs(rows[:, None] - rows[None, :])
-        ).astype(float)
-        kernel = np.where(hops <= 3, np.exp(-hops / 0.9), 0.0)
-        kernel /= kernel.sum(axis=1, keepdims=True)
-        self.bank_prob = locality * kernel + (1.0 - locality) / n
-
+        self.num_nodes = platform.num_cores
         mem = platform.memory_params
         self._ctrl_bits = control_bits() * mem.coherence_control_factor
         self._data_bits = float(data_bits())
-        # Nearest controller per bank (static).
-        geometry = platform.layout.geometry
-        self.controller_of_bank = np.array(
-            [
-                min(
-                    mem.controller_nodes,
-                    key=lambda c: (geometry.manhattan_hops(bank, c), c),
-                )
-                for bank in range(n)
-            ]
-        )
         network = platform.network
         self.dense = DenseLatencyModel(network)
         self.dense_bulk = DenseLatencyModel(network, bulk=True)
         self.pairwise = PairwiseEnergy(network)
         self.pairwise_bulk = PairwiseEnergy(network, bulk=True)
         # Both classes route on the latency routing, so they hold the
-        # very same tables (FlowNetworkModel.routing_key).
-        self._one_routing = not network.routing_key(bulk=True)
+        # very same tables (Fabric.routing_key).
+        self._one_routing = not network.fabric.routing_key(bulk=True)
+        # Clock-free products of this (locality, memory params), kept in
+        # the fabric: every platform over it reuses them.
+        fabric = network.fabric
+        self.bank_prob, self.controller_of_bank, self._miss_usage = fabric.product(
+            ("memory", locality, mem), self._build_miss_usage
+        )
+        (self._e_l2, self._h_l2, self._w_l2,
+         self._e_mem, self._h_mem, self._w_mem) = fabric.product(
+            ("memory_energy", locality, mem, network.energy.params),
+            self._build_energy_expectations,
+        )
         # Bank service time at the bank island's clock (static).
         freqs = np.array(
             [
                 platform.vf_points[platform.layout.cluster_of(bank)].frequency_hz
-                for bank in range(n)
+                for bank in range(self.num_nodes)
             ]
         )
         self._bank_service_s = mem.l2_bank_cycles / freqs
+        n = self.num_nodes
         self._l2_round_trip: np.ndarray = np.zeros(n)
         self._mem_extra: np.ndarray = np.zeros(n)
         #: Bulk-class all-pairs matrices for key-value streaming, refreshed
@@ -111,8 +101,6 @@ class MemorySystem:
         self.bulk_base_latency_s: np.ndarray = np.zeros((n, n))
         self.bulk_raw_bottleneck_bps: np.ndarray = self.dense_bulk.raw_bottleneck_matrix()
         self._bulk_inverse_capacity = np.zeros(self.dense_bulk.num_resources)
-        self._precompute_energy_expectations()
-        self._precompute_miss_usage()
         self.refresh_latencies()
 
     # ------------------------------------------------------------------ #
@@ -207,48 +195,77 @@ class MemorySystem:
     # flows and energy
     # ------------------------------------------------------------------ #
 
-    def _precompute_miss_usage(self) -> None:
-        """Per-node resource rows for miss traffic registration.
+    def _build_miss_usage(self):
+        """``(bank_prob, controller_of_bank, miss_usage)``.
 
-        Row ``node`` of the resulting (nodes, resources) matrix is the NoC
-        resource load (bits/s per directed link / wireless channel)
-        produced by one miss access per second issued at ``node``: control
-        packets to every home bank over the latency class, data responses
-        back over the bulk class, weighted by the home-bank distribution.
+        ``bank_prob[node, bank]`` is the home-bank distribution.  S-NUCA
+        interleaves cache lines by address, so the bulk of it is uniform
+        over all banks; a fraction ``locality`` of accesses instead hits
+        the core's neighborhood (own bank and banks within a few hops,
+        with exponentially decaying weight) -- modeling the share of
+        hits to locally cached/forwarded data, largest for LR
+        ("exchanges large data units with nearer cores").
+        ``controller_of_bank`` is each bank's nearest memory controller.
+
+        Row ``node`` of ``miss_usage`` is the NoC resource load (bits/s
+        per directed link / wireless channel) produced by one miss
+        access per second issued at ``node``: control packets to every
+        home bank over the latency class, data responses back over the
+        bulk class, weighted by the home-bank distribution.
         ``add_miss_flows`` is then a single scaled row add instead of
         2 * banks per-pair path walks."""
         from scipy.sparse import csr_matrix
 
-        network = self.platform.network
+        platform = self.platform
+        geometry = platform.layout.geometry
         n = self.num_nodes
-        usage_ctrl = network._flow_usage(bulk=False)
-        usage_data = network._flow_usage(bulk=True)
+        nodes = np.arange(n)
+        cols = nodes % geometry.columns
+        rows = nodes // geometry.columns
+        hops = (
+            np.abs(cols[:, None] - cols[None, :])
+            + np.abs(rows[:, None] - rows[None, :])
+        ).astype(float)
+        kernel = np.where(hops <= 3, np.exp(-hops / 0.9), 0.0)
+        kernel /= kernel.sum(axis=1, keepdims=True)
+        bank_prob = self.locality * kernel + (1.0 - self.locality) / n
+        controllers = platform.memory_params.controller_nodes
+        controller_of_bank = np.array(
+            [
+                min(controllers, key=lambda c: (geometry.manhattan_hops(bank, c), c))
+                for bank in range(n)
+            ]
+        )
+        fabric = platform.network.fabric
+        usage_ctrl = fabric.flow_usage(bulk=False)
+        usage_data = fabric.flow_usage(bulk=True)
         num_resources = usage_ctrl.shape[1]
         # Issuer rows are independent, so the rate-matrix products run in
         # row blocks (NocParams.dense_block_nodes) to bound the sparse
         # matmul workspace on large dies; the default single block is the
         # legacy all-rows computation.
-        block = self.platform.noc_params.dense_block_nodes or n
-        self._miss_usage = np.empty((n, num_resources))
+        block = platform.noc_params.dense_block_nodes or n
+        miss_usage = np.empty((n, num_resources))
         for start in range(0, n, block):
             end = min(start + block, n)
-            nodes = np.repeat(np.arange(start, end), n)
+            issuers = np.repeat(np.arange(start, end), n)
             banks = np.tile(np.arange(n), end - start)
-            prob = self.bank_prob[start:end].ravel()
+            prob = bank_prob[start:end].ravel()
             # (node, node*n + bank) -> ctrl bits/s; (node, bank*n + node)
             # -> data bits/s.  Pair columns follow the flow-usage
             # convention; rows are offset into the block.
             ctrl_rates = csr_matrix(
-                (prob * self._ctrl_bits, (nodes - start, nodes * n + banks)),
+                (prob * self._ctrl_bits, (issuers - start, issuers * n + banks)),
                 shape=(end - start, n * n),
             )
             data_rates = csr_matrix(
-                (prob * self._data_bits, (nodes - start, banks * n + nodes)),
+                (prob * self._data_bits, (issuers - start, banks * n + issuers)),
                 shape=(end - start, n * n),
             )
-            self._miss_usage[start:end] = np.asarray(
+            miss_usage[start:end] = np.asarray(
                 (ctrl_rates @ usage_ctrl + data_rates @ usage_data).todense()
             )
+        return bank_prob, controller_of_bank, miss_usage
 
     def add_miss_flows(self, node: int, accesses_per_s: float) -> None:
         """Register a core's sustained miss traffic with the flow model."""
@@ -304,8 +321,9 @@ class MemorySystem:
         )
         return self.pairwise.record_aggregate(energy, bits, bit_hops, wireless)
 
-    def _precompute_energy_expectations(self) -> None:
-        """Expected per-access energy/hops/wireless-bits per source node.
+    def _build_energy_expectations(self):
+        """Expected per-access energy/hops/wireless-bits per source node:
+        ``(e_l2, h_l2, w_l2, e_mem, h_mem, w_mem)``.
 
         Control packets bill against the latency-class paths, data
         responses against the bulk-class paths."""
@@ -331,12 +349,8 @@ class MemorySystem:
         # (NocParams.dense_block_nodes); the default single block is the
         # exact legacy computation.
         block = self.platform.noc_params.dense_block_nodes or n
-        self._e_l2 = np.empty(n)
-        self._h_l2 = np.empty(n)
-        self._w_l2 = np.empty(n)
-        self._e_mem = np.empty(n)
-        self._h_mem = np.empty(n)
-        self._w_mem = np.empty(n)
+        expectations = tuple(np.empty(n) for _ in range(6))
+        e_l2, h_l2, w_l2, e_mem, h_mem, w_mem = expectations
         for start in range(0, n, block):
             end = min(start + block, n)
             rows = slice(start, end)
@@ -344,9 +358,10 @@ class MemorySystem:
             e_round = ctrl * pe.energy_per_bit[rows] + data * pb.energy_per_bit.T[rows]
             h_round = ctrl * pe.hops[rows] + data * pb.hops.T[rows]
             w_round = ctrl * pe.wireless_links[rows] + data * pb.wireless_links.T[rows]
-            self._e_l2[rows] = (prob * e_round).sum(axis=1)
-            self._h_l2[rows] = (prob * h_round).sum(axis=1)
-            self._w_l2[rows] = (prob * w_round).sum(axis=1)
-            self._e_mem[rows] = (prob * e_extra[None, :]).sum(axis=1)
-            self._h_mem[rows] = (prob * h_extra[None, :]).sum(axis=1)
-            self._w_mem[rows] = (prob * w_extra[None, :]).sum(axis=1)
+            e_l2[rows] = (prob * e_round).sum(axis=1)
+            h_l2[rows] = (prob * h_round).sum(axis=1)
+            w_l2[rows] = (prob * w_round).sum(axis=1)
+            e_mem[rows] = (prob * e_extra[None, :]).sum(axis=1)
+            h_mem[rows] = (prob * h_extra[None, :]).sum(axis=1)
+            w_mem[rows] = (prob * w_extra[None, :]).sum(axis=1)
+        return expectations

@@ -10,19 +10,29 @@ the paper are all platforms:
 * **VFI 2 mesh** -- VFI 1 with bottleneck islands raised one step;
 * **VFI 2 WiNoC** -- VFI 2 V/F on the small-world + wireless fabric with
   one of the two placement/mapping methodologies.
+
+A platform's interconnect is one shared structure with its clocks
+applied on top: its network finds the :class:`repro.noc.fabric.Fabric`
+holding the topology's routings, walks and clock-free tables by content
+(:func:`repro.noc.fabric.fabric_for`), so every platform over the same
+topology and routing -- the NVFI and both VFI meshes of a die,
+:meth:`Platform.with_vf` / :meth:`Platform.with_power` copies, the cap
+governor's re-clocked views and the fault engine's throttled views --
+shares it by construction, and builds only the tables of its own clock
+vector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 from repro.energy.core_power import CorePowerModel, CorePowerParams
 from repro.mapping.thread_mapping import ThreadMapping, identity_mapping
 from repro.noc.energy import NocEnergyParams
 from repro.noc.network import FlowNetworkModel, NocParams
-from repro.noc.routing import RoutingTable, build_routing_table
-from repro.noc.topology import LinkKind, Topology
+from repro.noc.routing import RoutingTable
+from repro.noc.topology import Topology
 from repro.noc.wireless import WirelessSpec
 from repro.sim.config import CoreParams, MemoryParams
 from repro.vfi.islands import DVFS_LADDER, VfPoint, VfiLayout
@@ -98,15 +108,9 @@ class Platform:
         return self.layout.geometry.num_nodes
 
     def build_network(self) -> FlowNetworkModel:
-        """Fresh flow model over this platform's fabric and clocks."""
-        if not hasattr(self, "_bulk_routing"):
-            self._bulk_routing = self._make_bulk_routing()
-        if not hasattr(self, "_noc_static_cache"):
-            # Shared across every network rebuilt for this platform: the
-            # fabric (and hence paths, usage matrices, path energies)
-            # never changes between simulations.
-            self._noc_static_cache: dict = {}
-        network = FlowNetworkModel(
+        """Fresh flow model (loads, energy counters) over this platform's
+        fabric and clocks."""
+        return FlowNetworkModel(
             topology=self.topology,
             routing=self.routing,
             clusters=list(self.layout.node_cluster),
@@ -115,29 +119,7 @@ class Platform:
             params=self.noc_params,
             wireless=self.wireless_spec,
             energy_params=self.noc_energy_params,
-            bulk_routing=self._bulk_routing,
         )
-        network.static_cache = self._noc_static_cache
-        return network
-
-    def _make_bulk_routing(self) -> RoutingTable:
-        """Wire-preferring routing for bulk key-value streams.
-
-        Token-MAC wireless channels are shared 16 Gbps media -- excellent
-        latency shortcuts for cache-line packets, poor bandwidth for bulk
-        streams -- so bulk transfers route over a heavily
-        wireless-penalized metric (message-class routing)."""
-        if not self.topology.wireless_links():
-            return self.routing
-
-        from repro.noc.routing import default_link_weight
-
-        def bulk_weight(link):
-            if link.kind is LinkKind.WIRELESS:
-                return 1e4
-            return default_link_weight(link)
-
-        return build_routing_table(self.topology, weight=bulk_weight)
 
     # ------------------------------------------------------------------ #
     # convenience accessors
@@ -199,23 +181,7 @@ class Platform:
 
     def with_vf(self, vf_points: Sequence[VfPoint], name: Optional[str] = None) -> "Platform":
         """Same fabric and mapping, different island V/F assignment."""
-        return Platform(
-            name=name or self.name,
-            layout=self.layout,
-            vf_points=list(vf_points),
-            topology=self.topology,
-            routing=self.routing,
-            mapping=self.mapping,
-            core_params=self.core_params,
-            memory_params=self.memory_params,
-            noc_params=self.noc_params,
-            wireless_spec=self.wireless_spec,
-            core_power_params=self.core_power_params,
-            noc_energy_params=self.noc_energy_params,
-            dvfs_ladder=self.dvfs_ladder,
-            island_core_power=self.island_core_power,
-            perf_scales=self.perf_scales,
-        )
+        return replace(self, name=name or self.name, vf_points=list(vf_points))
 
     def with_power(
         self,
@@ -225,24 +191,15 @@ class Platform:
     ) -> "Platform":
         """Same platform with different power/energy model constants
         (used by the sensitivity analysis)."""
-        return Platform(
+        return replace(
+            self,
             name=name or self.name,
-            layout=self.layout,
             vf_points=list(self.vf_points),
-            topology=self.topology,
-            routing=self.routing,
-            mapping=self.mapping,
-            core_params=self.core_params,
-            memory_params=self.memory_params,
-            noc_params=self.noc_params,
-            wireless_spec=self.wireless_spec,
             core_power_params=core_power_params or self.core_power_params,
             noc_energy_params=noc_energy_params or self.noc_energy_params,
-            dvfs_ladder=self.dvfs_ladder,
             # Overriding the shared power params (sensitivity analysis)
             # supersedes any per-island table.
             island_core_power=(
                 None if core_power_params is not None else self.island_core_power
             ),
-            perf_scales=self.perf_scales,
         )

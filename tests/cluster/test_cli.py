@@ -138,6 +138,14 @@ def _bogus_trace_job_key(data):
     data["jobs"][0]["bogus"] = 1
 
 
+def _nan_arrival(data):
+    data["jobs"][0]["arrival_s"] = float("nan")
+
+
+def _infinite_input(data):
+    data["jobs"][1]["input_mb"] = float("inf")
+
+
 @pytest.mark.parametrize(
     "golden, tamper, member",
     [
@@ -145,6 +153,10 @@ def _bogus_trace_job_key(data):
         ("smoke_fifo.json", _records_not_a_list, "records"),
         ("smoke_fifo.json", _records_missing, "records"),
         ("smoke.trace.json", _bogus_trace_job_key, "jobs"),
+        # json.dumps writes these as NaN / Infinity, which json.loads
+        # reads back.
+        ("smoke.trace.json", _nan_arrival, "jobs"),
+        ("smoke.trace.json", _infinite_input, "jobs"),
     ],
 )
 def test_malformed_input_is_one_line_exit_2(

@@ -81,6 +81,22 @@ class TestClusterJob:
         with pytest.raises(ValueError):
             ClusterJob(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("arrival_s", float("nan")),
+            ("arrival_s", float("inf")),
+            ("deadline_s", float("nan")),
+            ("deadline_s", float("inf")),
+            ("input_mb", float("nan")),
+            ("input_mb", float("-inf")),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, field, value):
+        kwargs = {"job_id": 4, "app": "histogram", "arrival_s": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"^job 4: {field} must be finite"):
+            ClusterJob(**kwargs)
+
     def test_unknown_app_rejected(self):
         with pytest.raises(KeyError):
             ClusterJob(job_id=0, app="nosuchapp", arrival_s=0.0)

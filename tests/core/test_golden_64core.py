@@ -16,7 +16,10 @@ import numpy as np
 import pytest
 
 from repro.core.experiment import run_app_study
+from repro.faults import preset_plan
 from repro.faults.spec import FaultKind, FaultPlan, FaultSpec
+from repro.power import PowerCapSpec
+from repro.power.frontier import chip_peak_power_w
 from repro.telemetry import RecordingTracer, use_tracer
 from repro.telemetry.summary import island_summary, phase_summary
 
@@ -147,3 +150,24 @@ def test_faulted_configs_bit_for_bit(golden):
     impact = faulted.result("vfi2_mesh").faults
     assert impact is not None
     _assert_matches(impact.to_dict(), golden["fault_impact"], "fault_impact")
+
+
+def test_composed_fault_and_cap_bit_for_bit(golden, study_with_telemetry):
+    # A link failure degrades the fabric while the governor's capped
+    # views step clocks on top of the degraded view: every table a
+    # re-clocked or re-wired platform derives must match the capture.
+    study, _ = study_with_telemetry
+    expected = golden["composed"]
+    horizon_s = study.result("nvfi_mesh").total_time_s
+    assert horizon_s == expected["horizon_s"]
+    composed = run_app_study(
+        APP, scale=SCALE, seed=SEED, num_workers=WORKERS, use_cache=False,
+        fault_plan=preset_plan("mixed", horizon_s, WORKERS),
+        power_cap=PowerCapSpec(chip_cap_w=0.6 * chip_peak_power_w(WORKERS)),
+    )
+    assert set(composed.results) == set(expected["configs"])
+    for name, want in expected["configs"].items():
+        _assert_matches(_fingerprint(composed.results[name]), want, name)
+    vfi2 = composed.result("vfi2_mesh")
+    _assert_matches(vfi2.faults.to_dict(), expected["fault_impact"], "fault_impact")
+    _assert_matches(vfi2.power.to_dict(), expected["cap_impact"], "cap_impact")

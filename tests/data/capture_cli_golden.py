@@ -161,6 +161,12 @@ SEQUENCES = {
         "power sweep --app histogram --caps 20"
         " --plan artifacts/throttle.plan.json --scale 0.05 --seed 9"
         " --num-workers 16 --cache-dir .study_cache",
+        "faults histogram --scenario mixed --scale 0.05 --seed 9"
+        " --num-workers 16 --cache-dir .study_cache"
+        " --export-plan artifacts/mixed.plan.json",
+        "power sweep --app histogram --caps 20"
+        " --plan artifacts/mixed.plan.json --scale 0.05 --seed 9"
+        " --num-workers 16 --cache-dir .study_cache",
     ],
     "ci-cluster": [
         "cluster run --workload smoke --policy fifo --chips 2"
@@ -258,6 +264,17 @@ SEQUENCES = {
         _tampered(
             "smoke.trace.json",
             lambda data: data["jobs"][0].update(bogus=1),
+        ),
+        "cluster run --trace smoke.trace.json --policy fifo",
+        # json.dumps writes NaN / Infinity tokens, which json.loads reads.
+        _tampered(
+            "smoke.trace.json",
+            lambda data: data["jobs"][0].update(arrival_s=float("nan")),
+        ),
+        "cluster run --trace smoke.trace.json --policy fifo",
+        _tampered(
+            "smoke.trace.json",
+            lambda data: data["jobs"][1].update(input_mb=float("inf")),
         ),
         "cluster run --trace smoke.trace.json --policy fifo",
     ] + [

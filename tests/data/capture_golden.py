@@ -1,9 +1,11 @@
 """Capture the 64-core golden baseline (run from the repo root).
 
 Writes ``tests/data/golden_64core.json`` with pinned SimulationResult
-numbers for the four paper configurations, a faulted run, and the
-telemetry island summary -- the reference the bit-for-bit regression
-test (``tests/core/test_golden_64core.py``) compares against.
+numbers for the four paper configurations, a faulted run, the
+telemetry island summary, and a run under the ``mixed`` fault preset
+(placed against the clean NVFI horizon) composed with a 0.6x chip-peak
+power cap -- the reference the bit-for-bit regression test
+(``tests/core/test_golden_64core.py``) compares against.
 """
 
 import json
@@ -15,7 +17,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 import numpy as np
 
 from repro.core.experiment import run_app_study
+from repro.faults import preset_plan
 from repro.faults.spec import FaultKind, FaultPlan, FaultSpec
+from repro.power import PowerCapSpec
+from repro.power.frontier import chip_peak_power_w
 from repro.telemetry import RecordingTracer, use_tracer
 from repro.telemetry.summary import island_summary, phase_summary
 
@@ -23,6 +28,8 @@ APP = "histogram"
 SCALE = 0.05
 SEED = 9
 WORKERS = 64
+#: The composed run's chip cap, as a share of the uncapped chip peak.
+CAP_FRACTION = 0.6
 
 
 def result_fingerprint(result):
@@ -49,6 +56,19 @@ def fault_plan():
             FaultSpec(FaultKind.ISLAND_THROTTLE, 0.001, (2,), magnitude=1),
         ),
         name="golden",
+    )
+
+
+def composed_study(horizon_s):
+    """The ``mixed`` preset against *horizon_s* under a 0.6x chip cap: a
+    link failure (degraded fabric) with the governor's capped views
+    stacked on top of it."""
+    return run_app_study(
+        APP, scale=SCALE, seed=SEED, num_workers=WORKERS, use_cache=False,
+        fault_plan=preset_plan("mixed", horizon_s, WORKERS),
+        power_cap=PowerCapSpec(
+            chip_cap_w=CAP_FRACTION * chip_peak_power_w(WORKERS)
+        ),
     )
 
 
@@ -82,6 +102,18 @@ def main():
     }
     impact = faulted.result("vfi2_mesh").faults
     golden["fault_impact"] = impact.to_dict() if impact is not None else None
+
+    horizon_s = study.result("nvfi_mesh").total_time_s
+    composed = composed_study(horizon_s)
+    golden["composed"] = {
+        "horizon_s": horizon_s,
+        "configs": {
+            name: result_fingerprint(result)
+            for name, result in composed.results.items()
+        },
+        "fault_impact": composed.result("vfi2_mesh").faults.to_dict(),
+        "cap_impact": composed.result("vfi2_mesh").power.to_dict(),
+    }
 
     out = os.path.join(os.path.dirname(__file__), "golden_64core.json")
     with open(out, "w") as fh:

@@ -6,11 +6,15 @@ loop over the per-packet path walk (``PathModel._path`` of
 ``tests/noc/path_oracle.py``) producing float64 tables, and a blocked
 lockstep builder producing float32 tables for dies with
 ``NocParams.dense_block_nodes`` set, plus the ``add_flow`` loop the
-wireless-routing calibration used for its channel loads.  They are kept
-verbatim as oracles: ``tests/noc/test_table_oracles.py`` asserts the
-simulator's tables equal theirs bit for bit.  The single-source lockstep
-walk the blocked walk generalizes (:func:`walk_steps`) is kept here too,
-for ``tests/noc/test_pathwalk.py``.
+wireless-routing calibration used for its channel loads.  After them
+came the one-walk builders (:func:`one_walk_dense_static`,
+:func:`one_walk_pairwise`, :func:`one_walk_flow_usage`), which walked a
+network's routing afresh for every table set, clocks and clock-free
+terms together, before the fabric (:mod:`repro.noc.fabric`) split them.
+All are kept verbatim as oracles: ``tests/noc/test_table_oracles.py``
+asserts the simulator's fabric-derived tables equal theirs bit for bit.
+The single-source lockstep walk the blocked walk generalizes
+(:func:`walk_steps`) is kept here too, for ``tests/noc/test_pathwalk.py``.
 
 The load-dependent matrices a refresh used to build in full -- the
 per-link utilization loop, the zero-payload latency matrix and the
@@ -30,6 +34,11 @@ from repro.noc.network import FlowNetworkModel, NocParams
 from repro.noc.pathwalk import (
     _describe_cycle,
     edge_resource_tables,
+    forward_steps,
+    stack_usage,
+    table_layout,
+    unsort,
+    usage_block,
     walk_steps_block,
 )
 from repro.noc.topology import LinkKind
@@ -265,6 +274,176 @@ def blocked_dense_static(model: FlowNetworkModel, bulk: bool, block: int) -> Dic
 
 
 # ---------------------------------------------------------------------- #
+# one-walk builders (a fresh walk of the routing per table set)
+# ---------------------------------------------------------------------- #
+
+
+def route_blocks(model, bulk: bool = False):
+    """``(start, end, order, steps)`` per source block of *model*'s routes."""
+    n = model.topology.num_nodes
+    routing = model.bulk_routing if bulk else model.routing
+    pred = routing.predecessor_matrix()
+    block, _ = table_layout(model.params, n)
+    for start in range(0, n, block):
+        end = min(start + block, n)
+        walk = forward_steps(pred[start:end], np.arange(start, end), n)
+        yield start, end, walk.order, walk.steps()
+
+
+def one_walk_dense_static(model: FlowNetworkModel, bulk: bool) -> Dict:
+    n = model.topology.num_nodes
+    links = model.topology.links
+    num_links = len(links)
+    num_channels = max(model.wireless.num_channels, 1)
+    num_resources = 2 * num_links + num_channels
+    _, dtype = table_layout(model.params, n)
+
+    # Per-resource service time, raw capacity and buffer bound.
+    service = np.zeros(num_resources)
+    capacity = np.zeros(num_resources)
+    buffer_flits = np.zeros(num_resources)
+    node_freq = model._node_freq
+    params = model.params
+    for index, link in enumerate(links):
+        if link.kind is LinkKind.WIRELESS:
+            continue  # wireless hops bill against their channel
+        f_link = min(node_freq[link.a], node_freq[link.b])
+        cap = params.flit_bits * f_link / params.link_traversal_cycles
+        for direction in (0, 1):
+            resource = 2 * index + direction
+            service[resource] = params.link_traversal_cycles / f_link
+            capacity[resource] = cap
+            buffer_flits[resource] = params.wire_buffer_flits
+    for channel in range(num_channels):
+        resource = 2 * num_links + channel
+        service[resource] = params.flit_bits / model.wireless.bandwidth_bps
+        capacity[resource] = model.wireless.bandwidth_bps
+        buffer_flits[resource] = params.wi_buffer_flits
+
+    # Per-hop terms over adjacent nodes u -> v: the billed resource
+    # column (whose ``capacity`` is the hop's raw line rate), the
+    # link term (wireless propagation + token, or wire traversal at
+    # the slower clock) and the island-crossing synchronizer (0
+    # inside an island).
+    link_col, chan_col = edge_resource_tables(model)
+    wireless = chan_col >= 0
+    billed_col = np.where(wireless, chan_col, link_col)
+    f_hop = np.minimum.outer(node_freq, node_freq)
+    link_s = np.where(
+        wireless,
+        model.wireless.propagation_s + model.wireless.token_overhead_s,
+        params.link_traversal_cycles / f_hop,
+    )
+    clusters = np.asarray(model.clusters)
+    sync_s = np.where(
+        clusters[:, None] != clusters[None, :],
+        params.domain_sync_cycles / f_hop,
+        0.0,
+    )
+    pipeline_s = params.router_pipeline_cycles / node_freq
+
+    head = np.empty((n, n), dtype=dtype)
+    raw_bottleneck = np.empty((n, n), dtype=dtype)
+    parts = []
+    for start, end, order, steps in route_blocks(model, bulk):
+        # One slot per route in walk order.  Each hop adds its router
+        # pipeline, link and synchronizer terms in path order, so the
+        # float64 sums are exactly those of a per-path loop.
+        t = np.zeros(len(order))
+        line_rate = np.full(len(order), np.inf)
+        rows, cols = [], []
+        for u, v in steps:
+            walking = slice(len(u))
+            billed = billed_col[u, v]
+            t[walking] += pipeline_s[u]
+            t[walking] += link_s[u, v]
+            t[walking] += sync_s[u, v]
+            np.minimum(line_rate[walking], capacity[billed], out=line_rate[walking])
+            rows.append(order[walking])
+            cols.append(billed)
+        # Ejection pipeline at the destination; a zero-hop route is
+        # just the local port traversal.
+        head[start:end] = unsort(t, order, n) + pipeline_s
+        raw_bottleneck[start:end] = unsort(line_rate, order, n)
+        parts.append(usage_block(rows, cols, len(order), num_resources, dtype))
+    usage = stack_usage(parts)
+    # Deduplicated membership (a pair that crosses one channel twice
+    # still meets it once for min/max reductions): the csr already
+    # summed duplicates, so its structure with unit data is exactly
+    # that; share indices/indptr with ``usage`` instead of copying.
+    binary_usage = csr_matrix(
+        (np.ones_like(usage.data), usage.indices, usage.indptr),
+        shape=usage.shape,
+    )
+    return {
+        "node_freq": node_freq.copy(),
+        "num_resources": num_resources,
+        "service": service,
+        "capacity": capacity,
+        "buffer_flits": buffer_flits,
+        "head": head,
+        "usage": usage,
+        "binary_usage": binary_usage,
+        "raw_bottleneck": raw_bottleneck,
+    }
+
+
+def one_walk_pairwise(model: FlowNetworkModel, bulk: bool):
+    n = model.topology.num_nodes
+    params = model.energy.params
+    _, dtype = table_layout(model.params, n)
+    # Per-hop energy beyond the hop's router, and wireless hops.
+    hop_pj = np.zeros((n, n))
+    hop_wireless = np.zeros((n, n))
+    for link in model.topology.links:
+        if link.kind is LinkKind.WIRELESS:
+            pj, wireless = params.wireless_pj_per_bit, 1.0
+        else:
+            pj = params.wire_pj_per_bit_per_mm * link.length_mm
+            wireless = 0.0
+        hop_pj[link.a, link.b] = hop_pj[link.b, link.a] = pj
+        hop_wireless[link.a, link.b] = hop_wireless[link.b, link.a] = wireless
+    energy_per_bit = np.empty((n, n), dtype=dtype)  # joules per bit
+    hops = np.empty((n, n), dtype=dtype)
+    wireless_links = np.empty((n, n), dtype=dtype)  # wireless hops on path
+    for start, end, order, steps in route_blocks(model, bulk):
+        pj_per_bit = np.full(len(order), params.router_pj_per_bit)  # ejection
+        route_hops = np.zeros(len(order))
+        route_wireless = np.zeros(len(order))
+        for u, v in steps:
+            walking = slice(len(u))
+            pj_per_bit[walking] += params.router_pj_per_bit
+            pj_per_bit[walking] += hop_pj[u, v]
+            route_hops[walking] += 1.0
+            route_wireless[walking] += hop_wireless[u, v]
+        pj_per_bit[route_hops == 0] = 0.0  # src == dst moves nothing
+        energy_per_bit[start:end] = unsort(pj_per_bit * 1e-12, order, n)
+        hops[start:end] = unsort(route_hops, order, n)
+        wireless_links[start:end] = unsort(route_wireless, order, n)
+    return energy_per_bit, hops, wireless_links
+
+
+def one_walk_flow_usage(model: FlowNetworkModel, bulk: bool):
+    n = model.topology.num_nodes
+    num_resources = 2 * len(model.topology.links) + model.load.channel_load.shape[0]
+    _, dtype = table_layout(model.params, n)
+    link_col, chan_col = edge_resource_tables(model)
+    parts = []
+    for _, _, order, steps in route_blocks(model, bulk):
+        rows, cols = [], []
+        for u, v in steps:
+            route = order[: len(u)]
+            rows.append(route)
+            cols.append(link_col[u, v])
+            channel = chan_col[u, v]
+            on_channel = channel >= 0
+            rows.append(route[on_channel])
+            cols.append(channel[on_channel])
+        parts.append(usage_block(rows, cols, len(order), num_resources, dtype))
+    return stack_usage(parts)
+
+
+# ---------------------------------------------------------------------- #
 # DenseLatencyModel load-dependent matrices
 # ---------------------------------------------------------------------- #
 
@@ -486,7 +665,7 @@ def add_flows_full(model: FlowNetworkModel, src, dst, rate, bulk: bool):
     active = (src != dst) & (rate > 0)
     rate_by_pair = np.zeros(n * n)
     np.add.at(rate_by_pair, src[active] * n + dst[active], rate[active])
-    return model._flow_usage(bulk).T @ rate_by_pair
+    return model.fabric.flow_usage(bulk).T @ rate_by_pair
 
 
 def add_flow_channel_utilizations(

@@ -7,15 +7,20 @@ pairs, ``src == dst`` included, on the three 64-core fabrics of
 ``tests/noc/test_table_oracles.py`` (XY mesh, small-world WiNoC with a
 wire-preferring bulk routing, and that WiNoC with one wire and one
 wireless link removed), clocked per island at four different
-frequencies and loaded through ``add_flows``.
+frequencies and loaded through ``add_flows``.  Under the same load,
+the fabric-derived tables also equal, bit for bit, those of the one-walk
+builders the fabric replaced (``tests/noc/table_oracles.py``), float64
+and blocked float32 alike.
 """
 
 import numpy as np
 import pytest
 
 from repro.noc.dense import DenseLatencyModel, PairwiseEnergy
+from repro.noc.network import NocParams
 from repro.telemetry import RecordingTracer, use_tracer
 
+from tests.noc import table_oracles as oracle
 from tests.noc.path_oracle import PathModel
 from tests.noc.test_table_oracles import FABRICS
 
@@ -162,3 +167,32 @@ class TestBulkClass:
 
     def test_bulk_pairwise_energy_matches_reference(self):
         assert_energy_matches(bulk=True)
+
+
+class TestFabricTablesEqualTheOneWalkBuilders:
+    @pytest.mark.parametrize("block", [None, 16], ids=["f64", "b16"])
+    @pytest.mark.parametrize("bulk", [False, True], ids=["latency", "bulk"])
+    def test_loaded_latency_and_energy(self, block, bulk):
+        rng = np.random.default_rng(4)
+        for name, build in FABRICS.items():
+            model = build(params=NocParams(dense_block_nodes=block))
+            n = model.topology.num_nodes
+            model.add_flows(
+                rng.integers(n, size=200), rng.integers(n, size=200),
+                rng.uniform(1e8, 5e9, size=200), bulk=bulk,
+            )
+            dense = DenseLatencyModel(model, bulk)
+            static = oracle.one_walk_dense_static(model, bulk)
+            queue = dense.queue_per_resource(dense.utilization())
+            head = static["head"] + np.asarray(static["usage"] @ queue).reshape(n, n)
+            assert np.array_equal(dense.loaded_head(queue), head), name
+            raw = static["raw_bottleneck"]
+            for payload in PAYLOADS:
+                assert np.array_equal(
+                    dense.latency(head, payload),
+                    head + np.where(np.isinf(raw), 0.0, payload / raw),
+                ), (name, payload)
+            pairwise = PairwiseEnergy(model, bulk)
+            tables = (pairwise.energy_per_bit, pairwise.hops, pairwise.wireless_links)
+            for got, want in zip(tables, oracle.one_walk_pairwise(model, bulk)):
+                assert got.dtype == want.dtype and np.array_equal(got, want), name

@@ -141,9 +141,10 @@ class TestForwardSteps:
         n = 5
         srcs = np.array([0, 2])
         pred_rows = np.stack([_line_pred_row(int(s), n) for s in srcs])
-        order, steps = forward_steps(pred_rows, srcs, n)
+        walk = forward_steps(pred_rows, srcs, n)
+        order = walk.order
         hops = {}
-        for u, v in steps:
+        for u, v in walk.steps():
             for route, a, b in zip(order[: len(u)].tolist(), u.tolist(), v.tolist()):
                 hops.setdefault(route, []).append((a, b))
         for row, src in enumerate(srcs.tolist()):
@@ -154,6 +155,9 @@ class TestForwardSteps:
         lengths = [len(hops.get(route, [])) for route in order.tolist()]
         assert lengths == sorted(lengths, reverse=True)
         assert sorted(order.tolist()) == list(range(len(srcs) * n))
+        # The walk replays: a second pass yields the same hops.
+        again = [(u.tolist(), v.tolist()) for u, v in walk.steps()]
+        assert again == [(u.tolist(), v.tolist()) for u, v in walk.steps()]
 
     def test_cycle_raises_at_call_not_first_step(self):
         pred = np.array([0, 2, 1, 2])

@@ -143,3 +143,56 @@ class TestQuotas:
         pairs = [(0, 1), (0, 2), (1, 2)]
         with pytest.raises(ValueError):
             _inter_cluster_quotas(pairs, [0, 1, 2], None, 2)
+
+
+class TestMatchesOracle:
+    """The table-driven wiring weights and the ``choice``-free picks
+    reproduce the per-pair builder exactly: same links in the same
+    order, and the generator left in the same state."""
+
+    @staticmethod
+    def _build(builder, die, seed, **kwargs):
+        rng = np.random.default_rng(seed)
+        grid = die.grid()
+        clusters = list(die.layout().node_cluster)
+        topology = builder(
+            grid, clusters,
+            config=SmallWorldConfig().sized_for(die.num_cores, die.num_islands),
+            seed=rng, **kwargs,
+        )
+        return topology.links, rng.bit_generator.state
+
+    @pytest.mark.parametrize("cores", [64, 128, 256])
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_same_links_and_generator_state(self, cores, seed):
+        from repro.core.geometry import DieGeometry
+
+        from tests.noc import smallworld_oracle
+
+        die = DieGeometry.for_cores(cores)
+        traffic = np.random.default_rng(seed).uniform(size=(4, 4))
+        for kwargs in ({}, {"inter_cluster_traffic": traffic}):
+            links, state = self._build(build_small_world, die, seed, **kwargs)
+            want_links, want_state = self._build(
+                smallworld_oracle.build_small_world, die, seed, **kwargs
+            )
+            assert links == want_links
+            assert state == want_state
+
+    def test_spill_path_matches(self, geometry_module, quadrants_module):
+        # Port caps tight enough that some cluster pair cannot place its
+        # quota, so the remainder spills over every inter-cluster pair.
+        from tests.noc import smallworld_oracle
+
+        config = SmallWorldConfig(k_intra=3.0, k_inter=2.0, kmax=6)
+        traffic = np.ones((4, 4))
+        traffic[0, 1] = traffic[1, 0] = 50.0
+        built = []
+        for builder in (build_small_world, smallworld_oracle.build_small_world):
+            rng = np.random.default_rng(5)
+            topology = builder(
+                geometry_module, quadrants_module,
+                inter_cluster_traffic=traffic, config=config, seed=rng,
+            )
+            built.append((topology.links, rng.bit_generator.state))
+        assert built[0] == built[1]

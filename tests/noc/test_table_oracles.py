@@ -1,14 +1,16 @@
-"""Every all-pairs NoC table equals its reference builder bit for bit.
+"""Every all-pairs NoC table equals its reference builders bit for bit.
 
 The simulator builds the dense latency tables, the pairwise energy
 tables, the flow-usage matrices and the calibration channel loads from
-one forward route walk (:mod:`repro.noc.pathwalk`).  The reference
-builders in ``tests/noc/table_oracles.py`` are the per-pair float64 and
-blocked float32 builders that walk preceded; each test here compares
-with ``np.array_equal`` (csr matrices: ``indptr``, ``indices``, ``data``
-and dtype), never with a tolerance.  The same holds for a load
-refresh's pieces against the full matrices a refresh used to build,
-and for the restricted ``add_flows`` scatter against the full mat-vec.
+the fabric's one forward route walk per routing (:mod:`repro.noc.fabric`),
+with the per-clock tables replayed on top of it.  The reference builders
+in ``tests/noc/table_oracles.py`` are the per-pair float64 and blocked
+float32 builders that walk preceded, and the one-walk builders that
+walked each network's routing afresh; each test here compares with
+``np.array_equal`` (csr matrices: ``indptr``, ``indices``, ``data`` and
+dtype), never with a tolerance.  The same holds for a load refresh's
+pieces against the full matrices a refresh used to build, and for the
+restricted ``add_flows`` scatter against the full mat-vec.
 """
 
 from dataclasses import replace
@@ -21,13 +23,8 @@ from repro.noc import calibration
 from repro.noc.calibration import calibrate_wireless_routing, channel_utilizations
 from repro.noc.dense import DenseLatencyModel, PairwiseEnergy
 from repro.noc.network import FlowNetworkModel, NocParams
-from repro.noc.pathwalk import route_blocks
 from repro.noc.placement import center_wireless_placement
-from repro.noc.routing import (
-    build_mesh_routing,
-    build_routing_table,
-    default_link_weight,
-)
+from repro.noc.routing import build_mesh_routing, build_routing_table
 from repro.noc.smallworld import SmallWorldConfig, build_small_world
 from repro.noc.topology import LinkKind, build_mesh
 from repro.noc.wireless import WirelessSpec, assign_wireless_links
@@ -36,12 +33,6 @@ from tests.noc import table_oracles as oracle
 
 PAPER = DieGeometry.paper()
 MIXED_FREQS = [2.5e9, 2.25e9, 2.0e9, 1.75e9]
-
-
-def _bulk_weight(link):
-    if link.kind is LinkKind.WIRELESS:
-        return 1e4
-    return default_link_weight(link)
 
 
 def _winoc(die: DieGeometry, seed: int = 3):
@@ -57,15 +48,15 @@ def _winoc(die: DieGeometry, seed: int = 3):
     return assign_wireless_links(wireline, placement, spec), spec
 
 
-def _model(topology, routing, die, freqs, params=NocParams(), wireless=None,
-           bulk_routing=None):
+def _model(topology, routing, die, freqs, params=NocParams(), wireless=None):
+    """A network whose bulk class takes the fabric's wire-preferring
+    routing wherever the topology has wireless links."""
     clusters = list(die.layout().node_cluster)
     return FlowNetworkModel(
         topology, routing, clusters,
         [freqs[c % len(freqs)] for c in range(die.num_islands)],
         params=params,
         wireless=wireless or WirelessSpec(),
-        bulk_routing=bulk_routing,
     )
 
 
@@ -76,10 +67,7 @@ def mesh_model(die=PAPER, freqs=MIXED_FREQS, params=NocParams()):
 
 def winoc_model(die=PAPER, freqs=MIXED_FREQS, params=NocParams()):
     winoc, spec = _winoc(die)
-    return _model(
-        winoc, build_routing_table(winoc), die, freqs, params, spec,
-        bulk_routing=build_routing_table(winoc, weight=_bulk_weight),
-    )
+    return _model(winoc, build_routing_table(winoc), die, freqs, params, spec)
 
 
 def degraded_winoc_model(die=PAPER, freqs=MIXED_FREQS, params=NocParams()):
@@ -88,8 +76,7 @@ def degraded_winoc_model(die=PAPER, freqs=MIXED_FREQS, params=NocParams()):
     radio = next(l for l in winoc.links if l.kind is LinkKind.WIRELESS)
     degraded = winoc.without_links([wire.key, radio.key])
     return _model(
-        degraded, build_routing_table(degraded), die, freqs, params, spec,
-        bulk_routing=build_routing_table(degraded, weight=_bulk_weight),
+        degraded, build_routing_table(degraded), die, freqs, params, spec
     )
 
 
@@ -139,31 +126,81 @@ def assert_array_equal(actual, expected):
     assert np.array_equal(actual, expected)
 
 
+def _dense_tables(model, bulk):
+    """The tables a :class:`DenseLatencyModel` derives from the fabric."""
+    dense = DenseLatencyModel(model, bulk)
+    return {
+        "num_resources": dense.num_resources,
+        "service": dense._service,
+        "capacity": dense._capacity,
+        "buffer_flits": dense._buffer_flits,
+        "head": dense._head,
+        "usage": dense._usage,
+        "binary_usage": dense._binary_usage,
+        "raw_bottleneck": dense._raw_bottleneck,
+    }
+
+
+def _pairwise_tables(model, bulk):
+    energy = PairwiseEnergy(model, bulk)
+    return energy.energy_per_bit, energy.hops, energy.wireless_links
+
+
 @pytest.mark.parametrize("bulk", [False, True], ids=["latency", "bulk"])
 class TestTablesMatchOracles:
     def test_dense_latency_tables(self, model, bulk):
-        actual = DenseLatencyModel._build_static(model, bulk)
-        expected = oracle.dense_static(model, bulk)
-        assert actual["num_resources"] == expected["num_resources"]
-        for key in ("node_freq", "service", "capacity", "buffer_flits",
-                    "head", "raw_bottleneck"):
-            assert_array_equal(actual[key], expected[key])
-        assert_csr_equal(actual["usage"], expected["usage"])
-        assert_csr_equal(actual["binary_usage"], expected["binary_usage"])
+        actual = _dense_tables(model, bulk)
+        for reference in (oracle.dense_static, oracle.one_walk_dense_static):
+            expected = reference(model, bulk)
+            assert actual["num_resources"] == expected["num_resources"]
+            for key in ("service", "capacity", "buffer_flits", "head",
+                        "raw_bottleneck"):
+                assert_array_equal(actual[key], expected[key])
+            assert_csr_equal(actual["usage"], expected["usage"])
+            assert_csr_equal(actual["binary_usage"], expected["binary_usage"])
 
     def test_pairwise_energy_tables(self, model, bulk):
-        actual = PairwiseEnergy._build_static(model, bulk)
-        expected = oracle.pairwise_static(model, bulk)
-        for got, want in zip(actual, expected):
-            assert_array_equal(got, want)
+        actual = _pairwise_tables(model, bulk)
+        for reference in (oracle.pairwise_static, oracle.one_walk_pairwise):
+            for got, want in zip(actual, reference(model, bulk)):
+                assert_array_equal(got, want)
 
     def test_flow_usage(self, model, bulk):
-        fresh = FlowNetworkModel(
-            model.topology, model.routing, model.clusters,
-            model.cluster_frequencies_hz, params=model.params,
-            wireless=model.wireless, bulk_routing=model.bulk_routing,
-        )
-        assert_csr_equal(fresh._flow_usage(bulk), oracle.flow_usage(model, bulk))
+        actual = model.fabric.flow_usage(bulk)
+        assert_csr_equal(actual, oracle.flow_usage(model, bulk))
+        assert_csr_equal(actual, oracle.one_walk_flow_usage(model, bulk))
+
+    def test_every_clock_vector_matches(self, model, bulk):
+        # Re-clocked networks over one fabric: each clock vector's
+        # tables equal a fresh one-walk build at those clocks.  The last
+        # one has the first one's node clocks but a single island, so
+        # no hop pays a synchronizer.
+        # one has the first one's node clocks but a single island, so
+        # no hop pays a synchronizer, and two change the router and
+        # token constants the per-clock tables also read.
+        islands = len(model.cluster_frequencies_hz)
+        single = [0] * model.topology.num_nodes
+        slower = replace(model.params, router_pipeline_cycles=5)
+        busier = replace(model.wireless, token_overhead_s=3e-9)
+        for clusters, freqs, params, wireless in (
+            (model.clusters, [2.5e9] * islands, model.params, model.wireless),
+            (model.clusters, [1.5e9, 2.5e9, 1.75e9, 2.0e9], model.params,
+             model.wireless),
+            (model.clusters, MIXED_FREQS, slower, model.wireless),
+            (model.clusters, MIXED_FREQS, model.params, busier),
+            (single, [2.5e9], model.params, model.wireless),
+        ):
+            clocked = FlowNetworkModel(
+                model.topology, model.routing, clusters,
+                [freqs[c % len(freqs)] for c in range(max(clusters) + 1)],
+                params=params, wireless=wireless,
+            )
+            assert clocked.fabric is model.fabric
+            actual = _dense_tables(clocked, bulk)
+            expected = oracle.one_walk_dense_static(clocked, bulk)
+            for key in ("service", "capacity", "buffer_flits", "head",
+                        "raw_bottleneck"):
+                assert_array_equal(actual[key], expected[key])
 
 
 def _loaded(model, seed=0, flows=40):
@@ -172,7 +209,7 @@ def _loaded(model, seed=0, flows=40):
     fresh = FlowNetworkModel(
         model.topology, model.routing, model.clusters,
         model.cluster_frequencies_hz, params=model.params,
-        wireless=model.wireless, bulk_routing=model.bulk_routing,
+        wireless=model.wireless,
     )
     n = model.topology.num_nodes
     rng = np.random.default_rng(seed)
@@ -250,9 +287,9 @@ class TestBlockSize:
         single = winoc_model()
         blocked = winoc_model(params=replace(NocParams(), dense_block_nodes=16))
         expected = oracle.per_pair_dense_static(single, False)
-        actual = DenseLatencyModel._build_static(blocked, False)
-        assert actual["head"].dtype == np.float32
-        assert np.array_equal(actual["head"], expected["head"].astype(np.float32))
+        actual = DenseLatencyModel(blocked)._head
+        assert actual.dtype == np.float32
+        assert np.array_equal(actual, expected["head"].astype(np.float32))
 
 
 class TestForwardWalk:
@@ -266,9 +303,9 @@ class TestForwardWalk:
         n = model.topology.num_nodes
         for bulk, routing in ((False, model.routing), (True, model.bulk_routing)):
             walked = {}
-            for start, end, order, steps in route_blocks(model, bulk):
-                for u, v in steps:
-                    route = order[: len(u)]
+            for start, end, walk in model.fabric.walks(bulk):
+                for u, v in walk.steps():
+                    route = walk.order[: len(u)]
                     for r, a, b in zip(route.tolist(), u.tolist(), v.tolist()):
                         pair = (start + r // n, r % n)
                         nodes = walked.setdefault(pair, [a])

@@ -50,7 +50,7 @@ PLATFORMS = {
 def _tables(memory, bulk):
     dense = memory.dense_bulk if bulk else memory.dense
     pairwise = memory.pairwise_bulk if bulk else memory.pairwise
-    usage = memory.platform.network._flow_usage(bulk)
+    usage = memory.platform.network.fabric.flow_usage(bulk)
     return (
         dense._head, dense._usage, dense._binary_usage, dense._raw_bottleneck,
         pairwise.energy_per_bit, pairwise.hops, pairwise.wireless_links, usage,
