@@ -8,22 +8,27 @@ serially in-process when ``jobs == 1`` (the fallback path is exactly
 bit-identical to the historical serial code).  Worker failures are
 retried a bounded number of times; a unit that exhausts its retries is
 recorded in the manifest with the original exception and does **not**
-abort its sibling units.  Every completed unit is persisted to the cache
+abort its sibling units.  That holds for a worker process that exits
+abruptly (a crash, ``os._exit``, an OOM kill) too: it breaks the whole
+pool, so the executor starts a fresh one and re-runs the units that were
+in flight one at a time, and only the unit that kills a worker running
+alone is charged for it.  Every completed unit is persisted to the cache
 as soon as it resolves, so an interrupted campaign resumes where it
 stopped.
 
 Workers exchange JSON study documents (not pickled ``AppStudy`` objects):
 the subprocess runs the pipeline and returns
 :func:`repro.core.serialization.study_to_dict` output, which the parent
-both caches and rebuilds.  This keeps the transport identical to the
-cache format -- a parallel cold run and a warm cache read produce the
-same objects by construction.
+both caches (the cache packs its float arrays exactly) and rebuilds --
+a parallel cold run and a warm cache read produce the same objects by
+construction.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Union
 
@@ -128,9 +133,11 @@ class _Unit:
 
     spec: StudySpec
     attempts: int = 0
-    started_s: float = 0.0
+    started_s: Optional[float] = None
     submitted_s: float = 0.0
-    last_error: Optional[BaseException] = None
+    #: In flight when a worker died beside other units: runs by itself
+    #: until it resolves.
+    alone: bool = False
 
 
 def run_campaign(
@@ -344,28 +351,82 @@ def _run_parallel(
             error=repr(error) if error is not None else None,
         ))
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        active: Dict[object, _Unit] = {}
+    pool = ProcessPoolExecutor(max_workers=jobs)
+    active: Dict[Future, _Unit] = {}
 
-        def submit(unit: _Unit) -> None:
-            unit.attempts += 1
-            unit.submitted_s = time.perf_counter()
-            if unit.attempts == 1:
-                unit.started_s = unit.submitted_s
-            active[pool.submit(worker, unit.spec.to_dict())] = unit
+    def retry_or_fail(unit: _Unit, exc: BaseException) -> None:
+        if unit.attempts <= retries:
+            queue.append(unit)  # next to be submitted
+        else:
+            finish(unit, FAILED, exc)
 
-        def retry_or_fail(unit: _Unit, exc: BaseException) -> None:
-            unit.last_error = exc
-            if unit.attempts <= retries:
-                submit(unit)
+    def collect(future: Future, unit: _Unit) -> None:
+        try:
+            document = future.result()
+            study = study_from_dict(document)
+        except Exception as exc:
+            retry_or_fail(unit, exc)
+            return
+        if cache is not None:
+            cache.put_document(unit.spec, document)
+        result.studies[unit.spec] = study
+        store_study(study, **unit.spec.run_kwargs())
+        finish(unit, COMPUTED, None)
+
+    def restart() -> None:
+        """Replace a pool a worker died in, and settle the units it held.
+
+        The dead worker's unit cannot be told apart from its siblings:
+        every future in flight fails alike.  A break with one unit in
+        flight is that unit's attempt; after a break with several, each
+        of them gets its attempt back and re-runs alone, so a unit that
+        kills its worker ends up charged only for breaks it caused.
+        """
+        nonlocal pool
+        # Joins the pool's manager thread, which fails every pending
+        # future before it exits: each held future is settled after this.
+        pool.shutdown(wait=True)
+        pool = ProcessPoolExecutor(max_workers=jobs)
+        held = list(active.items())
+        active.clear()
+        broken = []
+        for future, unit in held:
+            if isinstance(future.exception(), BrokenProcessPool):
+                broken.append((future, unit))
             else:
-                finish(unit, FAILED, exc)
+                collect(future, unit)
+        if len(broken) == 1:
+            future, unit = broken[0]
+            retry_or_fail(unit, future.exception())
+            return
+        for _, unit in reversed(broken):
+            unit.attempts -= 1
+            unit.alone = True
+            queue.append(unit)
 
+    def capacity() -> int:
         # Keep at most `jobs` units in flight so the per-attempt timeout
         # clock starts when a worker actually picks the unit up.
-        while queue and len(active) < jobs:
-            submit(queue.pop())
+        units = queue + list(active.values())
+        return 1 if any(unit.alone for unit in units) else jobs
 
+    def fill() -> None:
+        while queue and len(active) < capacity():
+            unit = queue.pop()
+            try:
+                future = pool.submit(worker, unit.spec.to_dict())
+            except BrokenProcessPool:
+                queue.append(unit)
+                restart()
+                continue
+            unit.attempts += 1
+            unit.submitted_s = time.perf_counter()
+            if unit.started_s is None:
+                unit.started_s = unit.submitted_s
+            active[future] = unit
+
+    try:
+        fill()
         while active:
             if timeout_s is None:
                 done, _ = wait(active, return_when=FIRST_COMPLETED)
@@ -373,23 +434,11 @@ def _run_parallel(
                 done, _ = wait(
                     active, timeout=_TIMEOUT_TICK_S, return_when=FIRST_COMPLETED
                 )
-            for future in done:
-                unit = active.pop(future)
-                try:
-                    document = future.result()
-                except Exception as exc:
-                    retry_or_fail(unit, exc)
-                    continue
-                try:
-                    study = study_from_dict(document)
-                except Exception as exc:
-                    retry_or_fail(unit, exc)
-                    continue
-                if cache is not None:
-                    cache.put_document(unit.spec, document)
-                result.studies[unit.spec] = study
-                store_study(study, **unit.spec.run_kwargs())
-                finish(unit, COMPUTED, None)
+            if any(isinstance(f.exception(), BrokenProcessPool) for f in done):
+                restart()
+            else:
+                for future in done:
+                    collect(future, active.pop(future))
             if timeout_s is not None:
                 now = time.perf_counter()
                 for future in [
@@ -405,5 +454,6 @@ def _run_parallel(
                             f"{timeout_s:g}s (attempt {unit.attempts})"
                         ),
                     )
-            while queue and len(active) < jobs:
-                submit(queue.pop())
+            fill()
+    finally:
+        pool.shutdown()

@@ -34,7 +34,10 @@ from repro.tech.spec import TechSpec, canonical_tech_json
 #: v3: specs grew a ``tech`` axis (technology node x core mix).
 #: v4: specs grew a ``power_cap`` axis and study documents may carry a
 #: ``power`` cap-impact section.
-CACHE_SCHEMA_VERSION = 4
+#: v5: cache files store the study document's large float arrays packed
+#: as base64 little-endian float64 (``orchestrator.cache.PACKED_PATHS``);
+#: the study document itself is unchanged.
+CACHE_SCHEMA_VERSION = 5
 
 WINOC_METHODOLOGIES = ("max_wireless", "min_hop")
 

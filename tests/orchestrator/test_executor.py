@@ -9,11 +9,12 @@ environment (forked workers inherit it).
 import os
 import pathlib
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.core.experiment import run_app_study
-from repro.core.serialization import study_summary_dict
+from repro.core.serialization import study_summary_dict, study_to_dict
 from repro.orchestrator import (
     CampaignError,
     StudyCache,
@@ -21,6 +22,7 @@ from repro.orchestrator import (
     run_campaign,
 )
 from repro.orchestrator.executor import compute_study_document
+from repro.utils.jsonutil import canonical_json
 
 SPEC_A = StudySpec(app="histogram", scale=0.05, seed=9, num_workers=16)
 SPEC_B = StudySpec(app="histogram", scale=0.05, seed=10, num_workers=16)
@@ -44,6 +46,13 @@ def flaky_worker(fields):
     if not marker.exists():
         marker.write_text("attempted")
         raise RuntimeError("injected transient failure")
+    return compute_study_document(fields)
+
+
+def dying_worker(fields):
+    """Kills its worker process outright on the BAD_SEED unit."""
+    if fields["seed"] == BAD_SEED:
+        os._exit(1)
     return compute_study_document(fields)
 
 
@@ -138,6 +147,24 @@ class TestParallel:
         assert campaign.manifest.num_retries == 2
         for record in campaign.manifest.records:
             assert record.attempts == 2
+
+    def test_dead_worker_does_not_sink_the_campaign(self):
+        campaign = run_campaign(
+            [SPEC_A, SPEC_BAD, SPEC_B], jobs=2, retries=1, worker=dying_worker
+        )
+        assert set(campaign.errors) == {SPEC_BAD}
+        assert isinstance(campaign.errors[SPEC_BAD], BrokenProcessPool)
+        records = {r.label: r for r in campaign.manifest.records}
+        dead = records[SPEC_BAD.label]
+        assert dead.failed and dead.attempts == 2
+        assert "terminated abruptly" in dead.error
+        for spec in (SPEC_A, SPEC_B):
+            assert records[spec.label].status == "computed"
+            assert records[spec.label].attempts == 1
+            serial = run_app_study(**spec.run_kwargs(), use_cache=False)
+            assert canonical_json(
+                study_to_dict(campaign.study(spec))
+            ) == canonical_json(study_to_dict(serial))
 
     def test_timeout_is_recorded_as_failure(self):
         campaign = run_campaign(
