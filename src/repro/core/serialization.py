@@ -11,12 +11,17 @@ result cache (:mod:`repro.orchestrator.cache`) persists, so every value
 is explicitly cast to a builtin type: numpy scalars (``np.float64``,
 ``np.int64``) are not JSON-serializable and must never leak into the
 documents.
+
+Task records have one decoder, :func:`trace_from_columns`, which reads
+a trace's column table (:func:`trace_columns`): the study cache stores
+that table, and :func:`trace_from_dict` converts a ``trace_to_dict``
+document to it first.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -141,6 +146,8 @@ _COST_FIELDS = (
     "kv_bytes_out",
 )
 
+_PHASES = {phase.value: phase for phase in Phase}
+
 
 def _record_to_dict(record: TaskRecord) -> Dict:
     out = {
@@ -157,20 +164,6 @@ def _record_to_dict(record: TaskRecord) -> Dict:
     if record.partner_worker is not None:
         out["partner_worker"] = int(record.partner_worker)
     return out
-
-
-def _record_from_dict(data: Dict) -> TaskRecord:
-    return TaskRecord(
-        task_id=int(data["task_id"]),
-        phase=Phase(data["phase"]),
-        cost=TaskCost(**dict(zip(_COST_FIELDS, data["cost"]))),
-        home_worker=int(data["home_worker"]),
-        input_bytes_by_worker={
-            int(worker): float(nbytes)
-            for worker, nbytes in data.get("input_bytes_by_worker", {}).items()
-        },
-        partner_worker=data.get("partner_worker"),
-    )
 
 
 def trace_to_dict(trace: JobTrace) -> Dict:
@@ -198,35 +191,161 @@ def trace_to_dict(trace: JobTrace) -> Dict:
     }
 
 
-def trace_from_dict(data: Dict) -> JobTrace:
-    """Rebuild a :class:`JobTrace` from :func:`trace_to_dict` output."""
+def _int_column(column) -> List[int]:
+    """*column*, which must be a list of ints (``TypeError`` otherwise)."""
+    if type(column) is not list or not set(map(type, column)) <= {int}:
+        raise TypeError("expected a list of ints")
+    return column
+
+
+def trace_columns(data: Dict) -> Dict:
+    """The column table of a :func:`trace_to_dict` document.
+
+    The trace's scalars and iterations stay as they are, with every task
+    list replaced by its length.  The task records themselves, in
+    document order (per iteration: library init, map, reduce, then each
+    merge stage), become one list per field under ``"tasks"``: ``cost``
+    holds one five-float row per task, and each task's input bytes by
+    worker are ``input_count`` consecutive entries of the flat
+    ``input_worker`` (int ids, in the record's order) and
+    ``input_bytes`` columns.  ``partner_worker`` is ``None`` where a
+    record has none.
+    """
+    records: List[Dict] = []
     iterations = []
     for it in data["iterations"]:
-        iterations.append(
-            IterationTrace(
-                iteration=int(it["iteration"]),
-                lib_init=_record_from_dict(it["lib_init"]),
-                map_phase=PhaseTrace(
-                    Phase.MAP, [_record_from_dict(r) for r in it["map"]]
-                ),
-                reduce_phase=PhaseTrace(
-                    Phase.REDUCE, [_record_from_dict(r) for r in it["reduce"]]
-                ),
-                merge_stages=[
-                    MergeStageTrace(
-                        stage_index=int(stage["stage_index"]),
-                        tasks=[_record_from_dict(r) for r in stage["tasks"]],
-                    )
-                    for stage in it["merge_stages"]
-                ],
-            )
+        records.append(it["lib_init"])
+        records.extend(it["map"])
+        records.extend(it["reduce"])
+        for stage in it["merge_stages"]:
+            records.extend(stage["tasks"])
+        iterations.append({
+            "iteration": it["iteration"],
+            "map": len(it["map"]),
+            "reduce": len(it["reduce"]),
+            "merge_stages": [
+                {"stage_index": stage["stage_index"], "tasks": len(stage["tasks"])}
+                for stage in it["merge_stages"]
+            ],
+        })
+    counts: List[int] = []
+    workers: List[int] = []
+    nbytes: List[float] = []
+    for record in records:
+        inputs = record.get("input_bytes_by_worker", {})
+        counts.append(len(inputs))
+        workers.extend(map(int, inputs.keys()))
+        nbytes.extend(map(float, inputs.values()))
+    return {
+        "app_name": data["app_name"],
+        "num_workers": data["num_workers"],
+        "output_bytes": data["output_bytes"],
+        "iterations": iterations,
+        "tasks": {
+            "task_id": [int(record["task_id"]) for record in records],
+            "phase": [record["phase"] for record in records],
+            "home_worker": [int(record["home_worker"]) for record in records],
+            "partner_worker": [
+                record.get("partner_worker") for record in records
+            ],
+            "cost": [record["cost"] for record in records],
+            "input_count": counts,
+            "input_worker": workers,
+            "input_bytes": nbytes,
+        },
+    }
+
+
+def trace_from_columns(table: Dict) -> JobTrace:
+    """Rebuild a :class:`JobTrace` from its :func:`trace_columns` table.
+
+    ``cost`` and ``input_bytes`` are lists, or float arrays where the
+    study cache stores them packed.  Raises ``KeyError``, ``TypeError``
+    or ``ValueError`` for a table that does not describe one trace: an
+    id, worker or count column that is not a list of ints, columns of
+    unequal length, input counts that do not cover the flat input
+    columns, task counts that do not cover the records, an unknown phase
+    or a negative cost (``TaskCost`` rejects it).
+    """
+    tasks = table["tasks"]
+    ids = _int_column(tasks["task_id"])
+    count = len(ids)
+    phases = [_PHASES[phase] for phase in tasks["phase"]]
+    homes = _int_column(tasks["home_worker"])
+    partners = tasks["partner_worker"]
+    input_counts = _int_column(tasks["input_count"])
+    workers = _int_column(tasks["input_worker"])
+    costs = tasks["cost"]
+    if isinstance(costs, np.ndarray):
+        costs = costs.reshape(count, len(_COST_FIELDS)).tolist()
+    nbytes = tasks["input_bytes"]
+    if isinstance(nbytes, np.ndarray):
+        nbytes = nbytes.reshape(len(workers)).tolist()
+    if not (
+        len(phases) == len(homes) == len(partners) == len(costs)
+        == len(input_counts) == count
+    ):
+        raise ValueError("trace columns of unequal length")
+    if (
+        min(input_counts, default=0) < 0
+        or sum(input_counts) != len(workers)
+        or len(nbytes) != len(workers)
+    ):
+        raise ValueError("input counts do not cover the input columns")
+    inputs = []
+    start = 0
+    for size in input_counts:
+        end = start + size
+        inputs.append(
+            dict(zip(workers[start:end], nbytes[start:end])) if size else {}
         )
+        start = end
+    # TaskCost's fields are in _COST_FIELDS order.
+    records = [
+        TaskRecord(task_id, phase, TaskCost(*cost), home, by_worker, partner)
+        for task_id, phase, cost, home, by_worker, partner in zip(
+            ids, phases, costs, homes, inputs, partners
+        )
+    ]
+
+    taken = 0
+
+    def take(size: int) -> List[TaskRecord]:
+        nonlocal taken
+        if type(size) is not int or not 0 <= size <= count - taken:
+            raise ValueError(f"task count {size!r} does not fit the columns")
+        taken += size
+        return records[taken - size:taken]
+
+    iterations = []
+    for it in table["iterations"]:
+        lib_init = take(1)[0]
+        map_tasks = take(it["map"])
+        reduce_tasks = take(it["reduce"])
+        stages = [
+            MergeStageTrace(int(stage["stage_index"]), take(stage["tasks"]))
+            for stage in it["merge_stages"]
+        ]
+        iterations.append(IterationTrace(
+            iteration=int(it["iteration"]),
+            lib_init=lib_init,
+            map_phase=PhaseTrace(Phase.MAP, map_tasks),
+            reduce_phase=PhaseTrace(Phase.REDUCE, reduce_tasks),
+            merge_stages=stages,
+        ))
+    if taken != count:
+        raise ValueError(f"{count - taken} task records belong to no iteration")
     return JobTrace(
-        app_name=data["app_name"],
-        num_workers=int(data["num_workers"]),
+        app_name=table["app_name"],
+        num_workers=int(table["num_workers"]),
         iterations=iterations,
-        output_bytes=float(data["output_bytes"]),
+        output_bytes=float(table["output_bytes"]),
     )
+
+
+def trace_from_dict(data: Dict) -> JobTrace:
+    """Rebuild a :class:`JobTrace` from :func:`trace_to_dict` output."""
+    return trace_from_columns(trace_columns(data))
 
 
 # ---------------------------------------------------------------------- #
@@ -352,8 +471,13 @@ def study_to_dict(study: AppStudy) -> Dict:
     }
 
 
-def study_from_dict(data: Dict) -> AppStudy:
-    """Rebuild an :class:`AppStudy` from :func:`study_to_dict` output."""
+def study_from_dict(data: Dict, trace: Optional[JobTrace] = None) -> AppStudy:
+    """Rebuild an :class:`AppStudy` from :func:`study_to_dict` output.
+
+    *trace*, when given, is the study's trace already decoded, and
+    ``data["trace"]`` is not read: the study cache stores the trace as
+    its :func:`trace_columns` table and decodes that itself.
+    """
     app_info = data["app"]
     return AppStudy(
         app=create_app(
@@ -361,7 +485,7 @@ def study_from_dict(data: Dict) -> AppStudy:
             scale=float(app_info["scale"]),
             seed=int(app_info["seed"]),
         ),
-        trace=trace_from_dict(data["trace"]),
+        trace=trace_from_dict(data["trace"]) if trace is None else trace,
         design=design_from_dict(data["design"]),
         results={
             config: result_from_dict(entry)

@@ -13,21 +13,11 @@ grid neighbours, the WiNoC topology is built by
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.utils.validation import check_positive
-
-#: Monotonic epoch source for mutated topologies.  Fresh-built topologies
-#: keep epoch 0; every derived topology (``with_links`` /
-#: ``without_links``) draws a new process-unique epoch.  Table sharing
-#: does not read it: :func:`repro.noc.fabric.fabric_for` keys fabrics by
-#: content, since two fresh builds (say a mesh and a small-world fabric
-#: with as many links) share epoch 0.
-_EPOCH = itertools.count(1)
-
 
 class LinkKind(enum.Enum):
     WIRE = "wire"
@@ -119,9 +109,6 @@ class Topology:
     name: str
     geometry: GridGeometry
     links: List[Link] = field(default_factory=list)
-    #: Mutation epoch: 0 for fresh-built topologies, process-unique for
-    #: every derived one.
-    epoch: int = 0
 
     def __post_init__(self) -> None:
         self._adjacency: Optional[Dict[int, List[Link]]] = None
@@ -176,7 +163,6 @@ class Topology:
             name=name or self.name,
             geometry=self.geometry,
             links=list(self.links) + list(extra),
-            epoch=next(_EPOCH),
         )
 
     def without_links(
@@ -187,9 +173,8 @@ class Topology:
         """New topology with every link whose :attr:`Link.key` is in
         *keys* removed (fault injection: failed wires / lost channels).
 
-        The derived topology carries a fresh mutation epoch; its link
-        list differs, so it gets its own fabric and tables
-        (:func:`repro.noc.fabric.fabric_for`).
+        The derived topology's link list differs, so it gets its own
+        fabric and tables (:func:`repro.noc.fabric.fabric_for`).
         """
         drop = set(keys)
         missing = drop - {link.key for link in self.links}
@@ -202,7 +187,6 @@ class Topology:
             name=name or self.name,
             geometry=self.geometry,
             links=[link for link in self.links if link.key not in drop],
-            epoch=next(_EPOCH),
         )
 
     def wireless_links(self) -> List[Link]:

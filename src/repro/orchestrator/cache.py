@@ -6,17 +6,22 @@ first two hex digits, git-object style), wrapping the full study
 document produced by :func:`repro.core.serialization.study_to_dict`
 together with the spec and schema version that produced it.
 
-In the file, the document's large float arrays (:data:`PACKED_PATHS`:
-the design's traffic matrix and utilization, and each result's per-core
-vectors) are stored packed as ``{"dtype": "<f8", "shape": [...],
-"data": <base64 of the little-endian bytes>}``: a 256-core traffic
-matrix as nested JSON floats is most of the file and most of its parse
-time.  Packing is exact, so a read rebuilds bit-identical arrays and the
-study document -- and every digest over it -- is unchanged.
+The file stores the document in a form that reads back fast
+(:func:`pack_document`): the trace as its column table
+(:func:`~repro.core.serialization.trace_columns`) -- 200 to 650 small
+task objects per study would be most of a 64-core file and most of its
+read -- and the large float arrays (:data:`PACKED_PATHS`: the table's
+task costs and input bytes, the design's traffic matrix and
+utilization, and each result's per-core vectors) packed as
+``{"dtype": "<f8", "shape": [...], "data": <base64 of the little-endian
+bytes>}``.  Both are exact, so a read rebuilds bit-identical task
+records and arrays, and the study document -- and every digest over it
+-- is unchanged.
 
 Writes are atomic (temp file + ``os.replace``), so an interrupted
-campaign never leaves a half-written entry; a corrupt file, including a
-packed member that does not decode exactly, reads as a miss and is
+campaign never leaves a half-written entry; a corrupt file -- a member
+of the wrong type, a packed member that does not decode exactly, a
+column table that does not describe one trace -- reads as a miss and is
 rewritten on the next run.  The key includes the schema version, so
 files written under another version are never looked up; they stay on
 disk until :meth:`StudyCache.clear`.
@@ -34,12 +39,22 @@ from typing import Callable, Dict, Optional, Sequence, Union
 import numpy as np
 
 from repro.core.experiment import AppStudy
-from repro.core.serialization import study_from_dict, study_to_dict
+from repro.core.serialization import (
+    study_from_dict,
+    study_to_dict,
+    trace_columns,
+    trace_from_columns,
+)
 from repro.orchestrator.spec import CACHE_SCHEMA_VERSION, StudySpec
 
-#: Paths, in a study document, of the float arrays the cache file packs.
-#: ``"*"`` matches every key of its mapping (each simulated configuration).
+#: Paths, in the stored document, of the float arrays the cache file
+#: packs.  The stored ``"trace"`` is
+#: :func:`~repro.core.serialization.trace_columns` of the study's trace,
+#: so the first two are its task costs and input bytes.  ``"*"`` matches
+#: every key of its mapping (each simulated configuration).
 PACKED_PATHS = (
+    ("trace", "tasks", "cost"),
+    ("trace", "tasks", "input_bytes"),
     ("design", "traffic"),
     ("design", "utilization"),
     ("results", "*", "busy_s"),
@@ -79,7 +94,13 @@ def _unpack(member) -> np.ndarray:
 
 def _replace(node: Dict, path: Sequence[str], convert: Callable) -> Dict:
     """A copy of mapping *node* with *convert* applied to the value at
-    *path*; only the mappings along the path are copied."""
+    *path*; only the mappings along the path are copied.
+
+    Raises ``TypeError`` where the path meets something other than a
+    mapping.
+    """
+    if not isinstance(node, dict):
+        raise TypeError(f"expected a mapping, got {type(node).__name__}")
     head, rest = path[0], path[1:]
     out = dict(node)
     for key in (node if head == "*" else (head,)):
@@ -91,18 +112,22 @@ def _replace(node: Dict, path: Sequence[str], convert: Callable) -> Dict:
 
 
 def pack_document(document: Dict) -> Dict:
-    """*document* as the cache file stores it: every :data:`PACKED_PATHS`
-    array packed.  *document* itself is left unchanged."""
+    """*document* as the cache file stores it: the trace as its column
+    table and every :data:`PACKED_PATHS` array packed.  *document*
+    itself is left unchanged."""
+    document = _replace(document, ("trace",), trace_columns)
     for path in PACKED_PATHS:
         document = _replace(document, path, _pack)
     return document
 
 
 def unpack_document(document: Dict) -> Dict:
-    """The study document a cache file stores, arrays decoded.
+    """The study document a cache file stores, arrays decoded; its trace
+    stays the column table.
 
     Raises ``ValueError``, ``KeyError`` or ``TypeError`` when a packed
-    member does not decode exactly.
+    member does not decode exactly or a mapping along a packed path is
+    something else.
     """
     for path in PACKED_PATHS:
         document = _replace(document, path, _unpack)
@@ -124,7 +149,7 @@ class StudyCache:
         return self.root / key[:2] / f"{key}.json"
 
     def __contains__(self, spec: StudySpec) -> bool:
-        return self.load_document(spec) is not None
+        return self.get(spec) is not None
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("??/*.json"))
@@ -132,12 +157,13 @@ class StudyCache:
     # ------------------------------------------------------------------ #
 
     def load_document(self, spec: StudySpec) -> Optional[Dict]:
-        """The study document for *spec*, or ``None`` on a miss.
+        """The stored study document for *spec*, or ``None`` on a miss.
 
-        Packed arrays come back as writable float64 ndarrays.
-        Unreadable/corrupt entries, entries whose packed members do not
-        decode exactly and entries written under a different schema
-        version are treated as misses.
+        Its trace is the column table the file stores, and packed arrays
+        come back as writable float64 ndarrays.  Unreadable/corrupt
+        entries, entries whose packed members do not decode exactly and
+        entries written under a different schema version are treated as
+        misses.
         """
         path = self.path_for(spec)
         try:
@@ -149,22 +175,20 @@ class StudyCache:
             return None
         if envelope.get("schema_version") != self.schema_version:
             return None
-        document = envelope.get("study")
-        if document is None:
-            return None
         try:
-            return unpack_document(document)
+            return unpack_document(envelope["study"])
         except (KeyError, TypeError, ValueError):
             return None
 
     def get(self, spec: StudySpec) -> Optional[AppStudy]:
-        """The cached study for *spec*, or ``None`` on a miss."""
+        """The cached study for *spec*, or ``None`` on a miss (a member
+        of the wrong type anywhere in the document is one)."""
         document = self.load_document(spec)
         if document is None:
             return None
         try:
-            return study_from_dict(document)
-        except (KeyError, TypeError, ValueError):
+            return study_from_dict(document, trace_from_columns(document["trace"]))
+        except (AttributeError, KeyError, TypeError, ValueError):
             return None
 
     def put_document(self, spec: StudySpec, document: Dict) -> Path:

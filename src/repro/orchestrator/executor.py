@@ -19,8 +19,9 @@ stopped.
 Workers exchange JSON study documents (not pickled ``AppStudy`` objects):
 the subprocess runs the pipeline and returns
 :func:`repro.core.serialization.study_to_dict` output, which the parent
-both caches (the cache packs its float arrays exactly) and rebuilds --
-a parallel cold run and a warm cache read produce the same objects by
+both caches (the cache stores its trace as a column table and packs its
+float arrays, exactly) and rebuilds through the same task-record decoder
+-- a parallel cold run and a warm cache read produce the same objects by
 construction.
 """
 

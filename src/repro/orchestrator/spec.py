@@ -37,7 +37,10 @@ from repro.tech.spec import TechSpec, canonical_tech_json
 #: v5: cache files store the study document's large float arrays packed
 #: as base64 little-endian float64 (``orchestrator.cache.PACKED_PATHS``);
 #: the study document itself is unchanged.
-CACHE_SCHEMA_VERSION = 5
+#: v6: cache files store the trace as one column table
+#: (``core.serialization.trace_columns``), its task costs and input bytes
+#: packed like the other float arrays; the study document is unchanged.
+CACHE_SCHEMA_VERSION = 6
 
 WINOC_METHODOLOGIES = ("max_wireless", "min_hop")
 

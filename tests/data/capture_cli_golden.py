@@ -73,6 +73,15 @@ def _energy_tampered(record, copy):
     return write
 
 
+def _first_entry_results_emptied(workdir):
+    """Setup step: set ``study.results`` of the first entry in
+    ``.study_cache`` (by path) to ``[]``, as CI does."""
+    path = sorted(workdir.glob(".study_cache/??/*.json"))[0]
+    envelope = json.loads(path.read_text())
+    envelope["study"]["results"] = []
+    path.write_text(json.dumps(envelope))
+
+
 def _plan_file(content):
     """Setup step: write *content* as ``plan.json``."""
 
@@ -99,6 +108,9 @@ SEQUENCES = {
         "sweep histogram --parameter seed --values 9 10 --scale 0.05"
         " --num-workers 16 --jobs 1 --cache-dir .study_cache"
         " --manifest artifacts/sweep_manifest.json",
+        "sweep histogram --parameter seed --values 9 10 --scale 0.05"
+        " --num-workers 16 --jobs 1 --cache-dir .study_cache",
+        _first_entry_results_emptied,
         "sweep histogram --parameter seed --values 9 10 --scale 0.05"
         " --num-workers 16 --jobs 1 --cache-dir .study_cache",
         "trace --app histogram --system vfi2_winoc --scale 0.05 --seed 9"

@@ -18,6 +18,7 @@ from repro.faults import (
     FaultPlan,
     FaultSpec,
 )
+from repro.noc.fabric import fabric_for
 from repro.noc.routing import build_routing_table
 
 _PLATFORM = build_nvfi_mesh(geometry_for(16))
@@ -112,12 +113,18 @@ def test_non_survivable_removal_is_refused(indices):
 
 @settings(max_examples=40, deadline=None)
 @given(indices=link_subsets)
-def test_without_links_is_strict_and_epoch_bumped(indices):
+def test_without_links_is_strict_and_gets_its_own_fabric(indices):
     removed = _removed_keys(indices)
     assume(indices)
     once = _PLATFORM.topology.without_links(removed)
-    assert once.epoch != _PLATFORM.topology.epoch
     assert len(once.links) == len(_BASE_LINKS) - len(removed)
+    if once.is_connected():
+        network = _PLATFORM.network
+        fabric = fabric_for(
+            once, build_routing_table(once), network.wireless.num_channels,
+            network.params,
+        )
+        assert fabric is not network.fabric
     # Strict contract: removing an already-removed link is an error, not
     # a silent no-op (double-removal would hide a plan/topology mismatch).
     try:

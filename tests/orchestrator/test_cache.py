@@ -1,5 +1,5 @@
 """On-disk study cache: round trips, misses, corruption tolerance, and
-the packed float arrays of the cache file."""
+the packed float arrays and trace column table of the cache file."""
 
 import copy
 import hashlib
@@ -10,10 +10,10 @@ import struct
 import numpy as np
 import pytest
 
-from repro.core.experiment import run_app_study
+from repro.core.experiment import clear_study_cache, run_app_study
 from repro.core.serialization import study_to_dict
 from repro.faults import FaultKind, FaultPlan, FaultSpec
-from repro.orchestrator import StudyCache, StudySpec
+from repro.orchestrator import StudyCache, StudySpec, run_campaign
 from repro.orchestrator.cache import PACKED_PATHS, pack_document
 from repro.utils.jsonutil import canonical_json
 
@@ -45,13 +45,15 @@ def digest(study) -> str:
 
 
 def packed_values(document):
-    """Every value at a PACKED_PATHS path of *document*, path by path."""
+    """Every value at a PACKED_PATHS path of *document*, path by path
+    (paths *document* does not have are skipped)."""
     values = []
     for path in PACKED_PATHS:
         nodes = [document]
         for key in path:
             nodes = [
-                node[k] for node in nodes for k in (node if key == "*" else [key])
+                node[k] for node in nodes
+                for k in (node if key == "*" else [key]) if k in node
             ]
         values.extend(nodes)
     return values
@@ -104,8 +106,9 @@ class TestPackedArrays:
         path = cache.put(SPEC, study)
         stored = json.loads(path.read_text())["study"]
         members = packed_values(stored)
-        # traffic + utilization, then three vectors per configuration
-        assert len(members) == 2 + 3 * len(study.results)
+        # task costs + input bytes, traffic + utilization, then three
+        # vectors per configuration
+        assert len(members) == 2 + 2 + 3 * len(study.results)
         for member in members:
             assert set(member) == {"dtype", "shape", "data"}
             assert member["dtype"] == "<f8"
@@ -166,7 +169,12 @@ class TestPackedArrays:
         ],
     )
     @pytest.mark.parametrize(
-        "where", [("design", "utilization"), ("results", "nvfi_mesh", "busy_s")]
+        "where",
+        [
+            ("design", "utilization"),
+            ("results", "nvfi_mesh", "busy_s"),
+            ("trace", "tasks", "input_bytes"),
+        ],
     )
     def test_malformed_member_misses_until_rewritten(
         self, cache, study, corrupt, where
@@ -183,6 +191,49 @@ class TestPackedArrays:
         assert SPEC not in cache
         cache.put(SPEC, study)
         assert digest(cache.get(SPEC)) == digest(study)
+
+
+def _set(path, value):
+    """A corruption that puts *value* at *path* of the stored document."""
+
+    def corrupt(document):
+        for key in path[:-1]:
+            document = document[key]
+        document[path[-1]] = value
+
+    return corrupt
+
+
+class TestWrongTypeMembers:
+    """A member of the wrong container type anywhere in the stored
+    document is a miss, and the campaign recomputes and rewrites the
+    entry."""
+
+    SPEC = StudySpec(
+        app="histogram", scale=0.05, seed=9, num_workers=16, fault_plan=PLAN
+    )
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            _set(("trace", "tasks", "input_bytes"), [1, 2]),
+            _set(("results", "nvfi_mesh", "faults"), "x"),
+            _set(("results",), []),
+        ],
+        ids=["trace_input_bytes_list", "faults_str", "results_list"],
+    )
+    def test_misses_and_the_campaign_rewrites_it(self, cache, corrupt):
+        cold = self.SPEC.run()
+        path = cache.put(self.SPEC, cold)
+        envelope = json.loads(path.read_text())
+        corrupt(envelope["study"])
+        path.write_text(json.dumps(envelope))
+        assert cache.get(self.SPEC) is None
+        assert self.SPEC not in cache
+        clear_study_cache()
+        campaign = run_campaign([self.SPEC], jobs=1, cache=cache)
+        assert campaign.manifest.records[0].status == "computed"
+        assert digest(cache.get(self.SPEC)) == digest(cold)
 
 
 class TestRoundTrip:
