@@ -1,6 +1,6 @@
 """Large-die smoke: the paper pipeline beyond the 64-core die.
 
-Two end-to-end checks back the parametric-geometry refactor:
+End-to-end checks back the parametric-geometry refactor:
 
 * a 256-core (16x16, four 8x8 islands) wireless VFI study runs the
   complete pipeline -- app execution, NVFI characterization, VFI design
@@ -8,9 +8,11 @@ Two end-to-end checks back the parametric-geometry refactor:
   produces physically sensible results;
 * a 128-core (16x8) study resolves through the experiment orchestrator
   with a persistent cache: the cold run computes, the warm run must be
-  a pure cache hit, and the manifests record both.
+  a pure cache hit, and the manifests record both;
+* a 256-core matrix_multiply study whose NVFI run leaves whole islands
+  idle still runs to the end.
 
-Both use a reduced dataset scale so the smoke stays minutes-scale; the
+All use a reduced dataset scale so the smoke stays minutes-scale; the
 committed ``results/large_die_smoke.json`` records the headline
 normalized metrics per die size.
 """
@@ -34,6 +36,7 @@ from repro.core.traffic import total_node_traffic
 from repro.orchestrator import StudySpec, run_campaign
 from repro.sim.system import simulate
 from repro.utils.rng import spawn_seed
+from repro.vfi.islands import DVFS_LADDER
 
 APP = "histogram"
 SCALE = 0.05
@@ -66,6 +69,24 @@ def test_256_core_winoc_end_to_end(results_dir):
             study.result(VFI2_WINOC).network.wireless_fraction
         ),
     }, indent=2))
+
+
+def test_256_core_study_with_an_idle_island():
+    # Seed 7's 256-core matrix_multiply leaves whole islands idle in the
+    # NVFI run; each all-idle island takes the ladder's lowest point and
+    # the study runs to the end.
+    study = run_app_study(
+        "matrix_multiply", scale=SCALE, seed=7, num_workers=256,
+        use_cache=False,
+    )
+    assert sorted(study.results) == sorted(ALL_CONFIGS)
+    vfi1 = study.design.vfi1
+    assert 0.0 in vfi1.island_utilization
+    for point, utilization in zip(vfi1.points, vfi1.island_utilization):
+        if utilization == 0.0:
+            assert point == DVFS_LADDER[0]
+    for config in ALL_CONFIGS:
+        assert study.result(config).total_time_s > 0
 
 
 def test_256_core_simulate_wall_clock(results_dir):

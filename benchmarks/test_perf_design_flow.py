@@ -1,23 +1,28 @@
-"""Performance guard: the VFI design flow's two annealers.
+"""Performance guard: the VFI design flow's three annealers.
 
 Times the QP-clustering solve (:func:`solve_simulated_annealing`, the
-Eq. 1/2 objective annealed over island assignments) and the wireless
+Eq. 1/2 objective annealed over island assignments), the wireless
 interface placement (:func:`optimize_wireless_placement`, min-hop SA
-over WI slots) in a fresh interpreter, next to the same fixed
+over WI slots) and the communication-aware thread mapping
+(:func:`communication_aware_mapping`, SA over within-island worker
+swaps) in a fresh interpreter, next to the same fixed
 pure-Python/NumPy *calibration workload* used by ``test_perf_simulator``.
-The guard compares the **ratio** of design time to calibration time
-against the committed baseline ratio, so it measures the design flow's
-own efficiency rather than the machine it happens to run on.
+The guard compares the **ratio** of design time (clustering plus
+placement) to calibration time against the committed baseline ratio,
+so it measures the design flow's own efficiency rather than the
+machine it happens to run on.
 
 The committed ``results/perf_design_flow.json`` carries:
 
 * ``baseline`` -- the ratio this guard defends (refreshed only
   deliberately, by deleting the file and re-running);
 * ``latest`` -- the most recent measurement (updated every run), with
-  the per-stage clustering and placement floors alongside the total.
+  the per-stage clustering, placement and mapping floors alongside the
+  total, and each stage's ratio to calibration in ``stage_ratios``.
 
 The guard fails when the measured ratio regresses more than
-``BUDGET`` (25%) beyond the baseline ratio.
+``BUDGET`` (25%) beyond the baseline ratio; the failure message names
+every stage's time and ratio, so it says which annealer moved.
 """
 
 import json
@@ -33,6 +38,10 @@ from conftest import write_result
 BUDGET = 0.25
 
 RESULT_NAME = "perf_design_flow.json"
+
+#: Timed stages; ``design_s`` (the asserted total) is clustering plus
+#: placement, as when the baseline was committed.
+STAGES = ("clustering", "placement", "mapping")
 
 _CHILD = textwrap.dedent(
     """
@@ -56,8 +65,9 @@ _CHILD = textwrap.dedent(
         return time.perf_counter() - start
 
     from repro.apps.registry import create_app
-    from repro.core.platforms import build_nvfi_mesh, geometry_for
+    from repro.core.platforms import build_nvfi_mesh, die_for, geometry_for
     from repro.core.traffic import total_node_traffic
+    from repro.mapping.thread_mapping import communication_aware_mapping
     from repro.noc.placement import optimize_wireless_placement
     from repro.noc.topology import build_mesh
     from repro.sim.system import simulate
@@ -81,6 +91,7 @@ _CHILD = textwrap.dedent(
         num_clusters=4,
     )
     wireline = build_mesh(geometry)
+    layout = die_for(64).layout()
 
     def clustering_once():
         start = time.perf_counter()
@@ -98,16 +109,27 @@ _CHILD = textwrap.dedent(
         )
         return time.perf_counter() - start
 
+    def mapping_once(clusters):
+        start = time.perf_counter()
+        communication_aware_mapping(
+            clusters, layout, traffic,
+            seed=spawn_seed(7, "wordcount", "mapping"),
+        )
+        return time.perf_counter() - start
+
     elapsed, clustering = clustering_once()  # warm caches
     placement_once(clustering.assignment)
+    mapping_once(clustering.assignment)
     calibration()
     clustering_s = min(clustering_once()[0] for _ in range(3))
     placement_s = min(
         placement_once(clustering.assignment) for _ in range(3)
     )
+    mapping_s = min(mapping_once(clustering.assignment) for _ in range(3))
     print(json.dumps({
         "clustering_s": clustering_s,
         "placement_s": placement_s,
+        "mapping_s": mapping_s,
         "design_s": clustering_s + placement_s,
         "calibration_s": min(calibration() for _ in range(5)),
     }))
@@ -147,17 +169,23 @@ def test_design_flow_performance(results_dir):
         # First run on a fresh checkout: establish the baseline.
         baseline = dict(floors, ratio=ratio)
 
+    stage_ratios = {
+        stage: floors[f"{stage}_s"] / floors["calibration_s"]
+        for stage in STAGES
+    }
     payload = {
         "baseline": baseline,
-        "latest": dict(floors, ratio=ratio),
+        "latest": dict(floors, ratio=ratio, stage_ratios=stage_ratios),
         "budget": BUDGET,
     }
     write_result(results_dir, RESULT_NAME, json.dumps(payload, indent=2))
 
+    stages = ", ".join(
+        f"{stage} {floors[f'{stage}_s']:.3f}s (ratio {stage_ratios[stage]:.3f})"
+        for stage in STAGES
+    )
     assert ratio <= baseline["ratio"] * (1.0 + BUDGET), (
         f"design/calibration ratio {ratio:.3f} regressed beyond "
         f"baseline {baseline['ratio']:.3f} (+{BUDGET * 100:.0f}% budget); "
-        f"clustering {floors['clustering_s']:.3f}s, "
-        f"placement {floors['placement_s']:.3f}s, "
-        f"calibration {floors['calibration_s']:.3f}s"
+        f"{stages}, calibration {floors['calibration_s']:.3f}s"
     )

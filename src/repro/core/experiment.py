@@ -192,9 +192,12 @@ def run_app_study(
     # 3. VFI mesh systems (Eq. 3 stealing active).  VFI 1 and VFI 2 are
     #    one mesh at two V/F assignments: one communication-aware mapping
     #    serves both.
-    mapping = vfi_thread_mapping(
-        design, geometry.layout(), seed=spawn_seed(seed, app_name, "mapping")
-    )
+    with tracer.wall_span(
+        "study.mapping", cat="study", pid="pipeline", app=app_name,
+    ):
+        mapping = vfi_thread_mapping(
+            design, geometry.layout(), seed=spawn_seed(seed, app_name, "mapping")
+        )
     if include_vfi1:
         vfi1_platform = build_vfi_mesh(
             design, "vfi1", geometry=geometry, mapping=mapping, tech=tech

@@ -109,7 +109,24 @@ def mapping_cost(
 ) -> float:
     """Traffic-weighted total grid distance of a mapping."""
     nodes = np.asarray(mapping)
-    return float((traffic * distance[np.ix_(nodes, nodes)]).sum())
+    return _priced(traffic, distance[np.ix_(nodes, nodes)])
+
+
+def _priced(traffic: np.ndarray, worker_distance: np.ndarray) -> float:
+    """Traffic-weighted distance from the worker x worker distances."""
+    return float((traffic * worker_distance).sum())
+
+
+def _swap_workers(
+    worker_distance: np.ndarray, a: int, b: int, spare: np.ndarray
+) -> None:
+    """Re-index the worker x worker distances after workers *a* and *b*
+    trade nodes: their rows trade places, then their columns (through
+    the length-n *spare*)."""
+    for view in (worker_distance, worker_distance.T):
+        spare[:] = view[a]
+        view[a] = view[b]
+        view[b] = spare
 
 
 def communication_aware_mapping(
@@ -122,7 +139,10 @@ def communication_aware_mapping(
     """SA mapping minimizing traffic-weighted distance within islands.
 
     Moves swap the nodes of two workers in the *same* cluster, so the
-    cluster-to-island constraint holds by construction.
+    cluster-to-island constraint holds by construction.  The gathered
+    worker x worker distances live across moves: a swap trades two rows
+    and two columns instead of gathering all n^2 entries again, and the
+    candidate is priced by the same full sum as :func:`mapping_cost`.
     """
     num_workers = len(worker_clusters)
     if traffic.shape != (num_workers, num_workers):
@@ -134,12 +154,16 @@ def communication_aware_mapping(
     best, best_cost = list(mapping), current_cost
     temperature = max(0.05 * current_cost, 1e-9)
     clusters = np.asarray(worker_clusters)
+    nodes = np.asarray(mapping)
+    worker_distance = distance[np.ix_(nodes, nodes)]
+    spare = np.empty(num_workers)
     for _ in range(iterations):
         a, b = int(rng.integers(num_workers)), int(rng.integers(num_workers))
         if a == b or clusters[a] != clusters[b]:
             continue
         mapping[a], mapping[b] = mapping[b], mapping[a]
-        candidate_cost = mapping_cost(mapping, traffic, distance)
+        _swap_workers(worker_distance, a, b, spare)
+        candidate_cost = _priced(traffic, worker_distance)
         delta = candidate_cost - current_cost
         if delta <= 0 or rng.random() < math.exp(-delta / max(temperature, 1e-15)):
             current_cost = candidate_cost
@@ -147,7 +171,14 @@ def communication_aware_mapping(
                 best, best_cost = list(mapping), current_cost
         else:
             mapping[a], mapping[b] = mapping[b], mapping[a]  # revert
+            _swap_workers(worker_distance, a, b, spare)
         temperature *= 0.998
+    repriced = mapping_cost(best, traffic, distance)
+    if repriced != best_cost:
+        raise RuntimeError(
+            f"annealed mapping cost {best_cost!r} does not re-price "
+            f"({repriced!r})"
+        )
     return ThreadMapping(tuple(best))
 
 

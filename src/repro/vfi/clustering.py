@@ -112,18 +112,44 @@ def cluster_cost(problem: ClusteringProblem, assignment: Sequence[int]) -> float
     counts = np.bincount(assignment, minlength=problem.num_clusters)
     if not (counts == problem.cluster_size).all():
         raise ValueError(f"clusters must have equal size; got counts {counts}")
-    m = problem.num_clusters
-    one_hot = np.zeros((problem.num_cores, m))
+    one_hot, squared_deviation = _cost_terms(problem, assignment)
+    return _priced(problem, one_hot, squared_deviation, _phi_matrix(problem))
+
+
+def _cost_terms(
+    problem: ClusteringProblem, assignment: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The n x m one-hot of *assignment* and each core's squared
+    deviation from its cluster's target utilization."""
+    one_hot = np.zeros((problem.num_cores, problem.num_clusters))
     one_hot[np.arange(problem.num_cores), assignment] = 1.0
-    cluster_flow = one_hot.T @ problem.traffic @ one_hot  # m x m
+    deviation = problem.utilization - problem.cluster_target_util[assignment]
+    return one_hot, deviation ** 2
+
+
+def _phi_matrix(problem: ClusteringProblem) -> np.ndarray:
+    """Eq. (2) for every cluster pair."""
+    m = problem.num_clusters
     phi = np.full((m, m), 1.0)
     np.fill_diagonal(phi, 1.0 / math.sqrt(m))
+    return phi
+
+
+def _priced(
+    problem: ClusteringProblem,
+    one_hot: np.ndarray,
+    squared_deviation: np.ndarray,
+    phi: np.ndarray,
+) -> float:
+    """Eq. (1) from an n x m one-hot and the per-core squared deviations.
+
+    The one evaluation every caller shares, so a cost tracked by the
+    annealer and a fresh :func:`cluster_cost` of the same assignment
+    agree bit for bit.
+    """
+    cluster_flow = one_hot.T @ problem.traffic @ one_hot  # m x m
     comm = float((cluster_flow * phi).sum())
-    util = float(
-        (
-            (problem.utilization - problem.cluster_target_util[assignment]) ** 2
-        ).sum()
-    )
+    util = float(squared_deviation.sum())
     return problem.comm_weight * comm + problem.util_weight * util
 
 
@@ -225,7 +251,14 @@ def solve_simulated_annealing(
     seed: SeedLike = None,
 ) -> ClusteringResult:
     """Swap-move annealing (preserves the equal-size constraint by
-    construction).  Deterministic given *seed*."""
+    construction).  Deterministic given *seed*.
+
+    The one-hot and the per-core squared deviations live across moves:
+    a swap flips four one-hot entries and two deviations, and a rejected
+    swap puts them back.  Each candidate is still priced by the full
+    Eq. (1) evaluation (:func:`_priced`), never by an O(n) delta whose
+    reordered sums would move the cost bits.
+    """
     rng = derive_rng(seed)
     assignment = np.array(utilization_sorted_assignment(problem), dtype=int)
     current_cost = cluster_cost(problem, assignment)
@@ -237,21 +270,43 @@ def solve_simulated_annealing(
         else max(0.05 * current_cost, 1e-9)
     )
     n = problem.num_cores
+    utilization = problem.utilization
+    targets = problem.cluster_target_util
+    one_hot, squared_deviation = _cost_terms(problem, assignment)
+    phi = _phi_matrix(problem)
+
+    def move(core: int, old: int, new: int) -> None:
+        assignment[core] = new
+        one_hot[core, old] = 0.0
+        one_hot[core, new] = 1.0
+        deviation = utilization[core] - targets[new]
+        squared_deviation[core] = deviation * deviation
+
     evaluations = 0
     for _ in range(iterations):
         a, b = int(rng.integers(n)), int(rng.integers(n))
-        if assignment[a] == assignment[b]:
+        cluster_a, cluster_b = int(assignment[a]), int(assignment[b])
+        if cluster_a == cluster_b:
             continue
-        candidate = assignment.copy()
-        candidate[a], candidate[b] = candidate[b], candidate[a]
-        candidate_cost = cluster_cost(problem, candidate)
+        move(a, cluster_a, cluster_b)
+        move(b, cluster_b, cluster_a)
+        candidate_cost = _priced(problem, one_hot, squared_deviation, phi)
         evaluations += 1
         delta = candidate_cost - current_cost
         if delta <= 0 or rng.random() < math.exp(-delta / max(temperature, 1e-15)):
-            assignment, current_cost = candidate, candidate_cost
+            current_cost = candidate_cost
             if current_cost < best_cost:
                 best, best_cost = assignment.copy(), current_cost
+        else:
+            move(a, cluster_b, cluster_a)
+            move(b, cluster_a, cluster_b)
         temperature *= cooling
+    repriced = cluster_cost(problem, best)
+    if repriced != best_cost:
+        raise RuntimeError(
+            f"annealed clustering cost {best_cost!r} does not re-price "
+            f"({repriced!r})"
+        )
     return ClusteringResult(
         assignment=tuple(int(c) for c in best),
         cost=best_cost,

@@ -92,20 +92,25 @@ def assign_vf(
     islands above it stay at nominal, lower islands scale by the cube
     root of their relative utilization and snap to the DVFS *ladder*
     (the paper's 65 nm ladder by default; the tech axis passes a node's
-    derived ladder, whose last point is that node's nominal).
+    derived ladder, whose last point is that node's nominal).  An island
+    whose cores are all idle (mean utilization 0) gets the ladder's
+    lowest point, the limit of the rule as its utilization falls to 0.
     """
     check_in_range("u_full", u_full, 0.0, 1.0, inclusive=False)
     ladder = tuple(ladder)
     if not ladder:
         raise ValueError("ladder must be non-empty")
     nominal = ladder[-1]
+    lowest = min(ladder, key=lambda point: point.frequency_hz)
     means = island_utilizations(utilization, assignment, num_islands)
     u_ref = max(float(means.max()), u_full)
     points = []
     for mean in means:
         ratio = (mean / u_ref) ** (1.0 / 3.0) if u_ref > 0 else 1.0
         target_hz = nominal.frequency_hz * min(ratio, 1.0)
-        points.append(nearest_ladder_point(target_hz, ladder))
+        points.append(
+            nearest_ladder_point(target_hz, ladder) if target_hz > 0 else lowest
+        )
     return VfAssignment(
         points=tuple(points),
         island_utilization=tuple(float(m) for m in means),

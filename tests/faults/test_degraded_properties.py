@@ -30,6 +30,42 @@ link_subsets = st.sets(
 )
 
 
+_GEOMETRY = _PLATFORM.topology.geometry
+
+
+def _cut_indices(kind, index):
+    """Indices of every link at node *index* (``"node"``), or of every
+    link crossing the boundary after row / column *index*."""
+    cut = set()
+    for position, link in enumerate(_BASE_LINKS):
+        if kind == "node":
+            hit = index in (link.a, link.b)
+        else:
+            axis = 1 if kind == "row" else 0
+            ends = sorted(
+                _GEOMETRY.coordinates(node)[axis] for node in (link.a, link.b)
+            )
+            hit = ends[0] <= index < ends[1]
+        if hit:
+            cut.add(position)
+    return cut
+
+
+@st.composite
+def disconnecting_subsets(draw):
+    """A removal that disconnects the mesh by construction: one node's
+    links or one row / column boundary's links, plus a few more."""
+    kind = draw(st.sampled_from(("node", "row", "column")))
+    last = {
+        "node": _GEOMETRY.num_nodes - 1,
+        "row": _GEOMETRY.rows - 2,
+        "column": _GEOMETRY.columns - 2,
+    }[kind]
+    index = draw(st.integers(0, last))
+    extra = draw(st.sets(st.sampled_from(range(len(_BASE_LINKS))), max_size=3))
+    return _cut_indices(kind, index) | extra
+
+
 def _removed_keys(indices):
     return {_BASE_LINKS[i].key for i in indices}
 
@@ -95,10 +131,10 @@ def test_engine_degraded_platform_routes_around_failures(indices):
 
 
 @settings(max_examples=40, deadline=None)
-@given(indices=link_subsets)
+@given(indices=disconnecting_subsets())
 def test_non_survivable_removal_is_refused(indices):
     removed = _removed_keys(indices)
-    assume(not _PLATFORM.topology.without_links(removed).is_connected())
+    assert not _PLATFORM.topology.without_links(removed).is_connected()
 
     engine = FaultEngine(_PLATFORM, _plan_for(indices))
     engine.activate_due(1.0)

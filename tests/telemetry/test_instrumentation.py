@@ -107,7 +107,9 @@ class TestInstrumentation:
     def test_wall_spans_cover_pipeline_and_design_flow(self, traced_runs):
         (tracer, _), _ = traced_runs
         stages = {s.name for s in tracer.spans_by(cat="study", wall=True)}
-        assert {"study.app_run", "study.design", "study.sim_nvfi"} <= stages
+        assert {
+            "study.app_run", "study.design", "study.mapping", "study.sim_nvfi",
+        } <= stages
         vfi = {s.name for s in tracer.spans_by(cat="vfi", wall=True)}
         assert {"vfi.clustering", "vfi.vf_assign"} <= vfi
 

@@ -57,6 +57,27 @@ class TestAssignVf:
         for point in vf.points:
             assert point in DVFS_LADDER
 
+    def test_idle_island_gets_lowest_point(self):
+        # An island whose cores never ran has mean utilization 0; it
+        # takes the ladder's lowest point instead of asking the ladder
+        # for 0 Hz, and the busy islands keep the points they get when
+        # island 2 is busy too (u_ref is the same).
+        idle = assign_vf(profile([0.6, 0.45, 0.0, 0.3]), ASSIGNMENT, 4)
+        busy = assign_vf(profile([0.6, 0.45, 0.3, 0.3]), ASSIGNMENT, 4)
+        assert idle.points[2] == DVFS_LADDER[0]
+        assert idle.island_utilization[2] == 0.0
+        for island in (0, 1, 3):
+            assert idle.points[island] == busy.points[island]
+        shorter = DVFS_LADDER[2:]
+        vf = assign_vf(
+            profile([0.6, 0.45, 0.0, 0.3]), ASSIGNMENT, 4, ladder=shorter
+        )
+        assert vf.points[2] == shorter[0]
+
+    def test_all_idle_islands_get_lowest_point(self):
+        vf = assign_vf(np.zeros(64), ASSIGNMENT, 4)
+        assert vf.points == (DVFS_LADDER[0],) * 4
+
     def test_u_full_validation(self):
         with pytest.raises(ValueError):
             assign_vf(profile([0.5] * 4), ASSIGNMENT, 4, u_full=1.5)
