@@ -17,7 +17,12 @@ Two guards against the failure modes a smoke trace cannot see:
 The budgets hold roughly 30x headroom over a warm local run (the engine
 clears 100k arrivals in ~2 s, and re-runs and verifies them in ~2.6 s,
 on a 2-vCPU host): they catch superlinear blowups, not scheduler jitter
-on a busy CI runner.
+on a busy CI runner.  The read-back layers are also held to the run on
+the same host: save, load and replay (re-run plus verification) each
+report their time over the run's (``save_over_run``, ``load_over_run``,
+``replay_over_run``) and must stay under :data:`READBACK_OVER_RUN`, a
+ratio about three times what they measure, so a layer that regresses
+fails by name whatever the host's speed.
 """
 
 import hashlib
@@ -44,6 +49,8 @@ QUEUE_DEPTH = 64
 PREFETCH_JOBS = 4
 RUN_BUDGET_S = 60.0
 REPLAY_BUDGET_S = 90.0
+#: Bound on each read-back layer's time over the run's (host-free).
+READBACK_OVER_RUN = 3.0
 
 #: Measurements from the micro guard, folded into the committed
 #: baseline by the 100k test (pytest runs this module top to bottom).
@@ -169,6 +176,11 @@ def test_100k_arrival_replay_within_budget(results_dir, tmp_path):
     loaded = ClusterRunResult.load(path)
     load_s = time.perf_counter() - start
     assert loaded.replay_digest == result.replay_digest
+    over_run = {
+        "save": save_s / run_wall_s,
+        "load": load_s / run_wall_s,
+        "replay": replay_wall_s / run_wall_s,
+    }
 
     write_result(results_dir, RESULT_NAME, json.dumps({
         "num_jobs": NUM_JOBS,
@@ -193,9 +205,18 @@ def test_100k_arrival_replay_within_budget(results_dir, tmp_path):
             "verify_s": round(verify_s, 2),
             "save_s": round(save_s, 2),
             "load_s": round(load_s, 2),
+            "save_over_run": round(over_run["save"], 3),
+            "load_over_run": round(over_run["load"], 3),
+            "replay_over_run": round(over_run["replay"], 3),
+            "readback_over_run_bound": READBACK_OVER_RUN,
             "arrivals_per_s": round(NUM_JOBS / run_wall_s),
             "run_budget_s": RUN_BUDGET_S,
             "replay_budget_s": REPLAY_BUDGET_S,
         },
         "dispatch_micro": _MICRO or None,
     }, indent=2))
+    for layer, ratio in over_run.items():
+        assert ratio < READBACK_OVER_RUN, (
+            f"{layer} took {ratio:.2f}x the {run_wall_s:.2f} s run "
+            f"(bound {READBACK_OVER_RUN}x)"
+        )

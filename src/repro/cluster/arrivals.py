@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import (
     Callable, Dict, List, Optional, Protocol, Sequence, Tuple, Union,
 )
@@ -43,12 +44,9 @@ class ArrivalTrace:
     def __post_init__(self) -> None:
         object.__setattr__(self, "name", str(self.name))
         object.__setattr__(self, "seed", int(self.seed))
-        jobs = tuple(
-            sorted(self.jobs, key=lambda j: (j.arrival_s, j.job_id))
-        )
+        jobs = tuple(sorted(self.jobs, key=attrgetter("arrival_s", "job_id")))
         object.__setattr__(self, "jobs", jobs)
-        ids = [job.job_id for job in jobs]
-        if len(set(ids)) != len(ids):
+        if len({job.job_id for job in jobs}) != len(jobs):
             raise ValueError("job ids must be unique within a trace")
 
     def __len__(self) -> int:
@@ -62,11 +60,15 @@ class ArrivalTrace:
     # ------------------------------------------------------------------ #
 
     def to_dict(self) -> Dict:
+        return self._document([job.to_dict() for job in self.jobs])
+
+    def _document(self, jobs: object) -> Dict:
+        """:meth:`to_dict` with *jobs* as the value of its ``jobs`` key."""
         return {
             "schema_version": TRACE_SCHEMA_VERSION,
             "name": self.name,
             "seed": self.seed,
-            "jobs": [job.to_dict() for job in self.jobs],
+            "jobs": jobs,
         }
 
     @classmethod

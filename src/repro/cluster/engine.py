@@ -3,17 +3,21 @@
 :class:`ClusterEngine` executes one workload by stepping the typed
 event heap of :mod:`repro.cluster.events`:
 
-* ``ARRIVAL`` / ``RETRY`` events feed admission control.  A full queue
-  consults the run's :class:`~repro.cluster.arrivals.Source`: open-loop
-  sources shed the job terminally (the legacy discipline), closed-loop
-  sources schedule a ``RETRY`` after seeded exponential backoff.
+* ``ARRIVAL`` / ``RETRY`` events feed admission control.  Arrivals
+  enter the heap one at a time, in trace order.  A full queue consults
+  the run's :class:`~repro.cluster.arrivals.Source`: open-loop sources
+  shed the job terminally (the legacy discipline), closed-loop sources
+  schedule a ``RETRY`` after seeded exponential backoff.
 * After every drained timestamp the **scheduling round** runs: the
   policy's ``select`` loop emits ``DISPATCH`` events against
   incrementally maintained views (the waiting queue and the sorted
   free-chip list -- no per-call copies), and when jobs wait with no
-  chip free, ``select_preemption`` may emit a ``PREEMPT`` (it sees the
+  chip free, ``select_preemption`` may emit a ``PREEMPT``.  It sees the
   :class:`~repro.cluster.policies.RunningJob` view each execution got
-  at dispatch).
+  at dispatch, in a chip-ordered tuple that is rebuilt only when the
+  busy set changes or the clock passes a same-instant dispatch; a
+  policy that keeps the base hook, which never preempts, is not
+  asked.
 * ``DISPATCH`` starts an execution: the cost model prices the job on
   the chip (optionally re-timed at a policy-chosen DVFS
   :class:`~repro.cluster.costmodel.SpeedStep`), and a ``COMPLETE`` is
@@ -38,8 +42,9 @@ golden record tests).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Set
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.cluster.arrivals import Source
 from repro.cluster.costmodel import CostModel, JobEstimate, scale_estimate
@@ -128,8 +133,18 @@ class ClusterEngine:
         #: job_id -> completed work fraction of checkpointed jobs.
         self.progress: Dict[int, float] = {}
         self._source: Optional[Source] = None
+        self._arrivals: Iterator[ClusterJob] = iter(())
         self._token = 0
         self._tracer = get_tracer()
+        #: Whether the policy has a preemption hook of its own; the
+        #: base hook never preempts, so the round skips it.
+        hook = getattr(policy.select_preemption, "__func__", None)
+        self._preempts = hook is not ClusterScheduler.select_preemption
+        #: The chip-ordered views the preemption hook last saw, kept
+        #: until the busy set changes (``None``) or the clock passes
+        #: ``_views_until``, the instant of a same-instant twin in it.
+        self._views: Optional[Tuple[RunningJob, ...]] = None
+        self._views_until = math.inf
 
     # ------------------------------------------------------------------ #
     # the SchedulingContext the policy observes
@@ -154,8 +169,12 @@ class ClusterEngine:
         trace = source.trace
         if self.prefetch_jobs:
             self._prefetch(trace)
-        for job in trace.jobs:
-            self.events.schedule(job.arrival_s, ARRIVAL, tie=job.job_id, payload=job)
+        # Arrivals enter the heap one at a time, each when the one before
+        # it is applied: the trace is sorted by (arrival_s, job_id), the
+        # heap's order among arrivals, so every event pops as it would
+        # with all of them queued up front, from a heap that stays small.
+        self._arrivals = iter(trace.jobs)
+        self._schedule_arrival()
         self.events.run(self._apply, self._round)
         self._audit(trace)
         return [self.records[job.job_id] for job in trace.jobs]
@@ -218,6 +237,7 @@ class ClusterEngine:
     def _apply(self, event: Event) -> None:
         kind = event.kind
         if kind == ARRIVAL:
+            self._schedule_arrival()
             self._admit(event.payload, event.time_s, attempts=1)
         elif kind == RETRY:
             job = event.payload
@@ -232,6 +252,13 @@ class ClusterEngine:
         elif kind == DISPATCH:
             job, chip = event.payload
             self._start(job, chip, event.time_s)
+
+    def _schedule_arrival(self) -> None:
+        job = next(self._arrivals, None)
+        if job is not None:
+            self.events.schedule(
+                job.arrival_s, ARRIVAL, tie=job.job_id, payload=job
+            )
 
     def _admit(self, job: ClusterJob, now: float, attempts: int) -> None:
         record = self.records.get(job.job_id)
@@ -316,6 +343,7 @@ class ClusterEngine:
             speed_label=step.label if step is not None else None,
         )
         self.busy[chip.chip_id] = execution
+        self._views = None
         self.events.schedule(
             completion, COMPLETE, tie=chip.chip_id, payload=execution
         )
@@ -340,6 +368,7 @@ class ClusterEngine:
         record = execution.record
         chip_id = execution.chip.chip_id
         del self.busy[chip_id]
+        self._views = None
         self._release_chip(execution.chip)
         record.completed_s = when
         # Residency is granted when the transfer has actually landed --
@@ -370,6 +399,7 @@ class ClusterEngine:
         execution.cancelled = True
         chip_id = execution.chip.chip_id
         del self.busy[chip_id]
+        self._views = None
         self._release_chip(execution.chip)
         record = execution.record
         if execution.transfer_s > 0.0 and now < execution.transfer_end_s:
@@ -481,7 +511,7 @@ class ClusterEngine:
             self._take_chip(chip)
             self.events.schedule(now, DISPATCH, payload=(job, chip))
             produced = True
-        if self.queue and not self.free_chips and self.busy:
+        if self._preempts and self.queue and not self.free_chips and self.busy:
             victim = self._consider_preemption(now)
             if victim is not None:
                 self.events.schedule(
@@ -490,16 +520,30 @@ class ClusterEngine:
                 produced = True
         return produced
 
+    def _running_views(self, now: float) -> Tuple[RunningJob, ...]:
+        """The busy executions' views in chip-id order.
+
+        Each view is built once, at dispatch; one dispatched at *now*
+        has made no progress and is passed as a ``preemptable=False``
+        twin.  The tuple is rebuilt only when the busy set has changed
+        or the clock has passed the instant of a twin it holds.
+        """
+        if self._views is None or now > self._views_until:
+            views = []
+            until = math.inf
+            for chip_id in sorted(self.busy):
+                execution = self.busy[chip_id]
+                if execution.dispatched_s < now:
+                    views.append(execution.view)
+                else:
+                    views.append(replace(execution.view, preemptable=False))
+                    until = now
+            self._views = tuple(views)
+            self._views_until = until
+        return self._views
+
     def _consider_preemption(self, now: float) -> Optional[RunningJob]:
-        # Views in chip-id order, each built once at dispatch; one
-        # dispatched at *now* has made no progress and is passed as a
-        # preemptable=False twin.
-        running = [
-            execution.view
-            if execution.dispatched_s < now
-            else replace(execution.view, preemptable=False)
-            for _, execution in sorted(self.busy.items())
-        ]
+        running = self._running_views(now)
         victim = self.policy.select_preemption(now, self.queue, running, self)
         if victim is None:
             return None

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, Optional, TYPE_CHECKING
 
-from repro.apps.registry import canonical_app_name
+from repro.apps.registry import APP_NAMES, canonical_app_name
 from repro.orchestrator.spec import StudySpec
-from repro.utils.jsonutil import to_builtin
+from repro.utils.jsonutil import BUILTIN_LEAVES, to_builtin
 
 if TYPE_CHECKING:
     from repro.cluster.fleet import ChipSpec
@@ -38,6 +39,9 @@ PREEMPTED = "preempted"
 
 #: Statuses a finished run may leave on a record.
 TERMINAL_STATUSES = (COMPLETED, REJECTED)
+
+#: App names :func:`canonical_app_name` returns as they are.
+_CANONICAL_APPS = frozenset(APP_NAMES)
 
 
 @dataclass(frozen=True)
@@ -59,15 +63,26 @@ class ClusterJob:
     input_mb: float = 64.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "job_id", int(self.job_id))
-        object.__setattr__(self, "app", canonical_app_name(self.app))
-        object.__setattr__(self, "arrival_s", float(self.arrival_s))
-        object.__setattr__(self, "scale", float(self.scale))
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "priority", int(self.priority))
-        if self.deadline_s is not None:
-            object.__setattr__(self, "deadline_s", float(self.deadline_s))
-        object.__setattr__(self, "input_mb", float(self.input_mb))
+        # Coerce every field to its builtin type.  A field that already
+        # has it -- every field of a job read back from JSON -- is left
+        # as it is: the conversion would return it unchanged.
+        coerce = object.__setattr__
+        if type(self.job_id) is not int:
+            coerce(self, "job_id", int(self.job_id))
+        if type(self.app) is not str or self.app not in _CANONICAL_APPS:
+            coerce(self, "app", canonical_app_name(self.app))
+        if type(self.arrival_s) is not float:
+            coerce(self, "arrival_s", float(self.arrival_s))
+        if type(self.scale) is not float:
+            coerce(self, "scale", float(self.scale))
+        if type(self.seed) is not int:
+            coerce(self, "seed", int(self.seed))
+        if type(self.priority) is not int:
+            coerce(self, "priority", int(self.priority))
+        if self.deadline_s is not None and type(self.deadline_s) is not float:
+            coerce(self, "deadline_s", float(self.deadline_s))
+        if type(self.input_mb) is not float:
+            coerce(self, "input_mb", float(self.input_mb))
         if self.job_id < 0:
             raise ValueError(f"job_id must be >= 0, got {self.job_id}")
         # NaN passes every comparison below, and an infinite time or
@@ -117,12 +132,20 @@ class ClusterJob:
         )
 
     def to_dict(self) -> Dict:
-        names = self.__dataclass_fields__
-        return {name: getattr(self, name) for name in names}
+        return dict(zip(_JOB_FIELDS, _job_values(self)))
 
     @classmethod
     def from_dict(cls, data: Dict) -> "ClusterJob":
-        # __post_init__ coerces every field to its builtin type.
+        # A row naming every field fills the new job's instance dict in
+        # one step, as unpickling does; __post_init__ then coerces and
+        # checks it exactly as after __init__.  Any other row takes the
+        # keyword path, whose TypeError names the stray or missing key.
+        names = cls.__dataclass_fields__.keys()
+        if type(data) is dict and data.keys() == names:
+            job = object.__new__(cls)
+            job.__dict__.update(data)
+            job.__post_init__()
+            return job
         return cls(**data)
 
     @property
@@ -133,6 +156,11 @@ class ClusterJob:
         if self.deadline_s is not None:
             parts.append(f"due={self.deadline_s:.1f}s")
         return " ".join(parts)
+
+
+#: A job's fields, in declaration order, and a reader of their values.
+_JOB_FIELDS = tuple(ClusterJob.__dataclass_fields__)
+_job_values = attrgetter(*_JOB_FIELDS)
 
 
 @dataclass
@@ -194,7 +222,14 @@ class JobRecord:
         return self.completed_s <= self.job.deadline_s
 
     def to_dict(self) -> Dict:
+        # The job skips the walk: ClusterJob coerces every field to a
+        # builtin at construction.
+        return self._row(self.job.to_dict())
+
+    def _row(self, job: object) -> Dict:
+        """:meth:`to_dict` with *job* as the value of its ``job`` key."""
         out = {
+            "job": None,
             "status": self.status,
             "chip_id": self.chip_id,
             "admitted_s": self.admitted_s,
@@ -203,7 +238,7 @@ class JobRecord:
             "transfer_s": self.transfer_s,
             "service_s": self.service_s,
             "energy_j": self.energy_j,
-            "extra": dict(self.extra),
+            "extra": None,
         }
         # Retry/preemption fields appeared after the v1 schema; they are
         # omitted at their defaults so open-loop, non-preemptive runs
@@ -215,9 +250,14 @@ class JobRecord:
             out["preemptions"] = self.preemptions
         if self.wasted_transfer_s != 0.0:
             out["wasted_transfer_s"] = self.wasted_transfer_s
-        # The job skips the walk: ClusterJob coerces every field to a
-        # builtin at construction.
-        return {"job": self.job.to_dict(), **to_builtin(out)}
+        # job and extra are filled in below.  Every other field holds a
+        # builtin leaf unless, say, a numpy scalar was assigned to it,
+        # and only then is the row walked.
+        if not BUILTIN_LEAVES.issuperset(map(type, out.values())):
+            out = to_builtin(out)
+        out["job"] = job
+        out["extra"] = _builtin_extra(self.extra)
+        return out
 
     @classmethod
     def from_dict(
@@ -225,18 +265,39 @@ class JobRecord:
     ) -> "JobRecord":
         """*job*, when given, stands for ``data["job"]``: a loader that
         already holds the job it encodes passes it instead of a rebuild."""
+        if job is None:
+            job = ClusterJob.from_dict(data["job"])
+        timeline = (
+            data["status"],
+            data["chip_id"],
+            data["admitted_s"],
+            data["dispatched_s"],
+            data["completed_s"],
+        )
+        # A row read from JSON holds builtin leaves here; anything else
+        # (a numpy scalar, a container) is converted by to_builtin.
+        if not BUILTIN_LEAVES.issuperset(map(type, timeline)):
+            timeline = tuple(map(to_builtin, timeline))
+        status, chip_id, admitted_s, dispatched_s, completed_s = timeline
         return cls(
-            job=ClusterJob.from_dict(data["job"]) if job is None else job,
-            status=to_builtin(data["status"]),
-            chip_id=to_builtin(data["chip_id"]),
-            admitted_s=to_builtin(data["admitted_s"]),
-            dispatched_s=to_builtin(data["dispatched_s"]),
-            completed_s=to_builtin(data["completed_s"]),
+            job=job,
+            status=status,
+            chip_id=chip_id,
+            admitted_s=admitted_s,
+            dispatched_s=dispatched_s,
+            completed_s=completed_s,
             transfer_s=float(data["transfer_s"]),
             service_s=float(data["service_s"]),
             energy_j=float(data["energy_j"]),
             attempts=int(data.get("attempts", 1)),
             preemptions=int(data.get("preemptions", 0)),
             wasted_transfer_s=float(data.get("wasted_transfer_s", 0.0)),
-            extra=to_builtin(dict(data.get("extra", {}))),
+            extra=_builtin_extra(data.get("extra", {})),
         )
+
+
+def _builtin_extra(extra: object) -> Dict:
+    """``to_builtin(dict(extra))``, without the walk for an empty dict."""
+    if type(extra) is dict and not extra:
+        return {}
+    return to_builtin(dict(extra))

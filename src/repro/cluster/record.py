@@ -17,9 +17,11 @@ simulation from the StudyCache without changing a single metric.
 from __future__ import annotations
 
 import hashlib
+from array import array
 from dataclasses import dataclass, field, fields
+from itertools import chain, compress, repeat
 from math import copysign
-from operator import methodcaller
+from operator import attrgetter, is_, methodcaller
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
@@ -27,7 +29,9 @@ from repro.cluster.arrivals import ArrivalTrace
 from repro.cluster.fleet import Fleet
 from repro.cluster.jobs import ClusterJob, JobRecord
 from repro.cluster.metrics import SloReport
+from repro.telemetry import get_tracer
 from repro.utils.jsonutil import (
+    BUILTIN_LEAVES,
     canonical_json,
     dump_builtin,
     load_json_object,
@@ -77,28 +81,34 @@ class ClusterRunResult:
         if self.source is not None:
             yield "source", self.source
 
-    def _member_values(self) -> Iterator[Tuple[str, object]]:
-        """(key, builtin value) of each payload member, in payload order,
-        each built only when the consumer reaches it."""
-        for key, member in self._members():
-            yield key, _builtin_member(key, member)
-
     def _member_texts(self) -> Iterator[Tuple[str, str]]:
         """(key, canonical JSON text) of each payload member, in payload
         order -- the one serialization behind :meth:`payload_json`,
-        :attr:`replay_digest`, :meth:`save` and :func:`verify_replay`.
+        :attr:`replay_digest` and :meth:`save`.
 
         Every ``to_dict`` on the way already returns builtins, so each
         member is encoded once and never walked by ``to_builtin`` again.
+        Each trace job is encoded once, too: the records member splices
+        the texts of the trace's job array into its rows.
         """
-        for key, value in self._member_values():
-            text = dump_builtin(value)
-            del value  # hold one member's text, not its builtin tree too
+        jobs_text = dump_builtin([job.to_dict() for job in self.trace.jobs])
+        for key, member in self._members():
+            if key == "trace":
+                text = _spliced(member._document(_SLOT), [jobs_text])
+            elif key == "records":
+                text = _records_text(member, self.trace.jobs, jobs_text)
+            else:
+                text = None
+            if text is None:
+                text = dump_builtin(_builtin_member(key, member))
             yield key, text
 
     def payload_dict(self) -> Dict:
         """The replay-deterministic portion of the record."""
-        return dict(self._member_values())
+        return {
+            key: _builtin_member(key, member)
+            for key, member in self._members()
+        }
 
     def payload_json(self) -> str:
         """Canonical JSON of the replay-deterministic portion."""
@@ -149,18 +159,20 @@ class ClusterRunResult:
         ``replay_digest`` and written as they are, with the digest and
         ``study_stats`` in their sorted positions.
         """
-        members = dict(self._member_texts())
-        members["replay_digest"] = dump_builtin(_digest(members))
-        members["study_stats"] = canonical_json(dict(self.study_stats))
-        with open(path, "w") as handle:
-            handle.writelines(_object_pieces(members))
-            handle.write("\n")
+        with get_tracer().wall_span("cluster.record.save", cat="cluster"):
+            members = dict(self._member_texts())
+            members["replay_digest"] = dump_builtin(_digest(members))
+            members["study_stats"] = canonical_json(dict(self.study_stats))
+            with open(path, "w") as handle:
+                handle.writelines(_object_pieces(members))
+                handle.write("\n")
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "ClusterRunResult":
         """Read a record written by :meth:`save`; a malformed file raises
         one ``ValueError`` naming the file and the member."""
-        return load_json_object(path, cls.from_dict)
+        with get_tracer().wall_span("cluster.record.load", cat="cluster"):
+            return load_json_object(path, cls.from_dict)
 
 
 #: How a payload member's object becomes the builtin value its text
@@ -180,21 +192,65 @@ def _builtin_member(key: str, member: Any) -> Any:
     return member if convert is None else convert(member)
 
 
+#: A stand-in value whose place in an encoded text is filled with a
+#: text encoded apart; see :func:`_spliced`.
+_SLOT = "\x00slot\x00"
+_SLOT_TEXT = dump_builtin(_SLOT)
+
+
+def _spliced(value: Any, texts: List[str]) -> Optional[str]:
+    """The canonical text of *value* with its slots, in text order,
+    replaced by *texts*; ``None`` when the slot's text occurs in *value*
+    anywhere else (then the counts disagree)."""
+    pieces = dump_builtin(value).split(_SLOT_TEXT)
+    if len(pieces) != len(texts) + 1:
+        return None
+    joined = [""] * (2 * len(texts) + 1)
+    joined[0::2] = pieces
+    joined[1::2] = texts
+    return "".join(joined)
+
+
+def _records_text(
+    records: List[JobRecord], jobs: Tuple[ClusterJob, ...], jobs_text: str
+) -> Optional[str]:
+    """The records member's text, each row holding the text of its job
+    cut from *jobs_text* (the trace's job array) when it holds a trace
+    job; ``None`` when that array does not split into one text per job.
+
+    A job holds numbers, ``None`` and a registered app name, so ``},{``
+    in the array separates two jobs and nothing else; a count that
+    disagrees says otherwise, and the caller encodes the member whole.
+    """
+    texts = jobs_text[2:-2].split("},{") if jobs else []
+    if len(texts) != len(jobs):
+        return None
+    by_id = {id(job): "{" + text + "}" for job, text in zip(jobs, texts)}
+    return _spliced(
+        [record._row(_SLOT) for record in records],
+        [
+            by_id.get(id(record.job)) or dump_builtin(record.job.to_dict())
+            for record in records
+        ],
+    )
+
+
 def _load_record(row: Dict, jobs: Dict[int, ClusterJob]) -> JobRecord:
     """One record row, holding the trace's job (from *jobs*, by id) when
     the row's job equals it.
 
     A row equal to a valid job's fields coerces to that job, so the
-    row is compared with the job's fields first and a job is built only
-    for a row that differs; one that still coerces to the trace's job
-    shares it too.
+    row is compared with the job's fields first -- its instance dict,
+    which holds exactly the fields ``to_dict`` reads -- and a job is
+    built only for a row that differs; one that still coerces to the
+    trace's job shares it too.
     """
     job_row = row["job"]
     # Any other id (a numpy scalar, a malformed value) takes the building
     # path, which coerces or rejects it exactly as before.
     job_id = job_row.get("job_id") if type(job_row) is dict else None
     job = jobs.get(job_id) if type(job_id) is int else None
-    if job is None or job_row != job.to_dict():
+    if job is None or job_row != vars(job):
         job = ClusterJob.from_dict(job_row)
         if jobs.get(job.job_id) == job:
             job = jobs[job.job_id]
@@ -238,14 +294,15 @@ def replay(
     from repro.cluster.arrivals import source_from_dict
     from repro.cluster.service import ClusterService
 
-    service = ClusterService(
-        record.fleet,
-        policy=record.policy,
-        cache=cache,
-        max_queue_depth=record.max_queue_depth,
-        prefetch_jobs=prefetch_jobs,
-    )
-    return service.run(source_from_dict(record.trace, record.source))
+    with get_tracer().wall_span("cluster.replay.run", cat="cluster"):
+        service = ClusterService(
+            record.fleet,
+            policy=record.policy,
+            cache=cache,
+            max_queue_depth=record.max_queue_depth,
+            prefetch_jobs=prefetch_jobs,
+        )
+        return service.run(source_from_dict(record.trace, record.source))
 
 
 def verify_replay(
@@ -259,9 +316,17 @@ def verify_replay(
     differs; only then are the digests computed, for the message.  A
     member both runs hold as the same object is equal unread (a replay
     shares the record's trace and fleet, and every record's job);
-    the rest compare as the builtin values they encode, record by
-    record, each the way :func:`_encodes_same` decides.
+    the rest compare as the builtin values they encode, the way
+    :func:`_encodes_same` decides -- the records as typed columns first
+    (:func:`_same_records`).
     """
+    with get_tracer().wall_span("cluster.verify", cat="cluster"):
+        return _first_divergence(record, replayed)
+
+
+def _first_divergence(
+    record: ClusterRunResult, replayed: ClusterRunResult
+) -> Optional[str]:
     fresh = replayed._members()
     for key, member in record._members():
         other = next(fresh, None)
@@ -280,11 +345,54 @@ def _same_member(key: str, ours: Any, theirs: Any) -> bool:
     if ours is theirs:
         return True
     if key == "records":
-        return len(ours) == len(theirs) and all(
-            map(_same_record, ours, theirs)
-        )
+        return _same_records(ours, theirs)
     return _encodes_same(
         _builtin_member(key, ours), _builtin_member(key, theirs)
+    )
+
+
+def _same_records(ours: List[JobRecord], theirs: List[JobRecord]) -> bool:
+    """Whether two record lists encode the same text.
+
+    Lists whose records hold the same jobs, position by position (a
+    replay's records hold its record's jobs), are compared as columns
+    first: every scalar outcome field as one list of typed values, and
+    every ``extra`` by :func:`_encodes_same`.  Lists that differ there
+    may still encode alike (a numpy scalar, ``-0.0`` omitted at its
+    default), so they are decided record by record by
+    :func:`_same_record`.
+    """
+    if len(ours) != len(theirs):
+        return False
+    if (
+        all(map(is_, map(_JOB_OF, ours), map(_JOB_OF, theirs)))
+        and _typed_same(
+            list(chain.from_iterable(map(_SCALARS_OF, ours))),
+            list(chain.from_iterable(map(_SCALARS_OF, theirs))),
+        )
+        and all(
+            map(_encodes_same, map(_EXTRA_OF, ours), map(_EXTRA_OF, theirs))
+        )
+    ):
+        return True
+    return all(map(_same_record, ours, theirs))
+
+
+def _typed_same(ours: List, theirs: List) -> bool:
+    """Whether two lists hold equal builtin leaves of the same types,
+    every float bit for bit: values that encode the same texts."""
+    if ours != theirs:
+        return False
+    kinds = list(map(type, ours))
+    if kinds != list(map(type, theirs)):
+        return False
+    if not BUILTIN_LEAVES.issuperset(kinds):
+        return False
+    # ``==`` takes -0.0 for 0.0, and their texts differ.
+    floats = list(map(is_, kinds, repeat(float)))
+    return (
+        array("d", compress(ours, floats)).tobytes()
+        == array("d", compress(theirs, floats)).tobytes()
     )
 
 
@@ -307,6 +415,13 @@ def _same_record(ours: JobRecord, theirs: JobRecord) -> bool:
 
 #: The fields of a job record besides its job.
 _OUTCOME_FIELDS = tuple(f.name for f in fields(JobRecord) if f.name != "job")
+#: Readers of a record's job, its ``extra``, and its other outcome
+#: fields (as one tuple).
+_JOB_OF = attrgetter("job")
+_EXTRA_OF = attrgetter("extra")
+_SCALARS_OF = attrgetter(
+    *(name for name in _OUTCOME_FIELDS if name != "extra")
+)
 #: Builtin types equal in text exactly when equal in type and value.
 _SCALARS = frozenset((str, int, bool, type(None)))
 #: Types :func:`_encodes_same` compares without encoding.

@@ -31,7 +31,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.experiment import AppStudy, store_study
 from repro.core.serialization import study_from_dict, study_to_dict
@@ -171,7 +171,9 @@ def run_campaign(
     timeout_s:
         Optional per-attempt wall clock limit (parallel mode only;
         measured from dispatch to a worker).  A timed-out attempt counts
-        as a failure and is retried like any other.
+        as a failure and is retried like any other.  Its worker is
+        stopped: every worker is terminated and the pool restarted, and
+        each attempt in flight beside it runs again uncharged.
     progress:
         Callback receiving each unit's :class:`UnitRecord` as it
         resolves (cache hits first, then computed/failed units).
@@ -374,6 +376,18 @@ def _run_parallel(
         store_study(study, **unit.spec.run_kwargs())
         finish(unit, COMPUTED, None)
 
+    def replace_pool() -> List[Tuple[Future, _Unit]]:
+        """Start a fresh pool; the (future, unit) pairs the old one held,
+        each future settled."""
+        nonlocal pool
+        # Joins the pool's manager thread, which fails every pending
+        # future before it exits: each held future is settled after this.
+        pool.shutdown(wait=True)
+        pool = ProcessPoolExecutor(max_workers=jobs)
+        held = list(active.items())
+        active.clear()
+        return held
+
     def restart() -> None:
         """Replace a pool a worker died in, and settle the units it held.
 
@@ -383,13 +397,7 @@ def _run_parallel(
         of them gets its attempt back and re-runs alone, so a unit that
         kills its worker ends up charged only for breaks it caused.
         """
-        nonlocal pool
-        # Joins the pool's manager thread, which fails every pending
-        # future before it exits: each held future is settled after this.
-        pool.shutdown(wait=True)
-        pool = ProcessPoolExecutor(max_workers=jobs)
-        held = list(active.items())
-        active.clear()
+        held = replace_pool()
         broken = []
         for future, unit in held:
             if isinstance(future.exception(), BrokenProcessPool):
@@ -404,6 +412,32 @@ def _run_parallel(
             unit.attempts -= 1
             unit.alone = True
             queue.append(unit)
+
+    def stop(expired: List[Future]) -> None:
+        """Charge each timed-out attempt, and stop the workers running it.
+
+        A running attempt cannot be cancelled, and nothing tells which
+        worker runs it, so every worker is terminated and the pool
+        replaced as after a break.  A sibling that finished meanwhile is
+        collected; one still in flight gets its attempt back and is
+        queued again.
+        """
+        for future in expired:
+            unit = active.pop(future)
+            retry_or_fail(
+                unit,
+                TimeoutError(
+                    f"unit {unit.spec.label} exceeded "
+                    f"{timeout_s:g}s (attempt {unit.attempts})"
+                ),
+            )
+        _terminate_workers(pool)
+        for future, unit in reversed(replace_pool()):
+            if isinstance(future.exception(), BrokenProcessPool):
+                unit.attempts -= 1
+                queue.append(unit)
+            else:
+                collect(future, unit)
 
     def capacity() -> int:
         # Keep at most `jobs` units in flight so the per-attempt timeout
@@ -442,19 +476,22 @@ def _run_parallel(
                     collect(future, active.pop(future))
             if timeout_s is not None:
                 now = time.perf_counter()
-                for future in [
+                expired = [
                     f for f, u in active.items()
                     if now - u.submitted_s >= timeout_s
-                ]:
-                    unit = active.pop(future)
-                    future.cancel()  # best effort; a running attempt is orphaned
-                    retry_or_fail(
-                        unit,
-                        TimeoutError(
-                            f"unit {unit.spec.label} exceeded "
-                            f"{timeout_s:g}s (attempt {unit.attempts})"
-                        ),
-                    )
+                ]
+                if expired:
+                    stop(expired)
             fill()
     finally:
         pool.shutdown()
+
+
+def _terminate_workers(pool: ProcessPoolExecutor) -> None:
+    """Terminate every worker process of *pool* -- the only way to stop
+    an attempt that is already running.  The pool breaks: each future
+    it still holds fails with ``BrokenProcessPool``."""
+    # ``_processes`` maps pid -> Process; the executor has no public way
+    # to reach its workers before Python 3.14's ``terminate_workers``.
+    for process in list((pool._processes or {}).values()):
+        process.terminate()

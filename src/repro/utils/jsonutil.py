@@ -26,7 +26,7 @@ import numpy as np
 T = TypeVar("T")
 
 #: Exact types :func:`to_builtin` returns unchanged without further checks.
-_LEAVES = frozenset((str, int, float, bool, type(None)))
+BUILTIN_LEAVES = frozenset((str, int, float, bool, type(None)))
 
 _encode = json.JSONEncoder(
     sort_keys=True, separators=(",", ":"), allow_nan=False
@@ -48,7 +48,7 @@ def to_builtin(value: Any) -> Any:
     subclasses (``np.float64``, ``IntEnum``) take the ``isinstance``
     path and convert exactly as before.
     """
-    if type(value) in _LEAVES:
+    if type(value) in BUILTIN_LEAVES:
         return value
     if isinstance(value, dict):
         return {

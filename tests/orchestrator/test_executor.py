@@ -63,6 +63,18 @@ def sleepy_worker(fields):
     return {}
 
 
+#: File the start-logging worker appends one "seed time" line to.
+START_LOG_ENV = "REPRO_TEST_START_LOG"
+
+
+def logging_sleepy_worker(fields):
+    """Logs when each attempt starts, then sleeps past the timeout."""
+    with open(os.environ[START_LOG_ENV], "a") as handle:
+        handle.write(f"{fields['seed']} {time.time()}\n")
+    time.sleep(1.0)
+    return {}
+
+
 @pytest.fixture()
 def flaky_dir(tmp_path, monkeypatch):
     monkeypatch.setenv(FLAKY_DIR_ENV, str(tmp_path))
@@ -175,6 +187,34 @@ class TestParallel:
         (record,) = campaign.manifest.records
         assert record.failed
         assert "exceeded" in record.error
+
+
+    def test_a_timed_out_attempt_is_stopped_and_its_retry_runs(
+        self, tmp_path, monkeypatch
+    ):
+        # The timed-out attempts' workers are stopped, so the retries
+        # start at once instead of queueing behind them, and the
+        # campaign waits for no orphan when it ends.
+        log = tmp_path / "starts.log"
+        monkeypatch.setenv(START_LOG_ENV, str(log))
+        start = time.time()
+        campaign = run_campaign(
+            [SPEC_A, SPEC_B], jobs=2, retries=1, timeout_s=0.3,
+            worker=logging_sleepy_worker,
+        )
+        elapsed = time.time() - start
+        for record in campaign.manifest.records:
+            assert record.failed and record.attempts == 2
+            assert "exceeded 0.3s (attempt 2)" in record.error
+        starts = {}
+        for line in log.read_text().splitlines():
+            seed, when = line.split()
+            starts.setdefault(int(seed), []).append(float(when) - start)
+        assert sorted(starts) == [SPEC_A.seed, SPEC_B.seed]
+        for times in starts.values():
+            assert len(times) == 2
+            assert times[1] < 1.0
+        assert elapsed < 1.5
 
 
 class TestCacheIntegration:
