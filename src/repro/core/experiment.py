@@ -228,15 +228,18 @@ def run_app_study(
 
     # 4. VFI WiNoC (wireless routing calibrated to the offered load).
     rate_bps = traffic * 8.0 / nvfi_result.total_time_s
-    winoc_platform = build_vfi_winoc(
-        design,
-        "vfi2",
-        methodology=winoc_methodology,
-        geometry=geometry,
-        seed=spawn_seed(seed, app_name, "winoc"),
-        traffic_rate_bps=rate_bps,
-        tech=tech,
-    )
+    with tracer.wall_span(
+        "study.platform_winoc", cat="study", pid="pipeline", app=app_name,
+    ):
+        winoc_platform = build_vfi_winoc(
+            design,
+            "vfi2",
+            methodology=winoc_methodology,
+            geometry=geometry,
+            seed=spawn_seed(seed, app_name, "winoc"),
+            traffic_rate_bps=rate_bps,
+            tech=tech,
+        )
     with tracer.wall_span(
         "study.sim_vfi2_winoc", cat="study", pid="pipeline", app=app_name,
     ):

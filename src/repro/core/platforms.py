@@ -22,7 +22,7 @@ from repro.mapping.thread_mapping import (
     identity_mapping,
     wireless_centric_mapping,
 )
-from repro.noc.calibration import calibrate_wireless_routing
+from repro.noc.calibration import calibrated_fabric
 from repro.noc.energy import NocEnergyParams
 from repro.noc.network import NocParams
 from repro.noc.placement import (
@@ -332,16 +332,15 @@ def build_vfi_winoc(
         )
     winoc = assign_wireless_links(wireline, placement, wireless_spec)
 
-    # 5. Congestion-calibrated routing over the combined fabric.
+    # 5. Congestion-calibrated routing over the combined fabric, priced
+    #    on the fabric the platform's network adopts (held here until
+    #    then), so its routing is walked once.
     rate_matrix = None
     if traffic_rate_bps is not None:
         rate_matrix = mapping.map_traffic(np.asarray(traffic_rate_bps))
-    routing = calibrate_wireless_routing(
-        winoc,
-        list(layout.node_cluster),
-        [p.frequency_hz for p in assignment.points],
-        rate_matrix,
-        wireless=wireless_spec,
+    noc_params = noc_params_for(die)
+    fabric = calibrated_fabric(
+        winoc, rate_matrix, wireless=wireless_spec, params=noc_params
     )
 
     return Platform(
@@ -349,10 +348,10 @@ def build_vfi_winoc(
         layout=layout,
         vf_points=list(assignment.points),
         topology=winoc,
-        routing=routing,
+        routing=fabric.routing,
         mapping=mapping,
         wireless_spec=wireless_spec,
         memory_params=memory_params_for(die),
-        noc_params=noc_params_for(die),
+        noc_params=noc_params,
         **_tech_platform_kwargs(tech, layout.num_clusters),
     )

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.utils.validation import check_positive
 
 
@@ -44,8 +46,9 @@ class NocEnergyModel:
     Dynamic energy of moving *bits* along a path is the sum of a router
     traversal per hop (plus the ejection router) and the link-specific
     transport term; :class:`repro.noc.dense.PairwiseEnergy` prices it per
-    pair and accumulates into these counters.  Static energy is charged
-    per switch over the elapsed simulated time by :meth:`static_energy`.
+    pair and :meth:`fold` accumulates it into these counters.  Static
+    energy is charged per switch over the elapsed simulated time by
+    :meth:`static_energy`.
     """
 
     def __init__(self, params: NocEnergyParams = NocEnergyParams()):
@@ -54,6 +57,30 @@ class NocEnergyModel:
         self.bits_moved = 0.0
         self.bit_hops = 0.0
         self.wireless_bits = 0.0
+
+    def fold(
+        self,
+        energy_j: np.ndarray,
+        bits: np.ndarray,
+        bit_hops: np.ndarray,
+        wireless_bits: np.ndarray,
+        python_bits: bool = False,
+    ) -> None:
+        """Add per-transfer increments to the four counters, in order.
+
+        Each argument holds one float64 increment per transfer, in the
+        order the transfers are accounted.  Each counter takes one
+        ``np.add.accumulate`` seeded with its current value -- a
+        strictly sequential float64 recurrence -- so its total carries
+        the bits of ``counter += increment`` per transfer.  A total
+        holds a numpy float64 once a numpy increment was added; with
+        *python_bits* every bits increment stands for a Python float (a
+        task cost's), so a Python-float bits total stays one.
+        """
+        self.dynamic_joules = _accumulate(self.dynamic_joules, energy_j)
+        self.bits_moved = _accumulate(self.bits_moved, bits, python_bits)
+        self.bit_hops = _accumulate(self.bit_hops, bit_hops)
+        self.wireless_bits = _accumulate(self.wireless_bits, wireless_bits)
 
     def static_energy(
         self, num_switches: int, elapsed_s: float, voltage_scale: float = 1.0
@@ -67,3 +94,17 @@ class NocEnergyModel:
             * num_switches
             * elapsed_s
         )
+
+
+def _accumulate(total, increments: np.ndarray, python: bool = False):
+    """*total* plus every increment in order, as the sequential loop
+    ``total += increment`` computes it (the loop's result type too)."""
+    if not len(increments):
+        return total
+    seeded = np.empty(len(increments) + 1)
+    seeded[0] = total
+    seeded[1:] = increments
+    value = np.add.accumulate(seeded)[-1]
+    if python and type(total) is float:
+        return float(value)
+    return value

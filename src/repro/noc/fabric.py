@@ -156,22 +156,18 @@ class Fabric:
         wire direction, or the shared channel of a wireless hop -- and
         its deduplicated membership (a pair that crosses one channel
         twice still meets it once for min/max reductions).  The queueing
-        mat-vec and the path-capacity gather read them."""
+        mat-vec and the path-capacity gather read them.
+
+        Without wireless links every hop bills its wire direction, which
+        is also all the flow usage counts, so the two csr matrices are
+        identical by construction and the fabric holds one: ``usage``
+        *is* :meth:`flow_usage`."""
 
         def build():
-            link_col, chan_col = self.edge_columns()
-            billed_col = np.where(chan_col >= 0, chan_col, link_col)
-            parts = []
-            for _, _, walk in self.walks(bulk):
-                order = walk.order
-                rows, cols = [], []
-                for u, v in walk.steps():
-                    rows.append(order[: len(u)])
-                    cols.append(billed_col[u, v])
-                parts.append(
-                    usage_block(rows, cols, len(order), self.num_resources, self.dtype)
-                )
-            usage = stack_usage(parts)
+            if not self._wireless:
+                usage = self.flow_usage(bulk)
+            else:
+                usage = self._billed_usage(bulk)
             # The csr already summed duplicates, so its structure with
             # unit data is the membership; it shares indices/indptr.
             binary_usage = csr_matrix(
@@ -181,6 +177,23 @@ class Fabric:
             return usage, binary_usage
 
         return self.product(("usage", self.routing_key(bulk)), build)
+
+    def _billed_usage(self, bulk: bool):
+        """The usage csr of a fabric with wireless links: each hop
+        bills its wire direction, or its wireless channel."""
+        link_col, chan_col = self.edge_columns()
+        billed_col = np.where(chan_col >= 0, chan_col, link_col)
+        parts = []
+        for _, _, walk in self.walks(bulk):
+            order = walk.order
+            rows, cols = [], []
+            for u, v in walk.steps():
+                rows.append(order[: len(u)])
+                cols.append(billed_col[u, v])
+            parts.append(
+                usage_block(rows, cols, len(order), self.num_resources, self.dtype)
+            )
+        return stack_usage(parts)
 
     def flow_usage(self, bulk: bool = False):
         """Sparse (n*n, resources) pair -> resource usage counts of flow

@@ -14,6 +14,8 @@ from __future__ import annotations
 import enum
 import math
 
+import numpy as np
+
 from repro.utils.validation import check_positive
 
 FLIT_BITS = 32
@@ -54,13 +56,14 @@ def data_bits() -> int:
     return packet_bits(PacketClass.DATA)
 
 
-def kv_stream_bits(total_bytes: float, chunk_bytes: float = 256.0) -> float:
+def kv_stream_bits(total_bytes, chunk_bytes: float = 256.0):
     """Total bits to stream *total_bytes* of key/value data in
-    *chunk_bytes* packets (headers included)."""
+    *chunk_bytes* packets (headers included): a float, or an array of
+    them for an array of volumes."""
     check_positive("chunk_bytes", chunk_bytes)
-    if total_bytes < 0:
+    total = np.asarray(total_bytes, dtype=float)
+    if (total < 0).any():
         raise ValueError(f"total_bytes must be >= 0, got {total_bytes}")
-    if total_bytes == 0:
-        return 0.0
-    packets = math.ceil(total_bytes / chunk_bytes)
-    return total_bytes * 8 + packets * HEADER_FLITS * FLIT_BITS
+    packets = np.ceil(total / chunk_bytes)
+    bits = total * 8 + packets * (HEADER_FLITS * FLIT_BITS)
+    return bits if total.ndim else float(bits)

@@ -3,10 +3,11 @@
 The all-pairs tables -- head latency, raw bottleneck and resource usage
 (:class:`repro.noc.dense.DenseLatencyModel`), per-pair energy
 (:class:`repro.noc.dense.PairwiseEnergy`), flow usage
-(:meth:`repro.noc.fabric.Fabric.flow_usage`) and, through it, the
-calibration channel loads -- all come from one walk over a routing
-table's predecessor matrix, which the fabric takes once per routing and
-replays for every table (:meth:`repro.noc.fabric.Fabric.walks`).
+(:meth:`repro.noc.fabric.Fabric.flow_usage`) and the calibration
+channel loads (:func:`repro.noc.calibration.channel_utilizations`) --
+all come from one walk over a routing table's predecessor matrix, which
+the fabric takes once per routing and replays for every table
+(:meth:`repro.noc.fabric.Fabric.walks`).
 Sources are taken in blocks: :func:`walk_steps_block` advances every
 (src, dst) route of a block one predecessor hop per step, and
 :func:`forward_steps` turns that backward walk into each route's hops

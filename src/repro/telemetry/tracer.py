@@ -149,9 +149,12 @@ class Tracer:
         pid: TrackId = "wall",
         tid: TrackId = 0,
         **args: object,
-    ) -> Iterator[None]:
-        """Measure the enclosed block with ``time.perf_counter``."""
-        yield
+    ) -> Iterator[Dict[str, object]]:
+        """Measure the enclosed block with ``time.perf_counter``.
+
+        Yields the span's argument dict: what the block adds to it (a
+        count known only at the end) is recorded with the span."""
+        yield args
 
 
 class NullTracer(Tracer):
@@ -226,10 +229,10 @@ class RecordingTracer(Tracer):
         pid: TrackId = "wall",
         tid: TrackId = 0,
         **args: object,
-    ) -> Iterator[None]:
+    ) -> Iterator[Dict[str, object]]:
         start = time.perf_counter()
         try:
-            yield
+            yield args
         finally:
             end = time.perf_counter()
             self.span(

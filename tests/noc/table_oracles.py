@@ -20,7 +20,13 @@ The load-dependent matrices a refresh used to build in full -- the
 per-link utilization loop, the zero-payload latency matrix and the
 effective-capacity matrix (:func:`zero_payload_latency`,
 :func:`bottleneck_matrix`) -- are kept as references for the pieces
-that replaced them and for ``tests/sim/kv_oracle.py``.
+that replaced them and for ``tests/sim/kv_oracle.py``.  So are the
+per-call forms the per-phase views replaced: flow registration over a
+fresh copy of the pairs' usage rows (:func:`add_flows_rows`), the path
+capacity gather located anew per call (:func:`path_capacity_rows`), the
+serialization matrix recomputed per refresh (:func:`latency_uncached`)
+and the calibration's channel loads from a throwaway network's usage
+csr (:func:`usage_channel_utilizations`).
 """
 
 from __future__ import annotations
@@ -666,6 +672,90 @@ def add_flows_full(model: FlowNetworkModel, src, dst, rate, bulk: bool):
     rate_by_pair = np.zeros(n * n)
     np.add.at(rate_by_pair, src[active] * n + dst[active], rate[active])
     return model.fabric.flow_usage(bulk).T @ rate_by_pair
+
+
+def add_flows_rows(model: FlowNetworkModel, src, dst, rate, bulk: bool):
+    """Per-resource load of a flow batch as ``add_flows`` computed it
+    before per-phase views: the distinct active pairs by ``np.unique``,
+    their rates by ``np.add.at``, and the mat-vec over a fancy-indexed
+    copy of their flow-usage rows, all redone on every call."""
+    n = model.topology.num_nodes
+    src = np.asarray(src, dtype=np.intp)
+    dst = np.asarray(dst, dtype=np.intp)
+    rate = np.asarray(rate, dtype=float)
+    active = (src != dst) & (rate > 0)
+    resources = model.fabric.num_resources
+    if not active.any():
+        return np.zeros(resources)
+    pairs, row = np.unique(src[active] * n + dst[active], return_inverse=True)
+    rate_by_pair = np.zeros(len(pairs))
+    np.add.at(rate_by_pair, row, rate[active])
+    usage = model.fabric.flow_usage(bulk)[pairs]
+    return usage.T @ rate_by_pair
+
+
+def path_capacity_rows(dense, inverse, src, dst) -> np.ndarray:
+    """Effective path capacity of each ``(src[i], dst[i])`` pair as
+    ``DenseLatencyModel.path_capacity`` computed it before per-phase
+    views: the pairs' entries of the deduplicated usage csr located
+    anew on every call."""
+    usage = dense._binary_usage
+    pairs = np.asarray(src) * dense.num_nodes + np.asarray(dst)
+    starts = usage.indptr[pairs]
+    counts = usage.indptr[pairs + 1] - starts
+    offsets = np.cumsum(counts) - counts
+    entries = np.repeat(starts - offsets, counts) + np.arange(counts.sum())
+    data = inverse[usage.indices[entries]]
+    worst = np.zeros(len(pairs))
+    routed = counts > 0
+    if routed.any():
+        worst[routed] = np.maximum.reduceat(data, offsets[routed])
+    capacity = np.full(len(pairs), np.inf)
+    positive = worst > 0
+    capacity[positive] = 1.0 / worst[positive]
+    return capacity
+
+
+def latency_uncached(dense, head: np.ndarray, payload_bits: float) -> np.ndarray:
+    """``DenseLatencyModel.latency`` with its serialization matrix
+    recomputed on every call, as every refresh did before it was kept."""
+    bottleneck = dense._raw_bottleneck
+    return head + np.where(np.isinf(bottleneck), 0.0, payload_bits / bottleneck)
+
+
+def usage_channel_utilizations(
+    topology,
+    routing,
+    clusters,
+    cluster_frequencies_hz,
+    traffic_rate_bps: np.ndarray,
+    wireless,
+    params: NocParams = NocParams(),
+) -> np.ndarray:
+    """Per-channel utilization as the calibration priced each candidate
+    routing before it read the platform fabric's walk: in a throwaway
+    default-``NocParams`` network, by ``np.bincount`` over the rows of
+    the flow-usage csr."""
+    model = FlowNetworkModel(
+        topology=topology,
+        routing=routing,
+        clusters=list(clusters),
+        cluster_frequencies_hz=list(cluster_frequencies_hz),
+        params=params,
+        wireless=wireless,
+    )
+    n = topology.num_nodes
+    channels = model.fabric.flow_usage()[:, 2 * len(topology.links):]
+    crossings = channels.data.astype(np.intp)
+    pairs = np.repeat(np.arange(n * n), np.diff(channels.indptr))
+    rate = traffic_rate_bps.ravel()
+    rate = np.where(rate > 0, rate, 0.0)
+    load = np.bincount(
+        np.repeat(channels.indices, crossings),
+        weights=np.repeat(rate[pairs], crossings),
+        minlength=channels.shape[1],
+    )
+    return load / wireless.bandwidth_bps
 
 
 def add_flow_channel_utilizations(

@@ -1,13 +1,18 @@
-"""Congestion-aware wireless routing calibration."""
+"""Congestion-aware wireless routing calibration.
+
+Channel loads are read off the walk of the fabric a network over the
+routing uses (:func:`repro.noc.fabric.fabric_for`)."""
 
 import numpy as np
 import pytest
 
 from repro.noc.calibration import (
-    calibrate_wireless_routing,
+    calibrated_fabric,
     channel_utilizations,
     make_weight_fn,
 )
+from repro.noc.fabric import fabric_for
+from repro.noc.network import NocParams
 from repro.noc.smallworld import build_small_world
 from repro.noc.topology import GridGeometry, LinkKind
 from repro.noc.wireless import WirelessSpec, assign_wireless_links
@@ -16,13 +21,18 @@ from repro.vfi.islands import quadrant_clusters
 
 GEO = GridGeometry(8, 8)
 CLUSTERS = list(quadrant_clusters(GEO).node_cluster)
-FREQS = [2.5e9] * 4
 
 
 @pytest.fixture(scope="module")
 def winoc():
     wireline = build_small_world(GEO, CLUSTERS, seed=3)
     return assign_wireless_links(wireline, center_wireless_placement(GEO, CLUSTERS))
+
+
+def utilization(winoc, routing, rate, spec=WirelessSpec()):
+    """Per-channel utilization of *rate* on *routing*."""
+    fabric = fabric_for(winoc, routing, spec.num_channels, NocParams())
+    return channel_utilizations(fabric, rate, spec.bandwidth_bps)
 
 
 def uniform_rate(total_bps):
@@ -33,33 +43,25 @@ def uniform_rate(total_bps):
 
 class TestCalibration:
     def test_no_traffic_keeps_initial_weight(self, winoc):
-        routing = calibrate_wireless_routing(winoc, CLUSTERS, FREQS, None)
+        routing = calibrated_fabric(winoc, None).routing
         assert routing is not None
 
     def test_light_load_uses_wireless(self, winoc):
-        routing = calibrate_wireless_routing(
-            winoc, CLUSTERS, FREQS, uniform_rate(10e9)
-        )
-        rho = channel_utilizations(
-            winoc, routing, CLUSTERS, FREQS, uniform_rate(10e9), WirelessSpec()
-        )
+        routing = calibrated_fabric(winoc, uniform_rate(10e9)).routing
+        rho = utilization(winoc, routing, uniform_rate(10e9))
         assert rho.sum() > 0  # wireless actually carries traffic
 
     def test_heavy_load_keeps_channels_under_target(self, winoc):
         heavy = uniform_rate(1.5e12)
-        routing = calibrate_wireless_routing(
-            winoc, CLUSTERS, FREQS, heavy, target_utilization=0.7
-        )
-        rho = channel_utilizations(
-            winoc, routing, CLUSTERS, FREQS, heavy, WirelessSpec()
-        )
+        routing = calibrated_fabric(
+            winoc, heavy, target_utilization=0.7
+        ).routing
+        rho = utilization(winoc, routing, heavy)
         # Calibration backs traffic off the channels (it may not fully
         # converge in max_iterations, but must at least reduce vs the
         # uncalibrated routing by a wide margin).
-        uncalibrated = calibrate_wireless_routing(winoc, CLUSTERS, FREQS, None)
-        rho0 = channel_utilizations(
-            winoc, uncalibrated, CLUSTERS, FREQS, heavy, WirelessSpec()
-        )
+        uncalibrated = calibrated_fabric(winoc, None).routing
+        rho0 = utilization(winoc, uncalibrated, heavy)
         assert rho.max() < rho0.max()
 
     def test_weight_fn(self):
@@ -71,6 +73,4 @@ class TestCalibration:
 
     def test_bad_target_rejected(self, winoc):
         with pytest.raises(ValueError):
-            calibrate_wireless_routing(
-                winoc, CLUSTERS, FREQS, None, target_utilization=1.5
-            )
+            calibrated_fabric(winoc, None, target_utilization=1.5)

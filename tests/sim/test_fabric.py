@@ -39,8 +39,8 @@ class TestCleanStudy:
     def counts(self):
         """Walks per routing (by predecessor content), split into the
         calibration's candidate routings and the study's platforms, the
-        communication-aware mapping runs and the three mesh platforms
-        of one clean study."""
+        communication-aware mapping runs, and the three mesh platforms
+        and the WiNoC platform of one clean study."""
         walks = {"calibration": Counter(), "platforms": Counter()}
         mappings = []
         calibrating = []
@@ -49,7 +49,7 @@ class TestCleanStudy:
         mapping = platforms.communication_aware_mapping
         builders = {
             name: getattr(experiment, name)
-            for name in ("build_nvfi_mesh", "build_vfi_mesh")
+            for name in ("build_nvfi_mesh", "build_vfi_mesh", "build_vfi_winoc")
         }
 
         def counted_walk(pred_rows, srcs, n):
@@ -91,7 +91,8 @@ class TestCleanStudy:
         return walks, mappings, meshes
 
     def test_the_three_meshes_share_one_walk(self, counts):
-        walks, _, meshes = counts
+        walks, _, platforms = counts
+        meshes = platforms[:3]
         assert len(meshes) == 3
         assert len({id(p.network.fabric) for p in meshes}) == 1
         mesh = build_mesh(die_for(64).grid())
@@ -99,19 +100,50 @@ class TestCleanStudy:
         assert walks["platforms"][_digest(pred)] == 1
 
     def test_each_distinct_routing_is_walked_once(self, counts):
-        walks, _, _ = counts
-        # The mesh, and the WiNoC's latency and bulk routings.
-        assert len(walks["platforms"]) == 3
-        assert set(walks["platforms"].values()) == {1}
-        # Calibration walks each candidate routing once, in its own
-        # short-lived network.
-        assert walks["calibration"]
-        assert set(walks["calibration"].values()) == {1}
+        walks, _, platforms = counts
+        winoc = platforms[3]
+        every = walks["calibration"] + walks["platforms"]
+        # Calibration and platforms together walk each distinct routing
+        # exactly once: the calibration prices its candidates on the
+        # fabric the WiNoC platform then adopts.
+        assert set(every.values()) == {1}
+        latency = _digest(winoc.routing.predecessor_matrix())
+        bulk = _digest(winoc.network.fabric.bulk_routing.predecessor_matrix())
+        assert latency in walks["calibration"]
+        assert latency not in walks["platforms"]
+        # The platforms walk the mesh and the WiNoC's bulk routing.
+        assert len(walks["platforms"]) == 2 and bulk in walks["platforms"]
 
     def test_one_mapping_serves_both_vfi_meshes(self, counts):
-        _, mappings, meshes = counts
+        _, mappings, platforms = counts
         assert len(mappings) == 1
-        assert meshes[1].mapping is meshes[2].mapping
+        assert platforms[1].mapping is platforms[2].mapping
+
+
+def test_no_fabric_outlives_its_study():
+    """Fabrics live only while a network uses them: once an uncached
+    study has returned and the collector has run, none of its fabrics
+    is left (in a fresh process ``_FABRICS`` is empty then; here any
+    fabric an earlier test still holds may stay)."""
+    gc.collect()
+    before = list(fabric._FABRICS.values())  # held, so no id is reused
+    run_app_study("histogram", scale=0.05, seed=9, num_workers=16, use_cache=False)
+    gc.collect()
+    assert {id(live) for live in fabric._FABRICS.values()} <= set(map(id, before))
+
+
+class TestUsageIsFlowUsageWithoutWireless:
+    def test_mesh_holds_one_csr(self):
+        mesh = build_nvfi_mesh(geometry_for(16)).network.fabric
+        for bulk in (False, True):
+            assert mesh.usage(bulk)[0] is mesh.flow_usage(bulk)
+
+    def test_winoc_keeps_both(self):
+        from tests.sim.test_flow_registration import winoc_platform
+
+        winoc = winoc_platform().network.fabric
+        for bulk in (False, True):
+            assert winoc.usage(bulk)[0] is not winoc.flow_usage(bulk)
 
 
 class TestDerivedPlatformsShareTheFabric:

@@ -113,6 +113,25 @@ class TestInstrumentation:
         vfi = {s.name for s in tracer.spans_by(cat="vfi", wall=True)}
         assert {"vfi.clustering", "vfi.vf_assign"} <= vfi
 
+    def test_winoc_build_and_calibration_are_spanned(self, traced_runs):
+        """The WiNoC build has its own study stage, and the calibration
+        inside it carries how many candidate routings it priced."""
+        (tracer, _), _ = traced_runs
+        builds = [
+            s for s in tracer.spans_by(cat="study", wall=True)
+            if s.name == "study.platform_winoc"
+        ]
+        calibrations = [
+            s for s in tracer.spans_by(cat="noc", wall=True)
+            if s.name == "noc.calibration"
+        ]
+        assert len(builds) == 1 and len(calibrations) == 1
+        build, calibration = builds[0], calibrations[0]
+        assert build.args["app"] == APP
+        assert calibration.args["candidates"] >= 1
+        assert build.start_s <= calibration.start_s
+        assert calibration.end_s <= build.end_s
+
 
 class TestDeterminism:
     def test_exports_byte_identical_across_runs(self, traced_runs, tmp_path):

@@ -57,6 +57,15 @@ class TestRecordingTracer:
         assert span.wall
         assert span.duration_s >= 0.0
 
+    def test_wall_span_records_what_the_block_adds(self):
+        tracer = RecordingTracer()
+        with tracer.wall_span("stage", cat="noc", kept=1) as args:
+            args["counted"] = 3
+        (span,) = tracer.spans
+        assert span.args == {"kept": 1, "counted": 3}
+        with NullTracer().wall_span("stage") as args:
+            args["counted"] = 3  # accepted, recorded nowhere
+
     def test_wall_span_records_on_exception(self):
         tracer = RecordingTracer()
         with pytest.raises(RuntimeError):
