@@ -65,16 +65,20 @@ def assert_latency_matches(models, bulk, payloads):
 
 
 def assert_energy_matches(bulk):
-    """Every pair's recorded energy and the four counters, on a fresh
-    model of each fabric (energy does not depend on load)."""
+    """Every pair's energy increment, and the four counters once every
+    pair is folded in row-major order, on a fresh model of each fabric
+    (energy does not depend on load)."""
     for name, build in FABRICS.items():
         model = build()
         n = model.topology.num_nodes
         pairwise = PairwiseEnergy(model, bulk=bulk)
         reference = PathModel(model)
         bits = np.random.default_rng(2).uniform(1e3, 1e6, size=(n, n))
+        src, dst = np.divmod(np.arange(n * n), n)
+        increments = pairwise.increments(src, dst, bits.ravel())
+        model.energy.fold(*increments)
         np.testing.assert_allclose(
-            every_pair(n, lambda src, dst: pairwise.record(src, dst, bits[src, dst])),
+            increments[0].reshape(n, n),
             every_pair(
                 n,
                 lambda src, dst: reference.record_transfer(
@@ -107,8 +111,8 @@ class TestPathCapacity:
             n = model.topology.num_nodes
             dense = DenseLatencyModel(model, bulk)
             src, dst = np.divmod(np.arange(n * n), n)
-            capacity = dense.path_capacity(
-                dense.inverse_capacity(dense.utilization()), src, dst
+            capacity = dense.pair_capacity(src, dst)(
+                dense.inverse_capacity(dense.utilization())
             )
             reference = PathModel(model)
             np.testing.assert_allclose(
@@ -127,13 +131,14 @@ class TestPairwiseEnergy:
     def test_rejects_negative_bits(self, loaded):
         pairwise = PairwiseEnergy(loaded["winoc"])
         with pytest.raises(ValueError):
-            pairwise.record(0, 1, -5)
+            pairwise.increments(np.array([0, 2]), np.array([1, 3]), [1.0, -5.0])
 
 
 class TestTracedCounters:
     def test_flit_counters_match_reference(self):
-        """Recording every pair of both classes feeds ``noc.link_flits``
-        and the per-medium flit counters exactly as the path walk does."""
+        """Counting every pair of both classes, in row-major order,
+        feeds ``noc.link_flits`` and the per-medium flit counters
+        exactly as the path walk does."""
         for name, build in FABRICS.items():
             with use_tracer(RecordingTracer()) as product:
                 model = build()
@@ -141,14 +146,13 @@ class TestTracedCounters:
                 reference = PathModel(build())
             n = model.topology.num_nodes
             bits = np.random.default_rng(3).uniform(1e3, 1e6, size=(n, n))
+            src, dst = np.divmod(np.arange(n * n), n)
             for bulk in (False, True):
                 pairwise = PairwiseEnergy(model, bulk=bulk)
-                for src in range(n):
-                    for dst in range(n):
-                        pairwise.record(src, dst, bits[src, dst])
-                        reference.record_transfer(
-                            src, dst, bits[src, dst], bulk=bulk
-                        )
+                moved = pairwise.increments(src, dst, bits.ravel())[1]
+                pairwise.count_flits(src, dst, moved)
+                for s, d in zip(src.tolist(), dst.tolist()):
+                    reference.record_transfer(s, d, bits[s, d], bulk=bulk)
             assert product.counters == oracle.counters, name
             assert product.counter_total("noc.link_flits") > 0
 

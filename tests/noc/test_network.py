@@ -15,6 +15,8 @@ from repro.noc.wireless import assign_wireless_links
 from repro.noc.placement import center_wireless_placement
 from repro.vfi.islands import quadrant_clusters
 
+from tests.noc.energy_calls import fold_transfer
+
 GEO = GridGeometry(8, 8)
 CLUSTERS = list(quadrant_clusters(GEO).node_cluster)
 NOMINAL = [2.5e9] * 4
@@ -45,7 +47,7 @@ def path_capacity(model, src, dst):
     """Effective throughput (bits/s) of the path under the current load."""
     dense = DenseLatencyModel(model)
     inverse = dense.inverse_capacity(dense.utilization())
-    return dense.path_capacity(inverse, [src], [dst])[0]
+    return dense.pair_capacity(np.array([src]), np.array([dst]))(inverse)[0]
 
 
 class TestLatency:
@@ -137,15 +139,17 @@ class TestEnergy:
     def test_transfer_energy_positive_and_accumulates(self):
         model = mesh_model()
         pairwise = PairwiseEnergy(model)
-        e1 = pairwise.record(0, 63, 1e6)
+        e1 = fold_transfer(pairwise, 0, 63, 1e6)
         assert e1 > 0
         assert model.energy.dynamic_joules == pytest.approx(e1)
-        pairwise.record(0, 63, 1e6)
+        fold_transfer(pairwise, 0, 63, 1e6)
         assert model.energy.dynamic_joules == pytest.approx(2 * e1)
 
     def test_longer_path_costs_more(self):
         pairwise = PairwiseEnergy(mesh_model())
-        assert pairwise.record(0, 63, 1e6) > pairwise.record(0, 1, 1e6)
+        assert fold_transfer(pairwise, 0, 63, 1e6) > fold_transfer(
+            pairwise, 0, 1, 1e6
+        )
 
     def test_static_energy_scales_with_voltage(self):
         low = mesh_model(NOMINAL, [1.0, 1.0, 1.0, 0.6])
@@ -153,7 +157,7 @@ class TestEnergy:
         assert low.static_energy(1.0) < high.static_energy(1.0)
 
     def test_self_transfer_free(self):
-        assert PairwiseEnergy(mesh_model()).record(5, 5, 1e6) == 0.0
+        assert fold_transfer(PairwiseEnergy(mesh_model()), 5, 5, 1e6) == 0.0
 
 
 class TestBulkRouting:

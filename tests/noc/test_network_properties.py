@@ -14,6 +14,7 @@ from repro.noc.routing import build_mesh_routing
 from repro.noc.topology import GridGeometry, build_mesh
 from repro.vfi.islands import quadrant_clusters
 
+from tests.noc.energy_calls import fold_transfer
 from tests.noc.path_oracle import PathModel
 from tests.noc.test_network import latency
 
@@ -86,8 +87,8 @@ class TestEnergyProperties:
         if a == b:
             return
         pairwise = PairwiseEnergy(fresh_model())
-        single = pairwise.record(a, b, bits)
-        double = pairwise.record(a, b, 2 * bits)
+        single = fold_transfer(pairwise, a, b, bits)
+        double = fold_transfer(pairwise, a, b, 2 * bits)
         assert double == pytest.approx(2 * single, rel=1e-9)
 
 

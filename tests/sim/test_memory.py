@@ -6,6 +6,8 @@ import pytest
 from repro.core.platforms import build_nvfi_mesh
 from repro.sim.memory import MemorySystem
 
+from tests.noc.energy_calls import fold_miss
+
 
 @pytest.fixture(scope="module")
 def memory_uniform():
@@ -78,19 +80,19 @@ class TestLatency:
 
 class TestEnergy:
     def test_miss_energy_positive_and_linear(self, memory_uniform):
-        e1 = memory_uniform.record_miss_energy(0, 1000, 100)
-        e2 = memory_uniform.record_miss_energy(0, 2000, 200)
+        e1 = fold_miss(memory_uniform, 0, 1000, 100)
+        e2 = fold_miss(memory_uniform, 0, 2000, 200)
         assert e2 == pytest.approx(2 * e1)
 
     def test_counters_accumulate(self):
         memory = MemorySystem(build_nvfi_mesh(), locality=0.0)
-        memory.record_miss_energy(5, 1000, 0)
+        fold_miss(memory, 5, 1000, 0)
         counters = memory.platform.network.energy
         assert counters.bits_moved > 0
         assert counters.dynamic_joules > 0
 
     def test_negative_rejected(self, memory_uniform):
         with pytest.raises(ValueError):
-            memory_uniform.record_miss_energy(0, -1, 0)
+            fold_miss(memory_uniform, 0, -1, 0)
         with pytest.raises(ValueError):
             memory_uniform.add_miss_flows(0, -1)

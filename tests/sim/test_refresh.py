@@ -96,7 +96,8 @@ class TestRefreshMatchesFullMatrices:
     def test_bulk_path_capacity_at_every_pair(self, loaded_memory):
         n = loaded_memory.num_nodes
         src, dst = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
-        got = loaded_memory.bulk_path_capacity(src, dst).reshape(n, n)
+        gather = loaded_memory.dense_bulk.pair_capacity(src, dst)
+        got = gather(loaded_memory.bulk_inverse_capacity).reshape(n, n)
         expected = oracle.bottleneck_matrix(loaded_memory.dense_bulk)
         assert np.array_equal(got, expected)
         assert (expected < loaded_memory.bulk_raw_bottleneck_bps).any()
