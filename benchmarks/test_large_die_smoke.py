@@ -10,7 +10,10 @@ End-to-end checks back the parametric-geometry refactor:
   with a persistent cache: the cold run computes, the warm run must be
   a pure cache hit, and the manifests record both;
 * a 256-core matrix_multiply study whose NVFI run leaves whole islands
-  idle still runs to the end.
+  idle still runs to the end;
+* every map round of a 256-core wordcount study dispatches exactly as
+  the reference heap loop (``tests/sim/map_oracle.py``) does, at a size
+  the tier-1 dispatch cases (16 workers at most) never reach.
 
 All use a reduced dataset scale so the smoke stays minutes-scale; the
 committed ``results/large_die_smoke.json`` records the headline
@@ -38,6 +41,8 @@ from repro.orchestrator import StudySpec, run_campaign
 from repro.sim.system import simulate
 from repro.utils.rng import spawn_seed
 from repro.vfi.islands import DVFS_LADDER
+
+from tests.sim import map_oracle
 
 APP = "histogram"
 SCALE = 0.05
@@ -90,13 +95,25 @@ def test_256_core_study_with_an_idle_island():
         assert study.result(config).total_time_s > 0
 
 
+def test_256_core_map_rounds_match_the_oracle(monkeypatch):
+    # Seed 7's 256-core wordcount (the bench's die256 study): every map
+    # round of all four systems, relaxation rounds included, against the
+    # reference loop -- schedules, phase ends, steal counters and
+    # executed counts.
+    totals = map_oracle.check_every_round(monkeypatch)
+    run_app_study(
+        "wordcount", scale=SCALE, seed=7, num_workers=256, use_cache=False,
+    )
+    assert totals["calls"] > 0 and totals["steals"] > 0
+
+
 def test_256_core_simulate_wall_clock(results_dir):
     # The cluster service amortizes app traces, platform builds and the
     # design flow through its caches, so the per-``simulate()`` wall
-    # time is what bounds fleet-scale sweeps.  After the batched
-    # steal-epoch dispatch and the vectorized kv/path-walk hot loops, a
-    # full 256-core WiNoC simulation must stay under one wall-clock
-    # second (the batch budget CI enforces).
+    # time is what bounds fleet-scale sweeps.  With the heap-loop map
+    # dispatch and the vectorized kv/path-walk hot loops, a full
+    # 256-core WiNoC simulation must stay under one wall-clock second
+    # (the batch budget CI enforces).
     app = create_app(APP, scale=SCALE, seed=SEED)
     locality = app.profile.l2_locality
     trace = app.run(num_workers=256)

@@ -66,15 +66,14 @@ class StealingPolicy:
     def choose_victim(
         self, thief: int, queue_lengths: Sequence[int]
     ) -> Optional[int]:
-        """Pick the victim queue to steal from (default: longest queue)."""
-        best: Optional[int] = None
-        best_len = 0
-        for victim, length in enumerate(queue_lengths):
-            if victim == thief:
-                continue
-            if length > best_len:
-                best, best_len = victim, length
-        return best
+        """Pick the victim queue to steal from (default: the first
+        longest non-empty queue other than the thief's; ``None`` when
+        there is none)."""
+        lengths = list(queue_lengths)
+        if 0 <= thief < len(lengths):
+            lengths[thief] = 0
+        longest = max(lengths, default=0)
+        return lengths.index(longest) if longest > 0 else None
 
 
 class DefaultStealingPolicy(StealingPolicy):
@@ -162,8 +161,9 @@ def retune_policy(
 class TaskQueueSet:
     """Per-worker FIFO task queues with stealing.
 
-    Used directly by the functional runtime (to decide execution order) and
-    replayed with timing by :mod:`repro.sim`.
+    Used directly by the functional runtime (to decide execution order)
+    and by :mod:`repro.sim`'s map dispatch, which calls
+    :meth:`next_task` once per event of its ``(time, worker)`` heap loop.
     """
 
     num_workers: int
@@ -224,7 +224,9 @@ class TaskQueueSet:
         Returns ``None`` when no work remains or the worker's stealing
         budget is exhausted.  A worker always may pop its own queue (fast
         cores steal those leftovers from the tail); the Eq. (3) cap only
-        gates stealing, per the paper's stated intent.
+        gates stealing, per the paper's stated intent.  A steal reads
+        every queue's length in one pass and lets the policy pick the
+        victim from them.
         """
         own = self._queues[worker]
         if own:
@@ -238,7 +240,7 @@ class TaskQueueSet:
         if not self.policy.may_steal(worker, self._executed[worker]):
             self.cap_rejections += 1
             return None
-        lengths = [len(queue) for queue in self._queues]
+        lengths = list(map(len, self._queues))
         victim = self.policy.choose_victim(worker, lengths)
         if victim is None or not self._queues[victim]:
             return None
@@ -247,29 +249,6 @@ class TaskQueueSet:
         self._executed[worker] += 1
         self.steals += 1
         return task
-
-    def commit_own(self, worker: int, count: int) -> List[Task]:
-        """Bulk-pop *count* tasks from the head of *worker*'s own queue.
-
-        The epoch-batched map dispatch commits each worker's own-queue
-        run in one call per steal epoch instead of ping-ponging through
-        :meth:`next_task` -- mid-phase commits are fine: a worker's own
-        queue is always a contiguous run of its home allocation (head
-        pops advance the front, steals shorten the tail).  Semantics
-        match *count* consecutive own-queue pops exactly: executed
-        counts advance, stealing counters and the policy are untouched
-        (the Eq. 3 cap only gates steals, never a worker's own queue).
-        """
-        own = self._queues[worker]
-        if count > len(own):
-            raise ValueError(
-                f"worker {worker} owns {len(own)} queued tasks, "
-                f"cannot commit {count}"
-            )
-        popped = [own.popleft() for _ in range(count)]
-        self._remaining -= count
-        self._executed[worker] += count
-        return popped
 
     def requeue(self, worker: int, task: Task) -> None:
         """Put *task* back at the head of *worker*'s own queue.

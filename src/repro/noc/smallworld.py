@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -239,24 +239,26 @@ def _wiring_weights(
 
 def _weighted_order(
     items: Sequence[int], weights: np.ndarray, rng: np.random.Generator
-) -> List[int]:
-    """Items in random order biased by weights (without replacement).
+) -> Iterator[int]:
+    """Items in random order biased by weights (without replacement),
+    picked on demand.
 
-    Each pick draws one ``rng.random()`` against the normalized cdf of
-    the remaining weights -- what ``rng.choice(len(items), p=p)`` does,
-    without its argument checks -- so the picks and the generator state
-    are those of a ``choice`` per pick."""
+    The first pick draws the call's ``len(items)`` uniforms at once --
+    the doubles and generator state of one ``rng.random()`` per pick --
+    so the generator state does not depend on how many picks the caller
+    takes, and the picks it does not take are never computed.  Each
+    pick searches its uniform against the normalized cdf of the
+    remaining weights, as ``rng.choice(len(items), p=p)`` does without
+    its argument checks."""
     remaining = list(items)
     remaining_weights = np.array(weights, dtype=float)
-    ordered: List[int] = []
-    while remaining:
+    for uniform in rng.random(len(remaining)).tolist():
         probabilities = remaining_weights / remaining_weights.sum()
         cdf = probabilities.cumsum()
         cdf /= cdf[-1]
-        index = int(cdf.searchsorted(rng.random(), side="right"))
-        ordered.append(remaining.pop(index))
+        index = int(cdf.searchsorted(uniform, side="right"))
+        yield remaining.pop(index)
         remaining_weights = np.delete(remaining_weights, index)
-    return ordered
 
 
 def _add_sampled_links(

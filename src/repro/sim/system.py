@@ -37,8 +37,9 @@ committed phase folds its work and NoC energy in one ordered pass
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -135,19 +136,15 @@ class _Segment:
 @dataclass
 class _MapPlan:
     """Phase-invariant map-dispatch structures, built once per phase:
-    task costs (columns, to broadcast against workers), queue-set tasks,
-    record ``id`` -> duration row, and the dispatch chain's layout (per
-    record row its home worker and its slot in that worker's queue;
-    per worker its own-queue length)."""
+    task costs (columns, to broadcast against workers), the records in
+    duration-row order, and the queue-set tasks, each carrying its
+    record's row as payload."""
 
     instructions: np.ndarray
     l2: np.ndarray
     mem: np.ndarray
+    records: Sequence[TaskRecord]
     tasks: List[Task]
-    row_of: dict
-    home: np.ndarray
-    slot: np.ndarray
-    lengths: np.ndarray
 
 
 @dataclass
@@ -167,6 +164,10 @@ class _KvPlan:
     ``kv_bounds`` is the CSR-style record boundary, and ``kv_slot`` each
     source's position within its record (for scattering per-source
     terms into the zero-padded per-record summation rows).
+
+    ``singles`` keeps, for the phase, the one-record plan a faulted task
+    is priced on, per (record row, executing worker)
+    (:meth:`SystemSimulator._single_duration`).
     """
 
     home: np.ndarray
@@ -180,6 +181,9 @@ class _KvPlan:
     kv_minbits: np.ndarray
     kv_bounds: np.ndarray
     width: int
+    singles: Dict[Tuple[int, int], "_KvPlan"] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
     _pricing: Optional["_KvPricing"] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -587,32 +591,20 @@ class SystemSimulator:
 
     def _map_plan(self, records: Sequence[TaskRecord]) -> _MapPlan:
         """Build the phase-invariant :class:`_MapPlan` for *records*."""
-        num_workers = self.platform.num_cores
-        home = np.fromiter(
-            (r.home_worker for r in records), dtype=np.int64, count=len(records)
-        )
-        order = np.argsort(home, kind="stable")
-        boundaries = np.searchsorted(home[order], np.arange(num_workers + 1))
-        lengths = np.diff(boundaries)
-        slot = np.empty(len(records), dtype=np.intp)
-        slot[order] = np.arange(len(records)) - np.repeat(boundaries[:-1], lengths)
         return _MapPlan(
             instructions=np.array([r.cost.instructions for r in records])[:, None],
             l2=np.array([r.cost.l2_accesses for r in records])[:, None],
             mem=np.array([r.cost.memory_accesses for r in records])[:, None],
+            records=records,
             tasks=[
                 Task(
                     task_id=record.task_id,
                     phase=Phase.MAP,
-                    payload=record,
+                    payload=row,
                     home_worker=record.home_worker,
                 )
-                for record in records
+                for row, record in enumerate(records)
             ],
-            row_of={id(record): index for index, record in enumerate(records)},
-            home=home,
-            slot=slot,
-            lengths=lengths,
         )
 
     def _task_durations(self, plan, workers: np.ndarray) -> np.ndarray:
@@ -642,32 +634,53 @@ class SystemSimulator:
     def _schedule_map(
         self, start: float, durations: np.ndarray, plan: _MapPlan
     ) -> Tuple[List[_ScheduledTask], float, TaskQueueSet, _Recovery]:
-        """Map scheduling with stealing.
+        """Map scheduling with stealing: one ``(time, worker)`` heap loop.
 
         ``durations[i, w]`` is the runtime of record row ``i`` on worker
-        ``w`` under the current latency estimate.  Returns the queue set
-        as well so the caller can fold its stealing statistics for the
-        committed schedule only, and the phase's fault recovery.
-
-        The phase is dispatched in steal-epoch batches, core failures
-        included (:meth:`_dispatch_epochs`); ``tests/sim/map_oracle.py``
-        keeps the per-task event loop this reproduces bit for bit.
+        ``w`` under the current latency estimate.  Each pop asks the
+        queue set for the worker's next task (own queue first, then a
+        steal); a worker dead at its pop, or handed ``None`` (capped out
+        or nothing to steal), retires.  A worker killed mid-execution
+        burns the interval up to its failure (noted in the returned
+        recovery) and its task goes back to its own queue head, where
+        survivors steal it from the tail.  The heap pops in event order
+        (lowest worker on ties), which is the schedule order the energy
+        fold relies on.  Returns the queue set as well so the caller can
+        fold its stealing statistics for the committed schedule only.
         """
         num_workers = self.platform.num_cores
         policy = self.policy or DefaultStealingPolicy()
         queues = TaskQueueSet(num_workers, policy)
         queues.load(plan.tasks)
         fail_time = self._fail_times()
+        fail_at = fail_time.tolist()
+        records = plan.records
         recovery = _Recovery()
-        schedule, end = self._dispatch_epochs(
-            start, durations, queues, plan, fail_time, recovery
-        )
-        # The epochs append per-worker batch runs interleaved with
-        # boundary pops; the event loop's pop order is (time, worker)
-        # lexicographic, so a stable sort restores it exactly (energy
-        # accounting folds floats in schedule order, so order is part of
-        # the golden contract).
-        schedule.sort(key=lambda item: (item.start_s, item.worker))
+        # Sorted, so already a heap.
+        heap = [(start, worker) for worker in range(num_workers)]
+        schedule: List[_ScheduledTask] = []
+        end = start
+        while heap and queues.remaining > 0:
+            now, worker = heapq.heappop(heap)
+            fail = fail_at[worker]
+            if fail <= now:
+                continue  # dead at its pop: never asks for work again
+            task = queues.next_task(worker)
+            if task is None:
+                continue  # capped out or nothing to steal
+            record = records[task.payload]
+            duration = durations.item(task.payload, worker)
+            if now + duration > fail:
+                # Killed mid-execution: the burnt interval is lost and
+                # the task goes back to the worker's own queue head.
+                recovery.lost.append((worker, now, fail - now, record.task_id))
+                recovery.reexecutions += 1
+                queues.requeue(worker, task)
+                end = max(end, fail)
+                continue
+            schedule.append(_ScheduledTask(record, worker, now, duration))
+            end = max(end, now + duration)
+            heapq.heappush(heap, (now + duration, worker))
         if queues.remaining > 0:
             # Every worker is capped (possible only with a user-supplied
             # fmax above all cores) or the survivors exited before a killed
@@ -681,172 +694,12 @@ class SystemSimulator:
             fastest = int(np.argmax(masked))
             now = end
             for worker, task in queues.force_drain(fastest):
-                record = task.payload
-                duration = float(durations[plan.row_of[id(record)], worker])
+                record = records[task.payload]
+                duration = durations.item(task.payload, worker)
                 schedule.append(_ScheduledTask(record, worker, now, duration))
                 now += duration
             end = now
         return schedule, end, queues, recovery
-
-    def _dispatch_epochs(
-        self,
-        start: float,
-        durations: np.ndarray,
-        queues: TaskQueueSet,
-        plan: _MapPlan,
-        fail_time: np.ndarray,
-        recovery: _Recovery,
-    ) -> Tuple[List[_ScheduledTask], float]:
-        """Steal-epoch batched map dispatch.
-
-        Between steals, every event-loop pop is an own-queue pop that
-        stealing cannot perturb: steals only remove victims' *tail*
-        tasks, and the earliest time any steal can happen is
-
-            ``t_steal = min`` over alive workers of the own-queue drain
-            time (the next event time, for a worker whose queue is
-            already empty -- its next pop is a steal attempt).
-
-        So each epoch batch-commits every own-queue pop ``j`` with
-        ``chain[j] < t_steal``, ``chain[j] < fail`` and
-        ``chain[j + 1] <= fail`` -- the event loop's "dead at pop" and
-        "killed mid-execution" tests on the same floats (``fail`` is
-        ``inf`` on a clean run).  The chain is monotone, so each test
-        holds on a prefix and the count is a prefix length.
-
-        ``chain[w]`` is worker ``w``'s completion chain over its whole
-        home allocation, accumulated once per call: one
-        ``np.add.accumulate`` over the zero-padded duration matrix, a
-        strictly sequential float64 recurrence per row that reproduces
-        the event loop's ``now + duration`` arithmetic bit for bit
-        (unlike pairwise ``np.sum``).  An alive worker that still holds
-        own tasks has run nothing but its queue's head, in order, so
-        its clock is ``chain[w, head]`` and the rest of the row is
-        bit-identical to re-accumulating from that clock; an epoch
-        only reads it.
-
-        The event loop then handles only the epoch boundary: tie pops at
-        exactly ``t_steal``, fault events and the next steal decision,
-        popping the alive worker with the earliest clock (lowest id on
-        ties, as a ``(time, worker)`` heap would).  A successful steal
-        (some victim's queue changed) or a worker dropping out --
-        capped out, nothing to steal, dead at its pop, or killed
-        mid-execution (its task requeued at its head, the burnt
-        interval noted in *recovery*) -- ends the boundary and
-        re-enters batching: a worker that never pops again can only
-        lift ``t_steal``.
-
-        Bookkeeping invariant: an alive worker's own queue is always the
-        contiguous slot run ``[head, head + qlen)`` of its home
-        allocation -- commits and own pops advance the head while
-        steals shorten the tail; requeues only ever land on dead
-        workers.  So per-worker head, queue length, clock and liveness
-        live in arrays, and a stolen record shortens its home worker's
-        run exactly when it sits in that run.
-
-        Returns the schedule (batch runs grouped by worker, boundary
-        pops in event order; the caller re-sorts into event order) and
-        the phase end so far.
-        """
-        home, slot, lengths = plan.home, plan.slot, plan.lengths
-        num_workers = self.platform.num_cores
-        width = int(lengths.max()) if len(home) else 0
-        pad = np.zeros((num_workers, width + 1))
-        pad[:, 0] = start
-        pad[home, slot + 1] = durations[np.arange(len(home)), home]
-        chain = np.add.accumulate(pad, axis=1)
-        columns = np.arange(width)
-        head = np.zeros(num_workers, dtype=np.intp)
-        qlen = lengths.copy()
-        now_w = chain[:, 0].copy()
-        alive = np.ones(num_workers, dtype=bool)
-        fail_at = fail_time.tolist()
-        schedule: List[_ScheduledTask] = []
-        end = start
-        while queues.remaining > 0:
-            # --- batch: commit own-queue runs strictly below t_steal ---
-            holders = np.flatnonzero(alive & (qlen > 0))
-            t_steal = float(np.min(now_w[alive & (qlen == 0)], initial=np.inf))
-            if len(holders):
-                first = head[holders]
-                stop = first + qlen[holders]
-                t_steal = min(t_steal, float(chain[holders, stop].min()))
-                run = chain[holders]
-                fail = fail_time[holders][:, None]
-                committed = (
-                    (columns >= first[:, None])
-                    & (columns < stop[:, None])
-                    & (run[:, :-1] < np.minimum(t_steal, fail))
-                    & (run[:, 1:] <= fail)
-                ).sum(axis=1)
-                batch = committed > 0
-                for w, j0, k in zip(
-                    holders[batch].tolist(),
-                    first[batch].tolist(),
-                    committed[batch].tolist(),
-                ):
-                    times, durs = chain[w], pad[w]
-                    for j, task in enumerate(queues.commit_own(w, k), j0):
-                        schedule.append(
-                            _ScheduledTask(
-                                task.payload, w, float(times[j]),
-                                float(durs[j + 1]),
-                            )
-                        )
-                    now_w[w] = times[j0 + k]
-                    end = max(end, float(times[j0 + k]))
-                head[holders] += committed
-                qlen[holders] -= committed
-            # --- boundary: tie pops, faults, then the next steal ---
-            changed = False
-            while queues.remaining > 0:
-                worker = int(np.argmin(np.where(alive, now_w, np.inf)))
-                if not alive[worker]:
-                    break  # every worker has retired
-                now = float(now_w[worker])
-                fail = fail_at[worker]
-                own = qlen[worker] > 0
-                # A core dead at its pop never asks for work again.
-                task = queues.next_task(worker) if now < fail else None
-                if task is not None:
-                    record: TaskRecord = task.payload
-                    row = plan.row_of[id(record)]
-                    duration = float(durations[row, worker])
-                    owner = record.home_worker
-                    if not own and alive[owner] and (
-                        head[owner] <= slot[row] < head[owner] + qlen[owner]
-                    ):
-                        qlen[owner] -= 1  # stolen off its owner's tail
-                    if now + duration > fail:
-                        # Killed mid-execution: the burnt interval is
-                        # lost and the task goes back to the victim's
-                        # queue head.
-                        recovery.lost.append(
-                            (worker, now, fail - now, record.task_id)
-                        )
-                        recovery.reexecutions += 1
-                        queues.requeue(worker, task)
-                        end = max(end, fail)
-                        task = None
-                if task is None:
-                    # Dead, killed, capped out or nothing to steal: the
-                    # core retires, which can only lift t_steal -- re-batch.
-                    alive[worker] = False
-                    changed = True
-                    break
-                schedule.append(_ScheduledTask(record, worker, now, duration))
-                end = max(end, now + duration)
-                now_w[worker] = now + duration
-                if not own:
-                    # Successful steal: the victim's queue shrank, so the
-                    # next epoch recomputes t_steal from the survivors.
-                    changed = True
-                    break
-                head[worker] += 1
-                qlen[worker] -= 1
-            if not changed:
-                break
-        return schedule, end
 
     def _run_barrier(
         self,
@@ -897,7 +750,7 @@ class SystemSimulator:
         home worker is dead at the barrier, or dies before the task
         finishes, runs its substitution chain instead
         (:meth:`_execute_with_substitution`), pricing each step with the
-        same kernel on a one-record plan."""
+        same kernel on a one-record plan (:meth:`_single_duration`)."""
         durations = self._kv_durations(plan, plan.home)
         ends = start + durations
         schedule = [
@@ -907,16 +760,34 @@ class SystemSimulator:
         recovery = _Recovery()
         fail = self._fail_times()[plan.home]
         for i in np.flatnonzero((fail <= start) | (ends > fail)):
-            one = self._kv_plan([records[i]])
             item, item_recovery = self._execute_with_substitution(
                 records[i],
                 start,
-                lambda w: float(self._kv_durations(one, np.array([w]))[0]),
+                lambda w: self._single_duration(plan, records, i, w),
             )
             recovery.merge(item_recovery)
             schedule[i] = item
             ends[i] = item.end_s
         return schedule, float(np.max(ends, initial=start)), recovery
+
+    def _single_duration(
+        self,
+        plan: _KvPlan,
+        records: Sequence[TaskRecord],
+        row: int,
+        worker: int,
+    ) -> float:
+        """Duration of the phase's record *row* run on *worker*.
+
+        It is priced on a one-record plan built once per phase and kept
+        in ``plan.singles`` per (row, worker), so each step of a faulted
+        task's substitution chain keeps its pricing view across
+        relaxation rounds; the view is still checked on every use
+        (:meth:`_KvPlan.pull_times`)."""
+        one = plan.singles.get((row, worker))
+        if one is None:
+            one = plan.singles[row, worker] = self._kv_plan([records[row]])
+        return float(self._kv_durations(one, np.array([worker]))[0])
 
     def _kv_plan(self, records: Sequence[TaskRecord]) -> _KvPlan:
         """Build the phase-invariant :class:`_KvPlan` for *records*."""

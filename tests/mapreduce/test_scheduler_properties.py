@@ -6,15 +6,18 @@ force-drain fallback.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.mapreduce.scheduler import (
     CappedStealingPolicy,
     DefaultStealingPolicy,
+    StealingPolicy,
     TaskQueueSet,
 )
 from repro.mapreduce.tasks import Phase, Task
+
+from tests.mapreduce import victim_oracle
 
 
 def make_tasks(home_workers):
@@ -169,7 +172,7 @@ def test_force_drain_conserves_tasks(case):
 
 
 QUEUE_OPERATIONS = (
-    "load", "invalid_load", "next_task", "commit_own", "requeue",
+    "load", "invalid_load", "next_task", "requeue",
     "force_drain", "drain_serial",
 )
 
@@ -209,10 +212,6 @@ def test_remaining_counts_every_queued_task(case, capped, data):
             task = queues.next_task(data.draw(worker))
             if task is not None:
                 popped.append(task)
-        elif operation == "commit_own":
-            w = data.draw(worker)
-            count = data.draw(st.integers(0, queues.queue_length(w)))
-            popped.extend(queues.commit_own(w, count))
         elif operation == "requeue" and popped:
             queues.requeue(data.draw(worker), popped.pop())
         elif operation == "force_drain":
@@ -220,3 +219,33 @@ def test_remaining_counts_every_queued_task(case, capped, data):
         elif operation == "drain_serial":
             queues.drain_serial()
         assert queues.remaining == queued_total(queues)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 4), max_size=10),
+    st.integers(-3, 12),
+    st.sampled_from(["default", "capped"]),
+)
+@example([2, 5, 5, 1], 0, "default")  # tie: the first longest wins
+@example([5, 5, 3], 0, "default")  # tie that includes the thief
+@example([1, 7, 7, 2], 1, "capped")  # the thief holds the longest queue
+@example([0, 0, 0], 1, "default")  # every queue empty
+@example([6], 0, "default")  # only the thief has work
+@example([], 0, "default")  # no queues at all
+@example([3, 4, 4], 3, "default")  # thief past the end
+@example([3, 4, 4], -1, "capped")  # negative thief: no entry is its
+def test_choose_victim_matches_the_loop(lengths, thief, kind):
+    """``choose_victim`` picks what the per-queue loop picks -- the
+    first longest non-empty queue that is not the thief's, else
+    ``None`` -- for any thief index, in range or not, and leaves the
+    caller's lengths untouched; ``CappedStealingPolicy`` inherits it."""
+    policy = (
+        CappedStealingPolicy([2.0e9] * max(len(lengths), 1))
+        if kind == "capped" else StealingPolicy()
+    )
+    given_lengths = list(lengths)
+    assert policy.choose_victim(thief, lengths) == victim_oracle.choose_victim(
+        thief, lengths
+    )
+    assert lengths == given_lengths

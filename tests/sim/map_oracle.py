@@ -1,17 +1,19 @@
 """Reference map scheduler: the per-task heap event loop.
 
-Before steal-epoch batching learnt fault boundaries, every fault-injected
-map phase (and, with no dispatch indices, every clean one) ran through
-this loop.  It is kept verbatim as the oracle
-``tests/sim/test_map_dispatch.py`` compares
-``SystemSimulator._schedule_map`` against, bit for bit: schedules, the
-phase end, stealing counters and fault-recovery bookkeeping.
+``SystemSimulator._schedule_map`` dispatches each map round with the
+same ``(time, worker)`` heap loop; this copy keeps the loop as it was
+written first -- the records' tasks built per call, duration rows found
+by record identity, failure times read from the fault engine's array --
+as the oracle ``tests/sim/test_map_dispatch.py`` and the 256-core smoke
+in ``benchmarks/test_large_die_smoke.py`` compare the simulator
+against, bit for bit: schedules, the phase end, stealing counters,
+executed counts and fault-recovery bookkeeping.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,7 +21,7 @@ from repro.faults.spec import FaultInjectionError
 from repro.mapreduce.scheduler import DefaultStealingPolicy, TaskQueueSet
 from repro.mapreduce.tasks import Phase, Task
 from repro.mapreduce.trace import TaskRecord
-from repro.sim.system import _Recovery, _ScheduledTask
+from repro.sim.system import SystemSimulator, _Recovery, _ScheduledTask
 
 
 def schedule_map(
@@ -105,3 +107,61 @@ def schedule_map(
             now += duration
         end = now
     return schedule, end, queues, recovery
+
+
+def assert_identical(oracle, dispatched) -> None:
+    """Assert two ``_schedule_map`` results agree bit for bit: the same
+    records on the same workers at the same start times and durations,
+    in the same order (energy folds floats in schedule order), the same
+    phase end, stealing counters and per-worker executed counts, and the
+    same killed executions in the same order.  ``None`` on both sides
+    stands for a run that raised."""
+    if oracle is None:
+        assert dispatched is None
+        return
+    schedule_a, end_a, queues_a, recovery_a = oracle
+    schedule_b, end_b, queues_b, recovery_b = dispatched
+    assert end_a == end_b
+    assert len(schedule_a) == len(schedule_b)
+    for item_a, item_b in zip(schedule_a, schedule_b):
+        assert item_a.record is item_b.record
+        assert item_a.worker == item_b.worker
+        assert item_a.start_s == item_b.start_s  # bit-for-bit
+        assert item_a.duration_s == item_b.duration_s
+    assert queues_a.steals == queues_b.steals
+    assert queues_a.steal_attempts == queues_b.steal_attempts
+    assert queues_a.cap_rejections == queues_b.cap_rejections
+    for worker in range(queues_a.num_workers):
+        assert queues_a.executed_count(worker) == queues_b.executed_count(
+            worker
+        )
+    if recovery_a is None:  # the oracle keeps no recovery on clean runs
+        assert recovery_b.lost == [] and recovery_b.reexecutions == 0
+    else:
+        assert recovery_a.lost == recovery_b.lost  # in order, bit-for-bit
+        assert recovery_a.reexecutions == recovery_b.reexecutions
+
+
+def check_every_round(monkeypatch) -> Dict[str, int]:
+    """Replay every later ``SystemSimulator._schedule_map`` call through
+    :func:`schedule_map` on the same inputs and :func:`assert_identical`
+    the two.
+
+    Returns running totals over the checked calls: ``calls``, ``steals``
+    and ``reexecutions`` (killed executions), so a test can require its
+    study to have exercised them."""
+    dispatch = SystemSimulator._schedule_map
+    totals = {"calls": 0, "steals": 0, "reexecutions": 0}
+
+    def checked(simulator, start, durations, plan):
+        result = dispatch(simulator, start, durations, plan)
+        assert_identical(
+            schedule_map(simulator, plan.records, start, durations), result
+        )
+        totals["calls"] += 1
+        totals["steals"] += result[2].steals
+        totals["reexecutions"] += result[3].reexecutions
+        return result
+
+    monkeypatch.setattr(SystemSimulator, "_schedule_map", checked)
+    return totals

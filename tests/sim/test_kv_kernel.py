@@ -17,6 +17,7 @@ from repro.core.platforms import build_nvfi_mesh
 from repro.faults import FaultKind, FaultPlan, FaultSpec
 from repro.faults.policy import ResiliencePolicy
 from repro.faults.spec import FaultInjectionError
+from repro.sim import system
 from repro.sim.config import SimulationParams
 from repro.sim.system import SystemSimulator, _ScheduledTask
 from repro.vfi.islands import DVFS_LADDER
@@ -119,9 +120,13 @@ def _faulted(fail_times, order="ring"):
     return _loaded_simulator(16, params)
 
 
-def _assert_phase_matches_scalar(simulator, records, start):
-    plan = simulator._kv_plan(records)
-    schedule, end, recovery = simulator._schedule_parallel(records, start, plan)
+def _assert_phase_matches_scalar(simulator, records, start, plan=None):
+    """One scheduling of the barrier phase (on *plan*, or a fresh plan)
+    against the scalar loop; returns ``(schedule, end, recovery)``."""
+    if plan is None:
+        plan = simulator._kv_plan(records)
+    result = simulator._schedule_parallel(records, start, plan)
+    schedule, end, recovery = result
     want_schedule, want_end, want = kv_oracle.schedule_parallel(
         simulator, records, start
     )
@@ -131,11 +136,11 @@ def _assert_phase_matches_scalar(simulator, records, start):
     ]
     if want is None:  # the scalar loop keeps no recovery on clean runs
         assert not recovery.lost and not recovery.substitutions
-        return recovery
+        return result
     assert recovery.lost == want.lost
     assert recovery.reexecutions == want.reexecutions
     assert recovery.substitutions == want.substitutions
-    return recovery
+    return result
 
 
 class TestBarrierPhaseMatchesScalar:
@@ -153,7 +158,7 @@ class TestBarrierPhaseMatchesScalar:
             {3: 0.5, 4: start, 7: start + 1e-6, 8: start + 2e-6, 12: 50.0},
             order,
         )
-        recovery = _assert_phase_matches_scalar(simulator, records, start)
+        _, _, recovery = _assert_phase_matches_scalar(simulator, records, start)
         assert recovery.substitutions and recovery.reexecutions
 
     def test_no_survivor_raises_the_same_error(self):
@@ -164,6 +169,45 @@ class TestBarrierPhaseMatchesScalar:
         with pytest.raises(FaultInjectionError) as want:
             kv_oracle.schedule_parallel(simulator, records, self.START)
         assert str(got.value) == str(want.value)
+
+    def test_faulted_tasks_build_their_plans_once_per_phase(self, monkeypatch):
+        # Relaxation rounds of one faulted phase: each round loads the
+        # network with the last schedule and refreshes the latencies.
+        # The one-record plans of the substitution chains, and their
+        # pricing views, are built in the first round only; every round
+        # still schedules exactly as the scalar loop does under that
+        # round's latencies.
+        start = self.START
+        simulator, records = _faulted(
+            {3: 0.5, 4: start, 7: start + 1e-6, 8: start + 2e-6, 12: 50.0}
+        )
+        builds = {"plans": 0, "pricing": 0}
+        kv_plan = SystemSimulator._kv_plan
+        pricing_init = system._KvPricing.__init__
+
+        def counted_plan(self, plan_records):
+            builds["plans"] += 1
+            return kv_plan(self, plan_records)
+
+        def counted_pricing(self, *args):
+            builds["pricing"] += 1
+            pricing_init(self, *args)
+
+        monkeypatch.setattr(SystemSimulator, "_kv_plan", counted_plan)
+        monkeypatch.setattr(system._KvPricing, "__init__", counted_pricing)
+        plan = simulator._kv_plan(records)
+        per_round, ends = [], []
+        for _ in range(4):
+            schedule, end, _ = _assert_phase_matches_scalar(
+                simulator, records, start, plan
+            )
+            per_round.append(dict(builds))
+            ends.append(end)
+            simulator._register_phase_flows(schedule, end - start, plan)
+            simulator.memory.refresh_latencies()
+        assert len(set(ends)) > 1  # the rounds price under moving loads
+        assert per_round[0]["plans"] > 1 and per_round[0]["pricing"] > 1
+        assert per_round == [per_round[0]] * len(per_round)
 
 
 class TestViewsFollowThePlatform:

@@ -1,13 +1,14 @@
-"""Epoch-batched map dispatch vs the per-task event loop.
+"""Map dispatch against the reference heap loop.
 
-``SystemSimulator._schedule_map`` commits each worker's own-queue run
-in one vectorized batch per steal epoch and runs only steal decisions
-and fault boundaries event by event; ``tests/sim/map_oracle.py`` keeps
-the per-task heap loop it replaced.  Both must produce *identical*
-schedules -- same records, workers, start times, and durations, in the
-same order -- because downstream energy accounting folds floats in
-schedule order, and identical fault recovery: the same killed
-executions, in the same order.
+``SystemSimulator._schedule_map`` runs each map round as one
+``(time, worker)`` heap loop over the phase's queue set;
+``tests/sim/map_oracle.py`` keeps the loop as first written.  Both must
+produce *identical* schedules -- same records, workers, start times, and
+durations, in the same order -- because downstream energy accounting
+folds floats in schedule order, and identical fault recovery: the same
+killed executions, in the same order.  The cases below draw queue
+shapes, policies and failure instants; the last one replays every map
+round of a faulted, power-capped 64-core study.
 """
 
 import numpy as np
@@ -15,13 +16,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import create_app
+from repro.core.experiment import run_app_study
 from repro.core.geometry import DieGeometry
 from repro.core.platforms import build_nvfi_mesh
+from repro.faults import preset_plan
 from repro.faults.spec import FaultInjectionError
-from repro.mapreduce.scheduler import CappedStealingPolicy, TaskQueueSet
-from repro.mapreduce.tasks import Phase, TaskCost, Task
+from repro.mapreduce.scheduler import CappedStealingPolicy
+from repro.mapreduce.tasks import Phase, TaskCost
 from repro.mapreduce.trace import TaskRecord
-from repro.sim.system import SystemSimulator
+from repro.power.frontier import chip_peak_power_w
+from repro.sim.system import SystemSimulator, simulate
 
 from tests.sim import map_oracle
 
@@ -68,42 +73,15 @@ def _run_both(simulator, records, durations, start=3.25, fail_time=None):
         oracle = _outcome(
             lambda: map_oracle.schedule_map(simulator, records, start, durations)
         )
-        batched = _outcome(
+        dispatched = _outcome(
             lambda: simulator._schedule_map(
                 start, durations, simulator._map_plan(records)
             )
         )
     finally:
         simulator.faults = None
-    assert oracle[1] == batched[1]  # same FaultInjectionError text, or none
-    return oracle[0], batched[0]
-
-
-def _assert_identical(oracle, batched):
-    if oracle is None:
-        assert batched is None
-        return
-    schedule_a, end_a, queues_a, recovery_a = oracle
-    schedule_b, end_b, queues_b, recovery_b = batched
-    assert end_a == end_b
-    assert len(schedule_a) == len(schedule_b)
-    for item_a, item_b in zip(schedule_a, schedule_b):
-        assert item_a.record is item_b.record
-        assert item_a.worker == item_b.worker
-        assert item_a.start_s == item_b.start_s  # bit-for-bit
-        assert item_a.duration_s == item_b.duration_s
-    assert queues_a.steals == queues_b.steals
-    assert queues_a.steal_attempts == queues_b.steal_attempts
-    assert queues_a.cap_rejections == queues_b.cap_rejections
-    for worker in range(queues_a.num_workers):
-        assert queues_a.executed_count(worker) == queues_b.executed_count(
-            worker
-        )
-    if recovery_a is None:  # the oracle keeps no recovery on clean runs
-        assert recovery_b.lost == [] and recovery_b.reexecutions == 0
-    else:
-        assert recovery_a.lost == recovery_b.lost  # in order, bit-for-bit
-        assert recovery_a.reexecutions == recovery_b.reexecutions
+    assert oracle[1] == dispatched[1]  # same FaultInjectionError text, or none
+    return oracle[0], dispatched[0]
 
 
 @pytest.fixture(scope="module")
@@ -119,12 +97,11 @@ def test_batched_matches_event_loop(simulator, seed, num_tasks):
     num_workers = simulator.platform.num_cores
     records = _records(rng, num_tasks, num_workers)
     durations = rng.uniform(1e-4, 5e-3, (num_tasks, num_workers))
-    _assert_identical(*_run_both(simulator, records, durations))
+    map_oracle.assert_identical(*_run_both(simulator, records, durations))
 
 
 def test_batched_matches_with_stealing(simulator):
-    # A strongly skewed allocation forces the stealing tail to do real
-    # work after the batched prologue.
+    # A strongly skewed allocation: much of the phase runs stolen tasks.
     rng = np.random.default_rng(42)
     num_workers = simulator.platform.num_cores
     records = [
@@ -135,9 +112,9 @@ def test_batched_matches_with_stealing(simulator):
         for r in _records(rng, 120, num_workers)
     ]  # half the work piled on worker 3
     durations = rng.uniform(1e-4, 5e-3, (120, num_workers))
-    oracle, batched = _run_both(simulator, records, durations)
+    oracle, dispatched = _run_both(simulator, records, durations)
     assert oracle[2].steals > 0  # the scenario exercises stealing
-    _assert_identical(oracle, batched)
+    map_oracle.assert_identical(oracle, dispatched)
 
 
 def test_batched_matches_with_capped_policy(simulator):
@@ -148,15 +125,15 @@ def test_batched_matches_with_capped_policy(simulator):
     freqs = rng.choice([1.5e9, 2.0e9, 2.5e9], size=num_workers)
     simulator.policy = CappedStealingPolicy(list(freqs), fmax_hz=2.5e9)
     try:
-        oracle, batched = _run_both(simulator, records, durations)
+        oracle, dispatched = _run_both(simulator, records, durations)
     finally:
         simulator.policy = None
-    _assert_identical(oracle, batched)
+    map_oracle.assert_identical(oracle, dispatched)
 
 
 def test_batched_handles_workers_without_tasks(simulator):
-    # Worker queues with zero home tasks collapse t* to the phase start:
-    # the prologue commits nothing and the event loop does all the work.
+    # Every other worker starts with an empty queue: all their work
+    # is stolen from worker 0.
     num_workers = simulator.platform.num_cores
     records = [
         TaskRecord(
@@ -169,7 +146,7 @@ def test_batched_handles_workers_without_tasks(simulator):
     ]
     rng = np.random.default_rng(0)
     durations = rng.uniform(1e-4, 5e-3, (10, num_workers))
-    _assert_identical(*_run_both(simulator, records, durations))
+    map_oracle.assert_identical(*_run_both(simulator, records, durations))
 
 
 _SIMULATORS = {}
@@ -191,8 +168,8 @@ def _fail_time(case, worker, start, durations, homes, rng):
     """One worker's failure instant for a drawn *case*.
 
     ``at_task_end`` lands exactly on the end of one of the worker's own
-    tasks (the float the dispatch chain computes), where the task must
-    survive and only the next one dies."""
+    tasks (the clock the worker reaches running its own queue in order),
+    where the task must survive and only the next one dies."""
     if case == "none":
         return np.inf
     if case == "before_start":
@@ -221,7 +198,7 @@ def test_property_batched_identical_to_event_loop(data):
     failure instants (none,
     before or exactly at the phase start, mid-phase, exactly at a task
     end, after the drain -- including no survivor at all); the
-    epoch-batched dispatch must match the pure event loop bit for bit on
+    simulator's dispatch must match the reference loop bit for bit on
     every one of them.
     """
     num_cores = data.draw(st.sampled_from([4, 16]), label="num_cores")
@@ -250,7 +227,7 @@ def test_property_batched_identical_to_event_loop(data):
     durations = rng.uniform(1e-4, 5e-3, (num_tasks, num_cores))
     if data.draw(st.booleans(), label="tie_heavy"):
         # Snap to a coarse grid: many equal durations force exact float
-        # ties at epoch boundaries and simultaneous drain times.
+        # ties between pops and simultaneous drain times.
         durations = np.round(durations, 3) + 1e-4
     if data.draw(st.booleans(), label="zero_durations"):
         # Zero-length tasks start exactly where the previous one ended:
@@ -274,7 +251,7 @@ def test_property_batched_identical_to_event_loop(data):
             for worker, case in enumerate(cases)
         ]
     try:
-        _assert_identical(
+        map_oracle.assert_identical(
             *_run_both(simulator, records, durations, start, fail_time)
         )
     finally:
@@ -291,9 +268,9 @@ def test_batched_matches_with_core_failures(simulator):
     fail_time = np.full(num_workers, np.inf)
     fail_time[[2, 5, 9]] = start + np.array([0.004, 0.011, 0.02])
     fail_time[12] = start
-    oracle, batched = _run_both(simulator, records, durations, start, fail_time)
+    oracle, dispatched = _run_both(simulator, records, durations, start, fail_time)
     assert oracle[3].reexecutions > 0  # the scenario kills executions
-    _assert_identical(oracle, batched)
+    map_oracle.assert_identical(oracle, dispatched)
     simulator.faults = _StubFaults(np.full(num_workers, start + 0.01))
     try:
         with pytest.raises(FaultInjectionError, match="all workers fail"):
@@ -304,17 +281,21 @@ def test_batched_matches_with_core_failures(simulator):
         simulator.faults = None
 
 
-def test_commit_own_semantics():
-    queues = TaskQueueSet(2)
-    tasks = [
-        Task(task_id=i, phase=Phase.MAP, payload=None, home_worker=i % 2)
-        for i in range(6)
-    ]
-    queues.load(tasks)
-    popped = queues.commit_own(0, 2)
-    assert [t.task_id for t in popped] == [0, 2]
-    assert queues.executed_count(0) == 2
-    assert queues.queue_length(0) == 1
-    assert queues.steals == 0 and queues.steal_attempts == 0
-    with pytest.raises(ValueError):
-        queues.commit_own(1, 4)
+def test_every_round_of_a_faulted_capped_study(monkeypatch):
+    """Every map round of a 64-core pca study under the ``mixed`` fault
+    plan and a 0.6 x peak chip cap -- all four systems, every relaxation
+    round -- matches the reference loop, killed executions included."""
+    app = create_app("pca", scale=0.05, seed=7)
+    horizon = simulate(
+        build_nvfi_mesh(DieGeometry.for_cores(64)),
+        app.run(num_workers=64),
+        locality=app.profile.l2_locality,
+    ).total_time_s
+    totals = map_oracle.check_every_round(monkeypatch)
+    run_app_study(
+        "pca", scale=0.05, seed=7, num_workers=64, use_cache=False,
+        fault_plan=preset_plan("mixed", horizon, 64),
+        power_cap=0.6 * chip_peak_power_w(64),
+    )
+    assert totals["calls"] > 0
+    assert totals["steals"] > 0 and totals["reexecutions"] > 0
