@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.noc.topology import GridGeometry
-from repro.utils.rng import SeedLike, derive_rng
+from repro.utils.rng import RawDraws, SeedLike, derive_rng
 from repro.vfi.islands import VfiLayout
 
 
@@ -143,6 +143,9 @@ def communication_aware_mapping(
     worker x worker distances live across moves: a swap trades two rows
     and two columns instead of gathering all n^2 entries again, and the
     candidate is priced by the same full sum as :func:`mapping_cost`.
+    The draws come from :class:`~repro.utils.rng.RawDraws` (the same
+    values and final generator state as ``rng.integers`` /
+    ``rng.random``).
     """
     num_workers = len(worker_clusters)
     if traffic.shape != (num_workers, num_workers):
@@ -153,26 +156,29 @@ def communication_aware_mapping(
     current_cost = mapping_cost(mapping, traffic, distance)
     best, best_cost = list(mapping), current_cost
     temperature = max(0.05 * current_cost, 1e-9)
-    clusters = np.asarray(worker_clusters)
+    clusters = np.asarray(worker_clusters).tolist()
     nodes = np.asarray(mapping)
     worker_distance = distance[np.ix_(nodes, nodes)]
     spare = np.empty(num_workers)
-    for _ in range(iterations):
-        a, b = int(rng.integers(num_workers)), int(rng.integers(num_workers))
-        if a == b or clusters[a] != clusters[b]:
-            continue
-        mapping[a], mapping[b] = mapping[b], mapping[a]
-        _swap_workers(worker_distance, a, b, spare)
-        candidate_cost = _priced(traffic, worker_distance)
-        delta = candidate_cost - current_cost
-        if delta <= 0 or rng.random() < math.exp(-delta / max(temperature, 1e-15)):
-            current_cost = candidate_cost
-            if current_cost < best_cost:
-                best, best_cost = list(mapping), current_cost
-        else:
-            mapping[a], mapping[b] = mapping[b], mapping[a]  # revert
+    with RawDraws(rng) as draws:
+        for _ in range(iterations):
+            a, b = draws.below(num_workers), draws.below(num_workers)
+            if a == b or clusters[a] != clusters[b]:
+                continue
+            mapping[a], mapping[b] = mapping[b], mapping[a]
             _swap_workers(worker_distance, a, b, spare)
-        temperature *= 0.998
+            candidate_cost = _priced(traffic, worker_distance)
+            delta = candidate_cost - current_cost
+            if delta <= 0 or draws.uniform() < math.exp(
+                -delta / max(temperature, 1e-15)
+            ):
+                current_cost = candidate_cost
+                if current_cost < best_cost:
+                    best, best_cost = list(mapping), current_cost
+            else:
+                mapping[a], mapping[b] = mapping[b], mapping[a]  # revert
+                _swap_workers(worker_distance, a, b, spare)
+            temperature *= 0.998
     repriced = mapping_cost(best, traffic, distance)
     if repriced != best_cost:
         raise RuntimeError(

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Deque, List, Optional, Sequence
 
 from repro.mapreduce.tasks import Task
 
@@ -157,6 +157,22 @@ def retune_policy(
     return CappedStealingPolicy(core_frequencies_hz=freqs, fmax_hz=max(freqs))
 
 
+def home_queues(tasks: Sequence[Task], num_workers: int) -> List[List[Task]]:
+    """*tasks* grouped by home worker, each group in *tasks* order.
+
+    Raises ``ValueError`` on the first task whose home worker is outside
+    ``[0, num_workers)``."""
+    homes: List[List[Task]] = [[] for _ in range(num_workers)]
+    for task in tasks:
+        if not 0 <= task.home_worker < num_workers:
+            raise ValueError(
+                f"task {task.task_id} home_worker {task.home_worker} "
+                f"out of range [0, {num_workers})"
+            )
+        homes[task.home_worker].append(task)
+    return homes
+
+
 @dataclass
 class TaskQueueSet:
     """Per-worker FIFO task queues with stealing.
@@ -172,40 +188,32 @@ class TaskQueueSet:
     def __post_init__(self) -> None:
         if self.num_workers <= 0:
             raise ValueError(f"num_workers must be > 0, got {self.num_workers}")
-        self._queues: List[Deque[Task]] = [deque() for _ in range(self.num_workers)]
-        self._executed: Dict[int, int] = {w: 0 for w in range(self.num_workers)}
-        self._total = 0
+        self.refill([()] * self.num_workers)
+
+    def load(self, tasks: Sequence[Task]) -> None:
+        """Distribute *tasks* to their home workers and arm the policy."""
+        homes = home_queues(tasks, self.num_workers)
+        self.policy.prepare(
+            len(tasks), self.num_workers, [len(home) for home in homes]
+        )
+        self.refill(homes)
+
+    def refill(self, homes: Sequence[Sequence[Task]]) -> None:
+        """Start a new generation from per-worker task lists, as
+        :func:`home_queues` builds them, unchecked: the caller has
+        validated them and prepared the policy for them (a simulated map
+        phase does both once and refills every relaxation round).
+        Executed counts and stealing statistics start from zero."""
+        self._queues: List[Deque[Task]] = [deque(home) for home in homes]
+        self._executed = [0] * self.num_workers
         # Tasks queued across all workers, kept by every push and pop.
-        self._remaining = 0
-        # Stealing statistics for the current load() generation.  Plain int
+        self._remaining = sum(map(len, homes))
+        # Stealing statistics for the current generation.  Plain int
         # increments (cheap enough to keep always-on); the simulator folds
         # them into telemetry counters when tracing is enabled.
         self.steal_attempts = 0
         self.steals = 0
         self.cap_rejections = 0
-
-    def load(self, tasks: Sequence[Task]) -> None:
-        """Distribute *tasks* to their home workers and arm the policy."""
-        for queue in self._queues:
-            queue.clear()
-        self._remaining = 0
-        self._executed = {w: 0 for w in range(self.num_workers)}
-        self._total = len(tasks)
-        self.steal_attempts = 0
-        self.steals = 0
-        self.cap_rejections = 0
-        initial_counts = [0] * self.num_workers
-        for task in tasks:
-            if not 0 <= task.home_worker < self.num_workers:
-                raise ValueError(
-                    f"task {task.task_id} home_worker {task.home_worker} "
-                    f"out of range [0, {self.num_workers})"
-                )
-            initial_counts[task.home_worker] += 1
-        self.policy.prepare(self._total, self.num_workers, initial_counts)
-        for task in tasks:
-            self._queues[task.home_worker].append(task)
-        self._remaining = len(tasks)
 
     def queue_length(self, worker: int) -> int:
         return len(self._queues[worker])

@@ -50,6 +50,7 @@ from repro.mapreduce.scheduler import (
     DefaultStealingPolicy,
     StealingPolicy,
     TaskQueueSet,
+    home_queues,
     retune_policy,
 )
 from repro.mapreduce.tasks import Phase, Task
@@ -137,14 +138,16 @@ class _Segment:
 class _MapPlan:
     """Phase-invariant map-dispatch structures, built once per phase:
     task costs (columns, to broadcast against workers), the records in
-    duration-row order, and the queue-set tasks, each carrying its
-    record's row as payload."""
+    duration-row order, the queue-set tasks grouped by home worker, each
+    carrying its record's row as payload, and the phase's stealing
+    policy, prepared for that allocation."""
 
     instructions: np.ndarray
     l2: np.ndarray
     mem: np.ndarray
     records: Sequence[TaskRecord]
-    tasks: List[Task]
+    homes: List[List[Task]]
+    policy: StealingPolicy
 
 
 @dataclass
@@ -590,13 +593,15 @@ class SystemSimulator:
         return end
 
     def _map_plan(self, records: Sequence[TaskRecord]) -> _MapPlan:
-        """Build the phase-invariant :class:`_MapPlan` for *records*."""
-        return _MapPlan(
-            instructions=np.array([r.cost.instructions for r in records])[:, None],
-            l2=np.array([r.cost.l2_accesses for r in records])[:, None],
-            mem=np.array([r.cost.memory_accesses for r in records])[:, None],
-            records=records,
-            tasks=[
+        """Build the phase-invariant :class:`_MapPlan` for *records*.
+
+        The home workers are checked and the current stealing policy is
+        prepared for their allocation here, once per phase: the policy
+        only changes at phase boundaries, so every relaxation round
+        refills its queues from the same plan."""
+        num_workers = self.platform.num_cores
+        homes = home_queues(
+            [
                 Task(
                     task_id=record.task_id,
                     phase=Phase.MAP,
@@ -605,6 +610,17 @@ class SystemSimulator:
                 )
                 for row, record in enumerate(records)
             ],
+            num_workers,
+        )
+        policy = self.policy or DefaultStealingPolicy()
+        policy.prepare(len(records), num_workers, [len(home) for home in homes])
+        return _MapPlan(
+            instructions=np.array([r.cost.instructions for r in records])[:, None],
+            l2=np.array([r.cost.l2_accesses for r in records])[:, None],
+            mem=np.array([r.cost.memory_accesses for r in records])[:, None],
+            records=records,
+            homes=homes,
+            policy=policy,
         )
 
     def _task_durations(self, plan, workers: np.ndarray) -> np.ndarray:
@@ -649,9 +665,8 @@ class SystemSimulator:
         fold its stealing statistics for the committed schedule only.
         """
         num_workers = self.platform.num_cores
-        policy = self.policy or DefaultStealingPolicy()
-        queues = TaskQueueSet(num_workers, policy)
-        queues.load(plan.tasks)
+        queues = TaskQueueSet(num_workers, plan.policy)
+        queues.refill(plan.homes)
         fail_time = self._fail_times()
         fail_at = fail_time.tolist()
         records = plan.records

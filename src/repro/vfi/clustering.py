@@ -23,9 +23,10 @@ Gurobi is unavailable here, so this module provides:
   with utilization-cost lower bounds, practical up to ~16 cores (used to
   validate the heuristic);
 * :func:`solve_simulated_annealing` -- swap-move annealing from the
-  utilization-sorted seed, used for the 64-core instances.  On every
-  small instance we tested it reaches the B&B optimum (see
-  ``tests/vfi/test_clustering.py``).
+  utilization-sorted seed, used for the 64-core instances.  It reaches
+  the B&B optimum on the 8-core, 2-cluster instances of
+  ``tests/vfi/test_clustering.py``, but stays 4-7 % above it on dense
+  12-core, 4-cluster ones (``benchmarks/test_annealer_quality.py``).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.utils.rng import SeedLike, derive_rng
+from repro.utils.rng import RawDraws, SeedLike, derive_rng
 
 
 @dataclass
@@ -257,12 +258,16 @@ def solve_simulated_annealing(
     a swap flips four one-hot entries and two deviations, and a rejected
     swap puts them back.  Each candidate is still priced by the full
     Eq. (1) evaluation (:func:`_priced`), never by an O(n) delta whose
-    reordered sums would move the cost bits.
+    reordered sums would move the cost bits.  The draws come from
+    :class:`~repro.utils.rng.RawDraws` (the same values and final
+    generator state as ``rng.integers`` / ``rng.random``), and the
+    per-move bookkeeping is plain Python lists.
     """
     rng = derive_rng(seed)
-    assignment = np.array(utilization_sorted_assignment(problem), dtype=int)
-    current_cost = cluster_cost(problem, assignment)
-    best = assignment.copy()
+    start = utilization_sorted_assignment(problem)
+    current_cost = cluster_cost(problem, start)
+    assignment = list(start)
+    best = start
     best_cost = current_cost
     temperature = (
         initial_temperature
@@ -270,9 +275,9 @@ def solve_simulated_annealing(
         else max(0.05 * current_cost, 1e-9)
     )
     n = problem.num_cores
-    utilization = problem.utilization
-    targets = problem.cluster_target_util
-    one_hot, squared_deviation = _cost_terms(problem, assignment)
+    utilization = problem.utilization.tolist()
+    targets = problem.cluster_target_util.tolist()
+    one_hot, squared_deviation = _cost_terms(problem, np.array(start))
     phi = _phi_matrix(problem)
 
     def move(core: int, old: int, new: int) -> None:
@@ -283,24 +288,27 @@ def solve_simulated_annealing(
         squared_deviation[core] = deviation * deviation
 
     evaluations = 0
-    for _ in range(iterations):
-        a, b = int(rng.integers(n)), int(rng.integers(n))
-        cluster_a, cluster_b = int(assignment[a]), int(assignment[b])
-        if cluster_a == cluster_b:
-            continue
-        move(a, cluster_a, cluster_b)
-        move(b, cluster_b, cluster_a)
-        candidate_cost = _priced(problem, one_hot, squared_deviation, phi)
-        evaluations += 1
-        delta = candidate_cost - current_cost
-        if delta <= 0 or rng.random() < math.exp(-delta / max(temperature, 1e-15)):
-            current_cost = candidate_cost
-            if current_cost < best_cost:
-                best, best_cost = assignment.copy(), current_cost
-        else:
-            move(a, cluster_b, cluster_a)
-            move(b, cluster_a, cluster_b)
-        temperature *= cooling
+    with RawDraws(rng) as draws:
+        for _ in range(iterations):
+            a, b = draws.below(n), draws.below(n)
+            cluster_a, cluster_b = assignment[a], assignment[b]
+            if cluster_a == cluster_b:
+                continue
+            move(a, cluster_a, cluster_b)
+            move(b, cluster_b, cluster_a)
+            candidate_cost = _priced(problem, one_hot, squared_deviation, phi)
+            evaluations += 1
+            delta = candidate_cost - current_cost
+            if delta <= 0 or draws.uniform() < math.exp(
+                -delta / max(temperature, 1e-15)
+            ):
+                current_cost = candidate_cost
+                if current_cost < best_cost:
+                    best, best_cost = tuple(assignment), current_cost
+            else:
+                move(a, cluster_b, cluster_a)
+                move(b, cluster_a, cluster_b)
+            temperature *= cooling
     repriced = cluster_cost(problem, best)
     if repriced != best_cost:
         raise RuntimeError(
@@ -308,7 +316,7 @@ def solve_simulated_annealing(
             f"({repriced!r})"
         )
     return ClusteringResult(
-        assignment=tuple(int(c) for c in best),
+        assignment=best,
         cost=best_cost,
         method="simulated-annealing",
         evaluations=evaluations,
