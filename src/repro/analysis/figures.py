@@ -8,7 +8,7 @@ assert on the *shape* and print the numbers.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, Iterable, Mapping, Tuple
 
 import numpy as np
 
@@ -18,12 +18,10 @@ from repro.core.experiment import (
     VFI2_MESH,
     VFI2_WINOC,
     AppStudy,
+    min_hop_result,
     run_app_study,
 )
-from repro.core.platforms import build_vfi_winoc
 from repro.mapreduce.tasks import Phase
-from repro.sim.system import simulate
-from repro.utils.rng import spawn_seed
 
 #: Paper Fig. 2 order.
 FIG2_APPS = ("kmeans", "pca", "matrix_multiply", "histogram")
@@ -98,28 +96,10 @@ def figure6_placement_comparison(
     out = {}
     for name in app_names:
         study = run_app_study(name, scale=scale, seed=seed)
-        max_wireless = study.result(VFI2_WINOC)
-        # Build and simulate the min-hop-count methodology on the same
-        # design and trace.
-        rate = (
-            study.design.traffic
-            * 8.0
-            / study.result(NVFI_MESH).total_time_s
+        min_hop = min_hop_result(study, name, seed)
+        out[study.label] = (
+            study.result(VFI2_WINOC).network_edp / min_hop.network_edp
         )
-        platform = build_vfi_winoc(
-            study.design,
-            "vfi2",
-            methodology="min_hop",
-            seed=spawn_seed(seed, name, "winoc"),
-            traffic_rate_bps=rate,
-        )
-        min_hop = simulate(
-            platform,
-            study.trace,
-            locality=study.app.profile.l2_locality,
-            stealing_policy=study.design.stealing_policy("vfi2"),
-        )
-        out[study.label] = max_wireless.network_edp / min_hop.network_edp
     return out
 
 

@@ -893,8 +893,7 @@ def _tech_frontier(args) -> int:
     campaign.raise_failures()
     tech_studies = {}
     for spec in specs:
-        tech = spec.tech_spec()
-        label = tech.label if tech is not None else "default (65nm)"
+        label = "default (65nm)" if spec.tech is None else spec.tech_spec().label
         tech_studies[label] = campaign.study(spec)
 
     print(

@@ -14,16 +14,15 @@ record's canonical JSON.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.core.experiment import NVFI_MESH, VFI1_MESH, VFI2_MESH, VFI2_WINOC
 from repro.core.geometry import DieGeometry
-from repro.faults import FaultPlan
-from repro.orchestrator.spec import WINOC_METHODOLOGIES, _canonical_plan_json
+from repro.faults import FaultPlan, canonical_plan_json
+from repro.orchestrator.spec import WINOC_METHODOLOGIES
 from repro.power.spec import PowerCapSpec, canonical_cap_json
-from repro.tech.spec import TechSpec, canonical_tech_json
+from repro.tech.spec import TechSpec, canonical_tech_json, normalize_tech
 from repro.utils.jsonutil import to_builtin
 
 #: Configurations a chip can embody (one simulated system per chip).
@@ -53,7 +52,7 @@ class ChipSpec:
         object.__setattr__(self, "chip_id", int(self.chip_id))
         object.__setattr__(self, "num_workers", int(self.num_workers))
         object.__setattr__(
-            self, "fault_plan", _canonical_plan_json(self.fault_plan)
+            self, "fault_plan", canonical_plan_json(self.fault_plan)
         )
         object.__setattr__(self, "tech", canonical_tech_json(self.tech))
         object.__setattr__(
@@ -98,11 +97,9 @@ class ChipSpec:
             return None
         return FaultPlan.from_json(self.fault_plan)
 
-    def tech_spec(self) -> Optional[TechSpec]:
-        """The decoded tech spec, or ``None`` for the paper default."""
-        if self.tech is None:
-            return None
-        return TechSpec.from_json(self.tech)
+    def tech_spec(self) -> TechSpec:
+        """The decoded tech spec (``TechSpec()`` for the paper default)."""
+        return normalize_tech(self.tech)
 
     def cap(self) -> Optional[PowerCapSpec]:
         """The decoded power cap, or ``None`` for an uncapped chip."""
@@ -114,20 +111,15 @@ class ChipSpec:
     def node_nm(self) -> int:
         """Feature size of the chip's technology node in nanometres
         (65 for the paper default) -- the tech-aware routing key."""
-        spec = self.tech_spec()
-        if spec is None:
-            return 65
-        return int(spec.node[:-2]) if spec.node.endswith("nm") else int(spec.node)
+        return self.tech_spec().tech_node().nm
 
     @property
     def core_class(self) -> str:
         """The chip's core-mix name (``"ooo"`` homogeneous default,
         ``"big_little"``/``"io"`` presets, ``"mixed"`` for explicit
         per-island tuples)."""
-        spec = self.tech_spec()
-        if spec is None:
-            return "ooo"
-        return spec.cores if isinstance(spec.cores, str) else "mixed"
+        cores = self.tech_spec().cores
+        return cores if isinstance(cores, str) else "mixed"
 
     @property
     def is_efficiency_class(self) -> bool:

@@ -101,11 +101,7 @@ def _edf_key(job: ClusterJob) -> Tuple:
 def speed_steps_for(chip: ChipSpec) -> Tuple[SpeedStep, ...]:
     """The chip's DVFS ladder as dispatchable speed steps, slowest to
     fastest (nominal last), derived from its technology node."""
-    from repro.tech import dvfs_ladder, get_node, paper_node
-
-    spec = chip.tech_spec()
-    node = get_node(spec.node, spec.variant) if spec is not None else paper_node()
-    ladder = dvfs_ladder(node)
+    ladder = chip.tech_spec().ladder()
     nominal = ladder[-1]
     return tuple(
         SpeedStep(

@@ -29,23 +29,15 @@ from repro.core.platforms import (
     vfi_thread_mapping,
 )
 from repro.core.traffic import total_node_traffic
-from repro.faults import FaultPlan, ResiliencePolicy
+from repro.faults import FaultPlan, canonical_plan_json
 from repro.mapreduce.trace import JobTrace
-from repro.power.spec import PowerCapSpec, normalize_cap
+from repro.power.spec import PowerCapSpec, canonical_cap_json, normalize_cap
 from repro.sim.config import SimulationParams
 from repro.sim.stats import SimulationResult
 from repro.sim.system import simulate
-from repro.tech.spec import TechSpec, normalize_tech
+from repro.tech.spec import TechSpec, canonical_tech_json, normalize_tech
 from repro.telemetry import get_tracer
 from repro.utils.rng import spawn_seed
-
-
-def _normalize_fault_plan(fault_plan: Optional[FaultPlan]) -> Optional[FaultPlan]:
-    """Empty plans are indistinguishable from no plan anywhere: results,
-    memo keys and cache keys all collapse to the fault-free study."""
-    if fault_plan is not None and len(fault_plan) == 0:
-        return None
-    return fault_plan
 
 #: Canonical configuration keys, in presentation order.
 NVFI_MESH = "nvfi_mesh"
@@ -97,6 +89,30 @@ class AppStudy:
 _STUDY_CACHE: Dict[Tuple, AppStudy] = {}
 
 
+def _study_key(
+    app_name: str,
+    scale: float,
+    seed: int,
+    num_workers: int,
+    winoc_methodology: str,
+    include_vfi1: bool,
+    fault_plan: Optional[FaultPlan],
+    tech: Optional[TechSpec],
+    power_cap: Optional[PowerCapSpec],
+) -> Tuple:
+    """A study's memo key: its arguments, each axis as canonical JSON.
+
+    An empty fault plan, the default technology and the unbounded cap
+    all key as ``None``, so every spelling of one study shares one entry.
+    """
+    return (
+        app_name, scale, seed, num_workers, winoc_methodology, include_vfi1,
+        canonical_plan_json(fault_plan),
+        canonical_tech_json(tech),
+        canonical_cap_json(power_cap),
+    )
+
+
 def run_app_study(
     app_name: str,
     scale: float = 1.0,
@@ -106,7 +122,6 @@ def run_app_study(
     include_vfi1: bool = True,
     use_cache: bool = True,
     fault_plan: Optional[FaultPlan] = None,
-    resilience: Optional[ResiliencePolicy] = None,
     tech: Optional[TechSpec] = None,
     power_cap: Optional[PowerCapSpec] = None,
 ) -> AppStudy:
@@ -118,31 +133,25 @@ def run_app_study(
     design-time decision, faults are a runtime condition.
 
     *tech* selects a technology configuration (node, scaling variant,
-    per-island core mix; see :class:`repro.tech.TechSpec`).  The paper's
-    65 nm homogeneous out-of-order default normalizes to ``None`` and
-    takes the exact legacy code path.
+    per-island core mix; see :class:`repro.tech.TechSpec`).  ``None``
+    is the paper's 65 nm homogeneous out-of-order default,
+    ``TechSpec()``, which derives the paper platform bit for bit.
 
     *power_cap* is a runtime power budget enforced by the cap governor
     in every stored configuration; like faults, it is a runtime
     condition, so the design flow still sees the clean NVFI
     characterization.  The unbounded spec normalizes to ``None``.
     """
-    fault_plan = _normalize_fault_plan(fault_plan)
-    plan_key = fault_plan.to_json() if fault_plan is not None else None
-    tech = normalize_tech(tech)
-    tech_key = tech.to_json() if tech is not None else None
-    power_cap = normalize_cap(power_cap)
-    cap_key = power_cap.to_json() if power_cap is not None else None
-    key = (
+    key = _study_key(
         app_name, scale, seed, num_workers, winoc_methodology, include_vfi1,
-        plan_key, tech_key, cap_key,
+        fault_plan, tech, power_cap,
     )
     if use_cache and key in _STUDY_CACHE:
         return _STUDY_CACHE[key]
 
-    sim_params = SimulationParams(
-        fault_plan=fault_plan, resilience=resilience, power_cap=power_cap
-    )
+    tech = normalize_tech(tech)
+    power_cap = normalize_cap(power_cap)
+    sim_params = SimulationParams(fault_plan=fault_plan, power_cap=power_cap)
     tracer = get_tracer()
     app = create_app(app_name, scale=scale, seed=seed)
     locality = app.profile.l2_locality
@@ -166,20 +175,18 @@ def run_app_study(
     with tracer.wall_span(
         "study.design", cat="study", pid="pipeline", app=app_name,
     ):
-        design_kwargs = {}
-        if tech is not None:
-            design_kwargs["ladder"] = tech.ladder()
         design = design_vfi(
             utilization=nvfi_result.utilization,
             traffic=traffic,
             num_islands=geometry.num_islands,
             seed=spawn_seed(seed, app_name, "clustering"),
             structural_workers=structural_bottleneck_workers(trace),
-            **design_kwargs,
+            ladder=tech.ladder(),
         )
 
     results: Dict[str, SimulationResult] = {}
-    if fault_plan is None and power_cap is None:
+    # An empty plan is falsy, and the simulator runs it as no plan.
+    if not fault_plan and power_cap is None:
         results[NVFI_MESH] = nvfi_result
     else:
         with tracer.wall_span(
@@ -280,18 +287,38 @@ def store_study(
     direct :func:`run_app_study` calls with the same arguments (e.g. the
     Fig. 6 placement comparison) reuse them instead of re-simulating.
     """
-    fault_plan = _normalize_fault_plan(fault_plan)
-    plan_key = fault_plan.to_json() if fault_plan is not None else None
-    tech = normalize_tech(tech)
-    tech_key = tech.to_json() if tech is not None else None
-    power_cap = normalize_cap(power_cap)
-    cap_key = power_cap.to_json() if power_cap is not None else None
-    _STUDY_CACHE[
-        (
-            app_name, scale, seed, num_workers, winoc_methodology,
-            include_vfi1, plan_key, tech_key, cap_key,
-        )
-    ] = study
+    key = _study_key(
+        app_name, scale, seed, num_workers, winoc_methodology, include_vfi1,
+        fault_plan, tech, power_cap,
+    )
+    _STUDY_CACHE[key] = study
+
+
+def min_hop_result(study: AppStudy, app_name: str, seed: int) -> SimulationResult:
+    """The study's VFI 2 WiNoC under the min-hop-count methodology.
+
+    Builds the communication-aware mapping + annealed WI placement on
+    the study's design, calibrated to the same offered load as its
+    stored max-wireless system, and simulates the same trace -- the
+    other side of the paper's Sec. 6 placement comparison (Fig. 6).
+    *app_name* and *seed* are the study's, as passed to
+    :func:`run_app_study`.
+    """
+    rate = study.design.traffic * 8.0 / study.result(NVFI_MESH).total_time_s
+    platform = build_vfi_winoc(
+        study.design,
+        "vfi2",
+        methodology="min_hop",
+        geometry=die_for(study.trace.num_workers),
+        seed=spawn_seed(seed, app_name, "winoc"),
+        traffic_rate_bps=rate,
+    )
+    return simulate(
+        platform,
+        study.trace,
+        locality=study.app.profile.l2_locality,
+        stealing_policy=study.design.stealing_policy("vfi2"),
+    )
 
 
 def select_winoc_methodology(
@@ -313,23 +340,6 @@ def select_winoc_methodology(
         winoc_methodology="max_wireless",
     )
     max_wireless_edp = base.result(VFI2_WINOC).network_edp
-
-    geometry = die_for(num_workers)
-    rate = base.design.traffic * 8.0 / base.result(NVFI_MESH).total_time_s
-    min_hop_platform = build_vfi_winoc(
-        base.design,
-        "vfi2",
-        methodology="min_hop",
-        geometry=geometry,
-        seed=spawn_seed(seed, app_name, "winoc"),
-        traffic_rate_bps=rate,
-    )
-    min_hop = simulate(
-        min_hop_platform,
-        base.trace,
-        locality=base.app.profile.l2_locality,
-        stealing_policy=base.design.stealing_policy("vfi2"),
-    )
-    if max_wireless_edp <= min_hop.network_edp:
+    if max_wireless_edp <= min_hop_result(base, app_name, seed).network_edp:
         return "max_wireless"
     return "min_hop"

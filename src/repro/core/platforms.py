@@ -4,12 +4,15 @@ Every builder accepts a :class:`repro.core.geometry.DieGeometry` (or a
 bare :class:`GridGeometry`, tiled with the default 2x2 island grid, or
 ``None`` for the paper's 8x8/4-island die).  Island layout, wireless
 overlay sizing and memory-controller placement all derive from the die,
-so the same builders produce 64-, 128- and 256-core platforms.
+so the same builders produce 64-, 128- and 256-core platforms.  Every
+builder also takes a *tech* (:class:`repro.tech.TechSpec`; ``None`` is
+the paper's default, ``TechSpec()``), from which the platform's DVFS
+ladder, core power, perf scales and NoC energy derive.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -29,16 +32,16 @@ from repro.noc.placement import (
     center_wireless_placement,
     optimize_wireless_placement,
 )
-from repro.noc.routing import build_mesh_routing, build_routing_table
+from repro.noc.routing import build_mesh_routing
 from repro.noc.smallworld import SmallWorldConfig, build_small_world
 from repro.noc.topology import GridGeometry, build_mesh
 from repro.noc.wireless import WirelessSpec, assign_wireless_links
 from repro.energy.core_power import CorePowerParams
 from repro.sim.config import MemoryParams
 from repro.sim.platform import Platform
-from repro.tech.spec import TechSpec
-from repro.utils.rng import SeedLike, derive_rng, spawn_seed
-from repro.vfi.islands import NOMINAL, VfiLayout
+from repro.tech.spec import TechSpec, normalize_tech
+from repro.utils.rng import SeedLike, spawn_seed
+from repro.vfi.islands import VfiLayout
 from repro.vfi.vf_assign import VfAssignment
 
 #: Dies larger than the paper's 64 cores build their all-pairs NoC
@@ -113,15 +116,10 @@ def noc_params_for(die: DieGeometry) -> NocParams:
     return NocParams(dense_block_nodes=LARGE_DIE_BLOCK_NODES)
 
 
-def _tech_platform_kwargs(tech: Optional[TechSpec], num_islands: int) -> dict:
-    """Platform fields the technology axis adds.
-
-    Empty for ``tech=None`` (and builders pass the spec through
-    :func:`repro.tech.spec.normalize_tech` upstream), so the paper
-    platform is constructed with exactly the legacy arguments.
-    """
-    if tech is None:
-        return {}
+def _tech_platform_kwargs(tech: TechSpec, num_islands: int) -> dict:
+    """Platform fields the technology derives: its ladder, per-island
+    core power and perf scales, and NoC energy.  ``TechSpec()`` derives
+    the paper platform's values bit for bit."""
     node = tech.tech_node()
     mix = tech.mix_for(num_islands)
     defaults = NocEnergyParams()
@@ -167,10 +165,11 @@ def build_nvfi_mesh(
     run the node's nominal point (1.0 V / 2.5 GHz at the default 65 nm),
     so the platform behaves as a single clock/voltage domain.
     """
+    tech = normalize_tech(tech)
     die = as_die(geometry)
     layout = die.layout()
     mesh = build_mesh(die.grid())
-    nominal = tech.ladder()[-1] if tech is not None else NOMINAL
+    nominal = tech.ladder()[-1]
     return Platform(
         name=name,
         layout=layout,
@@ -200,6 +199,15 @@ def vfi_thread_mapping(
     )
 
 
+def _assignment(design: VfiDesign, system: str) -> VfAssignment:
+    """The design's V/F assignment for *system* (``"vfi1"`` or ``"vfi2"``)."""
+    if system == "vfi1":
+        return design.vfi1
+    if system == "vfi2":
+        return design.vfi2
+    raise ValueError(f"unknown system {system!r}")
+
+
 def build_vfi_mesh(
     design: VfiDesign,
     system: str = "vfi2",
@@ -210,12 +218,11 @@ def build_vfi_mesh(
     tech: Optional[TechSpec] = None,
 ) -> Platform:
     """VFI 1 or VFI 2 system on the baseline mesh interconnect."""
+    tech = normalize_tech(tech)
     die = as_die(geometry, num_islands=design.num_islands)
     _check_design(design, die)
     layout = die.layout()
-    assignment = design.vfi1 if system == "vfi1" else design.vfi2
-    if system not in ("vfi1", "vfi2"):
-        raise ValueError(f"unknown system {system!r}")
+    assignment = _assignment(design, system)
     if mapping is None:
         mapping = vfi_thread_mapping(design, layout, seed=seed)
     mesh = build_mesh(die.grid())
@@ -267,6 +274,7 @@ def build_vfi_winoc(
     """
     if methodology not in ("max_wireless", "min_hop"):
         raise ValueError(f"unknown methodology {methodology!r}")
+    tech = normalize_tech(tech)
     die = as_die(geometry, num_islands=design.num_islands)
     _check_design(design, die)
     layout = die.layout()
@@ -275,7 +283,7 @@ def build_vfi_winoc(
         die.num_cores, die.num_islands
     )
     wireless_spec = wireless_spec.sized_for_islands(die.num_islands)
-    assignment: VfAssignment = design.vfi1 if system == "vfi1" else design.vfi2
+    assignment = _assignment(design, system)
     base_seed = seed if isinstance(seed, int) else 11
 
     # 1. Thread mapping.
@@ -284,12 +292,13 @@ def build_vfi_winoc(
             design, layout, seed=spawn_seed(base_seed, "mapping")
         )
     else:
-        # WI anchors are known up front (island centers).
-        anchor_placement = center_wireless_placement(
+        # WI sites are known up front (island centers): they anchor the
+        # mapping and are the overlay's placement.
+        placement = center_wireless_placement(
             grid, layout.node_cluster, wireless_spec.num_channels
         )
         wi_nodes = sorted(
-            node for nodes in anchor_placement.values() for node in nodes
+            node for nodes in placement.values() for node in nodes
         )
         mapping = wireless_centric_mapping(
             design.worker_clusters,
@@ -316,12 +325,9 @@ def build_vfi_winoc(
         name="small-world",
     )
 
-    # 4. Wireless overlay per methodology.
-    if methodology == "max_wireless":
-        placement = center_wireless_placement(
-            grid, layout.node_cluster, wireless_spec.num_channels
-        )
-    else:
+    # 4. Wireless overlay: the min-hop methodology anneals its WI sites
+    #    over the wired fabric.
+    if methodology == "min_hop":
         placement = optimize_wireless_placement(
             wireline,
             list(layout.node_cluster),

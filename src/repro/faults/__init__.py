@@ -24,6 +24,7 @@ from repro.faults.spec import (
     FaultKind,
     FaultPlan,
     FaultSpec,
+    canonical_plan_json,
 )
 
 __all__ = [
@@ -35,5 +36,6 @@ __all__ = [
     "FaultSpec",
     "ResiliencePolicy",
     "SCENARIOS",
+    "canonical_plan_json",
     "preset_plan",
 ]

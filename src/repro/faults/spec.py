@@ -32,7 +32,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.utils.rng import SeedLike, derive_rng
 from repro.utils.validation import check_positive
@@ -271,3 +271,26 @@ class FaultPlan:
             )
         plan_seed = seed if isinstance(seed, int) else None
         return cls(events=tuple(events), seed=plan_seed, name=name)
+
+
+def canonical_plan_json(
+    plan: Union[None, str, FaultPlan]
+) -> Optional[str]:
+    """Normalize a fault-plan field to canonical JSON (or ``None``).
+
+    Accepts a :class:`FaultPlan`, a JSON string (re-canonicalized through
+    a round trip, so key order and whitespace never split the cache), or
+    ``None``.  An empty plan collapses to ``None`` -- the same rule the
+    simulator applies, so the fault-free unit has exactly one identity.
+    """
+    if plan is None:
+        return None
+    if isinstance(plan, str):
+        plan = FaultPlan.from_json(plan)
+    if not isinstance(plan, FaultPlan):
+        raise TypeError(
+            f"fault_plan must be None, JSON text or FaultPlan, got {plan!r}"
+        )
+    if len(plan) == 0:
+        return None
+    return plan.to_json()

@@ -23,9 +23,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.apps.registry import canonical_app_name
 from repro.core.geometry import DieGeometry
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, canonical_plan_json
 from repro.power.spec import PowerCapSpec, canonical_cap_json
-from repro.tech.spec import TechSpec, canonical_tech_json
+from repro.tech.spec import TechSpec, canonical_tech_json, normalize_tech
 
 #: Bump whenever the serialized study document or the pipeline semantics
 #: change: a new version invalidates every previously cached result.
@@ -43,29 +43,6 @@ from repro.tech.spec import TechSpec, canonical_tech_json
 CACHE_SCHEMA_VERSION = 6
 
 WINOC_METHODOLOGIES = ("max_wireless", "min_hop")
-
-
-def _canonical_plan_json(
-    plan: Union[None, str, FaultPlan]
-) -> Optional[str]:
-    """Normalize a fault-plan field to canonical JSON (or ``None``).
-
-    Accepts a :class:`FaultPlan`, a JSON string (re-canonicalized through
-    a round trip, so key order and whitespace never split the cache), or
-    ``None``.  An empty plan collapses to ``None`` -- the same rule the
-    simulator applies, so the fault-free unit has exactly one identity.
-    """
-    if plan is None:
-        return None
-    if isinstance(plan, str):
-        plan = FaultPlan.from_json(plan)
-    if not isinstance(plan, FaultPlan):
-        raise TypeError(
-            f"fault_plan must be None, JSON text or FaultPlan, got {plan!r}"
-        )
-    if len(plan) == 0:
-        return None
-    return plan.to_json()
 
 
 @dataclass(frozen=True)
@@ -103,7 +80,7 @@ class StudySpec:
         object.__setattr__(self, "num_workers", int(self.num_workers))
         object.__setattr__(self, "include_vfi1", bool(self.include_vfi1))
         object.__setattr__(
-            self, "fault_plan", _canonical_plan_json(self.fault_plan)
+            self, "fault_plan", canonical_plan_json(self.fault_plan)
         )
         object.__setattr__(self, "tech", canonical_tech_json(self.tech))
         object.__setattr__(
@@ -152,11 +129,9 @@ class StudySpec:
             return None
         return FaultPlan.from_json(self.fault_plan)
 
-    def tech_spec(self) -> Optional[TechSpec]:
-        """The decoded tech spec, or ``None`` for the paper default."""
-        if self.tech is None:
-            return None
-        return TechSpec.from_json(self.tech)
+    def tech_spec(self) -> TechSpec:
+        """The decoded tech spec (``TechSpec()`` for the paper default)."""
+        return normalize_tech(self.tech)
 
     def cap(self) -> Optional[PowerCapSpec]:
         """The decoded power cap, or ``None`` for an uncapped unit."""

@@ -24,31 +24,19 @@ from repro.power.spec import PowerCapSpec
 DEFAULT_CAP_FRACTIONS = (0.9, 0.75, 0.6, 0.45)
 
 
-def chip_peak_power_w(
-    num_workers: int = 64,
-    num_islands: Optional[int] = None,
-    tech=None,
-) -> float:
+def chip_peak_power_w(num_workers: int = 64, tech=None) -> float:
     """Estimated uncapped chip peak power (all cores busy at nominal).
 
-    With ``tech=None`` this is the paper platform: every core at the
-    65 nm nominal point.  A :class:`repro.tech.TechSpec` prices each
-    island's cores at its node/core-type nominal instead.
+    Each island's cores are priced at their node/core-type nominal
+    (:class:`repro.tech.TechSpec`; ``None`` is the paper's 65 nm
+    homogeneous out-of-order default).
     """
     from repro.core.geometry import DieGeometry
     from repro.energy.core_power import CorePowerModel, CorePowerParams
     from repro.tech.spec import normalize_tech
 
-    if num_islands is None:
-        num_islands = DieGeometry.for_cores(num_workers).num_islands
+    num_islands = DieGeometry.for_cores(num_workers).num_islands
     tech = normalize_tech(tech)
-    if tech is None:
-        model = CorePowerModel(CorePowerParams())
-        nominal = model.params.nominal
-        per_core = (
-            model.dynamic_power_w(nominal, 1.0) + model.leakage_power_w(nominal)
-        )
-        return num_workers * per_core
     node = tech.tech_node()
     mix = tech.mix_for(num_islands)
     cores_per_island = num_workers // num_islands

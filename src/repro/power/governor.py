@@ -236,10 +236,10 @@ class CapGovernor:
         def loss_of(island: int) -> Tuple[float, int]:
             current = self._point(island, steps[island])
             lower = self._point(island, steps[island] + 1)
-            scale = 1.0
-            if self.base_platform.perf_scales is not None:
-                scale = self.base_platform.perf_scales[island]
-            drop = (current.frequency_hz - lower.frequency_hz) * scale
+            drop = (
+                (current.frequency_hz - lower.frequency_hz)
+                * self.base_platform.perf_scales[island]
+            )
             workers = len(self._island_workers[island])
             return (float(activities[island]) * workers * drop, island)
 
@@ -308,15 +308,13 @@ class CapGovernor:
         """Sum of effective worker frequencies under the current
         assignment -- the monotone proxy the frontier/property tests
         compare across cap levels."""
+        perf_scales = self.base_platform.perf_scales
         total = 0.0
         for island in range(len(self._steps)):
-            scale = 1.0
-            if self.base_platform.perf_scales is not None:
-                scale = self.base_platform.perf_scales[island]
             total += (
                 len(self._island_workers[island])
                 * self._point(island, self._steps[island]).frequency_hz
-                * scale
+                * perf_scales[island]
             )
         return total
 

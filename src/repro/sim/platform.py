@@ -54,23 +54,38 @@ class Platform:
     wireless_spec: WirelessSpec = field(default_factory=WirelessSpec)
     core_power_params: CorePowerParams = field(default_factory=CorePowerParams)
     noc_energy_params: NocEnergyParams = field(default_factory=NocEnergyParams)
-    #: Technology axis (all default to ``None`` = the paper platform;
-    #: every accessor then takes the exact legacy code path, which is
-    #: what keeps the default configuration bit-for-bit identical).
-    #: The node's DVFS ladder (used for throttling / ladder lookups).
+    #: Technology axis.  Left out, each takes the paper platform's
+    #: value, which is also what ``TechSpec()`` derives.
+    #: The node's DVFS ladder (the paper's 65 nm ladder when not given).
     dvfs_ladder: Optional[Tuple[VfPoint, ...]] = None
-    #: Per-island core power params (heterogeneous core mixes).
+    #: Per-island core power params (heterogeneous core mixes);
+    #: ``core_power_params`` on every island when not given.
     island_core_power: Optional[Tuple[CorePowerParams, ...]] = None
     #: Per-island core performance multipliers (IPC proxy for in-order
-    #: vs out-of-order cores; scales effective worker frequency).
+    #: vs out-of-order cores; scales effective worker frequency); 1.0
+    #: on every island when not given.
     perf_scales: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self) -> None:
-        if len(self.vf_points) != self.layout.num_clusters:
-            raise ValueError(
-                f"{len(self.vf_points)} V/F points for "
-                f"{self.layout.num_clusters} islands"
-            )
+        num_islands = self.layout.num_clusters
+        if self.dvfs_ladder is None:
+            self.dvfs_ladder = DVFS_LADDER
+        if self.island_core_power is None:
+            self.island_core_power = (self.core_power_params,) * num_islands
+        if self.perf_scales is None:
+            self.perf_scales = (1.0,) * num_islands
+        self.dvfs_ladder = tuple(self.dvfs_ladder)
+        self.island_core_power = tuple(self.island_core_power)
+        self.perf_scales = tuple(float(s) for s in self.perf_scales)
+        for what, per_island in (
+            ("V/F points", self.vf_points),
+            ("island power params", self.island_core_power),
+            ("perf scales", self.perf_scales),
+        ):
+            if len(per_island) != num_islands:
+                raise ValueError(
+                    f"{len(per_island)} {what} for {num_islands} islands"
+                )
         if self.mapping is None:
             self.mapping = identity_mapping(self.num_cores)
         if self.mapping.num_workers != self.num_cores:
@@ -78,29 +93,9 @@ class Platform:
                 f"mapping covers {self.mapping.num_workers} workers, "
                 f"platform has {self.num_cores} cores"
             )
-        if self.dvfs_ladder is not None:
-            self.dvfs_ladder = tuple(self.dvfs_ladder)
-        if self.island_core_power is not None:
-            self.island_core_power = tuple(self.island_core_power)
-            if len(self.island_core_power) != self.layout.num_clusters:
-                raise ValueError(
-                    f"{len(self.island_core_power)} island power params "
-                    f"for {self.layout.num_clusters} islands"
-                )
-        if self.perf_scales is not None:
-            self.perf_scales = tuple(float(s) for s in self.perf_scales)
-            if len(self.perf_scales) != self.layout.num_clusters:
-                raise ValueError(
-                    f"{len(self.perf_scales)} perf scales for "
-                    f"{self.layout.num_clusters} islands"
-                )
-        self.core_power = CorePowerModel(self.core_power_params)
-        if self.island_core_power is None:
-            self._island_power_models = None
-        else:
-            self._island_power_models = tuple(
-                CorePowerModel(params) for params in self.island_core_power
-            )
+        self._island_power_models = tuple(
+            CorePowerModel(params) for params in self.island_core_power
+        )
         self.network = self.build_network()
 
     @property
@@ -142,38 +137,32 @@ class Platform:
 
     @property
     def ladder(self) -> Tuple[VfPoint, ...]:
-        """This platform's DVFS ladder (the paper's 65 nm one unless a
-        technology node supplied its own)."""
-        return self.dvfs_ladder if self.dvfs_ladder is not None else DVFS_LADDER
+        """This platform's DVFS ladder (its technology node's)."""
+        return self.dvfs_ladder
 
     def core_power_of(self, island: int) -> CorePowerModel:
-        """Core power model of *island* (shared model when homogeneous)."""
-        if self._island_power_models is None:
-            return self.core_power
+        """Core power model of *island*."""
         return self._island_power_models[island]
 
     def perf_scale_of_worker(self, worker: int) -> float:
-        if self.perf_scales is None:
-            return 1.0
         return self.perf_scales[self.island_of_worker(worker)]
 
     def effective_frequency_of_worker(self, worker: int) -> float:
         """Island clock x core-type performance multiplier (IPC proxy).
 
-        On the homogeneous paper platform this IS the island clock --
-        heterogeneous mixes slow in-order islands' task throughput
-        without touching the NoC clocks, which stay at ``vf_points``.
+        On the homogeneous paper platform the multiplier is 1.0, so this
+        IS the island clock -- heterogeneous mixes slow in-order
+        islands' task throughput without touching the NoC clocks, which
+        stay at ``vf_points``.
         """
-        if self.perf_scales is None:
-            return self.frequency_of_worker(worker)
         return self.frequency_of_worker(worker) * self.perf_scale_of_worker(worker)
 
     def effective_worker_frequencies(self) -> List[float]:
-        if self.perf_scales is None:
-            return self.worker_frequencies()
-        return [
-            self.effective_frequency_of_worker(w) for w in range(self.num_cores)
+        clocks = [
+            point.frequency_hz * scale
+            for point, scale in zip(self.vf_points, self.perf_scales)
         ]
+        return [clocks[self.island_of_worker(w)] for w in range(self.num_cores)]
 
     @property
     def fmax_hz(self) -> float:
@@ -198,7 +187,8 @@ class Platform:
             core_power_params=core_power_params or self.core_power_params,
             noc_energy_params=noc_energy_params or self.noc_energy_params,
             # Overriding the shared power params (sensitivity analysis)
-            # supersedes any per-island table.
+            # supersedes any per-island table: it is filled in again
+            # from the new shared params.
             island_core_power=(
                 None if core_power_params is not None else self.island_core_power
             ),

@@ -7,16 +7,17 @@ does for the fault axis.  The paper's configuration (65 nm, ITRS
 variant, homogeneous out-of-order cores) is the default and collapses
 to ``None`` wherever the spec is carried as an axis field
 (:class:`repro.orchestrator.spec.StudySpec`,
-:class:`repro.cluster.fleet.ChipSpec`): the default study keeps exactly
-one identity, and its pipeline stays bit-for-bit the pre-tech-axis
-computation.
+:class:`repro.cluster.fleet.ChipSpec`), so the default study keeps
+exactly one identity.  Every layer that uses a technology receives a
+``TechSpec``: the default one derives the paper platform bit for bit.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple, Union
+from functools import lru_cache
+from typing import Dict, Optional, Tuple, Union
 
 from repro.tech.cores import CoreMix, DEFAULT_CORE, resolve_mix
 from repro.tech.nodes import (
@@ -140,13 +141,15 @@ def canonical_tech_json(
     return tech.to_json()
 
 
-def normalize_tech(
-    tech: Union[None, str, TechSpec]
-) -> Optional[TechSpec]:
-    """Decode a tech field to a :class:`TechSpec`, or ``None`` for the
-    default configuration (so default-spec runs take the exact legacy
-    code path)."""
+@lru_cache(maxsize=64)
+def normalize_tech(tech: Union[None, str, TechSpec]) -> TechSpec:
+    """Decode a tech field to a :class:`TechSpec`; ``None`` names the
+    paper's default configuration, ``TechSpec()``.
+
+    Memoized: specs are frozen, and chips and studies decode the same
+    few fields on every use.
+    """
     text = canonical_tech_json(tech)
     if text is None:
-        return None
+        return TechSpec()
     return TechSpec.from_json(text)

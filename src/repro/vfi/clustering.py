@@ -25,8 +25,9 @@ Gurobi is unavailable here, so this module provides:
 * :func:`solve_simulated_annealing` -- swap-move annealing from the
   utilization-sorted seed, used for the 64-core instances.  It reaches
   the B&B optimum on the 8-core, 2-cluster instances of
-  ``tests/vfi/test_clustering.py``, but stays 4-7 % above it on dense
-  12-core, 4-cluster ones (``benchmarks/test_annealer_quality.py``).
+  ``tests/vfi/test_clustering.py``; on ten dense 12-core, 4-cluster
+  ones it reaches it on four and stays within 0.3 % of it on the rest
+  (``benchmarks/test_annealer_quality.py``).
 """
 
 from __future__ import annotations
@@ -181,8 +182,11 @@ def solve_branch_and_bound(
     Cores are assigned in order; partial cost accumulates the utilization
     term exactly and the communication term over already-assigned pairs
     (both are lower bounds on the completed cost because every term of
-    Eq. (1) is non-negative).  An initial incumbent from the utilization
-    seed makes pruning effective.
+    Eq. (1) is non-negative).  It starts at the self-traffic term
+    ``phi_intra * sum_i f[i, i]``, which every assignment pays, so the
+    returned ``cost`` is the Eq. (1) cost of the returned assignment.
+    An initial incumbent from the utilization seed makes pruning
+    effective.
     """
     n = problem.num_cores
     if n > max_cores:
@@ -230,7 +234,7 @@ def solve_branch_and_bound(
             counts[cluster] -= 1
             assignment[core] = -1
 
-    dfs(0, 0.0)
+    dfs(0, problem.comm_weight * phi_intra * float(np.trace(problem.traffic)))
     return ClusteringResult(
         assignment=tuple(best_assignment),
         cost=best_cost,

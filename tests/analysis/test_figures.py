@@ -8,6 +8,7 @@ from repro.analysis.figures import (
     figure2_utilization,
     figure4_vfi1_vs_vfi2,
     figure5_bottleneck_utilization,
+    figure6_placement_comparison,
     figure7_phase_times,
     figure8_full_system_edp,
     collect_studies,
@@ -52,6 +53,14 @@ class TestFigure5:
         data = figure5_bottleneck_utilization(studies)
         for label, (average, bottleneck) in data.items():
             assert bottleneck > average
+
+
+class TestFigure6:
+    def test_histogram_ratio_is_pinned(self):
+        # Max-wireless over min-hop network EDP of the 64-core histogram
+        # study at scale 0.05, seed 9, as first measured.
+        ratio = figure6_placement_comparison(("histogram",), scale=0.05, seed=9)
+        assert ratio == {"HIST": float.fromhex("0x1.002366be440f5p+0")}
 
 
 class TestFigure7:

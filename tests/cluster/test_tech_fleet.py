@@ -11,7 +11,9 @@ class TestChipSpecTech:
     def test_default_chip_has_no_tech(self):
         chip = ChipSpec(chip_id=0)
         assert chip.tech is None
-        assert chip.tech_spec() is None
+        assert chip.tech_spec() == TechSpec()
+        assert chip.node_nm == 65
+        assert chip.core_class == "ooo"
         assert "tech=" not in chip.label
 
     def test_default_techspec_collapses_to_none(self):

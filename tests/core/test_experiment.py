@@ -10,6 +10,7 @@ from repro.core.experiment import (
     VFI2_WINOC,
     clear_study_cache,
     run_app_study,
+    store_study,
 )
 
 SCALE = 0.3
@@ -51,6 +52,27 @@ class TestStudy:
         a = run_app_study("histogram", scale=SCALE, seed=9)
         b = run_app_study("histogram", scale=SCALE, seed=9)
         assert a is b
+
+    def test_default_axes_share_one_memo_entry(self):
+        # An empty plan, the default technology and the unbounded cap
+        # key like no axis at all, for a stored study as for a run one.
+        from repro.faults import FaultPlan
+        from repro.power import PowerCapSpec
+        from repro.tech import TechSpec
+
+        plain = run_app_study("histogram", scale=0.05, seed=9, num_workers=16)
+        assert run_app_study(
+            "histogram", scale=0.05, seed=9, num_workers=16,
+            fault_plan=FaultPlan(), tech=TechSpec(), power_cap=PowerCapSpec(),
+        ) is plain
+        clear_study_cache()
+        store_study(
+            plain, "histogram", scale=0.05, seed=9, num_workers=16,
+            fault_plan=FaultPlan(), tech=TechSpec(), power_cap=PowerCapSpec(),
+        )
+        assert run_app_study(
+            "histogram", scale=0.05, seed=9, num_workers=16
+        ) is plain
 
     def test_cache_clear(self):
         a = run_app_study("histogram", scale=SCALE, seed=9)

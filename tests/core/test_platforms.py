@@ -72,6 +72,10 @@ class TestVfiWinoc:
         with pytest.raises(ValueError):
             build_vfi_winoc(design, methodology="magic")
 
+    def test_unknown_system(self, design):
+        with pytest.raises(ValueError, match="unknown system 'vfi3'"):
+            build_vfi_winoc(design, "vfi3")
+
     def test_traffic_calibration_accepted(self, design):
         rate = np.full((64, 64), 1e8)
         np.fill_diagonal(rate, 0.0)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.platforms import build_nvfi_mesh, build_vfi_mesh, build_vfi_winoc
+from repro.energy.core_power import CorePowerParams
 from repro.sim.platform import Platform
 from repro.vfi.islands import DVFS_LADDER, NOMINAL
 
@@ -36,6 +37,32 @@ class TestValidation:
                 vf_points=[NOMINAL] * 3,
                 topology=nvfi_platform.topology,
                 routing=nvfi_platform.routing,
+            )
+
+    def test_unset_tech_fields_take_the_paper_values(self, nvfi_platform):
+        bare = Platform(
+            name="bare",
+            layout=nvfi_platform.layout,
+            vf_points=[NOMINAL] * 4,
+            topology=nvfi_platform.topology,
+            routing=nvfi_platform.routing,
+        )
+        assert bare.ladder == DVFS_LADDER
+        assert bare.island_core_power == (CorePowerParams(),) * 4
+        assert bare.perf_scales == (1.0,) * 4
+        # A shared power override replaces the per-island table.
+        heavy = CorePowerParams(dynamic_w_nominal=3.0)
+        swapped = bare.with_power(core_power_params=heavy)
+        assert swapped.island_core_power == (heavy,) * 4
+        assert swapped.core_power_of(3).params == heavy
+        with pytest.raises(ValueError, match="3 perf scales for 4 islands"):
+            Platform(
+                name="bad",
+                layout=nvfi_platform.layout,
+                vf_points=[NOMINAL] * 4,
+                topology=nvfi_platform.topology,
+                routing=nvfi_platform.routing,
+                perf_scales=(1.0,) * 3,
             )
 
     def test_with_vf(self, nvfi_platform):

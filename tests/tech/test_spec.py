@@ -70,8 +70,8 @@ class TestCarryingConvention:
         assert canonical_tech_json(None) is None
         assert canonical_tech_json(TechSpec()) is None
         assert canonical_tech_json(TechSpec().to_json()) is None
-        assert normalize_tech(TechSpec()) is None
-        assert normalize_tech(None) is None
+        assert normalize_tech(TechSpec()) == TechSpec()
+        assert normalize_tech(None) == TechSpec()
 
     def test_non_default_round_trips(self):
         spec = TechSpec(node="45nm", cores="big_little")

@@ -104,6 +104,20 @@ class TestExactSolver:
         result = solve_branch_and_bound(problem)
         assert result.cost == pytest.approx(brute_force(problem))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cost_counts_self_traffic(self, seed):
+        # A core's traffic to itself stays in its cluster: every
+        # assignment pays phi_intra * f[i, i], and the reported cost
+        # must include it.
+        rng = np.random.default_rng(seed)
+        problem = ClusteringProblem(rng.random((6, 6)), rng.random(6), 2)
+        assert np.trace(problem.traffic) > 0.0
+        result = solve_branch_and_bound(problem)
+        assert result.cost == pytest.approx(
+            cluster_cost(problem, result.assignment), rel=1e-12
+        )
+        assert result.cost == pytest.approx(brute_force(problem), rel=1e-12)
+
     def test_equal_sizes(self):
         problem = random_problem(12, 4, 5)
         result = solve_branch_and_bound(problem)
