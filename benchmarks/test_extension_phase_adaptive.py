@@ -12,7 +12,7 @@ from conftest import SEED, write_result
 
 from repro.analysis.tables import format_table
 from repro.core.platforms import build_vfi_mesh
-from repro.sim.adaptive import PhaseAdaptiveSimulator, phase_adaptive_schedule
+from repro.sim import SimulationParams, phase_adaptive_schedule, simulate
 from repro.utils.rng import spawn_seed
 
 
@@ -24,13 +24,15 @@ def test_phase_adaptive_vfi(benchmark, studies, results_dir):
             platform = build_vfi_mesh(
                 study.design, "vfi2", seed=spawn_seed(SEED, name, "mapping")
             )
-            simulator = PhaseAdaptiveSimulator(
+            adaptive = simulate(
                 platform,
-                phase_adaptive_schedule(study.design),
+                study.trace,
                 locality=study.app.profile.l2_locality,
                 stealing_policy=study.design.stealing_policy("vfi2"),
+                params=SimulationParams(
+                    vf_schedule=phase_adaptive_schedule(study.design)
+                ),
             )
-            adaptive = simulator.run(study.trace)
             nvfi = study.result("nvfi_mesh")
             static = study.result("vfi2_mesh")
             out[study.label] = {

@@ -27,27 +27,18 @@ DEFAULT_CAP_FRACTIONS = (0.9, 0.75, 0.6, 0.45)
 def chip_peak_power_w(num_workers: int = 64, tech=None) -> float:
     """Estimated uncapped chip peak power (all cores busy at nominal).
 
-    Each island's cores are priced at their node/core-type nominal
-    (:class:`repro.tech.TechSpec`; ``None`` is the paper's 65 nm
+    The die's islands priced at their node/core-type nominal
+    (:func:`repro.tech.budget.chip_peak_power_w`; *tech* is a
+    :class:`repro.tech.TechSpec`, ``None`` the paper's 65 nm
     homogeneous out-of-order default).
     """
     from repro.core.geometry import DieGeometry
-    from repro.energy.core_power import CorePowerModel, CorePowerParams
+    from repro.tech import budget
     from repro.tech.spec import normalize_tech
 
-    num_islands = DieGeometry.for_cores(num_workers).num_islands
     tech = normalize_tech(tech)
-    node = tech.tech_node()
-    mix = tech.mix_for(num_islands)
-    cores_per_island = num_workers // num_islands
-    total = 0.0
-    for core_type in mix.types:
-        model = CorePowerModel(CorePowerParams.from_tech(node, core_type))
-        nominal = model.params.nominal
-        total += cores_per_island * (
-            model.dynamic_power_w(nominal, 1.0) + model.leakage_power_w(nominal)
-        )
-    return total
+    mix = tech.mix_for(DieGeometry.for_cores(num_workers).num_islands)
+    return budget.chip_peak_power_w(tech.tech_node(), mix, num_workers)
 
 
 def default_caps_w(

@@ -15,18 +15,16 @@ discrete-event scheduler:
   (:mod:`repro.noc.network`); each phase is relaxed to a fixed point
   (durations -> flows -> latencies -> durations);
 * energy integrates McPAT-style core power over busy/idle time per
-  island V/F plus per-bit NoC transfer energy and switch leakage.
+  island V/F plus per-bit NoC transfer energy and switch leakage;
+* phase boundaries run the runtime controls: a fault plan, a power
+  cap, or a per-phase V/F schedule (``SimulationParams.vf_schedule``).
 
 The result object carries everything the paper's figures need: phase
 times (Fig. 7), per-core utilization (Figs. 2, 5), full-system and
 network-only EDP (Figs. 4, 6, 8).
 """
 
-from repro.sim.adaptive import (
-    PhaseAdaptiveSimulator,
-    VfSchedule,
-    phase_adaptive_schedule,
-)
+from repro.sim.adaptive import VfSchedule, phase_adaptive_schedule
 from repro.sim.config import CoreParams, MemoryParams, SimulationParams
 from repro.sim.memory import MemorySystem
 from repro.sim.platform import Platform
@@ -34,7 +32,6 @@ from repro.sim.stats import PhaseStats, SimulationResult
 from repro.sim.system import SystemSimulator, simulate
 
 __all__ = [
-    "PhaseAdaptiveSimulator",
     "VfSchedule",
     "phase_adaptive_schedule",
     "CoreParams",

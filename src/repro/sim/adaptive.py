@@ -10,28 +10,28 @@ islands idle -- a phase-adaptive schedule drops them to the DVFS floor
 and restores them for Map/Reduce, paying a per-transition re-lock
 penalty.
 
+A schedule runs as a phase-boundary control of
+:class:`repro.sim.system.SystemSimulator`: pass it as
+``SimulationParams(vf_schedule=...)`` to :func:`repro.sim.simulate`.
 Used by ``benchmarks/test_extension_phase_adaptive.py`` as an ablation
 beyond the paper's figures.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
-import numpy as np
-
-from repro.core.design_flow import VfiDesign
 from repro.mapreduce.tasks import Phase
-from repro.mapreduce.trace import JobTrace
-from repro.power.spec import normalize_cap
-from repro.sim.config import SimulationParams
-from repro.sim.platform import Platform
-from repro.sim.stats import PhaseStats, SimulationResult
-from repro.sim.system import SystemSimulator, _fold_segments, _Segment
-from repro.mapreduce.scheduler import StealingPolicy
 from repro.utils.validation import check_positive
 from repro.vfi.islands import DVFS_LADDER, VfPoint
+
+if TYPE_CHECKING:
+    from repro.core.design_flow import VfiDesign
+    from repro.sim.platform import Platform
+
+#: The phases of one simulated iteration, in the order they run.
+_RUN_PHASES = (Phase.LIB_INIT, Phase.MAP, Phase.REDUCE, Phase.MERGE)
 
 
 @dataclass(frozen=True)
@@ -54,17 +54,29 @@ class VfSchedule:
     def points_for(self, phase: Phase) -> Tuple[VfPoint, ...]:
         return self.phase_points.get(phase, self.phase_points[Phase.MAP])
 
-    def distinct_assignments(self) -> List[Tuple[VfPoint, ...]]:
-        seen: List[Tuple[VfPoint, ...]] = []
-        for phase in Phase:
-            points = self.points_for(phase)
-            if points not in seen:
-                seen.append(points)
-        return seen
+    def views(self, platform: "Platform") -> Dict[Phase, "Platform"]:
+        """The platform each simulated phase runs on.
+
+        Phases with one assignment share one view: *platform* itself
+        where the assignment is its own, else *platform* re-clocked
+        (:meth:`Platform.with_vf`, same fabric and mapping) and named
+        after the phases that run on it, e.g. ``"<name>@lib_init+merge"``.
+        """
+        phases_of: Dict[Tuple[VfPoint, ...], List[Phase]] = {}
+        for phase in _RUN_PHASES:
+            phases_of.setdefault(tuple(self.points_for(phase)), []).append(phase)
+        views: Dict[Phase, "Platform"] = {}
+        for points, phases in phases_of.items():
+            view = platform
+            if points != tuple(platform.vf_points):
+                label = "+".join(phase.value for phase in phases)
+                view = platform.with_vf(points, name=f"{platform.name}@{label}")
+            views.update(dict.fromkeys(phases, view))
+        return views
 
 
 def phase_adaptive_schedule(
-    design: VfiDesign,
+    design: "VfiDesign",
     serial_floor: VfPoint = DVFS_LADDER[0],
     master_worker: int = 0,
 ) -> VfSchedule:
@@ -89,160 +101,3 @@ def phase_adaptive_schedule(
             Phase.MERGE: serial,
         }
     )
-
-
-class PhaseAdaptiveSimulator:
-    """Simulates a trace under a per-phase V/F schedule.
-
-    Internally builds one :class:`SystemSimulator` per distinct island
-    assignment (same fabric, mapping and routing -- only clocks and
-    voltages differ) and drives the right one for each phase, charging a
-    transition penalty whenever consecutive phases use different
-    assignments.  Busy time and energy are accounted per assignment, so
-    idle islands parked at the floor V/F pay floor-level idle power.
-
-    Fault plans and power caps are runtime controls applied at phase
-    boundaries by :meth:`SystemSimulator.run`, which this simulator
-    bypasses; a non-empty plan or a bounded cap in *params* raises
-    :class:`ValueError` rather than being half applied.
-    """
-
-    def __init__(
-        self,
-        platform: Platform,
-        schedule: VfSchedule,
-        locality: float = 0.0,
-        stealing_policy: Optional[StealingPolicy] = None,
-        params: SimulationParams = SimulationParams(),
-    ):
-        if params.fault_plan is not None and len(params.fault_plan):
-            raise ValueError(
-                "PhaseAdaptiveSimulator does not apply fault plans"
-            )
-        if normalize_cap(params.power_cap) is not None:
-            raise ValueError(
-                "PhaseAdaptiveSimulator does not enforce power caps"
-            )
-        self.schedule = schedule
-        self.base_platform = platform
-        self._simulators: Dict[Tuple[VfPoint, ...], SystemSimulator] = {}
-        for points in schedule.distinct_assignments():
-            variant = platform.with_vf(list(points), name=f"{platform.name}@{id(points)}")
-            self._simulators[points] = SystemSimulator(
-                variant,
-                locality=locality,
-                stealing_policy=stealing_policy,
-                params=params,
-            )
-
-    # ------------------------------------------------------------------ #
-
-    def run(self, trace: JobTrace) -> SimulationResult:
-        num_workers = self.base_platform.num_cores
-        if trace.num_workers != num_workers:
-            raise ValueError(
-                f"trace has {trace.num_workers} workers, platform has {num_workers}"
-            )
-        phases: List[PhaseStats] = []
-        busy_by_points: Dict[Tuple[VfPoint, ...], np.ndarray] = {
-            points: np.zeros(num_workers) for points in self._simulators
-        }
-        elapsed_by_points: Dict[Tuple[VfPoint, ...], float] = {
-            points: 0.0 for points in self._simulators
-        }
-        for sim in self._simulators.values():
-            sim._committed = np.zeros(num_workers)
-
-        now = 0.0
-        transitions = 0
-        previous_points: Optional[Tuple[VfPoint, ...]] = None
-
-        def enter(phase: Phase) -> Tuple[Tuple[VfPoint, ...], SystemSimulator]:
-            nonlocal now, transitions, previous_points
-            points = self.schedule.points_for(phase)
-            if previous_points is not None and points != previous_points:
-                now += self.schedule.transition_s
-                transitions += 1
-            previous_points = points
-            return points, self._simulators[points]
-
-        for iteration in trace.iterations:
-            # library init
-            points, sim = enter(Phase.LIB_INIT)
-            start = now
-            now = sim._run_lib_init(
-                iteration.lib_init, now, busy_by_points[points], phases,
-                iteration.iteration,
-            )
-            elapsed_by_points[points] += now - start
-            # map
-            points, sim = enter(Phase.MAP)
-            start = now
-            now = sim._run_map(
-                iteration.map_phase.tasks, now, busy_by_points[points], phases,
-                iteration.iteration,
-            )
-            elapsed_by_points[points] += now - start
-            # reduce
-            points, sim = enter(Phase.REDUCE)
-            start = now
-            now = sim._run_barrier(
-                Phase.REDUCE, iteration.reduce_phase.tasks, now,
-                busy_by_points[points], phases, iteration.iteration,
-            )
-            elapsed_by_points[points] += now - start
-            # merge stages
-            if iteration.merge_stages:
-                points, sim = enter(Phase.MERGE)
-                start = now
-                for stage in iteration.merge_stages:
-                    now = sim._run_barrier(
-                        Phase.MERGE, stage.tasks, now, busy_by_points[points],
-                        phases, iteration.iteration,
-                    )
-                elapsed_by_points[points] += now - start
-
-        total_time = now
-        return self._finalize(
-            trace, total_time, phases, busy_by_points, elapsed_by_points
-        )
-
-    # ------------------------------------------------------------------ #
-
-    def _finalize(
-        self,
-        trace: JobTrace,
-        total_time: float,
-        phases: List[PhaseStats],
-        busy_by_points: Dict[Tuple[VfPoint, ...], np.ndarray],
-        elapsed_by_points: Dict[Tuple[VfPoint, ...], float],
-    ) -> SimulationResult:
-        num_workers = self.base_platform.num_cores
-        total_busy = np.zeros(num_workers)
-        committed = np.zeros(num_workers)
-        segments = []
-        for points, sim in self._simulators.items():
-            busy = busy_by_points[points]
-            total_busy += busy
-            committed += sim._committed
-            segments.append(
-                _Segment.snapshot(sim.platform, elapsed_by_points[points], busy)
-            )
-        breakdown, stats = _fold_segments(segments)
-        # Report utilization against the MAP assignment's frequencies (the
-        # dominant phase), consistent with the static simulator.
-        map_platform = self._simulators[
-            self.schedule.points_for(Phase.MAP)
-        ].platform
-        return SimulationResult(
-            app_name=trace.app_name,
-            platform_name=f"{self.base_platform.name}+phase-adaptive",
-            total_time_s=total_time,
-            busy_s=total_busy,
-            committed_instructions=committed,
-            worker_frequencies_hz=np.array(map_platform.effective_worker_frequencies()),
-            issue_width=map_platform.core_params.issue_width,
-            phases=phases,
-            energy=breakdown,
-            network=stats,
-        )

@@ -16,6 +16,7 @@ from typing import Optional, Tuple
 from repro.faults.policy import ResiliencePolicy
 from repro.faults.spec import FaultPlan
 from repro.power.spec import PowerCapSpec
+from repro.sim.adaptive import VfSchedule
 from repro.utils.validation import check_positive
 
 
@@ -94,6 +95,10 @@ class SimulationParams:
     #: boundaries; ``None`` (or the unbounded spec) is the bit-identical
     #: uncapped simulator.
     power_cap: Optional[PowerCapSpec] = None
+    #: Per-phase island V/F schedule (:mod:`repro.sim.adaptive`) applied
+    #: at phase boundaries; ``None`` keeps the platform's assignment.  It
+    #: does not combine with a non-empty fault plan or a bounded cap.
+    vf_schedule: Optional[VfSchedule] = None
 
     def __post_init__(self) -> None:
         check_positive("kv_chunk_bytes", self.kv_chunk_bytes)

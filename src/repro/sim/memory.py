@@ -164,14 +164,6 @@ class MemorySystem:
         mutate)."""
         return self._bulk_inverse_capacity
 
-    def l2_round_trip_s(self, node: int) -> float:
-        """Expected L1-miss service time for a core at *node*."""
-        return float(self._l2_round_trip[node])
-
-    def memory_extra_s(self, node: int) -> float:
-        """Expected additional time when the access also misses in L2."""
-        return float(self._mem_extra[node])
-
     def l2_round_trip_all_s(self) -> np.ndarray:
         """Per-node expected L1-miss service times (view, do not mutate)."""
         return self._l2_round_trip
@@ -179,18 +171,6 @@ class MemorySystem:
     def memory_extra_all_s(self) -> np.ndarray:
         """Per-node expected extra L2-miss times (view, do not mutate)."""
         return self._mem_extra
-
-    def task_stall_s(
-        self, node: int, l2_accesses: float, memory_accesses: float, mlp: float
-    ) -> float:
-        """Total stall time charged to a task, with MLP overlap."""
-        if mlp <= 0:
-            raise ValueError(f"mlp must be > 0, got {mlp}")
-        raw = (
-            l2_accesses * self.l2_round_trip_s(node)
-            + memory_accesses * self.memory_extra_s(node)
-        )
-        return raw / mlp
 
     # ------------------------------------------------------------------ #
     # flows and energy
@@ -213,8 +193,9 @@ class MemorySystem:
         access per second issued at ``node``: control packets to every
         home bank over the latency class, data responses back over the
         bulk class, weighted by the home-bank distribution.
-        ``add_miss_flows`` is then a single scaled row add instead of
-        2 * banks per-pair path walks."""
+        Registering miss traffic is then one mat-vec over these rows
+        (:meth:`add_miss_flows_batch`) instead of 2 * banks per-pair
+        path walks per node."""
         from scipy.sparse import csr_matrix
 
         platform = self.platform
@@ -268,21 +249,12 @@ class MemorySystem:
             )
         return bank_prob, controller_of_bank, miss_usage
 
-    def add_miss_flows(self, node: int, accesses_per_s: float) -> None:
-        """Register a core's sustained miss traffic with the flow model."""
-        if accesses_per_s < 0:
-            raise ValueError(f"accesses_per_s must be >= 0, got {accesses_per_s}")
-        if accesses_per_s == 0:
-            return
-        self.platform.network.apply_resource_load(
-            accesses_per_s * self._miss_usage[node]
-        )
-
     def add_miss_flows_batch(self, accesses_per_s: np.ndarray) -> None:
-        """Register every core's miss traffic in one mat-vec.
+        """Register every core's sustained miss traffic in one mat-vec.
 
         ``accesses_per_s`` holds one rate per node (zeros allowed);
-        equivalent to calling :meth:`add_miss_flows` per node."""
+        equivalent to registering each node's row on its own
+        (``tests/sim/kv_oracle.py`` keeps that per-node form)."""
         accesses_per_s = np.asarray(accesses_per_s, dtype=float)
         if accesses_per_s.shape != (self.num_nodes,):
             raise ValueError(

@@ -21,8 +21,12 @@ change, bounded by ``max_relaxation_iterations``).  Energy is recorded
 once, for the committed schedule.
 
 Clean and fault-injected runs share one implementation of each
-mechanism -- map dispatch, barrier-phase pricing, the energy fold; the
-scalar references live on as oracles in ``tests/sim/``.
+mechanism -- task pricing, map dispatch, barrier-phase pricing, the
+energy fold; the scalar references live on as oracles in
+``tests/sim/``.  Phase boundaries run the runtime controls -- a fault
+plan, the cap governor or a per-phase V/F schedule
+(``SimulationParams.vf_schedule``) -- and each re-clocks the platform
+through the same energy-segment switch.
 
 Flow registration is vectorized: per-phase miss traffic enters the NoC
 through one mat-vec over precomputed per-node resource rows
@@ -39,7 +43,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -131,6 +135,24 @@ class _Segment:
             bits_moved=network.energy.bits_moved,
             bit_hops=network.energy.bit_hops,
             wireless_bits=network.energy.wireless_bits,
+        )
+
+
+class _Costs(NamedTuple):
+    """The costs of a list of task records as arrays, one entry per
+    record, for :meth:`SystemSimulator._task_durations` (lib init and
+    the trace spans; the map and kv plans carry their own)."""
+
+    instructions: np.ndarray
+    l2: np.ndarray
+    mem: np.ndarray
+
+    @classmethod
+    def of(cls, records: Sequence[TaskRecord]) -> "_Costs":
+        return cls(
+            np.array([r.cost.instructions for r in records]),
+            np.array([r.cost.l2_accesses for r in records]),
+            np.array([r.cost.memory_accesses for r in records]),
         )
 
 
@@ -342,6 +364,17 @@ class SystemSimulator:
         # The fault engine's current view; the governor's ladder steps
         # stack on top of it.
         self._fault_platform = platform
+        # A per-phase V/F schedule re-clocks the platform at the same
+        # boundaries the fault engine and the governor act on, so it
+        # runs alone.
+        schedule = params.vf_schedule
+        if schedule is not None and (
+            self.faults is not None or self.governor is not None
+        ):
+            raise ValueError(
+                "a V/F schedule does not combine with fault plans or power caps"
+            )
+        self._vf_views = None if schedule is None else schedule.views(platform)
 
     # ------------------------------------------------------------------ #
     # public API
@@ -368,20 +401,21 @@ class SystemSimulator:
         self._segment_start = 0.0
         self._busy_snapshot = np.zeros(self.platform.num_cores)
         self._run_busy = busy
+        self._vf_view: Optional[Platform] = None
         for iteration in trace.iterations:
-            self._apply_boundary_controls(now)
+            now = self._apply_boundary_controls(now, Phase.LIB_INIT)
             now = self._run_lib_init(iteration.lib_init, now, busy, phases, iteration.iteration)
-            self._apply_boundary_controls(now)
+            now = self._apply_boundary_controls(now, Phase.MAP)
             now = self._run_map(
                 iteration.map_phase.tasks, now, busy, phases, iteration.iteration
             )
-            self._apply_boundary_controls(now)
+            now = self._apply_boundary_controls(now, Phase.REDUCE)
             now = self._run_barrier(
                 Phase.REDUCE, iteration.reduce_phase.tasks, now, busy, phases,
                 iteration.iteration,
             )
             for stage in iteration.merge_stages:
-                self._apply_boundary_controls(now)
+                now = self._apply_boundary_controls(now, Phase.MERGE)
                 now = self._run_barrier(
                     Phase.MERGE, stage.tasks, now, busy, phases,
                     iteration.iteration,
@@ -389,17 +423,22 @@ class SystemSimulator:
         total_time = now
         return self._finalize(trace, total_time, busy, phases)
 
-    def _apply_boundary_controls(self, now: float) -> None:
-        """Phase-boundary control hook: activate due fault events, poll
-        the cap governor, and refresh the effective platform / frequency
-        / policy views.  A no-op (zero float operations) for clean runs.
+    def _apply_boundary_controls(self, now: float, phase: Phase) -> float:
+        """Phase-boundary control hook, run at *now* before *phase*:
+        follow the V/F schedule, or activate due fault events and poll
+        the cap governor; then refresh the effective platform /
+        frequency / policy views.  Returns the time *phase* starts at,
+        which a V/F transition delays.  A no-op (zero float operations)
+        for clean runs.
 
         Faults run first: the governor's ladder steps stack on top of
         the fault engine's degraded view, never the other way around."""
+        if self._vf_views is not None:
+            return self._follow_vf_schedule(now, phase)
         faults = self.faults
         governor = self.governor
         if faults is None and governor is None:
-            return
+            return now
         dirty = False
         if faults is not None:
             platform_dirty, freqs_dirty = faults.activate_due(now)
@@ -413,7 +452,7 @@ class SystemSimulator:
         if governor is not None:
             dirty = governor.poll(now, self._run_busy) or dirty
         if not dirty:
-            return
+            return now
         effective = (
             governor.effective_platform()
             if governor is not None
@@ -422,6 +461,22 @@ class SystemSimulator:
         if effective is not self.platform:
             self._switch_platform(effective, now)
         self._refresh_speed_views()
+        return now
+
+    def _follow_vf_schedule(self, now: float, phase: Phase) -> float:
+        """Run *phase* on the schedule's view of the platform.  A change
+        of assignment closes the energy segment at *now*, and the new
+        view's segment opens with the schedule's ``transition_s``, when
+        the clock stands while the islands re-lock; the run's first
+        phase starts on its view without one."""
+        view = self._vf_views[phase]
+        previous, self._vf_view = self._vf_view, view
+        if view is not self.platform:
+            self._switch_platform(view, now)
+            self._refresh_speed_views()
+        if previous is None or view is previous:
+            return now
+        return now + self.params.vf_schedule.transition_s
 
     def _switch_platform(self, new_platform: Platform, now: float) -> None:
         """Close the current energy segment and install *new_platform*
@@ -475,8 +530,11 @@ class SystemSimulator:
     ) -> float:
         self.platform.network.reset_flows()
         self.memory.refresh_latencies()
+        costs = _Costs.of([record])
         item, recovery = self._execute_with_substitution(
-            record, start, lambda worker: self._task_time(record, worker)
+            record,
+            start,
+            lambda worker: self._task_durations(costs, np.array([worker])).item(),
         )
         self._fold_recovery(recovery, busy)
         busy[item.worker] += item.duration_s
@@ -623,23 +681,32 @@ class SystemSimulator:
             policy=policy,
         )
 
-    def _task_durations(self, plan, workers: np.ndarray) -> np.ndarray:
-        """Compute + stall seconds of a map or kv *plan*'s tasks on
-        *workers* under current latencies (one worker per kv row; the map
-        plan's column-shaped costs broadcast to a (records, workers)
-        matrix).
+    def _task_durations(self, costs, workers: np.ndarray) -> np.ndarray:
+        """Compute + stall seconds of *costs*' tasks on *workers* under
+        current latencies: the one task pricer.  *costs* is a map or kv
+        plan or a :class:`_Costs` -- one worker per entry, or column
+        costs broadcast to a (records, workers) matrix.
 
-        Mirrors the exact per-element operation order of
-        :meth:`_task_time_parts`, so entries are bit-identical to the
-        per-call scalar path."""
+        Each entry is ``compute + stall`` of :meth:`_task_parts`, in the
+        per-element operation order of the scalar pricer kept in
+        ``tests/sim/kv_oracle.py``, so it is bit-identical to it."""
+        compute, stall = self._task_parts(costs, workers)
+        return compute + stall
+
+    def _task_parts(
+        self, costs, workers: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """(compute, memory stall) seconds of *costs*' tasks on
+        *workers*' cores under current latencies (see
+        :meth:`_task_durations`)."""
         core = self.platform.core_params
         nodes = self._worker_nodes[workers]
-        compute = (plan.instructions / core.ipc) / self._worker_freqs[workers]
+        compute = (costs.instructions / core.ipc) / self._worker_freqs[workers]
         stall = (
-            plan.l2 * self.memory.l2_round_trip_all_s()[nodes]
-            + plan.mem * self.memory.memory_extra_all_s()[nodes]
+            costs.l2 * self.memory.l2_round_trip_all_s()[nodes]
+            + costs.mem * self.memory.memory_extra_all_s()[nodes]
         ) / core.mlp_overlap
-        return compute + stall
+        return compute, stall
 
     def _fail_times(self) -> np.ndarray:
         """Per-worker failure instants (``inf`` = survives, as on clean runs)."""
@@ -843,12 +910,12 @@ class SystemSimulator:
     def _kv_durations(self, plan: _KvPlan, workers: np.ndarray) -> np.ndarray:
         """Durations of the plan's rows run on *workers* (one per row).
 
-        The one pricing kernel of barrier phases, bit-equal to
-        ``_task_time`` plus the scalar per-source pull loop
-        (``tests/sim/kv_oracle.py``) by construction:
+        The one pricing kernel of barrier phases, bit-equal to the
+        scalar task pricer plus the scalar per-source pull loop (both
+        kept in ``tests/sim/kv_oracle.py``) by construction:
 
         * compute/stall come from :meth:`_task_durations`, which mirrors
-          :meth:`_task_time_parts`'s operation order exactly;
+          the scalar pricer's operation order exactly;
         * the per-source pull terms come from the plan's pricing view
           (:class:`_KvPricing`) toward *workers*' nodes: each source's
           head serialization divides in the latency table's own dtype
@@ -927,35 +994,6 @@ class SystemSimulator:
             recovery.reexecutions, recovery.substitutions, recovery.lost
         )
 
-    # ------------------------------------------------------------------ #
-    # task-level models
-    # ------------------------------------------------------------------ #
-
-    def _task_time(self, record: TaskRecord, worker: int) -> float:
-        """Compute + memory-stall time of one task on *worker*'s core."""
-        compute, stall = self._task_time_parts(record, worker)
-        return compute + stall
-
-    def _task_time_parts(
-        self, record: TaskRecord, worker: int
-    ) -> Tuple[float, float]:
-        """(compute, memory stall) seconds of one task on *worker*'s core."""
-        platform = self.platform
-        node = platform.node_of_worker(worker)
-        # The effective frequency map: identical floats to
-        # ``platform.frequency_of_worker`` on fault-free runs, degraded by
-        # stragglers/throttles under fault injection.
-        frequency = float(self._worker_freqs[worker])
-        cost = record.cost
-        compute = cost.instructions / platform.core_params.ipc / frequency
-        stall = self.memory.task_stall_s(
-            node,
-            cost.l2_accesses,
-            cost.memory_accesses,
-            platform.core_params.mlp_overlap,
-        )
-        return compute, stall
-
     def _kv_sources(self, record: TaskRecord) -> List[Tuple[int, float]]:
         """(source worker, bytes) pairs this task pulls over the NoC."""
         sources: List[Tuple[int, float]] = []
@@ -994,8 +1032,13 @@ class SystemSimulator:
         """
         tracer = self.tracer
         pid = self.platform.name
-        for item in schedule:
-            compute, stall = self._task_time_parts(item.record, item.worker)
+        computes, stalls = self._task_parts(
+            _Costs.of([item.record for item in schedule]),
+            np.array([item.worker for item in schedule], dtype=np.intp),
+        )
+        for item, compute, stall in zip(
+            schedule, computes.tolist(), stalls.tolist()
+        ):
             kv_pull = max(item.duration_s - compute - stall, 0.0)
             tracer.span(
                 f"{phase.value}:{item.record.task_id}",
@@ -1111,9 +1154,10 @@ class SystemSimulator:
         """Close the last energy segment and fold the run's energy.
 
         Each platform configuration the run passed through (throttles,
-        degraded fabrics, governor cap assignments) is one segment
-        charged at its own V/F and with its own network's accumulated
-        dynamic energy; a clean run is a single segment.  Lost (killed)
+        degraded fabrics, governor cap assignments, a V/F schedule's
+        views) is one segment charged at its own V/F and with its own
+        network's accumulated dynamic energy; a clean run is a single
+        segment.  Lost (killed)
         intervals were folded into ``busy``, so wasted dynamic energy is
         charged; dead cores keep burning idle and leakage power (a
         functional failure is not a power-gated core).  The result

@@ -41,10 +41,8 @@ def core_peak_power_w(node: TechNode, core_type: CoreType) -> float:
     return model.dynamic_power_w(nominal, 1.0) + model.leakage_power_w(nominal)
 
 
-def _per_core_powers(
-    node: TechNode, mix: CoreMix, num_cores: int
-) -> List[float]:
-    """One peak-power entry per core, island-major."""
+def _cores_per_island(mix: CoreMix, num_cores: int) -> int:
+    """Cores on each of *mix*'s islands of a *num_cores* die."""
     if num_cores < 1:
         raise ValueError(f"num_cores must be >= 1, got {num_cores}")
     if num_cores % mix.num_islands:
@@ -52,7 +50,14 @@ def _per_core_powers(
             f"{num_cores} cores do not split evenly over "
             f"{mix.num_islands} islands (mix {mix.label!r})"
         )
-    per_island = num_cores // mix.num_islands
+    return num_cores // mix.num_islands
+
+
+def _per_core_powers(
+    node: TechNode, mix: CoreMix, num_cores: int
+) -> List[float]:
+    """One peak-power entry per core, island-major."""
+    per_island = _cores_per_island(mix, num_cores)
     powers = []
     for name in mix.types:
         powers.extend([core_peak_power_w(node, get_core_type(name))] * per_island)
@@ -60,8 +65,16 @@ def _per_core_powers(
 
 
 def chip_peak_power_w(node: TechNode, mix: CoreMix, num_cores: int) -> float:
-    """Whole-die peak power with every core busy at nominal V/F."""
-    return sum(_per_core_powers(node, mix, num_cores))
+    """Whole-die peak power with every core busy at nominal V/F, summed
+    per island (``cores per island x core peak``, island by island).
+
+    :func:`repro.power.frontier.chip_peak_power_w`, the cap sweeps' and
+    the cluster's estimate, is this sum for a die's islands."""
+    per_island = _cores_per_island(mix, num_cores)
+    return sum(
+        per_island * core_peak_power_w(node, get_core_type(name))
+        for name in mix.types
+    )
 
 
 def active_core_ceiling(

@@ -149,6 +149,9 @@ SEQUENCES = {
         "tech list",
         "tech export --output artifacts/tech_tables.md",
         "tech export --format json --output artifacts/tech_tables.json",
+        # Warms the default-technology unit the first frontier must find.
+        "sweep histogram --parameter seed --values 9 --scale 0.05"
+        " --num-workers 16 --cache-dir .study_cache",
         "tech frontier --app histogram --nodes 65nm 45nm 32nm"
         " --mixes ooo big_little --scale 0.05 --seed 9 --num-workers 16"
         " --cache-dir .study_cache"

@@ -11,7 +11,10 @@ from repro.power import (
     default_caps_w,
     frontier_rows,
 )
-from repro.tech import TechSpec
+from repro.core.geometry import DieGeometry
+from repro.tech import TechSpec, budget
+from repro.tech.cores import resolve_mix
+from repro.tech.nodes import NODES, get_node
 
 
 class TestChipPeak:
@@ -23,6 +26,22 @@ class TestChipPeak:
         )
         assert chip_peak_power_w(64) == pytest.approx(64 * per_core)
         assert chip_peak_power_w(16) == pytest.approx(16 * per_core)
+
+    def test_estimate_is_the_tech_budget_sum(self):
+        # The cap sweeps' estimate and the tech budget's chip peak are
+        # one per-island sum, bit for bit, on every technology grid point.
+        for variant, nodes in NODES.items():
+            for nm in nodes:
+                node = get_node(nm, variant)
+                for cores in ("ooo", "big_little"):
+                    tech = TechSpec(node=f"{nm}nm", variant=variant, cores=cores)
+                    for workers in (16, 64, 256):
+                        mix = resolve_mix(
+                            cores, DieGeometry.for_cores(workers).num_islands
+                        )
+                        assert chip_peak_power_w(workers, tech=tech) == (
+                            budget.chip_peak_power_w(node, mix, workers)
+                        )
 
     def test_smaller_node_peaks_lower(self):
         assert chip_peak_power_w(64, tech=TechSpec(node="32nm")) < (

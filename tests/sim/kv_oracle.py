@@ -1,12 +1,17 @@
-"""Reference barrier-phase pricing: the scalar per-record loop.
+"""Reference task pricing: the scalar per-task and per-record loops.
 
-Before every barrier phase went through one vectorized kernel
-(``SystemSimulator._kv_durations``), fault-injected reduce/merge phases
-priced each task with ``_task_time`` plus this per-source pull loop, one
-record and one (substitute) worker at a time.  The loop, the
-substitution chain it fed and the per-record phase loop are kept
-verbatim as oracles: ``tests/sim/test_kv_kernel.py`` asserts the kernel
-and the simulator's barrier schedules equal theirs bit for bit.
+Before every task went through one vectorized pricer
+(``SystemSimulator._task_durations``, which the barrier kernel
+``_kv_durations`` builds on), the simulator priced lib init and the
+per-task trace spans one task on one worker at a time (:func:`task_time`,
+:func:`task_time_parts`, from the memory system's per-node latencies,
+:func:`task_stall_s`), and fault-injected reduce/merge phases added this
+per-source pull loop, one record and one (substitute) worker at a time.
+The scalar pricer, the pull loop, the substitution chain it fed, the
+per-record phase loop and the per-node miss-flow registration
+(:func:`add_miss_flows`) are kept verbatim as oracles:
+``tests/sim/test_kv_kernel.py`` asserts the kernel and the simulator's
+barrier schedules equal theirs bit for bit.
 """
 
 from __future__ import annotations
@@ -25,6 +30,68 @@ from tests.noc import table_oracles
 #: (memory system, its refreshed bulk latency, reference matrices) of the
 #: last lookup: the full matrices are rebuilt only after a refresh.
 _reference = [None, None, None]
+
+
+def task_time(simulator, record: TaskRecord, worker: int) -> float:
+    """Compute + memory-stall time of one task on *worker*'s core."""
+    compute, stall = task_time_parts(simulator, record, worker)
+    return compute + stall
+
+
+def task_time_parts(
+    simulator, record: TaskRecord, worker: int
+) -> Tuple[float, float]:
+    """(compute, memory stall) seconds of one task on *worker*'s core."""
+    platform = simulator.platform
+    node = platform.node_of_worker(worker)
+    # The effective frequency map: identical floats to
+    # ``platform.frequency_of_worker`` on fault-free runs, degraded by
+    # stragglers/throttles under fault injection.
+    frequency = float(simulator._worker_freqs[worker])
+    cost = record.cost
+    compute = cost.instructions / platform.core_params.ipc / frequency
+    stall = task_stall_s(
+        simulator.memory,
+        node,
+        cost.l2_accesses,
+        cost.memory_accesses,
+        platform.core_params.mlp_overlap,
+    )
+    return compute, stall
+
+
+def l2_round_trip_s(memory, node: int) -> float:
+    """Expected L1-miss service time for a core at *node*."""
+    return float(memory.l2_round_trip_all_s()[node])
+
+
+def memory_extra_s(memory, node: int) -> float:
+    """Expected additional time when the access also misses in L2."""
+    return float(memory.memory_extra_all_s()[node])
+
+
+def task_stall_s(
+    memory, node: int, l2_accesses: float, memory_accesses: float, mlp: float
+) -> float:
+    """Total stall time charged to a task, with MLP overlap."""
+    if mlp <= 0:
+        raise ValueError(f"mlp must be > 0, got {mlp}")
+    raw = (
+        l2_accesses * l2_round_trip_s(memory, node)
+        + memory_accesses * memory_extra_s(memory, node)
+    )
+    return raw / mlp
+
+
+def add_miss_flows(memory, node: int, accesses_per_s: float) -> None:
+    """Register a core's sustained miss traffic with the flow model."""
+    if accesses_per_s < 0:
+        raise ValueError(f"accesses_per_s must be >= 0, got {accesses_per_s}")
+    if accesses_per_s == 0:
+        return
+    memory.platform.network.apply_resource_load(
+        accesses_per_s * memory._miss_usage[node]
+    )
 
 
 def bulk_matrices(memory) -> Tuple[np.ndarray, np.ndarray]:
@@ -99,7 +166,7 @@ def execute_with_substitution(
                 )
             worker = substitute
             recovery.substitutions += 1
-        duration = simulator._task_time(record, worker)
+        duration = task_time(simulator, record, worker)
         duration += kv_pull_time(simulator, record, worker)
         fail = float(faults.fail_time[worker])
         if t + duration <= fail:
@@ -127,7 +194,7 @@ def schedule_parallel(
     if simulator.faults is None:
         for record in records:
             worker = record.home_worker
-            duration = simulator._task_time(record, worker) + kv_pull_time(
+            duration = task_time(simulator, record, worker) + kv_pull_time(
                 simulator, record, worker
             )
             schedule.append(_ScheduledTask(record, worker, start, duration))

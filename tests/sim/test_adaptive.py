@@ -1,9 +1,9 @@
-"""Phase-adaptive VFI simulation."""
+"""Phase-adaptive VFI simulation: a per-phase V/F schedule run as a
+phase-boundary control of the simulator (``SimulationParams.vf_schedule``)."""
 
 import hashlib
 import json
 
-import numpy as np
 import pytest
 
 from repro.apps import create_app
@@ -14,20 +14,19 @@ from repro.core.traffic import total_node_traffic
 from repro.faults import FaultPlan, preset_plan
 from repro.mapreduce.tasks import Phase
 from repro.power.spec import PowerCapSpec
-from repro.sim.adaptive import (
-    PhaseAdaptiveSimulator,
-    VfSchedule,
-    phase_adaptive_schedule,
-)
+from repro.sim.adaptive import VfSchedule, phase_adaptive_schedule
 from repro.sim.config import SimulationParams
-from repro.sim.system import simulate
+from repro.sim.system import SystemSimulator, simulate
+from repro.telemetry import RecordingTracer, use_tracer
+from repro.telemetry.export import write_chrome_trace, write_jsonl
 from repro.vfi.islands import DVFS_LADDER, NOMINAL
 
 #: sha256 of ``result_to_dict`` for the 16-core histogram run below,
-#: captured before the phase-adaptive energy fold moved onto the
-#: simulator's segment fold.
+#: captured when the schedule became a boundary control of the
+#: simulator, which charges the transitions' time to the energy
+#: segments.
 SMALL_RUN_SHA256 = (
-    "69d68c7bc46c13d37f3b2e6234e8d44eef2f9fa9f9a9ae6a336aff371bfee767"
+    "24a2df1027b7ab5c708c6e3d5dcf7ff0d1671e9ddc0f74093182ec9756a96926"
 )
 
 
@@ -56,11 +55,22 @@ class TestVfSchedule:
         assert schedule.points_for(Phase.REDUCE) == (NOMINAL,) * 4
 
     def test_distinct_assignments(self):
+        # One view per distinct assignment; the platform's own
+        # assignment runs on the platform itself.
+        platform = build_nvfi_mesh(geometry_for(16))
         serial = (DVFS_LADDER[0],) * 4
         schedule = VfSchedule(
             phase_points={Phase.MAP: (NOMINAL,) * 4, Phase.MERGE: serial}
         )
-        assert len(schedule.distinct_assignments()) == 2
+        views = schedule.views(platform)
+        assert set(views) == {
+            Phase.LIB_INIT, Phase.MAP, Phase.REDUCE, Phase.MERGE
+        }
+        assert views[Phase.MAP] is views[Phase.LIB_INIT] is platform
+        assert views[Phase.REDUCE] is platform
+        merge = views[Phase.MERGE]
+        assert list(merge.vf_points) == list(serial)
+        assert merge.name == f"{platform.name}@merge"
 
     def test_negative_transition_rejected(self):
         with pytest.raises(ValueError):
@@ -95,12 +105,13 @@ class TestPhaseAdaptiveSimulator:
             locality=app.profile.l2_locality,
             stealing_policy=design.stealing_policy("vfi2"),
         )
-        adaptive = PhaseAdaptiveSimulator(
+        adaptive = simulate(
             platform,
-            phase_adaptive_schedule(design),
+            trace,
             locality=app.profile.l2_locality,
             stealing_policy=design.stealing_policy("vfi2"),
-        ).run(trace)
+            params=SimulationParams(vf_schedule=phase_adaptive_schedule(design)),
+        )
         assert adaptive.total_time_s > 0
         assert adaptive.total_energy_j > 0
         # parking idle islands saves energy on a merge-heavy app
@@ -109,34 +120,39 @@ class TestPhaseAdaptiveSimulator:
         assert adaptive.total_time_s < static.total_time_s * 1.1
 
     def test_identity_schedule_matches_static(self, setup):
+        # A schedule that keeps the platform's own assignment in every
+        # phase never switches: the static run, bit for bit.
         app, trace, design, platform, _ = setup
         schedule = VfSchedule(
             phase_points={Phase.MAP: tuple(design.vfi2.points)},
             transition_s=0.0,
         )
-        adaptive = PhaseAdaptiveSimulator(
+        adaptive = simulate(
             platform,
-            schedule,
+            trace,
             locality=app.profile.l2_locality,
             stealing_policy=design.stealing_policy("vfi2"),
-        ).run(trace)
+            params=SimulationParams(vf_schedule=schedule),
+        )
         static = simulate(
             build_vfi_mesh(design, "vfi2", seed=3),
             trace,
             locality=app.profile.l2_locality,
             stealing_policy=design.stealing_policy("vfi2"),
         )
-        assert adaptive.total_time_s == pytest.approx(static.total_time_s, rel=1e-9)
-        assert adaptive.total_energy_j == pytest.approx(
-            static.total_energy_j, rel=1e-9
-        )
+        assert adaptive.total_time_s == static.total_time_s
+        assert adaptive.total_energy_j == static.total_energy_j
+        assert result_to_dict(adaptive) == result_to_dict(static)
 
     def test_phases_cover_walltime_minus_transitions(self, setup):
         app, trace, design, platform, _ = setup
         schedule = phase_adaptive_schedule(design)
-        result = PhaseAdaptiveSimulator(
-            platform, schedule, locality=app.profile.l2_locality
-        ).run(trace)
+        result = simulate(
+            platform,
+            trace,
+            locality=app.profile.l2_locality,
+            params=SimulationParams(vf_schedule=schedule),
+        )
         covered = sum(p.duration_s for p in result.phases)
         gap = result.total_time_s - covered
         assert gap >= 0
@@ -150,9 +166,9 @@ class TestPhaseAdaptiveSimulator:
     def test_worker_count_checked(self, setup):
         app, trace, design, platform, _ = setup
         small = create_app("pca", scale=0.4, seed=21).run(num_workers=32)
-        simulator = PhaseAdaptiveSimulator(platform, phase_adaptive_schedule(design))
+        params = SimulationParams(vf_schedule=phase_adaptive_schedule(design))
         with pytest.raises(ValueError):
-            simulator.run(small)
+            simulate(platform, small, params=params)
 
 
 @pytest.fixture(scope="module")
@@ -172,14 +188,19 @@ def small():
     return trace, locality, design, platform, nvfi
 
 
-def _small_simulator(small, params=SimulationParams()):
-    trace, locality, design, platform, _ = small
-    return PhaseAdaptiveSimulator(
-        platform,
-        phase_adaptive_schedule(design),
+def _small_simulator(small, schedule=None, **controls):
+    """A simulator of the 16-core run under *schedule* (the canonical
+    phase-adaptive one by default) and the other runtime *controls*."""
+    trace, locality, design, _, _ = small
+    geometry = geometry_for(16)
+    return SystemSimulator(
+        build_vfi_mesh(design, "vfi2", geometry=geometry, seed=3),
         locality=locality,
         stealing_policy=design.stealing_policy("vfi2"),
-        params=params,
+        params=SimulationParams(
+            vf_schedule=schedule or phase_adaptive_schedule(design),
+            **controls,
+        ),
     )
 
 
@@ -189,9 +210,9 @@ def _sha256(result):
 
 
 class TestRuntimeControls:
-    """Fault plans and caps act at phase boundaries, which the
-    phase-adaptive driver never runs: they are refused, not half
-    applied."""
+    """Fault plans and caps re-clock the platform at the same phase
+    boundaries a V/F schedule does: with a schedule they are refused,
+    not half applied."""
 
     def test_result_bytes_pinned(self, small):
         result = _small_simulator(small).run(small[0])
@@ -202,17 +223,71 @@ class TestRuntimeControls:
         for scenario in ("core_failure", "throttle"):
             plan = preset_plan(scenario, horizon, 16)
             with pytest.raises(ValueError, match="fault plans"):
-                _small_simulator(small, SimulationParams(fault_plan=plan))
+                _small_simulator(small, fault_plan=plan)
 
     def test_bounded_cap_rejected(self, small):
         cap = PowerCapSpec(chip_cap_w=1.0)
         with pytest.raises(ValueError, match="power caps"):
-            _small_simulator(small, SimulationParams(power_cap=cap))
+            _small_simulator(small, power_cap=cap)
 
     def test_empty_plan_and_unbounded_cap_accepted(self, small):
-        params = SimulationParams(
-            fault_plan=FaultPlan(events=()), power_cap=PowerCapSpec()
+        simulator = _small_simulator(
+            small, fault_plan=FaultPlan(events=()), power_cap=PowerCapSpec()
         )
-        result = _small_simulator(small, params).run(small[0])
+        result = simulator.run(small[0])
         assert result.faults is None and result.power is None
         assert _sha256(result) == SMALL_RUN_SHA256
+
+
+class TestTransitions:
+    def test_transitions_pay_the_new_views_leakage(self, small):
+        # Each change of assignment holds the clock for transition_s on
+        # the view the run switches to: time grows by that much, and the
+        # cores' static energy by the view's leakage over it.
+        trace, _, design, platform, _ = small
+        transition_s = 1e-3
+        points = phase_adaptive_schedule(design).phase_points
+        free = _small_simulator(small, VfSchedule(points, 0.0)).run(trace)
+        paid = _small_simulator(small, VfSchedule(points, transition_s)).run(
+            trace
+        )
+        views = VfSchedule(points).views(platform)
+
+        def leakage_w(view):
+            return sum(
+                view.core_power_of(view.island_of_worker(worker)).leakage_power_w(
+                    view.vf_of_worker(worker)
+                )
+                for worker in range(view.num_cores)
+            )
+
+        phases = [stats.phase for stats in paid.phases]
+        entered = [
+            after
+            for before, after in zip(phases, phases[1:])
+            if views[before] is not views[after]
+        ]
+        assert len(entered) == 2  # into Map, then into Merge
+        assert paid.total_time_s - free.total_time_s == pytest.approx(
+            transition_s * len(entered), rel=1e-9
+        )
+        leaked = paid.energy.core_static_j - free.energy.core_static_j
+        assert leaked == pytest.approx(
+            transition_s * sum(leakage_w(views[phase]) for phase in entered),
+            rel=1e-9,
+        )
+
+    def test_traced_runs_export_identical_traces(self, small, tmp_path):
+        # Scheduled views are named after their phases, so two runs from
+        # fresh schedules export the same bytes.
+        exports = []
+        for run in range(2):
+            tracer = RecordingTracer()
+            with use_tracer(tracer):
+                _small_simulator(small).run(small[0])
+            chrome, jsonl = tmp_path / f"{run}.json", tmp_path / f"{run}.jsonl"
+            write_chrome_trace(tracer, chrome)
+            write_jsonl(tracer, jsonl)
+            exports.append((chrome.read_bytes(), jsonl.read_bytes()))
+        assert exports[0] == exports[1]
+        assert b"@lib_init+merge" in exports[0][0]

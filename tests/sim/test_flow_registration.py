@@ -16,6 +16,7 @@ from repro.sim.platform import Platform
 from repro.vfi.islands import NOMINAL, quadrant_clusters
 
 from tests.noc.path_oracle import PathModel
+from tests.sim import kv_oracle
 
 
 def winoc_platform():
@@ -63,7 +64,7 @@ class TestMissFlowEquivalence:
     def test_single_node_matches_reference(self, memory):
         network = memory.platform.network
         network.reset_flows()
-        memory.add_miss_flows(13, 2.5e8)
+        kv_oracle.add_miss_flows(memory, 13, 2.5e8)
         vec_link = network.load.link_load.copy()
         vec_chan = network.load.channel_load.copy()
         network.reset_flows()
@@ -97,14 +98,14 @@ class TestMissFlowEquivalence:
     def test_zero_rates_are_noop(self, memory):
         network = memory.platform.network
         network.reset_flows()
-        memory.add_miss_flows(0, 0.0)
+        kv_oracle.add_miss_flows(memory, 0, 0.0)
         memory.add_miss_flows_batch(np.zeros(memory.num_nodes))
         assert not network.load.link_load.any()
         assert not network.load.channel_load.any()
 
     def test_validation(self, memory):
         with pytest.raises(ValueError):
-            memory.add_miss_flows(0, -1.0)
+            kv_oracle.add_miss_flows(memory, 0, -1.0)
         with pytest.raises(ValueError):
             memory.add_miss_flows_batch(np.full(memory.num_nodes, -1.0))
         with pytest.raises(ValueError):

@@ -1,8 +1,8 @@
 """The barrier-phase pricing kernel against the scalar reference.
 
 ``SystemSimulator._kv_durations`` prices every reduce and merge task,
-clean or fault-injected.  It must equal ``_task_time`` plus the scalar
-per-source pull loop (``tests/sim/kv_oracle.py``) bit for bit, for
+clean or fault-injected.  It must equal the scalar task pricer plus the
+scalar per-source pull loop (``tests/sim/kv_oracle.py``) bit for bit, for
 every record on every worker -- the home worker a clean phase runs on
 and any substitute a faulted one may pick -- and a barrier phase, clean
 or faulted, must schedule exactly as the scalar per-record loop did.
@@ -73,15 +73,15 @@ def _assert_kernel_matches_scalar(simulator, records, workers):
     singles = [simulator._kv_plan([record]) for record in records]
     home = simulator._kv_durations(plan, plan.home)
     for i, record in enumerate(records):
-        assert home[i] == simulator._task_time(
-            record, record.home_worker
+        assert home[i] == kv_oracle.task_time(
+            simulator, record, record.home_worker
         ) + kv_oracle.kv_pull_time(simulator, record, record.home_worker)
     for worker in workers:
         batch = simulator._kv_durations(plan, np.full(len(records), worker))
         for i, record in enumerate(records):
-            scalar = simulator._task_time(record, worker) + kv_oracle.kv_pull_time(
+            scalar = kv_oracle.task_time(
                 simulator, record, worker
-            )
+            ) + kv_oracle.kv_pull_time(simulator, record, worker)
             single = simulator._kv_durations(singles[i], np.array([worker]))[0]
             assert batch[i] == scalar  # bit-for-bit
             assert single == scalar
@@ -275,8 +275,8 @@ class TestViewsFollowThePlatform:
         durations = simulator._kv_durations(plan, plan.home)
         assert not np.array_equal(durations, first)
         for i, record in enumerate(records):
-            assert durations[i] == simulator._task_time(
-                record, record.home_worker
+            assert durations[i] == kv_oracle.task_time(
+                simulator, record, record.home_worker
             ) + kv_oracle.kv_pull_time(simulator, record, record.home_worker)
         schedule = [
             _ScheduledTask(record, record.home_worker, 0.0, d)

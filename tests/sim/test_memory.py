@@ -7,6 +7,7 @@ from repro.core.platforms import build_nvfi_mesh
 from repro.sim.memory import MemorySystem
 
 from tests.noc.energy_calls import fold_miss
+from tests.sim import kv_oracle
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +43,7 @@ class TestBankDistribution:
 class TestLatency:
     def test_round_trip_positive(self, memory_uniform):
         for node in range(0, 64, 9):
-            assert memory_uniform.l2_round_trip_s(node) > 0
+            assert kv_oracle.l2_round_trip_s(memory_uniform, node) > 0
 
     def test_local_traffic_is_faster(self, memory_uniform, memory_local):
         assert (
@@ -53,27 +54,28 @@ class TestLatency:
     def test_memory_extra_includes_dram(self, memory_uniform):
         dram = memory_uniform.platform.memory_params.dram_latency_s
         for node in range(0, 64, 13):
-            assert memory_uniform.memory_extra_s(node) >= dram
+            assert kv_oracle.memory_extra_s(memory_uniform, node) >= dram
 
     def test_stall_scales_with_accesses(self, memory_uniform):
-        one = memory_uniform.task_stall_s(0, 100, 10, mlp=4)
-        two = memory_uniform.task_stall_s(0, 200, 20, mlp=4)
+        one = kv_oracle.task_stall_s(memory_uniform, 0, 100, 10, mlp=4)
+        two = kv_oracle.task_stall_s(memory_uniform, 0, 200, 20, mlp=4)
         assert two == pytest.approx(2 * one)
 
     def test_mlp_divides_stall(self, memory_uniform):
-        assert memory_uniform.task_stall_s(0, 100, 0, mlp=4) == pytest.approx(
-            memory_uniform.task_stall_s(0, 100, 0, mlp=2) / 2
+        stall = kv_oracle.task_stall_s
+        assert stall(memory_uniform, 0, 100, 0, mlp=4) == pytest.approx(
+            stall(memory_uniform, 0, 100, 0, mlp=2) / 2
         )
 
     def test_bad_mlp_rejected(self, memory_uniform):
         with pytest.raises(ValueError):
-            memory_uniform.task_stall_s(0, 1, 0, mlp=0)
+            kv_oracle.task_stall_s(memory_uniform, 0, 1, 0, mlp=0)
 
     def test_load_raises_latency(self):
         memory = MemorySystem(build_nvfi_mesh(), locality=0.0)
         before = memory._l2_round_trip.mean()
         for node in range(64):
-            memory.add_miss_flows(node, 2e8)
+            kv_oracle.add_miss_flows(memory, node, 2e8)
         memory.refresh_latencies()
         assert memory._l2_round_trip.mean() > before
 
@@ -95,4 +97,4 @@ class TestEnergy:
         with pytest.raises(ValueError):
             fold_miss(memory_uniform, 0, -1, 0)
         with pytest.raises(ValueError):
-            memory_uniform.add_miss_flows(0, -1)
+            kv_oracle.add_miss_flows(memory_uniform, 0, -1)
