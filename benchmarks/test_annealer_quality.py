@@ -17,16 +17,18 @@ instances small enough for the exact branch and bound.  Reported:
 * mapping: the same for the traffic-weighted distance of the
   communication-aware mapping (start = island nodes in index order);
 * drawn instances: the annealed Eq. (1) cost against the
-  :func:`solve_branch_and_bound` optimum.
+  :func:`solve_branch_and_bound` optimum, and the number of tree nodes
+  the exact solver evaluated.  Each count must stay below the whole
+  tree's, so a lower bound that stops pruning fails here.
 
 Writes ``results/annealer_quality.json``; EXPERIMENTS.md carries the
 table.  Run with ``PYTHONPATH=src python -m pytest -q
-benchmarks/test_annealer_quality.py`` (about a minute, most of it the
-branch and bound).
+benchmarks/test_annealer_quality.py``.
 """
 
 import json
 import math
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -58,7 +60,27 @@ SEED = 7
 SCALE = 0.05
 NUM_WORKERS = 64
 DRAWN_INSTANCES = 10
+DRAWN_CORES = 12
+DRAWN_CLUSTERS = 4
 RESULT_NAME = "annealer_quality.json"
+
+
+def _tree_nodes(cores, clusters):
+    """Nodes of the whole equal-size assignment tree: every prefix of an
+    assignment that puts at most ``cores / clusters`` cores in each
+    cluster (1,107,696 for 12 cores in 4 clusters)."""
+    size = cores // clusters
+
+    @lru_cache(maxsize=None)
+    def below(counts):
+        total = 0
+        for cluster, count in enumerate(counts):
+            if count < size:
+                child = counts[:cluster] + (count + 1,) + counts[cluster + 1:]
+                total += 1 + below(tuple(sorted(child)))
+        return total
+
+    return below((0,) * clusters)
 
 
 def _app_problem(app_name):
@@ -238,7 +260,11 @@ def _app_row(app_name):
 def _drawn_row(index):
     """A dense 12-core, 4-cluster instance: SA against the exact optimum."""
     rng = np.random.default_rng(spawn_seed(SEED, "annealer-quality", str(index)))
-    problem = ClusteringProblem(rng.random((12, 12)) ** 2, rng.random(12), 4)
+    problem = ClusteringProblem(
+        rng.random((DRAWN_CORES, DRAWN_CORES)) ** 2,
+        rng.random(DRAWN_CORES),
+        DRAWN_CLUSTERS,
+    )
     annealed = solve_simulated_annealing(problem, seed=index)
     exact = solve_branch_and_bound(problem)
     return {
@@ -246,6 +272,7 @@ def _drawn_row(index):
         "start_cost": cluster_cost(problem, utilization_sorted_assignment(problem)),
         "annealed_cost": annealed.cost,
         "optimal_cost": exact.cost,
+        "evaluations": exact.evaluations,
         "annealed_gap": (annealed.cost - exact.cost) / exact.cost,
         "annealed_is_optimal": math.isclose(
             annealed.cost, exact.cost, rel_tol=1e-12
@@ -261,8 +288,10 @@ def test_annealer_quality(results_dir):
             costs = row[stage]
             assert costs["descent_cost"] <= costs["annealed_cost"]
             assert costs["annealed_cost"] <= costs["start_cost"]
+    whole_tree = _tree_nodes(DRAWN_CORES, DRAWN_CLUSTERS)
     for row in drawn:
         assert row["optimal_cost"] <= row["annealed_cost"] * (1 + 1e-12)
+        assert row["evaluations"] < whole_tree
     payload = {
         "inputs": {
             "apps": list(ALL_APPS),
@@ -270,7 +299,11 @@ def test_annealer_quality(results_dir):
             "scale": SCALE,
             "seed": SEED,
             "drawn_instances": DRAWN_INSTANCES,
-            "drawn_shape": "12 cores, 4 clusters, traffic U(0,1)^2",
+            "drawn_shape": (
+                f"{DRAWN_CORES} cores, {DRAWN_CLUSTERS} clusters, "
+                "traffic U(0,1)^2"
+            ),
+            "drawn_tree_nodes": whole_tree,
         },
         "apps": apps,
         "drawn": drawn,

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List
 
 #: Event kinds, in application order at one timestamp.
 COMPLETE = "complete"
@@ -112,10 +112,6 @@ class EventEngine:
         )
         heapq.heappush(self._heap, (event.sort_key, event))
         return event
-
-    def peek_time(self) -> Optional[float]:
-        """Earliest scheduled instant, or ``None`` when drained."""
-        return self._heap[0][1].time_s if self._heap else None
 
     def _pop(self) -> Event:
         return heapq.heappop(self._heap)[1]

@@ -55,7 +55,7 @@ class VfiDesign:
 
     def worker_frequencies(self, system: str = "vfi2") -> List[float]:
         """Per-worker core frequency under ``"vfi1"`` or ``"vfi2"``."""
-        assignment = self._points_for(system)
+        assignment = self.assignment(system)
         return [
             assignment.points[cluster].frequency_hz
             for cluster in self.worker_clusters
@@ -65,7 +65,8 @@ class VfiDesign:
         """The paper's Eq. (3)-capped stealing policy for this design."""
         return CappedStealingPolicy(self.worker_frequencies(system))
 
-    def _points_for(self, system: str) -> VfAssignment:
+    def assignment(self, system: str) -> VfAssignment:
+        """The V/F assignment of ``"vfi1"`` or ``"vfi2"``."""
         if system == "vfi1":
             return self.vfi1
         if system == "vfi2":

@@ -42,7 +42,6 @@ from repro.sim.platform import Platform
 from repro.tech.spec import TechSpec, normalize_tech
 from repro.utils.rng import SeedLike, spawn_seed
 from repro.vfi.islands import VfiLayout
-from repro.vfi.vf_assign import VfAssignment
 
 #: Dies larger than the paper's 64 cores build their all-pairs NoC
 #: tables in source blocks of this size with float32 storage, keeping
@@ -199,15 +198,6 @@ def vfi_thread_mapping(
     )
 
 
-def _assignment(design: VfiDesign, system: str) -> VfAssignment:
-    """The design's V/F assignment for *system* (``"vfi1"`` or ``"vfi2"``)."""
-    if system == "vfi1":
-        return design.vfi1
-    if system == "vfi2":
-        return design.vfi2
-    raise ValueError(f"unknown system {system!r}")
-
-
 def build_vfi_mesh(
     design: VfiDesign,
     system: str = "vfi2",
@@ -222,7 +212,7 @@ def build_vfi_mesh(
     die = as_die(geometry, num_islands=design.num_islands)
     _check_design(design, die)
     layout = die.layout()
-    assignment = _assignment(design, system)
+    assignment = design.assignment(system)
     if mapping is None:
         mapping = vfi_thread_mapping(design, layout, seed=seed)
     mesh = build_mesh(die.grid())
@@ -283,7 +273,7 @@ def build_vfi_winoc(
         die.num_cores, die.num_islands
     )
     wireless_spec = wireless_spec.sized_for_islands(die.num_islands)
-    assignment = _assignment(design, system)
+    assignment = design.assignment(system)
     base_seed = seed if isinstance(seed, int) else 11
 
     # 1. Thread mapping.

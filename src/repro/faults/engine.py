@@ -13,19 +13,19 @@ the platform from it:
   the clock-free NoC tables, its own per-clock tables on top); a view
   that lost links gets the fabric of its degraded topology
   (:func:`repro.noc.fabric.fabric_for` keys fabrics by content).
-* :meth:`effective_worker_freqs` -- per-worker frequencies after island
-  throttling and straggler slowdowns.
-* :meth:`effective_policy` -- the stealing policy with Eq. (3) caps
-  recomputed against the degraded frequency map.
+* :attr:`slowdown` -- per-worker straggler divisors; the simulator
+  divides the island clocks by them and re-derives the Eq. (3) stealing
+  caps on the result (Sec. 4.3).
 * :attr:`fail_time` -- per-worker absolute failure times (``inf`` for
   survivors), armed up front so the scheduler can kill executions that
   would cross a failure even before the boundary hook has run.
 
-The engine also implements the resilience decisions themselves: the
-bottleneck shield (a throttle aimed at a master island is moved onto the
-fastest non-master island, the fault-time analogue of the paper's
-Sec. 4.2 bottleneck reassignment) and substitute selection for
-barrier-phase tasks whose home worker is dead.
+The engine also makes the run's fixed reactions: the bottleneck shield
+(a throttle aimed at a master island is moved onto the fastest
+non-master island, the fault-time analogue of the paper's Sec. 4.2
+bottleneck reassignment), rerouting around failed links and lost
+channels, and ring substitution for barrier-phase tasks whose home
+worker is dead.
 
 Everything is deterministic: events activate in canonical plan order,
 ties break on fixed keys, and no call reads global random state.
@@ -39,7 +39,6 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.faults.impact import FaultImpact
-from repro.faults.policy import ResiliencePolicy
 from repro.faults.spec import (
     FaultInjectionError,
     FaultKind,
@@ -58,18 +57,11 @@ if TYPE_CHECKING:  # runtime import is deferred: sim.config imports the
 
 
 class FaultEngine:
-    """Deterministic fault activation + resilience reactions for one run."""
+    """Deterministic fault activation + fault reactions for one run."""
 
-    def __init__(
-        self,
-        platform: Platform,
-        plan: FaultPlan,
-        policy: Optional[ResiliencePolicy] = None,
-        tracer=None,
-    ):
+    def __init__(self, platform: Platform, plan: FaultPlan, tracer=None):
         self.base_platform = platform
         self.plan = plan
-        self.policy = policy or ResiliencePolicy()
         self.tracer = tracer if tracer is not None else get_tracer()
 
         num_workers = platform.num_cores
@@ -199,11 +191,6 @@ class FaultEngine:
             key = frozenset(event.target)
             if key not in self._base_link_keys or key in self.removed_links:
                 return False, False, False
-            if not self.policy.reroute_failed_links:
-                raise FaultInjectionError(
-                    f"link {sorted(key)} failed at t={event.time_s:.6f}s and "
-                    f"the resilience policy forbids rerouting"
-                )
             self.removed_links.add(key)
             return True, True, False
         if event.kind is FaultKind.CHANNEL_LOSS:
@@ -211,12 +198,6 @@ class FaultEngine:
             channels = channels_of(self.base_platform.topology)
             if channel not in channels or channel in self.lost_channels:
                 return False, False, False
-            if not self.policy.reroute_failed_links:
-                raise FaultInjectionError(
-                    f"wireless channel {channel} lost at "
-                    f"t={event.time_s:.6f}s and the resilience policy "
-                    f"forbids rerouting"
-                )
             self.lost_channels.add(channel)
             for link in self.base_platform.topology.wireless_links():
                 if link.channel == channel:
@@ -231,15 +212,14 @@ class FaultEngine:
     def effective_vf_points(self) -> Tuple[VfPoint, ...]:
         """Island V/F after throttling and the master-island shield.
 
-        When the policy enables bottleneck reassignment, throttle steps
-        landing on an island that contains master cores are moved onto
-        the non-master island currently running at the highest V/F
-        (lowest index on ties) -- the power cap is still honored
-        somewhere, but never on the critical serial path.
+        Throttle steps landing on an island that contains master cores
+        are moved onto the non-master island currently running at the
+        highest V/F (lowest index on ties) -- the power cap is still
+        honored somewhere, but never on the critical serial path.
         """
         base_points = list(self.base_platform.vf_points)
         steps = dict(self.throttle_steps)
-        if steps and self.policy.rerun_bottleneck_reassignment:
+        if steps:
             master_islands = {
                 self.base_platform.island_of_worker(worker)
                 for worker in self.master_workers
@@ -332,47 +312,15 @@ class FaultEngine:
         self._platform_cache[cache_key] = platform
         return platform
 
-    def effective_worker_freqs(self, platform: Platform) -> np.ndarray:
-        """Per-worker frequency map after throttling and stragglers.
-
-        Dead workers keep their nominal entry -- executions before the
-        failure instant still run at full speed, and everything after it
-        is excluded via :attr:`fail_time`, never via frequency.
-        """
-        return np.array(platform.effective_worker_frequencies()) / self.slowdown
-
-    def effective_policy(self, base_policy, platform: Platform):
-        """Stealing policy against the degraded frequency map.
-
-        Eq. (3) caps are recomputed from the effective frequencies when
-        the resilience policy asks for rebalancing; other policy types
-        (and opted-out runs) pass through unchanged.
-        """
-        from repro.mapreduce.scheduler import retune_policy
-
-        if not self.policy.rebalance_steal_caps:
-            return base_policy
-        return retune_policy(base_policy, self.effective_worker_freqs(platform))
-
     # ------------------------------------------------------------------ #
     # substitution + accounting
     # ------------------------------------------------------------------ #
 
-    def substitute_for(
-        self, worker: int, now: float, freqs: np.ndarray
-    ) -> Optional[int]:
+    def substitute_for(self, worker: int, now: float) -> Optional[int]:
         """Pick a surviving stand-in for a barrier-phase task whose home
-        worker is dead at *now*.  Returns ``None`` when nobody survives."""
+        worker is dead at *now*: walk the worker ring upward from the
+        victim, wrapping once.  Returns ``None`` when nobody survives."""
         num_workers = len(self.fail_time)
-        if self.policy.substitute_order == "fastest":
-            best = None
-            for candidate in range(num_workers):
-                if self.fail_time[candidate] <= now:
-                    continue
-                if best is None or freqs[candidate] > freqs[best]:
-                    best = candidate
-            return best
-        # "ring": walk upward from the victim, wrapping once.
         for offset in range(1, num_workers + 1):
             candidate = (worker + offset) % num_workers
             if self.fail_time[candidate] > now:

@@ -37,7 +37,7 @@ class FaultImpact:
     lost_busy_s: float = 0.0
     #: Islands with at least one throttle step applied.
     throttled_islands: List[int] = field(default_factory=list)
-    #: Times the resilience layer shielded a master island by moving its
+    #: Times the fault engine shielded a master island by moving its
     #: throttle steps onto another island (Sec. 4.2 analogue).
     bottleneck_reassignments: int = 0
 

@@ -23,7 +23,7 @@ field:
   disappear and its flows fall back onto the wireline fabric.
 
 Faults are permanent for the remainder of the run -- "recovery" is what
-the :class:`repro.faults.policy.ResiliencePolicy` layer does in
+the :class:`repro.faults.engine.FaultEngine` and the simulator do in
 response, never the fault healing itself.
 """
 
@@ -32,15 +32,14 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
-from repro.utils.rng import SeedLike, derive_rng
 from repro.utils.validation import check_positive
 
 
 class FaultInjectionError(RuntimeError):
-    """A fault plan cannot be applied (disconnection, no survivors, or a
-    strict resilience policy refusing to reroute)."""
+    """A fault plan cannot be applied: its link losses disconnect the
+    fabric, or no surviving worker is left to run a task."""
 
 
 class FaultKind(enum.Enum):
@@ -137,8 +136,8 @@ class FaultPlan:
 
     The event tuple is sorted by :attr:`FaultSpec.sort_key` at
     construction, so two plans built from the same events in any order
-    compare, hash and serialize identically.  ``seed`` records the
-    sampling seed when the plan came from :meth:`sample` (documentation
+    compare, hash and serialize identically.  ``seed`` is an optional
+    tag recording the seed of whatever drew the events (documentation
     only -- replay uses the events, never the seed).
     """
 
@@ -189,88 +188,6 @@ class FaultPlan:
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
         return cls.from_dict(json.loads(text))
-
-    # ------------------------------------------------------------------ #
-    # sampling
-    # ------------------------------------------------------------------ #
-
-    @classmethod
-    def sample(
-        cls,
-        seed: SeedLike,
-        num_workers: int,
-        horizon_s: float,
-        num_islands: int = 4,
-        failures: int = 0,
-        stragglers: int = 0,
-        throttles: int = 0,
-        link_candidates: Sequence[Tuple[int, int]] = (),
-        link_failures: int = 0,
-        num_channels: int = 0,
-        channel_losses: int = 0,
-        max_slowdown: float = 4.0,
-        max_throttle_steps: int = 2,
-        name: str = "sampled",
-    ) -> "FaultPlan":
-        """Draw a random plan from a :class:`numpy.random.Generator`.
-
-        Event times are uniform over ``(0, horizon_s)``; victims are
-        uniform over their resource populations.  Fully deterministic for
-        a given integer *seed* (see :func:`repro.utils.rng.derive_rng`).
-        """
-        check_positive("num_workers", num_workers)
-        check_positive("horizon_s", horizon_s)
-        if link_failures > 0 and not link_candidates:
-            raise ValueError("link_failures > 0 requires link_candidates")
-        if channel_losses > 0 and num_channels <= 0:
-            raise ValueError("channel_losses > 0 requires num_channels > 0")
-        rng = derive_rng(seed)
-        events: List[FaultSpec] = []
-        for _ in range(int(failures)):
-            events.append(
-                FaultSpec(
-                    FaultKind.CORE_FAILURE,
-                    float(rng.uniform(0.0, horizon_s)),
-                    (int(rng.integers(num_workers)),),
-                )
-            )
-        for _ in range(int(stragglers)):
-            events.append(
-                FaultSpec(
-                    FaultKind.CORE_SLOWDOWN,
-                    float(rng.uniform(0.0, horizon_s)),
-                    (int(rng.integers(num_workers)),),
-                    magnitude=float(rng.uniform(1.25, max_slowdown)),
-                )
-            )
-        for _ in range(int(throttles)):
-            events.append(
-                FaultSpec(
-                    FaultKind.ISLAND_THROTTLE,
-                    float(rng.uniform(0.0, horizon_s)),
-                    (int(rng.integers(num_islands)),),
-                    magnitude=float(rng.integers(1, max_throttle_steps + 1)),
-                )
-            )
-        for _ in range(int(link_failures)):
-            a, b = link_candidates[int(rng.integers(len(link_candidates)))]
-            events.append(
-                FaultSpec(
-                    FaultKind.LINK_FAILURE,
-                    float(rng.uniform(0.0, horizon_s)),
-                    (int(a), int(b)),
-                )
-            )
-        for _ in range(int(channel_losses)):
-            events.append(
-                FaultSpec(
-                    FaultKind.CHANNEL_LOSS,
-                    float(rng.uniform(0.0, horizon_s)),
-                    (int(rng.integers(num_channels)),),
-                )
-            )
-        plan_seed = seed if isinstance(seed, int) else None
-        return cls(events=tuple(events), seed=plan_seed, name=name)
 
 
 def canonical_plan_json(

@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-# Imported from the leaf modules (not the ``repro.faults`` package) so the
+# Imported from the leaf module (not the ``repro.faults`` package) so the
 # faults engine can in turn import the platform without a cycle.
-from repro.faults.policy import ResiliencePolicy
 from repro.faults.spec import FaultPlan
 from repro.power.spec import PowerCapSpec
 from repro.sim.adaptive import VfSchedule
@@ -88,9 +87,6 @@ class SimulationParams:
     #: Timed degradation events injected into the run; ``None`` (or an
     #: empty plan) is the bit-identical fault-free simulator.
     fault_plan: Optional[FaultPlan] = None
-    #: How the system reacts to injected faults; ``None`` selects the
-    #: default :class:`repro.faults.policy.ResiliencePolicy`.
-    resilience: Optional[ResiliencePolicy] = None
     #: Runtime power budget the cap governor enforces at phase
     #: boundaries; ``None`` (or the unbounded spec) is the bit-identical
     #: uncapped simulator.

@@ -297,6 +297,10 @@ class _KvPricing:
 class SystemSimulator:
     """Simulates one trace on one platform.
 
+    The simulator is single-use -- construct, :meth:`run` once: a run
+    leaves its network counters, fault engine and governor behind, so a
+    second :meth:`run` raises.  :func:`simulate` builds one per call.
+
     Parameters
     ----------
     platform:
@@ -349,7 +353,7 @@ class SystemSimulator:
         if plan is not None and len(plan) == 0:
             plan = None
         self.faults: Optional[FaultEngine] = (
-            FaultEngine(platform, plan, params.resilience, tracer=self.tracer)
+            FaultEngine(platform, plan, tracer=self.tracer)
             if plan is not None
             else None
         )
@@ -375,17 +379,24 @@ class SystemSimulator:
                 "a V/F schedule does not combine with fault plans or power caps"
             )
         self._vf_views = None if schedule is None else schedule.views(platform)
+        self._ran = False
 
     # ------------------------------------------------------------------ #
     # public API
     # ------------------------------------------------------------------ #
 
     def run(self, trace: JobTrace) -> SimulationResult:
+        if self._ran:
+            raise RuntimeError(
+                "SystemSimulator.run was already called; build a new "
+                "simulator or call simulate()"
+            )
         if trace.num_workers != self.platform.num_cores:
             raise ValueError(
                 f"trace has {trace.num_workers} workers, platform has "
                 f"{self.platform.num_cores} cores"
             )
+        self._ran = True
         busy = np.zeros(self.platform.num_cores)
         self._committed = np.zeros(self.platform.num_cores)
         phases: List[PhaseStats] = []
@@ -503,17 +514,16 @@ class SystemSimulator:
 
     def _refresh_speed_views(self) -> None:
         """Rebuild the frequency map and stealing policy for the current
-        effective platform."""
-        faults = self.faults
-        if faults is not None:
-            self._worker_freqs = faults.effective_worker_freqs(self.platform)
-            self.policy = faults.effective_policy(
-                self._base_policy, self.platform
-            )
-            return
+        effective platform: the island clocks divided by the straggler
+        slowdowns, with the Eq. (3) caps re-derived on them (Sec. 4.3).
+
+        Dead workers keep their clock: executions before the failure
+        instant run at full speed, and everything after it is excluded
+        via the fault engine's ``fail_time``, never via frequency."""
         freqs = np.array(self.platform.effective_worker_frequencies())
+        if self.faults is not None:
+            freqs = freqs / self.faults.slowdown
         self._worker_freqs = freqs
-        # Eq. (3) caps track the throttled frequency map.
         self.policy = retune_policy(self._base_policy, freqs)
 
     # ------------------------------------------------------------------ #
@@ -945,7 +955,7 @@ class SystemSimulator:
 
         ``price(worker)`` is the task's duration on *worker*.  The
         execution chain is deterministic: a dead home worker is replaced
-        per the resilience policy's substitute order; an execution the
+        by the next survivor on the worker ring; an execution the
         worker's failure would cut short burns the interval up to the
         failure (recorded as lost busy time) and re-executes on the next
         substitute.  Each worker dies at most once, so the chain
@@ -958,9 +968,7 @@ class SystemSimulator:
         t = start
         while True:
             if fail_time[worker] <= t:
-                substitute = faults.substitute_for(
-                    worker, t, self._worker_freqs
-                )
+                substitute = faults.substitute_for(worker, t)
                 if substitute is None:
                     raise FaultInjectionError(
                         f"no surviving worker to run task "
@@ -975,7 +983,7 @@ class SystemSimulator:
             recovery.lost.append((worker, t, fail - t, record.task_id))
             recovery.reexecutions += 1
             t = fail
-            substitute = faults.substitute_for(worker, t, self._worker_freqs)
+            substitute = faults.substitute_for(worker, t)
             if substitute is None:
                 raise FaultInjectionError(
                     f"no surviving worker to re-execute task "

@@ -20,8 +20,8 @@ The paper solves this NP-hard program with Gurobi's branch and bound.
 Gurobi is unavailable here, so this module provides:
 
 * :func:`solve_branch_and_bound` -- an exact depth-first branch and bound
-  with utilization-cost lower bounds, practical up to ~16 cores (used to
-  validate the heuristic);
+  with a lower bound on the cores still to be assigned, practical up to
+  ~16 cores (used to validate the heuristic);
 * :func:`solve_simulated_annealing` -- swap-move annealing from the
   utilization-sorted seed, used for the 64-core instances.  It reaches
   the B&B optimum on the 8-core, 2-cluster instances of
@@ -180,13 +180,16 @@ def solve_branch_and_bound(
     """Exact DFS branch and bound over the assignment tree.
 
     Cores are assigned in order; partial cost accumulates the utilization
-    term exactly and the communication term over already-assigned pairs
-    (both are lower bounds on the completed cost because every term of
-    Eq. (1) is non-negative).  It starts at the self-traffic term
-    ``phi_intra * sum_i f[i, i]``, which every assignment pays, so the
-    returned ``cost`` is the Eq. (1) cost of the returned assignment.
-    An initial incumbent from the utilization seed makes pruning
-    effective.
+    term exactly and the communication term over already-assigned pairs.
+    It starts at the self-traffic term ``phi_intra * sum_i f[i, i]``,
+    which every assignment pays, so the returned ``cost`` is the Eq. (1)
+    cost of the returned assignment.  A subtree is pruned when its
+    partial cost plus a precomputed lower bound on what the cores still
+    to be assigned add reaches the incumbent (seeded from the
+    utilization-sorted assignment).  Each such core adds at least its
+    cheapest utilization term, plus its traffic with the earlier cores
+    at ``phi = 1`` except for its ``cluster_size - 1`` heaviest pairs at
+    ``phi_intra``: no more earlier cores than that can share its island.
     """
     n = problem.num_cores
     if n > max_cores:
@@ -208,10 +211,22 @@ def solve_branch_and_bound(
 
     util = problem.utilization
     targets = problem.cluster_target_util
+    # floor[k] bounds what cores k..n-1 add from below.  It is shrunk by
+    # a relative 1e-9, so float rounding never prunes a leaf that beats
+    # the incumbent; floor[n] = 0 keeps the leaf test exact.
+    floor = [0.0] * (n + 1)
+    remaining = 0.0
+    for core in range(n - 1, -1, -1):
+        pairs = np.sort(sym_traffic[core, :core])[::-1]
+        comm = pairs.sum() - (1.0 - phi_intra) * pairs[: size - 1].sum()
+        remaining += problem.util_weight * float(
+            ((util[core] - targets) ** 2).min()
+        ) + problem.comm_weight * float(comm)
+        floor[core] = remaining * (1.0 - 1e-9)
 
     def dfs(core: int, partial_cost: float) -> None:
         nonlocal best_cost, best_assignment, evaluations
-        if partial_cost >= best_cost:
+        if partial_cost + floor[core] >= best_cost:
             return
         if core == n:
             best_cost = partial_cost

@@ -11,11 +11,6 @@ from repro.faults import (
     FaultKind,
     FaultPlan,
     FaultSpec,
-    ResiliencePolicy,
-)
-from repro.mapreduce.scheduler import (
-    CappedStealingPolicy,
-    DefaultStealingPolicy,
 )
 from repro.vfi.islands import DVFS_LADDER
 
@@ -76,10 +71,8 @@ class TestActivation:
         slow = lambda t: FaultSpec(FaultKind.CORE_SLOWDOWN, t, (5,), 2.0)
         engine = FaultEngine(platform, plan_of(slow(1.0), slow(2.0)))
         engine.activate_due(3.0)
-        freqs = engine.effective_worker_freqs(platform)
-        nominal = np.array(platform.worker_frequencies())
-        assert freqs[5] == pytest.approx(nominal[5] / 4.0)
-        assert freqs[4] == pytest.approx(nominal[4])
+        assert engine.slowdown[5] == 4.0
+        assert engine.slowdown[4] == 1.0
 
     def test_dirty_flags(self, platform):
         engine = FaultEngine(platform, plan_of(failure(1.0, 0)))
@@ -121,16 +114,6 @@ class TestDegradedViews:
             engine.activate_due(2.0)
             engine.effective_platform()
 
-    def test_no_reroute_policy_raises_on_link_loss(self, platform):
-        drop = FaultSpec(FaultKind.LINK_FAILURE, 1.0, (0, 1))
-        engine = FaultEngine(
-            platform,
-            plan_of(drop),
-            policy=ResiliencePolicy(reroute_failed_links=False),
-        )
-        with pytest.raises(FaultInjectionError, match="forbids rerouting"):
-            engine.activate_due(2.0)
-
     def test_throttle_steps_down_the_ladder(self, platform):
         throttle = FaultSpec(FaultKind.ISLAND_THROTTLE, 1.0, (2,), 2.0)
         engine = FaultEngine(platform, plan_of(throttle))
@@ -147,42 +130,14 @@ class TestDegradedViews:
         engine.activate_due(2.0)
         assert engine.effective_vf_points()[2] == DVFS_LADDER[0]
 
-    def test_policy_rebalanced_against_degraded_freqs(self, platform):
-        slow = FaultSpec(FaultKind.CORE_SLOWDOWN, 1.0, (3,), 2.0)
-        engine = FaultEngine(platform, plan_of(slow))
-        engine.activate_due(2.0)
-        nominal = [float(f) for f in platform.worker_frequencies()]
-        base_policy = CappedStealingPolicy(nominal)
-        rebalanced = engine.effective_policy(base_policy, platform)
-        assert isinstance(rebalanced, CappedStealingPolicy)
-        assert rebalanced is not base_policy
-        assert rebalanced.core_frequencies_hz[3] == pytest.approx(
-            nominal[3] / 2.0
-        )
-        # Non-capped policies and opted-out runs pass through untouched.
-        default = DefaultStealingPolicy()
-        assert engine.effective_policy(default, platform) is default
-        assert engine.effective_policy(None, platform) is None
-        frozen = FaultEngine(
-            platform,
-            plan_of(slow),
-            policy=ResiliencePolicy(rebalance_steal_caps=False),
-        )
-        frozen.activate_due(2.0)
-        assert frozen.effective_policy(base_policy, platform) is base_policy
-
 
 class TestBottleneckShield:
-    def _engine(self, platform, master_worker, **policy_kwargs):
+    def _engine(self, platform, master_worker):
         throttled = platform.island_of_worker(master_worker)
         throttle = FaultSpec(
             FaultKind.ISLAND_THROTTLE, 1.0, (throttled,), 1.0
         )
-        engine = FaultEngine(
-            platform,
-            plan_of(throttle),
-            policy=ResiliencePolicy(**policy_kwargs),
-        )
+        engine = FaultEngine(platform, plan_of(throttle))
         engine.master_workers = {master_worker}
         engine.activate_due(2.0)
         return engine, throttled
@@ -207,14 +162,6 @@ class TestBottleneckShield:
         engine.effective_vf_points()
         assert engine.impact().bottleneck_reassignments == 1
 
-    def test_shield_disabled_by_policy(self, platform):
-        engine, throttled = self._engine(
-            platform, master_worker=0, rerun_bottleneck_reassignment=False
-        )
-        points = engine.effective_vf_points()
-        assert points[throttled] != platform.vf_points[throttled]
-        assert engine.impact().bottleneck_reassignments == 0
-
 
 class TestSubstitution:
     def test_ring_walks_past_dead_neighbors(self, platform):
@@ -222,28 +169,11 @@ class TestSubstitution:
             platform, plan_of(failure(1.0, 3), failure(1.0, 4))
         )
         engine.activate_due(2.0)
-        freqs = engine.effective_worker_freqs(platform)
-        assert engine.substitute_for(3, 2.0, freqs) == 5
-        assert engine.substitute_for(15, 2.0, freqs) == 0
-
-    def test_fastest_picks_highest_surviving_frequency(self, platform):
-        engine = FaultEngine(
-            platform,
-            plan_of(failure(1.0, 0)),
-            policy=ResiliencePolicy(substitute_order="fastest"),
-        )
-        engine.activate_due(2.0)
-        freqs = engine.effective_worker_freqs(platform).copy()
-        freqs[7] *= 3  # make one survivor unambiguously fastest
-        assert engine.substitute_for(0, 2.0, freqs) == 7
+        assert engine.substitute_for(3, 2.0) == 5
+        assert engine.substitute_for(15, 2.0) == 0
 
     def test_no_survivors_returns_none(self, platform):
         events = tuple(failure(1.0, w) for w in range(16))
         engine = FaultEngine(platform, plan_of(*events))
         engine.activate_due(2.0)
-        freqs = engine.effective_worker_freqs(platform)
-        assert engine.substitute_for(0, 2.0, freqs) is None
-
-    def test_unknown_order_rejected(self):
-        with pytest.raises(ValueError, match="substitute_order"):
-            ResiliencePolicy(substitute_order="random")
+        assert engine.substitute_for(0, 2.0) is None

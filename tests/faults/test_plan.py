@@ -77,33 +77,6 @@ class TestFaultPlan:
     def test_seed_omitted_when_none(self):
         assert "seed" not in FaultPlan(events=(spec(),)).to_dict()
 
-    def test_sample_is_deterministic(self):
-        kwargs = dict(
-            num_workers=16,
-            horizon_s=10.0,
-            failures=2,
-            stragglers=1,
-            throttles=1,
-            link_candidates=((0, 1), (4, 5)),
-            link_failures=1,
-        )
-        a = FaultPlan.sample(seed=3, **kwargs)
-        b = FaultPlan.sample(seed=3, **kwargs)
-        c = FaultPlan.sample(seed=4, **kwargs)
-        assert a == b
-        assert a.to_json() == b.to_json()
-        assert a != c
-        assert len(a) == 5
-        assert a.seed == 3
-
-    def test_sample_targets_in_range(self):
-        plan = FaultPlan.sample(
-            seed=11, num_workers=8, horizon_s=4.0, failures=3, stragglers=3
-        )
-        for event in plan.events:
-            assert all(0 <= t < 8 for t in event.target)
-            assert 0.0 <= event.time_s <= 4.0
-
 
 class TestPresetScenarios:
     @pytest.mark.parametrize("scenario", SCENARIOS)

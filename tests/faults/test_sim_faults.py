@@ -18,8 +18,12 @@ from repro.apps import create_app
 from repro.core.platforms import build_nvfi_mesh, geometry_for
 from repro.core.serialization import result_from_dict, result_to_dict
 from repro.faults import FaultKind, FaultPlan, FaultSpec, preset_plan
+from repro.mapreduce.scheduler import (
+    CappedStealingPolicy,
+    DefaultStealingPolicy,
+)
 from repro.sim.config import SimulationParams
-from repro.sim.system import simulate
+from repro.sim.system import SystemSimulator, simulate
 from repro.telemetry import RecordingTracer, use_tracer
 from repro.telemetry.export import write_jsonl
 
@@ -46,13 +50,10 @@ def dumps(result) -> str:
     return json.dumps(result_to_dict(result), sort_keys=True)
 
 
-def run_plan(case, platform, plan, resilience=None):
+def run_plan(case, platform, plan):
     locality, trace = case
     return simulate(
-        platform,
-        trace,
-        locality=locality,
-        params=SimulationParams(fault_plan=plan, resilience=resilience),
+        platform, trace, locality=locality, params=SimulationParams(fault_plan=plan)
     )
 
 
@@ -181,3 +182,42 @@ class TestOtherScenarios:
         assert result.faults is not None
         assert result.faults.events_applied == []
         assert result.total_time_s == pytest.approx(clean.total_time_s)
+
+
+class TestStealingPolicyReaction:
+    """After a straggler's boundary the simulator re-derives the Eq. (3)
+    caps on the island clocks divided by the slowdowns (Sec. 4.3); a
+    policy without caps is kept as it is."""
+
+    SLOW = FaultPlan(
+        events=(FaultSpec(FaultKind.CORE_SLOWDOWN, 0.0, (3,), 2.0),)
+    )
+
+    def _run(self, case, platform, policy):
+        locality, trace = case
+        simulator = SystemSimulator(
+            platform,
+            locality=locality,
+            stealing_policy=policy,
+            params=SimulationParams(fault_plan=self.SLOW),
+        )
+        simulator.run(trace)
+        return simulator
+
+    def test_policy_rebalanced_against_degraded_freqs(self, case, platform):
+        nominal = np.array(platform.effective_worker_frequencies())
+        base_policy = CappedStealingPolicy(nominal.tolist())
+        simulator = self._run(case, platform, base_policy)
+        rebalanced = simulator.policy
+        assert isinstance(rebalanced, CappedStealingPolicy)
+        assert rebalanced is not base_policy
+        slowed = nominal / simulator.faults.slowdown
+        assert rebalanced.core_frequencies_hz == slowed.tolist()
+        assert rebalanced.core_frequencies_hz[3] == nominal[3] / 2.0
+        assert rebalanced.fmax_hz == nominal.max()
+
+    @pytest.mark.parametrize(
+        "policy", [DefaultStealingPolicy(), None], ids=["default", "none"]
+    )
+    def test_uncapped_policy_is_kept(self, case, platform, policy):
+        assert self._run(case, platform, policy).policy is policy

@@ -156,9 +156,7 @@ def execute_with_substitution(
     t = start
     while True:
         if faults.fail_time[worker] <= t:
-            substitute = faults.substitute_for(
-                worker, t, simulator._worker_freqs
-            )
+            substitute = faults.substitute_for(worker, t)
             if substitute is None:
                 raise FaultInjectionError(
                     f"no surviving worker to run task "
@@ -174,7 +172,7 @@ def execute_with_substitution(
         recovery.lost.append((worker, t, fail - t, record.task_id))
         recovery.reexecutions += 1
         t = fail
-        substitute = faults.substitute_for(worker, t, simulator._worker_freqs)
+        substitute = faults.substitute_for(worker, t)
         if substitute is None:
             raise FaultInjectionError(
                 f"no surviving worker to re-execute task "

@@ -15,7 +15,6 @@ from repro.apps import create_app
 from repro.core.geometry import DieGeometry
 from repro.core.platforms import build_nvfi_mesh
 from repro.faults import FaultKind, FaultPlan, FaultSpec
-from repro.faults.policy import ResiliencePolicy
 from repro.faults.spec import FaultInjectionError
 from repro.sim import system
 from repro.sim.config import SimulationParams
@@ -105,7 +104,7 @@ class TestKernelMatchesScalar:
         _assert_kernel_matches_scalar(simulator, records, range(128))
 
 
-def _faulted(fail_times, order="ring"):
+def _faulted(fail_times):
     """A loaded 16-core simulator whose cores fail at *fail_times*."""
     plan = FaultPlan(
         events=tuple(
@@ -114,10 +113,7 @@ def _faulted(fail_times, order="ring"):
         ),
         name="kernel",
     )
-    params = SimulationParams(
-        fault_plan=plan, resilience=ResiliencePolicy(substitute_order=order)
-    )
-    return _loaded_simulator(16, params)
+    return _loaded_simulator(16, SimulationParams(fault_plan=plan))
 
 
 def _assert_phase_matches_scalar(simulator, records, start, plan=None):
@@ -149,14 +145,12 @@ class TestBarrierPhaseMatchesScalar:
     def test_clean_phase(self, mesh16):
         _assert_phase_matches_scalar(*mesh16, self.START)
 
-    @pytest.mark.parametrize("order", ["ring", "fastest"])
-    def test_dead_and_dying_homes(self, order):
+    def test_dead_and_dying_homes(self):
         start = self.START
         simulator, records = _faulted(
             # dead before the barrier, at it, mid-task (twice in a row on
             # the ring), and long after the phase
-            {3: 0.5, 4: start, 7: start + 1e-6, 8: start + 2e-6, 12: 50.0},
-            order,
+            {3: 0.5, 4: start, 7: start + 1e-6, 8: start + 2e-6, 12: 50.0}
         )
         _, _, recovery = _assert_phase_matches_scalar(simulator, records, start)
         assert recovery.substitutions and recovery.reexecutions

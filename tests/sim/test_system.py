@@ -100,3 +100,18 @@ class TestValidation:
         small_trace = create_app("histogram", scale=0.25, seed=13).run(num_workers=32)
         with pytest.raises(ValueError):
             simulate(build_nvfi_mesh(), small_trace)
+
+    def test_simulator_runs_once(self, trace, app):
+        # A second run would start from the first run's network counters
+        # (double the NoC energy at the same time), so it is refused.
+        simulator = SystemSimulator(
+            build_nvfi_mesh(), locality=app.profile.l2_locality
+        )
+        first = simulator.run(trace)
+        with pytest.raises(RuntimeError, match="build a new simulator"):
+            simulator.run(trace)
+        again = simulate(
+            build_nvfi_mesh(), trace, locality=app.profile.l2_locality
+        )
+        assert again.energy.noc_dynamic_j == first.energy.noc_dynamic_j
+        assert again.total_time_s == first.total_time_s

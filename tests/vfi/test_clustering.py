@@ -124,6 +124,17 @@ class TestExactSolver:
         counts = np.bincount(result.assignment, minlength=4)
         assert (counts == 3).all()
 
+    def test_bound_prunes_a_dense_instance(self):
+        # Drawn as the annealer benchmark draws its 12-core instances.
+        # Bounding only the assigned pairs evaluates all 7,364 nodes of
+        # this tree; the bound on the cores still to be assigned cuts
+        # most of them and still finds the optimum.
+        rng = np.random.default_rng(1)
+        problem = ClusteringProblem(rng.random((8, 8)) ** 2, rng.random(8), 4)
+        result = solve_branch_and_bound(problem)
+        assert result.evaluations <= 1000
+        assert result.cost == pytest.approx(brute_force(problem), rel=1e-12)
+
     def test_refuses_large_instances(self):
         problem = random_problem(64, 4, 6)
         with pytest.raises(ValueError):
