@@ -5,10 +5,12 @@ flow-usage matrices, memory-system expectations) are the simulator's
 peak-RSS driver at large core counts.  ``NocParams.dense_block_nodes``
 walks sources in blocks and stores the tables as float32; this benchmark
 measures the additional allocation peak (tracemalloc) of constructing
-every static table -- network plus :class:`repro.sim.memory.MemorySystem`,
-which triggers the dense latency/bulk tables, both pairwise-energy
-tables, both flow-usage matrices, the miss-usage table and the latency
-refresh -- on a 256-core die, blocked and unblocked.
+every static table -- a :class:`repro.sim.memory.MemorySystem`, which
+builds its network and triggers the dense latency/bulk tables, both
+pairwise-energy tables, both flow-usage matrices, the miss-usage table
+and the latency refresh -- on a 256-core die, blocked and unblocked.
+Each side is its own platform (``dataclasses.replace`` with the table
+layout's ``NocParams``), so it holds the fabric of its own layout.
 
 Acceptance: the blocked peak must sit at least ``MIN_RATIO`` (4x) below
 ``LEGACY_UNBLOCKED_PEAK_MB``, the unblocked peak of the per-pair Python
@@ -40,13 +42,13 @@ RESULT_NAME = "memory_blocked_dense.json"
 
 def _static_table_peak(block_nodes) -> float:
     """Peak additional bytes while building every static table."""
-    platform = build_nvfi_mesh(DieGeometry.for_cores(NUM_CORES))
     params = (
         NocParams() if block_nodes is None
         else replace(NocParams(), dense_block_nodes=block_nodes)
     )
-    object.__setattr__(platform, "noc_params", params)
-    platform.network = platform.build_network()
+    platform = replace(
+        build_nvfi_mesh(DieGeometry.for_cores(NUM_CORES)), noc_params=params
+    )
     tracemalloc.start()
     try:
         MemorySystem(platform, locality=0.6)

@@ -91,13 +91,11 @@ def structural_bottleneck_workers(
         raise ValueError(
             f"final_merge_stages must be >= 0, got {final_merge_stages}"
         )
-    workers = set()
-    for iteration in trace.iterations:
-        workers.add(iteration.lib_init.home_worker)
-        if final_merge_stages > 0:
+    workers = trace.master_workers
+    if final_merge_stages > 0:
+        for iteration in trace.iterations:
             for stage in iteration.merge_stages[-final_merge_stages:]:
-                for record in stage.tasks:
-                    workers.add(record.home_worker)
+                workers.update(record.home_worker for record in stage.tasks)
     return workers
 
 

@@ -329,8 +329,8 @@ def build_vfi_winoc(
     winoc = assign_wireless_links(wireline, placement, wireless_spec)
 
     # 5. Congestion-calibrated routing over the combined fabric, priced
-    #    on the fabric the platform's network adopts (held here until
-    #    then), so its routing is walked once.
+    #    on the fabric the platform then holds (held here until then),
+    #    so its routing is walked once.
     rate_matrix = None
     if traffic_rate_bps is not None:
         rate_matrix = mapping.map_traffic(np.asarray(traffic_rate_bps))

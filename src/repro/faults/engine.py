@@ -130,9 +130,7 @@ class FaultEngine:
     def begin(self, trace) -> None:
         """Learn which workers are masters (lib-init owners) from the
         trace, before the first phase runs."""
-        self.master_workers = {
-            iteration.lib_init.home_worker for iteration in trace.iterations
-        }
+        self.master_workers = trace.master_workers
 
     def activate_due(self, now: float) -> Tuple[bool, bool]:
         """Apply every pending event with ``time_s <= now``.
@@ -247,7 +245,7 @@ class FaultEngine:
                         self.tracer.counter_add(
                             "faults.bottleneck_reassignments", 1.0
                         )
-        ladder = self.base_platform.ladder
+        ladder = self.base_platform.dvfs_ladder
         points = []
         for island, point in enumerate(base_points):
             down = steps.get(island, 0)

@@ -19,7 +19,7 @@ platform/V-F/topology configuration without re-running the functional job.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -103,6 +103,12 @@ class JobTrace:
     @property
     def num_iterations(self) -> int:
         return len(self.iterations)
+
+    @property
+    def master_workers(self) -> Set[int]:
+        """The masters: every iteration's library-init home worker (a
+        fresh set per call)."""
+        return {iteration.lib_init.home_worker for iteration in self.iterations}
 
     def all_tasks(self) -> List[TaskRecord]:
         tasks: List[TaskRecord] = []

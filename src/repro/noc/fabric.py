@@ -23,7 +23,9 @@ re-powered or capped platform, or a fault-degraded view that only
 throttles, has the same content and gets the same fabric; a view that
 lost a link, another die, or a small-world fabric with as many links
 as a mesh gets its own.  The memo holds weak references: a fabric lives
-exactly as long as some network uses it, so nothing outlives its study.
+exactly as long as some platform
+(:attr:`repro.sim.platform.Platform.fabric`) or network holds it, so
+nothing outlives its study.
 
 Like a core's structure apart from its DVFS point, the fabric is the
 platform's structure; the V/F assignment is applied on top of it.

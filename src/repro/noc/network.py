@@ -191,7 +191,8 @@ class FlowNetworkModel:
         )
         # Telemetry: captured at construction (install the tracer first).
         # ``trace_label`` names this interconnect instance in counters and
-        # samples; the simulator overwrites it with the platform name.
+        # samples; a memory system labels its network with the platform
+        # name.
         self._tracer = get_tracer()
         self.trace_label = "noc"
 

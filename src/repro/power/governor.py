@@ -85,7 +85,7 @@ class CapGovernor:
         on top of fault throttling, never the other way around).
         """
         self.base_platform = platform
-        ladder = platform.ladder
+        ladder = platform.dvfs_ladder
         num_islands = platform.layout.num_clusters
         self._base_indices = tuple(
             ladder.index(nearest_ladder_point(point.frequency_hz, ladder))
@@ -104,9 +104,7 @@ class CapGovernor:
     def begin(self, trace) -> None:
         """Learn which workers are masters (lib-init owners) from the
         trace, before the first phase runs."""
-        self.master_workers = {
-            iteration.lib_init.home_worker for iteration in trace.iterations
-        }
+        self.master_workers = trace.master_workers
 
     # ------------------------------------------------------------------ #
     # the phase-boundary poll
@@ -156,7 +154,7 @@ class CapGovernor:
         power = self._chip_power_w(steps, self._activities)
         self._peak_power = max(self._peak_power, power)
 
-        ladder = self.base_platform.ladder
+        ladder = self.base_platform.dvfs_ladder
         changed = False
         for island in range(num_islands):
             if steps[island] > 0:
@@ -267,7 +265,7 @@ class CapGovernor:
         return max(self._base_indices[island] - steps_down, 0)
 
     def _point(self, island: int, steps_down: int) -> VfPoint:
-        return self.base_platform.ladder[self._index_of(island, steps_down)]
+        return self.base_platform.dvfs_ladder[self._index_of(island, steps_down)]
 
     def _island_power_w(
         self, island: int, steps_down: int, activity: float

@@ -4,11 +4,19 @@ The paper motivates VFIs with the observation that "the execution of
 MapReduce on a multicore platform generates varying workload patterns
 depending on the execution stages" (Sec. 1) but evaluates only *static*
 per-application assignments.  This module implements the natural
-extension: switch each island's V/F **per phase**.  The serial phases
-(library initialization, the tail of the Merge funnel) leave most
-islands idle -- a phase-adaptive schedule drops them to the DVFS floor
-and restores them for Map/Reduce, paying a per-transition re-lock
-penalty.
+extension: switch each island's V/F **per phase**.  Library
+initialization runs on the master alone and the Merge funnel narrows to
+it, so the canonical schedule (:func:`phase_adaptive_schedule`) parks
+every non-master island at the DVFS floor for library init and for the
+whole Merge -- the funnel's first stages, which still run on many
+workers, included -- and restores the VFI 2 points for Map/Reduce,
+paying a per-transition re-lock penalty.  It trades time for energy.
+In the committed scale-1.0 table
+(``benchmarks/results/extension_phase_adaptive.txt``, seed 7, 64
+cores), execution time relative to NVFI goes from static VFI 2 to
+adaptive as PCA 1.141 -> 1.154, HIST 1.088 -> 1.096, MM 1.087 -> 1.097
+and WC 1.146 -> 1.162, and EDP relative to NVFI falls only for PCA
+(0.859 -> 0.845) and MM (0.949 -> 0.948).
 
 A schedule runs as a phase-boundary control of
 :class:`repro.sim.system.SystemSimulator`: pass it as
@@ -83,9 +91,13 @@ def phase_adaptive_schedule(
     """Build the canonical phase-adaptive schedule from a VFI design.
 
     Map and Reduce keep the static VFI-2 assignment; during library init
-    and Merge every island except the master's drops to *serial_floor*
-    (those cores are idle or nearly so), while the master's island keeps
-    its VFI-2 point so the serial critical path is not slowed.
+    and the whole Merge every island except the master's drops to
+    *serial_floor*, while the master's island keeps its VFI-2 point so
+    the serial critical path is not slowed.  Merge is one phase here, so
+    the funnel's first stages, which run on many workers, run on the
+    parked islands too: the schedule is slower than static VFI 2 on
+    every app of the committed table and lowers EDP only for PCA and MM
+    (see the module docstring).
     """
     base = tuple(design.vfi2.points)
     master_island = design.worker_clusters[master_worker]

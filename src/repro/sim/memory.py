@@ -34,7 +34,12 @@ inverse capacities.  Effective path capacity is gathered only at the
 On a fabric where both classes share one routing (every mesh) they
 share one table set, and the loaded head is computed once.
 
-A memory system builds nothing that does not depend on its clocks.
+A memory system owns the run's network state: it builds its own
+:class:`repro.noc.network.FlowNetworkModel` (:attr:`MemorySystem.network`),
+whose loads and energy counters every flow registration, latency
+refresh, energy fold and trace sample of the run reads, so memory
+systems on one platform never see each other's traffic.  Beyond that it
+builds nothing that does not depend on its clocks.
 The NoC tables come from the platform's :class:`repro.noc.fabric.Fabric`
 through :class:`DenseLatencyModel` and :class:`PairwiseEnergy` (the
 per-clock ones once per clock vector), and the home-bank distribution,
@@ -51,6 +56,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.noc.dense import DenseLatencyModel, PairwiseEnergy
+from repro.noc.network import FlowNetworkModel
 from repro.noc.packets import control_bits, data_bits
 from repro.sim.platform import Platform
 from repro.utils.validation import check_probability
@@ -67,7 +73,20 @@ class MemorySystem:
         mem = platform.memory_params
         self._ctrl_bits = control_bits() * mem.coherence_control_factor
         self._data_bits = float(data_bits())
-        network = platform.network
+        #: This memory system's interconnect instance: the loads and
+        #: energy counters of its run alone, labelled with the platform
+        #: name in telemetry.
+        self.network = network = FlowNetworkModel(
+            topology=platform.topology,
+            routing=platform.routing,
+            clusters=list(platform.layout.node_cluster),
+            cluster_frequencies_hz=[p.frequency_hz for p in platform.vf_points],
+            cluster_voltages=[p.voltage_v for p in platform.vf_points],
+            params=platform.noc_params,
+            wireless=platform.wireless_spec,
+            energy_params=platform.noc_energy_params,
+        )
+        network.trace_label = platform.name
         self.dense = DenseLatencyModel(network)
         self.dense_bulk = DenseLatencyModel(network, bulk=True)
         self.pairwise = PairwiseEnergy(network)
@@ -218,7 +237,7 @@ class MemorySystem:
                 for bank in range(n)
             ]
         )
-        fabric = platform.network.fabric
+        fabric = self.network.fabric
         usage_ctrl = fabric.flow_usage(bulk=False)
         usage_data = fabric.flow_usage(bulk=True)
         num_resources = usage_ctrl.shape[1]
@@ -265,9 +284,7 @@ class MemorySystem:
             raise ValueError("accesses_per_s must be >= 0")
         if not accesses_per_s.any():
             return
-        self.platform.network.apply_resource_load(
-            accesses_per_s @ self._miss_usage
-        )
+        self.network.apply_resource_load(accesses_per_s @ self._miss_usage)
 
     def miss_increments(
         self, nodes: np.ndarray, l2_accesses: np.ndarray, memory_accesses: np.ndarray
@@ -294,7 +311,7 @@ class MemorySystem:
         """Telemetry: expected (possibly fractional) flit-hops of miss
         traffic, per task, onto the medium-level counters only --
         aggregates have no single path."""
-        network = self.pairwise.model
+        network = self.network
         tracer = network._tracer
         flit_bits = network.params.flit_bits
         label = network.trace_label

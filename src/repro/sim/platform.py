@@ -1,7 +1,7 @@
 """Platform: the complete hardware configuration a trace runs on.
 
 A platform bundles the physical island layout, the per-island V/F
-assignment, the interconnect (topology + routing + flow model), the
+assignment, the interconnect (topology + routing + fabric), the
 thread mapping, and the power models.  The four system configurations of
 the paper are all platforms:
 
@@ -11,15 +11,18 @@ the paper are all platforms:
 * **VFI 2 WiNoC** -- VFI 2 V/F on the small-world + wireless fabric with
   one of the two placement/mapping methodologies.
 
-A platform's interconnect is one shared structure with its clocks
-applied on top: its network finds the :class:`repro.noc.fabric.Fabric`
-holding the topology's routings, walks and clock-free tables by content
+A platform is a description and holds no run state.  Its interconnect
+is one shared structure with its clocks applied on top: the platform
+holds the :class:`repro.noc.fabric.Fabric` with the topology's routings,
+walks and clock-free tables, found by content
 (:func:`repro.noc.fabric.fabric_for`), so every platform over the same
 topology and routing -- the NVFI and both VFI meshes of a die,
 :meth:`Platform.with_vf` / :meth:`Platform.with_power` copies, the cap
 governor's re-clocked views and the fault engine's throttled views --
-shares it by construction, and builds only the tables of its own clock
-vector.
+shares it by construction.  The loads and energy counters of a run live
+in the network each :class:`repro.sim.memory.MemorySystem` builds over
+that fabric and the platform's clocks, so any number of simulations may
+share one platform.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from typing import List, Optional, Sequence, Tuple
 from repro.energy.core_power import CorePowerModel, CorePowerParams
 from repro.mapping.thread_mapping import ThreadMapping, identity_mapping
 from repro.noc.energy import NocEnergyParams
-from repro.noc.network import FlowNetworkModel, NocParams
+from repro.noc.fabric import fabric_for
+from repro.noc.network import NocParams
 from repro.noc.routing import RoutingTable
 from repro.noc.topology import Topology
 from repro.noc.wireless import WirelessSpec
@@ -96,25 +100,16 @@ class Platform:
         self._island_power_models = tuple(
             CorePowerModel(params) for params in self.island_core_power
         )
-        self.network = self.build_network()
+        #: The clock-free interconnect tables, shared by content; held
+        #: here so a fabric a builder calibrated lives on with it.
+        self.fabric = fabric_for(
+            self.topology, self.routing, self.wireless_spec.num_channels,
+            self.noc_params,
+        )
 
     @property
     def num_cores(self) -> int:
         return self.layout.geometry.num_nodes
-
-    def build_network(self) -> FlowNetworkModel:
-        """Fresh flow model (loads, energy counters) over this platform's
-        fabric and clocks."""
-        return FlowNetworkModel(
-            topology=self.topology,
-            routing=self.routing,
-            clusters=list(self.layout.node_cluster),
-            cluster_frequencies_hz=[p.frequency_hz for p in self.vf_points],
-            cluster_voltages=[p.voltage_v for p in self.vf_points],
-            params=self.noc_params,
-            wireless=self.wireless_spec,
-            energy_params=self.noc_energy_params,
-        )
 
     # ------------------------------------------------------------------ #
     # convenience accessors
@@ -129,44 +124,24 @@ class Platform:
     def vf_of_worker(self, worker: int) -> VfPoint:
         return self.vf_points[self.island_of_worker(worker)]
 
-    def frequency_of_worker(self, worker: int) -> float:
-        return self.vf_of_worker(worker).frequency_hz
-
-    def worker_frequencies(self) -> List[float]:
-        return [self.frequency_of_worker(w) for w in range(self.num_cores)]
-
-    @property
-    def ladder(self) -> Tuple[VfPoint, ...]:
-        """This platform's DVFS ladder (its technology node's)."""
-        return self.dvfs_ladder
-
     def core_power_of(self, island: int) -> CorePowerModel:
         """Core power model of *island*."""
         return self._island_power_models[island]
 
-    def perf_scale_of_worker(self, worker: int) -> float:
-        return self.perf_scales[self.island_of_worker(worker)]
-
-    def effective_frequency_of_worker(self, worker: int) -> float:
-        """Island clock x core-type performance multiplier (IPC proxy).
+    def effective_worker_frequencies(self) -> List[float]:
+        """Per worker: island clock x core-type performance multiplier
+        (IPC proxy).
 
         On the homogeneous paper platform the multiplier is 1.0, so this
         IS the island clock -- heterogeneous mixes slow in-order
         islands' task throughput without touching the NoC clocks, which
         stay at ``vf_points``.
         """
-        return self.frequency_of_worker(worker) * self.perf_scale_of_worker(worker)
-
-    def effective_worker_frequencies(self) -> List[float]:
         clocks = [
             point.frequency_hz * scale
             for point, scale in zip(self.vf_points, self.perf_scales)
         ]
         return [clocks[self.island_of_worker(w)] for w in range(self.num_cores)]
-
-    @property
-    def fmax_hz(self) -> float:
-        return max(point.frequency_hz for point in self.vf_points)
 
     def with_vf(self, vf_points: Sequence[VfPoint], name: Optional[str] = None) -> "Platform":
         """Same fabric and mapping, different island V/F assignment."""

@@ -103,39 +103,15 @@ class _Recovery:
 @dataclass
 class _Segment:
     """One closed energy-accounting segment: a stretch of the run on one
-    platform configuration (a clean run is a single segment).
-
-    Network counters are captured when the segment closes (at the
-    platform switch), not at finalize: a run that revisits a platform
-    object -- the cap governor re-raising to the base assignment --
-    rebuilds that platform's network, which would otherwise lose the
-    earlier segment's accumulated energy."""
+    platform configuration (a clean run is a single segment), with the
+    network its memory system charged.  A platform switch builds a new
+    memory system, so a closed segment's network is never charged
+    again."""
 
     platform: Platform
+    network: FlowNetworkModel
     elapsed_s: float
     busy_s: np.ndarray
-    noc_dynamic_j: float
-    noc_static_j: float
-    bits_moved: float
-    bit_hops: float
-    wireless_bits: float
-
-    @classmethod
-    def snapshot(
-        cls, platform: Platform, elapsed_s: float, busy_s: np.ndarray
-    ) -> "_Segment":
-        """Snapshot *platform*'s network counters as of now."""
-        network = platform.network
-        return cls(
-            platform=platform,
-            elapsed_s=elapsed_s,
-            busy_s=busy_s,
-            noc_dynamic_j=network.energy.dynamic_joules,
-            noc_static_j=network.static_energy(elapsed_s),
-            bits_moved=network.energy.bits_moved,
-            bit_hops=network.energy.bit_hops,
-            wireless_bits=network.energy.wireless_bits,
-        )
 
 
 class _Costs(NamedTuple):
@@ -224,9 +200,9 @@ class _KvPlan:
         for the phase, in a slot of their own, so every relaxation round
         reuses them: a faulted phase prices on the home workers while it
         registers flows on the executing ones.  Each view is checked
-        against the current memory system, network and destinations on
-        every use, never assumed, so a platform switch or a substituted
-        executing worker gets a fresh one."""
+        against the current memory system (which fixes the network) and
+        destinations on every use, never assumed, so a platform switch
+        or a substituted executing worker gets a fresh one."""
         pricing = self._pricing
         if pricing is None or not pricing.serves(memory, dst):
             pricing = self._pricing = _KvPricing(self, memory, dst)
@@ -262,7 +238,6 @@ class _KvPricing:
 
     def __init__(self, plan: _KvPlan, memory: MemorySystem, dst: np.ndarray):
         self.memory = memory
-        self.network = memory.platform.network
         self.dst = dst
         self._bits = plan.kv_bits
         self._flat = plan.kv_src * memory.num_nodes + dst
@@ -274,11 +249,7 @@ class _KvPricing:
 
     def serves(self, memory: MemorySystem, dst: np.ndarray) -> bool:
         """Whether this view prices toward *dst* on *memory* as it is now."""
-        return (
-            self.memory is memory
-            and self.network is memory.platform.network
-            and np.array_equal(self.dst, dst)
-        )
+        return self.memory is memory and np.array_equal(self.dst, dst)
 
     def pull_times(self) -> np.ndarray:
         """Per-entry pull time under the memory system's last refresh:
@@ -300,11 +271,14 @@ class SystemSimulator:
     The simulator is single-use -- construct, :meth:`run` once: a run
     leaves its network counters, fault engine and governor behind, so a
     second :meth:`run` raises.  :func:`simulate` builds one per call.
+    The run's state lives in the simulator: its network belongs to its
+    memory system, one per platform configuration it visits, so any
+    number of simulators may share one platform.
 
     Parameters
     ----------
     platform:
-        Hardware configuration (fresh network state per simulator).
+        Hardware configuration (read, never changed).
     locality:
         The application's L2-access locality (see
         :class:`repro.sim.memory.MemorySystem`).
@@ -323,26 +297,19 @@ class SystemSimulator:
         params: SimulationParams = SimulationParams(),
     ):
         self.platform = platform
-        # Fresh network per simulation so runs never share load/energy state.
-        platform.network = platform.build_network()
         # Telemetry: captured once (install a tracer before construction).
         # Simulated-time spans are grouped under the platform name.
         self.tracer = get_tracer()
-        platform.network.trace_label = platform.name
         self.memory = MemorySystem(platform, locality)
         self.policy = stealing_policy
         self.params = params
         self._kv_chunk_bits = kv_stream_bits(params.kv_chunk_bytes)
-        # Bulk key-value streams use the wire-preferring message class;
-        # the memory system already holds the pairwise-energy tables for
-        # that class, so share them instead of rebuilding.
-        self._bulk_energy = self.memory.pairwise_bulk
         n = platform.num_cores
         self._worker_nodes = np.array(
             [platform.node_of_worker(w) for w in range(n)]
         )
         # Effective = island clock x per-island core perf multiplier; on
-        # the homogeneous paper platform this is worker_frequencies().
+        # the homogeneous paper platform this is the island clock.
         self._worker_freqs = np.array(platform.effective_worker_frequencies())
         # Fault injection: an empty plan is normalized to "no plan" so the
         # two are indistinguishable everywhere (results, caches, traces).
@@ -491,20 +458,19 @@ class SystemSimulator:
 
     def _switch_platform(self, new_platform: Platform, now: float) -> None:
         """Close the current energy segment and install *new_platform*
-        (fresh network state, fresh memory view)."""
+        with a memory system (and so a network) of its own."""
         self._close_segment(now)
         self.platform = new_platform
-        new_platform.network = new_platform.build_network()
-        new_platform.network.trace_label = new_platform.name
         self.memory = MemorySystem(new_platform, self._locality)
-        self._bulk_energy = self.memory.pairwise_bulk
 
     def _close_segment(self, now: float) -> None:
-        """Snapshot the outgoing platform's elapsed/busy/network state."""
+        """Close the outgoing platform's segment: its elapsed time, busy
+        time and network."""
         elapsed = max(float(now - self._segment_start), 0.0)
         self._segments.append(
-            _Segment.snapshot(
+            _Segment(
                 self.platform,
+                self.memory.network,
                 elapsed,
                 (self._run_busy - self._busy_snapshot).copy(),
             )
@@ -538,7 +504,7 @@ class SystemSimulator:
         phases: List[PhaseStats],
         iteration: int,
     ) -> float:
-        self.platform.network.reset_flows()
+        self.memory.network.reset_flows()
         self.memory.refresh_latencies()
         costs = _Costs.of([record])
         item, recovery = self._execute_with_substitution(
@@ -657,7 +623,7 @@ class SystemSimulator:
             )
             self._trace_phase(phases[-1])
             self._trace_tasks(schedule, Phase.MAP)
-            self.platform.network.sample_channel_occupancy(start)
+            self.memory.network.sample_channel_occupancy(start)
         return end
 
     def _map_plan(self, records: Sequence[TaskRecord]) -> _MapPlan:
@@ -826,7 +792,7 @@ class SystemSimulator:
         if self.tracer.enabled:
             self._trace_phase(phases[-1])
             self._trace_tasks(schedule, phase)
-            self.platform.network.sample_channel_occupancy(start)
+            self.memory.network.sample_channel_occupancy(start)
         return end
 
     def _schedule_parallel(
@@ -1082,7 +1048,7 @@ class SystemSimulator:
         *plan* adds its key-value streams, into each task's executing
         node, through the plan's flow view (:meth:`_KvPlan.register_flows`).
         """
-        network = self.platform.network
+        network = self.memory.network
         network.reset_flows()
         nodes = self._worker_nodes[[item.worker for item in schedule]]
         l2 = [item.record.cost.l2_accesses for item in schedule]
@@ -1123,7 +1089,7 @@ class SystemSimulator:
         nodes = self._worker_nodes[workers]
         memory = self.memory
         miss = memory.miss_increments(nodes, l2, mem)
-        network = memory.pairwise.model
+        network = memory.network
         if plan is None or not len(plan.kv_rec):
             network.energy.fold(*miss, python_bits=plan is None)
             if network._tracer.enabled:
@@ -1131,7 +1097,7 @@ class SystemSimulator:
             return
         bounds = plan.kv_bounds
         dst = nodes[plan.kv_rec]
-        bulk = self._bulk_energy.increments(plan.kv_src, dst, plan.kv_bits)
+        bulk = memory.pairwise_bulk.increments(plan.kv_src, dst, plan.kv_bits)
         count = len(workers) + len(plan.kv_rec)
         miss_at = np.arange(len(workers)) + bounds[:-1]
         bulk_at = np.arange(len(plan.kv_rec)) + plan.kv_rec + 1
@@ -1146,7 +1112,7 @@ class SystemSimulator:
             starts, ends = bounds[:-1].tolist(), bounds[1:].tolist()
             for i, (lo, hi) in enumerate(zip(starts, ends)):
                 memory.count_miss_flits(miss[2][i:i + 1], miss[3][i:i + 1])
-                self._bulk_energy.count_flits(
+                memory.pairwise_bulk.count_flits(
                     plan.kv_src[lo:hi], dst[lo:hi], plan.kv_bits[lo:hi]
                 )
 
@@ -1200,7 +1166,8 @@ def _fold_segments(
     """Core and NoC energy of a run made of *segments* (static, faulted,
     capped and phase-adaptive runs alike): each core is charged at its
     segment's V/F -- busy time at full activity, the rest at idle
-    activity, leakage throughout -- and NoC counters add up."""
+    activity, leakage throughout -- and each segment's network adds its
+    counters and its switch leakage over the segment."""
     breakdown = EnergyBreakdown()
     bits = hops_bits = wireless = dynamic = static = 0.0
     for segment in segments:
@@ -1219,11 +1186,12 @@ def _fold_segments(
             breakdown.core_static_j += (
                 power.leakage_power_w(point) * elapsed
             )
-        dynamic += segment.noc_dynamic_j
-        static += segment.noc_static_j
-        bits += segment.bits_moved
-        hops_bits += segment.bit_hops
-        wireless += segment.wireless_bits
+        network = segment.network
+        dynamic += network.energy.dynamic_joules
+        static += network.static_energy(elapsed)
+        bits += network.energy.bits_moved
+        hops_bits += network.energy.bit_hops
+        wireless += network.energy.wireless_bits
     breakdown.noc_dynamic_j = dynamic
     breakdown.noc_static_j = static
     stats = NetworkStats(

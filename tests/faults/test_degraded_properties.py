@@ -155,12 +155,11 @@ def test_without_links_is_strict_and_gets_its_own_fabric(indices):
     once = _PLATFORM.topology.without_links(removed)
     assert len(once.links) == len(_BASE_LINKS) - len(removed)
     if once.is_connected():
-        network = _PLATFORM.network
         fabric = fabric_for(
-            once, build_routing_table(once), network.wireless.num_channels,
-            network.params,
+            once, build_routing_table(once),
+            _PLATFORM.wireless_spec.num_channels, _PLATFORM.noc_params,
         )
-        assert fabric is not network.fabric
+        assert fabric is not _PLATFORM.fabric
     # Strict contract: removing an already-removed link is an error, not
     # a silent no-op (double-removal would hide a plan/topology mismatch).
     try:

@@ -96,7 +96,7 @@ class TestDegradedViews:
         degraded = engine.effective_platform()
         assert degraded is not platform
         assert len(degraded.topology.links) == len(platform.topology.links) - 1
-        assert degraded.network.fabric is not platform.network.fabric
+        assert degraded.fabric is not platform.fabric
         # Rerouted: 0 -> 1 now takes the long way but still connects.
         assert degraded.routing.hop_count(0, 1) > platform.routing.hop_count(0, 1)
         # The degraded platform is cached per link-set.

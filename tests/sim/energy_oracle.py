@@ -101,4 +101,4 @@ def fold_phase_energy(simulator, workers, instructions, l2, mem, plan=None):
     for i, node in enumerate(simulator._worker_nodes[workers].tolist()):
         record_miss_energy(memory, node, plan.l2[i], plan.mem[i])
         for f in range(bounds[i], bounds[i + 1]):
-            record_transfer(simulator._bulk_energy, srcs[f], node, bits[f])
+            record_transfer(simulator.memory.pairwise_bulk, srcs[f], node, bits[f])

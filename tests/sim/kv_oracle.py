@@ -45,8 +45,8 @@ def task_time_parts(
     platform = simulator.platform
     node = platform.node_of_worker(worker)
     # The effective frequency map: identical floats to
-    # ``platform.frequency_of_worker`` on fault-free runs, degraded by
-    # stragglers/throttles under fault injection.
+    # ``platform.effective_worker_frequencies()`` on fault-free runs,
+    # degraded by stragglers/throttles under fault injection.
     frequency = float(simulator._worker_freqs[worker])
     cost = record.cost
     compute = cost.instructions / platform.core_params.ipc / frequency
@@ -89,7 +89,7 @@ def add_miss_flows(memory, node: int, accesses_per_s: float) -> None:
         raise ValueError(f"accesses_per_s must be >= 0, got {accesses_per_s}")
     if accesses_per_s == 0:
         return
-    memory.platform.network.apply_resource_load(
+    memory.network.apply_resource_load(
         accesses_per_s * memory._miss_usage[node]
     )
 

@@ -94,7 +94,7 @@ class TestCleanStudy:
         walks, _, platforms = counts
         meshes = platforms[:3]
         assert len(meshes) == 3
-        assert len({id(p.network.fabric) for p in meshes}) == 1
+        assert len({id(p.fabric) for p in meshes}) == 1
         mesh = build_mesh(die_for(64).grid())
         pred = build_mesh_routing(mesh).predecessor_matrix()
         assert walks["platforms"][_digest(pred)] == 1
@@ -108,7 +108,7 @@ class TestCleanStudy:
         # fabric the WiNoC platform then adopts.
         assert set(every.values()) == {1}
         latency = _digest(winoc.routing.predecessor_matrix())
-        bulk = _digest(winoc.network.fabric.bulk_routing.predecessor_matrix())
+        bulk = _digest(winoc.fabric.bulk_routing.predecessor_matrix())
         assert latency in walks["calibration"]
         assert latency not in walks["platforms"]
         # The platforms walk the mesh and the WiNoC's bulk routing.
@@ -121,10 +121,10 @@ class TestCleanStudy:
 
 
 def test_no_fabric_outlives_its_study():
-    """Fabrics live only while a network uses them: once an uncached
-    study has returned and the collector has run, none of its fabrics
-    is left (in a fresh process ``_FABRICS`` is empty then; here any
-    fabric an earlier test still holds may stay)."""
+    """Fabrics live only while a platform or network holds them: once
+    an uncached study has returned and the collector has run, none of
+    its fabrics is left (in a fresh process ``_FABRICS`` is empty then;
+    here any fabric an earlier test still holds may stay)."""
     gc.collect()
     before = list(fabric._FABRICS.values())  # held, so no id is reused
     run_app_study("histogram", scale=0.05, seed=9, num_workers=16, use_cache=False)
@@ -134,14 +134,14 @@ def test_no_fabric_outlives_its_study():
 
 class TestUsageIsFlowUsageWithoutWireless:
     def test_mesh_holds_one_csr(self):
-        mesh = build_nvfi_mesh(geometry_for(16)).network.fabric
+        mesh = build_nvfi_mesh(geometry_for(16)).fabric
         for bulk in (False, True):
             assert mesh.usage(bulk)[0] is mesh.flow_usage(bulk)
 
     def test_winoc_keeps_both(self):
         from tests.sim.test_flow_registration import winoc_platform
 
-        winoc = winoc_platform().network.fabric
+        winoc = winoc_platform().fabric
         for bulk in (False, True):
             assert winoc.usage(bulk)[0] is not winoc.flow_usage(bulk)
 
@@ -153,9 +153,9 @@ class TestDerivedPlatformsShareTheFabric:
 
     def test_with_vf_and_with_power(self, base):
         slower = base.with_vf([DVFS_LADDER[0]] * base.layout.num_clusters)
-        assert slower.network.fabric is base.network.fabric
+        assert slower.fabric is base.fabric
         repowered = base.with_power()
-        assert repowered.network.fabric is base.network.fabric
+        assert repowered.fabric is base.fabric
 
     def test_with_power_prices_energy_with_its_own_constants(self, base):
         # One fabric, two sets of energy constants: each memory system
@@ -167,7 +167,7 @@ class TestDerivedPlatformsShareTheFabric:
             wire_pj_per_bit_per_mm=2 * params.wire_pj_per_bit_per_mm,
             wireless_pj_per_bit=2 * params.wireless_pj_per_bit,
         ))
-        assert doubled.network.fabric is base.network.fabric
+        assert doubled.fabric is base.fabric
         once = MemorySystem(base, locality=0.4)
         twice = MemorySystem(doubled, locality=0.4)
         assert np.array_equal(twice._e_l2, 2 * once._e_l2)
@@ -180,26 +180,27 @@ class TestDerivedPlatformsShareTheFabric:
         engine.activate_due(2.0)
         throttled = engine.effective_platform()
         assert throttled is not base
-        assert throttled.network.fabric is base.network.fabric
+        assert throttled.fabric is base.fabric
         # A view that lost a link is another fabric.
         drop = FaultSpec(FaultKind.LINK_FAILURE, 1.0, (0, 1))
         engine = FaultEngine(base, FaultPlan(events=(drop,)))
         engine.activate_due(2.0)
         degraded = engine.effective_platform()
-        assert degraded.network.fabric is not base.network.fabric
+        assert degraded.fabric is not base.fabric
 
     def test_capped_view(self, base):
         governor = CapGovernor(base, PowerCapSpec(chip_cap_w=10.0))
         governor.poll(0.0, np.zeros(base.num_cores))
         capped = governor.effective_platform()
         assert capped is not base
-        assert capped.network.fabric is base.network.fabric
+        assert capped.fabric is base.fabric
 
 
 def test_alternating_governor_builds_each_clock_set_once(monkeypatch):
     """A governor stepping between two assignments, with a fresh memory
-    system at every switch (as the simulator does), builds each
-    assignment's per-clock tables once and finds them again."""
+    system (and so a fresh network) at every switch, as the simulator
+    does, builds each assignment's per-clock tables once and finds them
+    again."""
     base = build_nvfi_mesh(geometry_for(16))
     builds = Counter()
     clocked = dense._clocked_tables
@@ -217,7 +218,6 @@ def test_alternating_governor_builds_each_clock_set_once(monkeypatch):
             busy += 1.0  # flat out: the cap binds
         governor.poll(float(boundary + 1), busy)  # else idle: re-raise
         platform = governor.effective_platform()
-        platform.network = platform.build_network()
         heads.append(MemorySystem(platform, locality=0.3).dense._head)
     throttled, relaxed = heads[0], heads[1]
     assert throttled is not relaxed

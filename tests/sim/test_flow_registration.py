@@ -41,7 +41,7 @@ def winoc_platform():
 
 def reference_miss_flows(memory, node, accesses_per_s):
     """The pre-vectorization per-bank add_flow loop."""
-    network = PathModel(memory.platform.network)
+    network = PathModel(memory.network)
     for bank in range(memory.num_nodes):
         share = accesses_per_s * memory.bank_prob[node, bank]
         if share <= 0:
@@ -62,7 +62,7 @@ def memory(request):
 
 class TestMissFlowEquivalence:
     def test_single_node_matches_reference(self, memory):
-        network = memory.platform.network
+        network = memory.network
         network.reset_flows()
         kv_oracle.add_miss_flows(memory, 13, 2.5e8)
         vec_link = network.load.link_load.copy()
@@ -80,7 +80,7 @@ class TestMissFlowEquivalence:
         rng = np.random.default_rng(7)
         rates = rng.random(memory.num_nodes) * 1e8
         rates[::5] = 0.0
-        network = memory.platform.network
+        network = memory.network
         network.reset_flows()
         memory.add_miss_flows_batch(rates)
         vec_link = network.load.link_load.copy()
@@ -96,7 +96,7 @@ class TestMissFlowEquivalence:
         )
 
     def test_zero_rates_are_noop(self, memory):
-        network = memory.platform.network
+        network = memory.network
         network.reset_flows()
         kv_oracle.add_miss_flows(memory, 0, 0.0)
         memory.add_miss_flows_batch(np.zeros(memory.num_nodes))

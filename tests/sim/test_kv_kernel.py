@@ -224,7 +224,7 @@ class TestViewsFollowThePlatform:
             _ScheduledTask(record, record.home_worker, 0.0, 1.0)
             for record in records
         ]
-        network = simulator.platform.network
+        network = simulator.memory.network
         first = simulator._kv_durations(plan, plan.home)
         pricing = plan._pricing
         views = []
@@ -259,7 +259,7 @@ class TestViewsFollowThePlatform:
         slower = simulator.platform.with_vf(
             [DVFS_LADDER[0]] * simulator.platform.layout.num_clusters
         )
-        old_network = simulator.platform.network
+        old_network = simulator.memory.network
         # The segment bookkeeping a run keeps, which a switch closes.
         zeros = np.zeros(simulator.platform.num_cores)
         simulator._segments, simulator._segment_start = [], 0.0
@@ -279,7 +279,7 @@ class TestViewsFollowThePlatform:
         old_network.reset_flows()
         simulator._register_phase_flows(schedule, 1.0, plan)
         assert not old_network.load.link_load.any()
-        network = simulator.platform.network
+        network = simulator.memory.network
         with_plan = network.load.link_load.copy()
         fresh = simulator._kv_plan(records)
         network.reset_flows()

@@ -89,7 +89,7 @@ class TestEnergy:
     def test_counters_accumulate(self):
         memory = MemorySystem(build_nvfi_mesh(), locality=0.0)
         fold_miss(memory, 5, 1000, 0)
-        counters = memory.platform.network.energy
+        counters = memory.network.energy
         assert counters.bits_moved > 0
         assert counters.dynamic_joules > 0
 

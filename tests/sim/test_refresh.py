@@ -50,7 +50,7 @@ PLATFORMS = {
 def _tables(memory, bulk):
     dense = memory.dense_bulk if bulk else memory.dense
     pairwise = memory.pairwise_bulk if bulk else memory.pairwise
-    usage = memory.platform.network.fabric.flow_usage(bulk)
+    usage = memory.network.fabric.flow_usage(bulk)
     return (
         dense._head, dense._usage, dense._binary_usage, dense._raw_bottleneck,
         pairwise.energy_per_bit, pairwise.hops, pairwise.wireless_links, usage,
@@ -61,7 +61,7 @@ class TestOneTableSetPerRouting:
     @pytest.mark.parametrize("fabric", ["mesh", "stripped_winoc"])
     def test_single_routing_fabrics_share_every_table(self, fabric):
         memory = MemorySystem(PLATFORMS[fabric](), locality=0.5)
-        network = memory.platform.network
+        network = memory.network
         assert network.bulk_routing is network.routing
         for shared, bulk in zip(_tables(memory, False), _tables(memory, True)):
             assert shared is bulk
@@ -79,7 +79,7 @@ def loaded_memory(request):
     n = memory.num_nodes
     rng = np.random.default_rng(5)
     memory.add_miss_flows_batch(rng.uniform(0.0, 4e7, size=n))
-    memory.platform.network.add_flows(
+    memory.network.add_flows(
         rng.integers(n, size=40), rng.integers(n, size=40),
         rng.uniform(1e8, 2e9, size=40), bulk=True,
     )
@@ -111,7 +111,7 @@ class TestTokenWaitTelemetry:
             platform = PLATFORMS[fabric]()
             memory = MemorySystem(platform, locality=0.4)
             memory.refresh_latencies()
-        channels = len(platform.network._wireless_channels)
+        channels = len(memory.network._wireless_channels)
         observed = sum(
             histogram.count
             for name, histogram in tracer.histograms.items()

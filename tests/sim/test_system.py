@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.apps import create_app
-from repro.core.platforms import build_nvfi_mesh
+from repro.core.platforms import build_nvfi_mesh, geometry_for
+from repro.core.serialization import result_to_dict
 from repro.mapreduce.tasks import Phase
 from repro.sim.system import SystemSimulator, simulate
+from repro.utils.jsonutil import canonical_json
 from repro.vfi.islands import DVFS_LADDER, NOMINAL
 
 
@@ -93,6 +95,27 @@ class TestDeterminism:
         b = simulate(build_nvfi_mesh(), trace, locality=app.profile.l2_locality)
         assert a.total_time_s == pytest.approx(b.total_time_s, rel=1e-12)
         assert a.total_energy_j == pytest.approx(b.total_energy_j, rel=1e-12)
+
+
+class TestSharedPlatform:
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["built", "reversed"])
+    def test_simulators_built_on_one_platform_run_apart(self, order):
+        # The run's network belongs to each simulator's memory system, so
+        # building a second simulator on the platform changes nothing
+        # for the first, whichever runs first.
+        histogram = create_app("histogram", scale=0.05, seed=9)
+        small_trace = histogram.run(num_workers=16)
+        locality = histogram.profile.l2_locality
+        platform = build_nvfi_mesh(geometry_for(16))
+        expected = canonical_json(
+            result_to_dict(simulate(platform, small_trace, locality=locality))
+        )
+        simulators = [
+            SystemSimulator(platform, locality=locality) for _ in range(2)
+        ]
+        for index in order:
+            result = simulators[index].run(small_trace)
+            assert canonical_json(result_to_dict(result)) == expected
 
 
 class TestValidation:

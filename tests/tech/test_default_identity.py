@@ -68,7 +68,6 @@ def test_default_platform_carries_the_paper_constants():
     platform = build_nvfi_mesh(geometry_for(WORKERS))
     k = platform.layout.num_clusters
     assert platform.dvfs_ladder == DVFS_LADDER
-    assert platform.ladder == DVFS_LADDER
     assert platform.island_core_power == (CorePowerParams(),) * k
     assert platform.perf_scales == (1.0,) * k
     assert platform.noc_energy_params == NocEnergyParams()
@@ -76,7 +75,9 @@ def test_default_platform_carries_the_paper_constants():
         platform.core_power_of(island).params == CorePowerParams()
         for island in range(k)
     )
-    assert platform.effective_worker_frequencies() == platform.worker_frequencies()
+    assert platform.effective_worker_frequencies() == [
+        platform.vf_of_worker(w).frequency_hz for w in range(platform.num_cores)
+    ]
     # TechSpec() is the paper platform, field for field.
     explicit = build_nvfi_mesh(geometry_for(WORKERS), tech=TechSpec())
     for name in (
@@ -90,7 +91,6 @@ def test_tech_platform_carries_ladder_mix_and_power():
     tech = TechSpec(node="32nm", cores="big_little")
     platform = build_nvfi_mesh(geometry_for(WORKERS), tech=tech)
     assert platform.dvfs_ladder == tech.ladder()
-    assert platform.ladder == tech.ladder()
     num_islands = platform.layout.num_clusters
     mix = tech.mix_for(num_islands)
     assert platform.perf_scales == mix.perf_scales()
@@ -107,9 +107,9 @@ def test_tech_platform_carries_ladder_mix_and_power():
         w for w in range(WORKERS)
         if platform.island_of_worker(w) == num_islands - 1
     )
-    assert platform.effective_frequency_of_worker(
+    assert platform.effective_worker_frequencies()[
         little_worker
-    ) == pytest.approx(platform.frequency_of_worker(little_worker) * 0.55)
+    ] == pytest.approx(platform.vf_of_worker(little_worker).frequency_hz * 0.55)
 
 
 def test_non_default_tech_changes_the_measured_physics():

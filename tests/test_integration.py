@@ -109,6 +109,6 @@ class TestDesignPlatformCoherence:
         ]
         # and the platform realizes those frequencies through the mapping
         for worker in range(WORKERS):
-            assert platform.frequency_of_worker(worker) == pytest.approx(
+            assert platform.vf_of_worker(worker).frequency_hz == pytest.approx(
                 policy.core_frequencies_hz[worker]
             )
