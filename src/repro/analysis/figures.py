@@ -96,7 +96,7 @@ def figure6_placement_comparison(
     out = {}
     for name in app_names:
         study = run_app_study(name, scale=scale, seed=seed)
-        min_hop = min_hop_result(study, name, seed)
+        min_hop = min_hop_result(study)
         out[study.label] = (
             study.result(VFI2_WINOC).network_edp / min_hop.network_edp
         )

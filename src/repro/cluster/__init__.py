@@ -13,7 +13,7 @@ Layering::
       repro.cluster.engine    event application + scheduling rounds
         repro.cluster.events    typed deterministic event heap
       repro.cluster.policies  SCHEDULERS registry (fifo/.../edf_preempt)
-      repro.cluster.costmodel StudySpec resolution (memo -> cache -> sim)
+      repro.cluster.costmodel StudySpec resolution (memo -> run_campaign)
       repro.cluster.arrivals  seeded ArrivalTrace + Source disciplines
       repro.cluster.fleet     ChipSpec / Fleet (faults/tech/caps per chip)
       repro.cluster.metrics   per-job + fleet SLO aggregation

@@ -2,12 +2,13 @@
 
 Every job the cluster dispatches (and every estimate a cost-aware policy
 asks for) resolves to one :class:`~repro.orchestrator.spec.StudySpec`
-simulation.  The :class:`CostModel` funnels all of those resolutions
-through one path: an in-process memo, then the persistent
-:class:`~repro.orchestrator.cache.StudyCache`, then an actual pipeline
-run -- and counts each outcome.  A replayed cluster run against a warm
-cache therefore re-simulates **zero** per-job studies, and the counters
-prove it.
+simulation.  The :class:`CostModel` keeps a memo of the studies it has
+resolved, and resolves each miss the one way the orchestrator resolves
+any study: :func:`~repro.orchestrator.executor.run_campaign` reads the
+persistent :class:`~repro.orchestrator.cache.StudyCache`, else runs the
+pipeline and persists the result.  The model counts each outcome from
+the campaign manifest, so a replayed cluster run against a warm cache
+re-simulates **zero** per-job studies, and the counters prove it.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.cluster.fleet import ChipSpec
 from repro.cluster.jobs import ClusterJob
 from repro.core.experiment import AppStudy
 from repro.orchestrator.cache import StudyCache
+from repro.orchestrator.executor import run_campaign
 from repro.orchestrator.spec import StudySpec
 
 
@@ -106,23 +108,14 @@ class CostModel:
         return len(self._memo)
 
     def study(self, spec: StudySpec) -> AppStudy:
-        """The study for *spec*: memo -> cache -> simulate."""
+        """The study for *spec*: memo, else a one-unit campaign."""
         study = self._memo.get(spec)
         if study is not None:
             self.memo_hits += 1
             return study
-        if self.cache is not None:
-            study = self.cache.get(spec)
-            if study is not None:
-                self.cache_hits += 1
-                self._memo[spec] = study
-                return study
-        study = spec.run()
-        self.computed += 1
-        if self.cache is not None:
-            self.cache.put(spec, study)
-        self._memo[spec] = study
-        return study
+        # One attempt: a deterministic failure would fail a retry alike.
+        self._resolve([spec], jobs=1, retries=0)
+        return self._memo[spec]
 
     def estimate(self, job: ClusterJob, chip: ChipSpec) -> JobEstimate:
         """Predicted service time and energy of *job* on *chip*.
@@ -156,38 +149,40 @@ class CostModel:
 
         The batch entry point of the parallel cost-model front: distinct
         (study, chip-class) units the run will need are resolved through
-        :func:`repro.orchestrator.executor.resolve_studies` -- process
+        one :func:`~repro.orchestrator.executor.run_campaign` -- process
         fan-out when ``jobs > 1`` -- and memoized, so the event loop's
         per-dispatch estimates are pure dictionary lookups afterwards.
         Counters fold into :meth:`stats` exactly as if the units had
         resolved serially (computed / cache_hits), plus batch counters.
         """
-        from repro.orchestrator.executor import resolve_studies
-
-        misses = []
-        seen = set()
-        for spec in specs:
-            if spec in self._memo or spec in seen:
-                continue
-            seen.add(spec)
-            misses.append(spec)
+        misses = [s for s in dict.fromkeys(specs) if s not in self._memo]
         self.batches += 1
         if not misses:
             return {"batch_size": 0, "computed": 0, "cache_hits": 0}
-        studies, statuses = resolve_studies(
-            misses, jobs=jobs, cache=self.cache, retries=retries
-        )
-        computed = sum(1 for s in statuses.values() if s == "computed")
-        cached = len(misses) - computed
-        self.computed += computed
-        self.cache_hits += cached
+        computed, cached = self._resolve(misses, jobs=jobs, retries=retries)
         self.prefetched += len(misses)
-        self._memo.update(studies)
         return {
             "batch_size": len(misses),
             "computed": computed,
             "cache_hits": cached,
         }
+
+    def _resolve(
+        self, specs: Iterable[StudySpec], jobs: int, retries: int
+    ) -> Tuple[int, int]:
+        """Resolve *specs* into the memo with one campaign; returns its
+        (computed, cache hits).  A failed unit raises
+        :class:`~repro.orchestrator.executor.CampaignError` -- a job whose
+        study is missing cannot be priced."""
+        campaign = run_campaign(
+            specs, jobs=jobs, cache=self.cache, retries=retries
+        )
+        campaign.raise_failures()
+        manifest = campaign.manifest
+        self.computed += manifest.num_computed
+        self.cache_hits += manifest.num_cached
+        self._memo.update(campaign.studies)
+        return manifest.num_computed, manifest.num_cached
 
     def stats(self) -> Dict[str, int]:
         out = {

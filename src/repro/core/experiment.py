@@ -9,14 +9,16 @@ paper pipeline:
 4. simulate **VFI 1 mesh**, **VFI 2 mesh** and **VFI 2 WiNoC**
    (either placement methodology) on the same trace.
 
-Studies are memoized per (app, scale, seed, ...) because several paper
-figures slice the same runs.
+Studies are memoized because several paper figures slice the same
+runs.  A study's one identity is its
+:class:`~repro.orchestrator.spec.StudySpec`: it keys the process memo,
+and the arguments of :func:`run_app_study` only build one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.apps.base import BenchmarkApp
 from repro.apps.registry import create_app
@@ -29,15 +31,18 @@ from repro.core.platforms import (
     vfi_thread_mapping,
 )
 from repro.core.traffic import total_node_traffic
-from repro.faults import FaultPlan, canonical_plan_json
+from repro.faults import FaultPlan
 from repro.mapreduce.trace import JobTrace
-from repro.power.spec import PowerCapSpec, canonical_cap_json, normalize_cap
+from repro.power.spec import PowerCapSpec
 from repro.sim.config import SimulationParams
 from repro.sim.stats import SimulationResult
 from repro.sim.system import simulate
-from repro.tech.spec import TechSpec, canonical_tech_json, normalize_tech
+from repro.tech.spec import TechSpec
 from repro.telemetry import get_tracer
 from repro.utils.rng import spawn_seed
+
+if TYPE_CHECKING:  # the orchestrator package imports this module
+    from repro.orchestrator.spec import StudySpec
 
 #: Canonical configuration keys, in presentation order.
 NVFI_MESH = "nvfi_mesh"
@@ -86,31 +91,7 @@ class AppStudy:
         }
 
 
-_STUDY_CACHE: Dict[Tuple, AppStudy] = {}
-
-
-def _study_key(
-    app_name: str,
-    scale: float,
-    seed: int,
-    num_workers: int,
-    winoc_methodology: str,
-    include_vfi1: bool,
-    fault_plan: Optional[FaultPlan],
-    tech: Optional[TechSpec],
-    power_cap: Optional[PowerCapSpec],
-) -> Tuple:
-    """A study's memo key: its arguments, each axis as canonical JSON.
-
-    An empty fault plan, the default technology and the unbounded cap
-    all key as ``None``, so every spelling of one study shares one entry.
-    """
-    return (
-        app_name, scale, seed, num_workers, winoc_methodology, include_vfi1,
-        canonical_plan_json(fault_plan),
-        canonical_tech_json(tech),
-        canonical_cap_json(power_cap),
-    )
+_STUDY_CACHE: Dict["StudySpec", AppStudy] = {}
 
 
 def run_app_study(
@@ -127,6 +108,11 @@ def run_app_study(
 ) -> AppStudy:
     """Run the full paper pipeline for one application (memoized).
 
+    The arguments build one :class:`~repro.orchestrator.spec.StudySpec`,
+    which canonicalizes and validates them (app aliases resolve to the
+    app's name) and keys the process memo; ``use_cache=False`` runs the
+    pipeline without reading or writing the memo.
+
     When a *fault_plan* is given, every stored configuration is simulated
     under it (the same plan stresses all four systems), while the design
     flow still consumes a clean NVFI characterization: V/F islands are a
@@ -142,18 +128,30 @@ def run_app_study(
     condition, so the design flow still sees the clean NVFI
     characterization.  The unbounded spec normalizes to ``None``.
     """
-    key = _study_key(
+    from repro.orchestrator.spec import StudySpec
+
+    spec = StudySpec(
         app_name, scale, seed, num_workers, winoc_methodology, include_vfi1,
         fault_plan, tech, power_cap,
     )
-    if use_cache and key in _STUDY_CACHE:
-        return _STUDY_CACHE[key]
+    return study_for(spec) if use_cache else _run_pipeline(spec)
 
-    tech = normalize_tech(tech)
-    power_cap = normalize_cap(power_cap)
+
+def study_for(spec: "StudySpec") -> AppStudy:
+    """*spec*'s study from the process memo, running the pipeline on a miss."""
+    study = _STUDY_CACHE.get(spec)
+    if study is None:
+        study = _STUDY_CACHE[spec] = _run_pipeline(spec)
+    return study
+
+
+def _run_pipeline(spec: "StudySpec") -> AppStudy:
+    """One run of the paper pipeline for *spec*, outside the memo."""
+    app_name, seed, num_workers = spec.app, spec.seed, spec.num_workers
+    fault_plan, tech, power_cap = spec.plan(), spec.tech_spec(), spec.cap()
     sim_params = SimulationParams(fault_plan=fault_plan, power_cap=power_cap)
     tracer = get_tracer()
-    app = create_app(app_name, scale=scale, seed=seed)
+    app = create_app(app_name, scale=spec.scale, seed=seed)
     locality = app.profile.l2_locality
     with tracer.wall_span(
         "study.app_run", cat="study", pid="pipeline", app=app_name, seed=seed,
@@ -185,8 +183,7 @@ def run_app_study(
         )
 
     results: Dict[str, SimulationResult] = {}
-    # An empty plan is falsy, and the simulator runs it as no plan.
-    if not fault_plan and power_cap is None:
+    if fault_plan is None and power_cap is None:
         results[NVFI_MESH] = nvfi_result
     else:
         with tracer.wall_span(
@@ -205,7 +202,7 @@ def run_app_study(
         mapping = vfi_thread_mapping(
             design, geometry.layout(), seed=spawn_seed(seed, app_name, "mapping")
         )
-    if include_vfi1:
+    if spec.include_vfi1:
         vfi1_platform = build_vfi_mesh(
             design, "vfi1", geometry=geometry, mapping=mapping, tech=tech
         )
@@ -241,7 +238,7 @@ def run_app_study(
         winoc_platform = build_vfi_winoc(
             design,
             "vfi2",
-            methodology=winoc_methodology,
+            methodology=spec.winoc_methodology,
             geometry=geometry,
             seed=spawn_seed(seed, app_name, "winoc"),
             traffic_rate_bps=rate_bps,
@@ -258,65 +255,49 @@ def run_app_study(
             params=sim_params,
         )
 
-    study = AppStudy(app=app, trace=trace, design=design, results=results)
-    if use_cache:
-        _STUDY_CACHE[key] = study
-    return study
+    return AppStudy(app=app, trace=trace, design=design, results=results)
 
 
 def clear_study_cache() -> None:
     _STUDY_CACHE.clear()
 
 
-def store_study(
-    study: AppStudy,
-    app_name: str,
-    scale: float = 1.0,
-    seed: int = 7,
-    num_workers: int = 64,
-    winoc_methodology: str = "max_wireless",
-    include_vfi1: bool = True,
-    fault_plan: Optional[FaultPlan] = None,
-    tech: Optional[TechSpec] = None,
-    power_cap: Optional[PowerCapSpec] = None,
-) -> None:
+def store_study(spec: "StudySpec", study: AppStudy) -> None:
     """Pre-populate the in-process memo with an externally obtained study.
 
-    The orchestrator (:mod:`repro.orchestrator`) registers studies it
-    resolved from worker processes or from the on-disk cache, so later
-    direct :func:`run_app_study` calls with the same arguments (e.g. the
-    Fig. 6 placement comparison) reuse them instead of re-simulating.
+    The orchestrator (:mod:`repro.orchestrator`) registers every study a
+    campaign resolves -- from worker processes or from the on-disk cache
+    -- so later direct :func:`run_app_study` calls naming the same spec
+    (e.g. the Fig. 6 placement comparison) reuse them instead of
+    re-simulating.
     """
-    key = _study_key(
-        app_name, scale, seed, num_workers, winoc_methodology, include_vfi1,
-        fault_plan, tech, power_cap,
-    )
-    _STUDY_CACHE[key] = study
+    _STUDY_CACHE[spec] = study
 
 
-def min_hop_result(study: AppStudy, app_name: str, seed: int) -> SimulationResult:
+def min_hop_result(study: AppStudy) -> SimulationResult:
     """The study's VFI 2 WiNoC under the min-hop-count methodology.
 
     Builds the communication-aware mapping + annealed WI placement on
     the study's design, calibrated to the same offered load as its
     stored max-wireless system, and simulates the same trace -- the
     other side of the paper's Sec. 6 placement comparison (Fig. 6).
-    *app_name* and *seed* are the study's, as passed to
-    :func:`run_app_study`.
+    The placement is seeded from the study's own app name and seed, as
+    its max-wireless system was.
     """
     rate = study.design.traffic * 8.0 / study.result(NVFI_MESH).total_time_s
+    app = study.app
     platform = build_vfi_winoc(
         study.design,
         "vfi2",
         methodology="min_hop",
         geometry=die_for(study.trace.num_workers),
-        seed=spawn_seed(seed, app_name, "winoc"),
+        seed=spawn_seed(app.seed, app.profile.name, "winoc"),
         traffic_rate_bps=rate,
     )
     return simulate(
         platform,
         study.trace,
-        locality=study.app.profile.l2_locality,
+        locality=app.profile.l2_locality,
         stealing_policy=study.design.stealing_policy("vfi2"),
     )
 
@@ -340,6 +321,6 @@ def select_winoc_methodology(
         winoc_methodology="max_wireless",
     )
     max_wireless_edp = base.result(VFI2_WINOC).network_edp
-    if max_wireless_edp <= min_hop_result(base, app_name, seed).network_edp:
+    if max_wireless_edp <= min_hop_result(base).network_edp:
         return "max_wireless"
     return "min_hop"

@@ -12,7 +12,10 @@ the platform from it:
   ladder.  A throttle-only view keeps the base fabric (one build of
   the clock-free NoC tables, its own per-clock tables on top); a view
   that lost links gets the fabric of its degraded topology
-  (:func:`repro.noc.fabric.fabric_for` keys fabrics by content).
+  (:func:`repro.noc.fabric.fabric_for` keys fabrics by content).  A
+  link failure or channel loss whose removal would disconnect the
+  fabric is refused at activation and counted as skipped, so no view
+  is ever disconnected.
 * :attr:`slowdown` -- per-worker straggler divisors; the simulator
   divides the island clocks by them and re-derives the Eq. (3) stealing
   caps on the result (Sec. 4.3).
@@ -39,12 +42,7 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.faults.impact import FaultImpact
-from repro.faults.spec import (
-    FaultInjectionError,
-    FaultKind,
-    FaultPlan,
-    FaultSpec,
-)
+from repro.faults.spec import FaultKind, FaultPlan, FaultSpec
 from repro.noc.routing import build_routing_table
 from repro.noc.wireless import channels_of
 from repro.telemetry import get_tracer
@@ -119,8 +117,10 @@ class FaultEngine:
         self._base_link_keys = {
             link.key for link in platform.topology.links
         }
-        #: Removed-link set -> (degraded topology, its routing).
-        self._topo_cache: Dict[FrozenSet[FrozenSet[int]], Tuple] = {}
+        #: The connected topology :attr:`removed_links` leaves, and its
+        #: routing once a view needs it.
+        self._degraded_topology = None
+        self._degraded_routing = None
         self._platform_cache: Dict[Tuple, Platform] = {}
 
     # ------------------------------------------------------------------ #
@@ -189,19 +189,35 @@ class FaultEngine:
             key = frozenset(event.target)
             if key not in self._base_link_keys or key in self.removed_links:
                 return False, False, False
-            self.removed_links.add(key)
-            return True, True, False
+            removed = self._remove_links({key})
+            return removed, removed, False
         if event.kind is FaultKind.CHANNEL_LOSS:
             channel = event.target[0]
             channels = channels_of(self.base_platform.topology)
             if channel not in channels or channel in self.lost_channels:
                 return False, False, False
-            self.lost_channels.add(channel)
-            for link in self.base_platform.topology.wireless_links():
-                if link.channel == channel:
-                    self.removed_links.add(link.key)
-            return True, True, False
+            removed = self._remove_links({
+                link.key
+                for link in self.base_platform.topology.wireless_links()
+                if link.channel == channel
+            })
+            if removed:
+                self.lost_channels.add(channel)
+            return removed, removed, False
         raise AssertionError(f"unhandled fault kind {event.kind!r}")
+
+    def _remove_links(self, keys: Set[FrozenSet[int]]) -> bool:
+        """Remove *keys* from the fabric unless that disconnects it;
+        returns whether they were removed."""
+        removed = self.removed_links | keys
+        base = self.base_platform.topology
+        topology = base.without_links(removed, name=f"{base.name}-degraded")
+        if not topology.is_connected():
+            return False
+        self.removed_links = removed
+        self._degraded_topology = topology
+        self._degraded_routing = None
+        return True
 
     # ------------------------------------------------------------------ #
     # effective degraded views
@@ -281,24 +297,12 @@ class FaultEngine:
         base = self.base_platform
         topology, routing = base.topology, base.routing
         if self.removed_links:
-            topo_key = frozenset(self.removed_links)
-            if topo_key not in self._topo_cache:
-                topology = base.topology.without_links(
-                    self.removed_links,
-                    name=f"{base.topology.name}-degraded",
-                )
-                if not topology.is_connected():
-                    raise FaultInjectionError(
-                        f"removing links "
-                        f"{sorted(sorted(k) for k in self.removed_links)} "
-                        f"disconnects topology {base.topology.name!r}"
-                    )
+            topology = self._degraded_topology
+            if self._degraded_routing is None:
                 # XY routing cannot steer around holes; degraded fabrics
                 # always route via the weighted shortest-path table.
-                self._topo_cache[topo_key] = (
-                    topology, build_routing_table(topology)
-                )
-            topology, routing = self._topo_cache[topo_key]
+                self._degraded_routing = build_routing_table(topology)
+            routing = self._degraded_routing
 
         platform = replace(
             base,

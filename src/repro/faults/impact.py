@@ -24,8 +24,9 @@ class FaultImpact:
     #: Events that actually applied to the platform, in activation order
     #: (each entry is a ``FaultSpec.to_dict()`` payload).
     events_applied: List[Dict] = field(default_factory=list)
-    #: Events that named a resource the platform does not have (e.g. a
-    #: channel loss on a pure-wire mesh) and were skipped leniently.
+    #: Events skipped at activation: they named a resource the platform
+    #: does not have (e.g. a channel loss on a pure-wire mesh), or their
+    #: link removal would disconnect the fabric.
     events_skipped: int = 0
     #: Workers whose cores failed during the run, in failure order.
     failed_workers: List[int] = field(default_factory=list)

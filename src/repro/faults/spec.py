@@ -38,8 +38,9 @@ from repro.utils.validation import check_positive
 
 
 class FaultInjectionError(RuntimeError):
-    """A fault plan cannot be applied: its link losses disconnect the
-    fabric, or no surviving worker is left to run a task."""
+    """A fault plan cannot be applied: no surviving worker is left to
+    run a task.  (A link loss that would disconnect the fabric is not
+    an error: the engine skips it.)"""
 
 
 class FaultKind(enum.Enum):

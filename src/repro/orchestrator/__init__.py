@@ -1,10 +1,12 @@
 """Parallel experiment orchestration with a persistent result cache.
 
-Every figure, table, sweep and benchmark funnels through
-:func:`repro.core.experiment.run_app_study`; the units are independent
-(one app at one scale/seed/size is one trace-driven pipeline run), so a
-campaign is embarrassingly parallel.  This package supplies the
-scaffolding:
+Every figure, table, sweep, benchmark and cluster cost estimate is a
+study: one app at one scale/seed/size is one trace-driven pipeline run,
+so a campaign is embarrassingly parallel.  A :class:`StudySpec` is a
+study's one identity -- :func:`repro.core.experiment.run_app_study`
+only builds one, and the process memo is keyed by it -- and
+:func:`run_campaign` is the one way to resolve a study.  This package
+supplies the scaffolding:
 
 * :mod:`~repro.orchestrator.spec` -- declarative, hashable, canonical
   :class:`StudySpec` units and :func:`expand_grid` campaign grids;
@@ -13,7 +15,8 @@ scaffolding:
   the spec plus a schema version;
 * :mod:`~repro.orchestrator.executor` -- :func:`run_campaign`: process
   fan-out with per-unit timeout, bounded retries, cache-first resolution
-  and a graceful in-process serial fallback for ``jobs=1``;
+  and a graceful in-process serial fallback for ``jobs=1``; every study
+  it resolves is registered in the process memo;
 * :mod:`~repro.orchestrator.manifest` -- :class:`RunManifest` /
   :class:`UnitRecord` audit records (wall time, hit/miss, retries,
   failures) for every campaign run.

@@ -3,12 +3,15 @@
 :func:`run_campaign` resolves a list of :class:`StudySpec` units against
 an optional persistent :class:`StudyCache`, then executes the misses --
 in a ``concurrent.futures.ProcessPoolExecutor`` when ``jobs > 1``, or
-serially in-process when ``jobs == 1`` (the fallback path is exactly
-:func:`repro.core.experiment.run_app_study`, so single-job campaigns are
-bit-identical to the historical serial code).  Worker failures are
-retried a bounded number of times; a unit that exhausts its retries is
-recorded in the manifest with the original exception and does **not**
-abort its sibling units.  That holds for a worker process that exits
+serially in-process when ``jobs == 1`` (the fallback path is
+:meth:`StudySpec.run`, the memoized pipeline a direct
+:func:`repro.core.experiment.run_app_study` call takes, so single-job
+campaigns return the very objects such a call would).  It is the one
+resolver of a study: the cluster cost model resolves through it too,
+and every resolved study is registered in the process memo.  Worker
+failures are retried a bounded number of times; a unit that exhausts
+its retries is recorded in the manifest with the original exception
+and does **not** abort its sibling units.  That holds for a worker process that exits
 abruptly (a crash, ``os._exit``, an OOM kill) too: it breaks the whole
 pool, so the executor starts a fresh one and re-runs the units that were
 in flight one at a time, and only the unit that kills a worker running
@@ -69,35 +72,6 @@ class CampaignError(RuntimeError):
     """A campaign unit failed after exhausting its retries."""
 
 
-def resolve_studies(
-    specs: Iterable[StudySpec],
-    jobs: int = 1,
-    cache: Optional[Union[StudyCache, str]] = None,
-    retries: int = 1,
-    timeout_s: Optional[float] = None,
-) -> "tuple[Dict[StudySpec, AppStudy], Dict[StudySpec, str]]":
-    """Batch-resolve *specs* to studies; the cost-model entry point.
-
-    A thin strict front over :func:`run_campaign` for callers that want
-    *answers*, not a manifest: returns ``(studies, statuses)`` where
-    ``statuses[spec]`` is ``"cached"`` or ``"computed"``, and raises
-    :class:`CampaignError` if any unit failed -- an estimator cannot
-    price a job whose study is missing.  ``jobs > 1`` fans the cold
-    units out across worker processes, which is how a cluster run's
-    distinct (study, chip-class) estimates resolve at wall-clock speed
-    instead of serially at first use.
-    """
-    result = run_campaign(
-        specs, jobs=jobs, cache=cache, retries=retries, timeout_s=timeout_s
-    )
-    result.raise_failures()
-    statuses: Dict[StudySpec, str] = {}
-    for record in result.manifest.records:
-        spec = StudySpec.from_dict(record.spec)
-        statuses[spec] = record.status
-    return result.studies, statuses
-
-
 @dataclass
 class CampaignResult:
     """Studies plus the manifest of how each unit resolved."""
@@ -119,12 +93,14 @@ class CampaignResult:
         raise KeyError(f"spec not part of this campaign: {spec.label}")
 
     def raise_failures(self) -> None:
-        """Raise :class:`CampaignError` if any unit failed."""
+        """Raise :class:`CampaignError` if any unit failed; its message
+        ends with the first failed unit's error."""
         if self.errors:
-            spec, error = next(iter(self.errors.items()))
+            error = next(iter(self.errors.values()))
             labels = ", ".join(s.label for s in self.errors)
             raise CampaignError(
-                f"{len(self.errors)} campaign unit(s) failed: {labels}"
+                f"{len(self.errors)} campaign unit(s) failed: {labels} -- "
+                f"{type(error).__name__}: {error}"
             ) from error
 
 
@@ -158,8 +134,8 @@ def run_campaign(
         Units to resolve; duplicates are collapsed (order preserved).
     jobs:
         Worker processes.  ``1`` (default) runs serially in-process via
-        the memoized :func:`run_app_study` -- no subprocesses, identical
-        results and object identity to the historical code path.
+        the memoized :meth:`StudySpec.run` -- no subprocesses, identical
+        results and object identity to a direct ``run_app_study`` call.
     cache:
         A :class:`StudyCache` (or a directory path for one).  Hits skip
         execution entirely; every computed unit is persisted immediately.
@@ -241,7 +217,7 @@ def run_campaign(
             study = cache.get(spec)
             if study is not None:
                 result.studies[spec] = study
-                store_study(study, **spec.run_kwargs())
+                store_study(spec, study)
                 resolve(
                     UnitRecord(
                         key=spec.cache_key(schema_version),
@@ -314,7 +290,7 @@ def _run_serial(
         if cache is not None:
             cache.put_document(spec, document or study_to_dict(study))
         result.studies[spec] = study
-        store_study(study, **spec.run_kwargs())
+        store_study(spec, study)
         resolve(UnitRecord(
             key=key, label=spec.label, spec=spec.to_dict(), status=COMPUTED,
             wall_time_s=elapsed, attempts=attempts,
@@ -373,7 +349,7 @@ def _run_parallel(
         if cache is not None:
             cache.put_document(unit.spec, document)
         result.studies[unit.spec] = study
-        store_study(study, **unit.spec.run_kwargs())
+        store_study(unit.spec, study)
         finish(unit, COMPUTED, None)
 
     def replace_pool() -> List[Tuple[Future, _Unit]]:

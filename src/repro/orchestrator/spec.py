@@ -1,12 +1,13 @@
 """Declarative experiment units and campaign grids.
 
-A :class:`StudySpec` names one run of the full paper pipeline --
-:func:`repro.core.experiment.run_app_study` with concrete arguments --
-in canonical form: app aliases are resolved, numeric fields are
-normalized to builtin types, and invalid combinations are rejected at
-construction time rather than minutes into a campaign.  Specs are
-frozen, hashable and order-insensitively comparable, so they can key
-dictionaries, de-duplicate grids and address the on-disk result cache.
+A :class:`StudySpec` is the one identity of a study -- one run of the
+full paper pipeline -- in canonical form: app aliases are resolved,
+numeric fields are normalized to builtin types, every axis is stored as
+canonical JSON, and invalid combinations are rejected at construction
+time rather than minutes into a campaign.  Specs are frozen, hashable
+and order-insensitively comparable, so they key the process memo
+(:func:`repro.core.experiment.run_app_study` only builds one), campaign
+results and the on-disk result cache, and de-duplicate grids.
 
 :func:`expand_grid` turns a campaign description (lists of apps, scales,
 seeds, ...) into the cross-product list of specs, in a deterministic
@@ -88,13 +89,7 @@ class StudySpec:
         )
         if not 0.0 < self.scale <= 1.0:
             raise ValueError(f"scale must be in (0, 1], got {self.scale!r}")
-        try:
-            DieGeometry.for_cores(self.num_workers)
-        except ValueError as exc:
-            raise ValueError(
-                f"num_workers {self.num_workers!r} does not resolve to a "
-                f"die geometry: {exc}"
-            ) from None
+        DieGeometry.for_cores(self.num_workers)
         if self.winoc_methodology not in WINOC_METHODOLOGIES:
             raise ValueError(
                 f"winoc_methodology must be one of {WINOC_METHODOLOGIES}, "
@@ -110,18 +105,6 @@ class StudySpec:
     @classmethod
     def from_dict(cls, data: Dict) -> "StudySpec":
         return cls(**data)
-
-    def run_kwargs(self) -> Dict:
-        """Keyword arguments for :func:`repro.core.experiment.run_app_study`."""
-        kwargs = self.to_dict()
-        kwargs["app_name"] = kwargs.pop("app")
-        if kwargs["fault_plan"] is not None:
-            kwargs["fault_plan"] = FaultPlan.from_json(kwargs["fault_plan"])
-        if kwargs["tech"] is not None:
-            kwargs["tech"] = TechSpec.from_json(kwargs["tech"])
-        if kwargs["power_cap"] is not None:
-            kwargs["power_cap"] = PowerCapSpec.from_json(kwargs["power_cap"])
-        return kwargs
 
     def plan(self) -> Optional[FaultPlan]:
         """The decoded fault plan, or ``None`` for a fault-free unit."""
@@ -177,9 +160,9 @@ class StudySpec:
 
     def run(self):
         """Execute this unit in-process (memoized per process)."""
-        from repro.core.experiment import run_app_study
+        from repro.core.experiment import study_for
 
-        return run_app_study(**self.run_kwargs())
+        return study_for(self)
 
 
 def expand_grid(

@@ -12,7 +12,6 @@ import pytest
 
 from repro.apps import create_app, datasets
 from repro.apps.registry import _EXTRA, APP_NAMES
-from repro.core.experiment import run_app_study
 from repro.orchestrator import StudyCache, StudySpec
 from tests.apps import dataset_oracle
 
@@ -68,7 +67,7 @@ def test_create_app_generates_nothing(name, monkeypatch):
 
 def test_study_cache_get_generates_nothing(tmp_path, monkeypatch):
     spec = StudySpec(app="kmeans", scale=0.05, seed=9, num_workers=16)
-    study = run_app_study(**spec.run_kwargs())
+    study = spec.run()
     cache = StudyCache(tmp_path / "cache")
     cache.put(spec, study)
     with monkeypatch.context() as patch:

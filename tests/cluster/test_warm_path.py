@@ -35,8 +35,14 @@ from repro.cluster import (
 from repro.cluster.arrivals import make_source
 from repro.cluster.engine import ClusterEngine
 from repro.cluster.policies import ClusterScheduler, RunningJob, create_scheduler
-from repro.core.experiment import NVFI_MESH, VFI1_MESH, VFI2_MESH
+from repro.core.experiment import (
+    NVFI_MESH,
+    VFI1_MESH,
+    VFI2_MESH,
+    clear_study_cache,
+)
 from repro.faults import FaultKind, FaultPlan, FaultSpec
+from repro.orchestrator import CACHE_SCHEMA_VERSION
 from repro.tech.spec import TechSpec
 from tests.cluster.test_properties import FakeCostModel, traces
 
@@ -82,12 +88,23 @@ class FakeStudy:
 class FakeStudyCache:
     """A StudyCache stand-in that holds every study (no simulation)."""
 
+    schema_version = CACHE_SCHEMA_VERSION
+    root = "fake"
+
     def __init__(self):
         self.gets = 0
 
     def get(self, spec):
         self.gets += 1
         return FakeStudy(spec)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def clean_study_memo():
+    """Cost models resolve through ``run_campaign``, which registers
+    every study in the process memo: drop the fakes after this module."""
+    yield
+    clear_study_cache()
 
 
 def old_estimate(model, job, chip):

@@ -57,6 +57,7 @@ class TestStudy:
         # An empty plan, the default technology and the unbounded cap
         # key like no axis at all, for a stored study as for a run one.
         from repro.faults import FaultPlan
+        from repro.orchestrator import StudySpec
         from repro.power import PowerCapSpec
         from repro.tech import TechSpec
 
@@ -67,8 +68,12 @@ class TestStudy:
         ) is plain
         clear_study_cache()
         store_study(
-            plain, "histogram", scale=0.05, seed=9, num_workers=16,
-            fault_plan=FaultPlan(), tech=TechSpec(), power_cap=PowerCapSpec(),
+            StudySpec(
+                "histogram", scale=0.05, seed=9, num_workers=16,
+                fault_plan=FaultPlan(), tech=TechSpec(),
+                power_cap=PowerCapSpec(),
+            ),
+            plain,
         )
         assert run_app_study(
             "histogram", scale=0.05, seed=9, num_workers=16

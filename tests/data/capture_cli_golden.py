@@ -144,6 +144,8 @@ SEQUENCES = {
         " --manifest artifacts/faults_throttle_manifest.json",
         "faults histogram --plan artifacts/core_failure.plan.json"
         " --scale 0.05 --seed 9 --num-workers 16 --cache-dir .study_cache",
+        "faults histogram --scenario mixed --seed 5 --num-workers 64"
+        " --scale 0.05",
     ],
     "ci-tech": [
         "tech list",
@@ -262,6 +264,7 @@ SEQUENCES = {
         "tech export --nodes bogus",
         "run-study histogram --scale -1",
         "trace --app histogram --scale 0.05 --num-workers 17",
+        "sweep histogram --num-workers 17 --scale 0.05",
         "trace --app histogram --scale 0.05 --num-workers 16"
         " --output missing/out.trace.json",
         "cluster run --policy bogus",

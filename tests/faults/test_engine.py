@@ -7,7 +7,6 @@ import pytest
 from repro.core.platforms import build_nvfi_mesh, geometry_for
 from repro.faults import (
     FaultEngine,
-    FaultInjectionError,
     FaultKind,
     FaultPlan,
     FaultSpec,
@@ -102,17 +101,24 @@ class TestDegradedViews:
         # The degraded platform is cached per link-set.
         assert engine.effective_platform() is degraded
 
-    def test_disconnection_raises(self, platform):
+    def test_disconnecting_failure_is_skipped(self, platform):
         # Sever every mesh edge incident to corner node 0 (side 4: east
-        # neighbor 1, south neighbor 4).
+        # neighbor 1, south neighbor 4): the first removal applies, the
+        # second would cut node 0 off and is refused.
         events = (
             FaultSpec(FaultKind.LINK_FAILURE, 1.0, (0, 1)),
-            FaultSpec(FaultKind.LINK_FAILURE, 1.0, (0, 4)),
+            FaultSpec(FaultKind.LINK_FAILURE, 2.0, (0, 4)),
         )
         engine = FaultEngine(platform, plan_of(*events))
-        with pytest.raises(FaultInjectionError, match="disconnects"):
-            engine.activate_due(2.0)
-            engine.effective_platform()
+        assert engine.activate_due(1.5) == (True, False)
+        degraded = engine.effective_platform()
+        assert engine.activate_due(2.5) == (False, False)
+        assert engine.effective_platform() is degraded
+        assert degraded.topology.is_connected()
+        assert engine.removed_links == {frozenset((0, 1))}
+        impact = engine.impact()
+        assert impact.events_applied == [events[0].to_dict()]
+        assert impact.events_skipped == 1
 
     def test_throttle_steps_down_the_ladder(self, platform):
         throttle = FaultSpec(FaultKind.ISLAND_THROTTLE, 1.0, (2,), 2.0)

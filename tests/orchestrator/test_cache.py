@@ -10,7 +10,7 @@ import struct
 import numpy as np
 import pytest
 
-from repro.core.experiment import clear_study_cache, run_app_study
+from repro.core.experiment import clear_study_cache
 from repro.core.serialization import study_to_dict
 from repro.faults import FaultKind, FaultPlan, FaultSpec
 from repro.orchestrator import StudyCache, StudySpec, run_campaign
@@ -30,7 +30,7 @@ PLAN = FaultPlan(
 
 @pytest.fixture(scope="module")
 def study():
-    return run_app_study(**SPEC.run_kwargs())
+    return SPEC.run()
 
 
 @pytest.fixture()
@@ -66,7 +66,7 @@ class TestFileBytes:
         spec = StudySpec(
             app="linear_regression", scale=0.05, seed=7, num_workers=64
         )
-        document = study_to_dict(run_app_study(**spec.run_kwargs()))
+        document = study_to_dict(spec.run())
         path = cache.put_document(spec, document)
         expected = io.StringIO()
         json.dump(

@@ -85,7 +85,7 @@ class TestSerialFallback:
     def test_jobs1_returns_the_memoized_study(self):
         campaign = run_campaign([SPEC_A], jobs=1)
         assert campaign.ok
-        assert campaign.study(SPEC_A) is run_app_study(**SPEC_A.run_kwargs())
+        assert campaign.study(SPEC_A) is SPEC_A.run()
 
     def test_manifest_records_computed(self):
         campaign = run_campaign([SPEC_A], jobs=1)
@@ -122,6 +122,17 @@ class TestSerialFallback:
             campaign.raise_failures()
         assert isinstance(excinfo.value.__cause__, ValueError)
 
+    def test_campaign_error_names_the_first_unit_error(self):
+        campaign = run_campaign(
+            [SPEC_A, SPEC_BAD], jobs=1, retries=0, worker=failing_worker
+        )
+        with pytest.raises(CampaignError) as excinfo:
+            campaign.raise_failures()
+        assert str(excinfo.value) == (
+            f"1 campaign unit(s) failed: {SPEC_BAD.label} -- "
+            "ValueError: injected permanent failure"
+        )
+
     def test_bad_jobs_and_retries_rejected(self):
         with pytest.raises(ValueError):
             run_campaign([SPEC_A], jobs=0)
@@ -137,7 +148,7 @@ class TestParallel:
         for spec in (SPEC_A, SPEC_B):
             import json
 
-            direct = run_app_study(**spec.run_kwargs())
+            direct = spec.run()
             assert json.dumps(
                 study_summary_dict(campaign.study(spec)), sort_keys=True
             ) == json.dumps(study_summary_dict(direct), sort_keys=True)
@@ -173,7 +184,10 @@ class TestParallel:
         for spec in (SPEC_A, SPEC_B):
             assert records[spec.label].status == "computed"
             assert records[spec.label].attempts == 1
-            serial = run_app_study(**spec.run_kwargs(), use_cache=False)
+            serial = run_app_study(
+                spec.app, scale=spec.scale, seed=spec.seed,
+                num_workers=spec.num_workers, use_cache=False,
+            )
             assert canonical_json(
                 study_to_dict(campaign.study(spec))
             ) == canonical_json(study_to_dict(serial))

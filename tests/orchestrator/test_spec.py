@@ -46,16 +46,6 @@ class TestCanonicalization:
         spec = StudySpec(app="kmeans", scale=0.5, seed=3, num_workers=36)
         assert StudySpec.from_dict(spec.to_dict()) == spec
 
-    def test_run_kwargs_match_run_app_study(self):
-        kwargs = StudySpec(app="kmeans").run_kwargs()
-        assert kwargs["app_name"] == "kmeans"
-        assert "app" not in kwargs
-        assert set(kwargs) == {
-            "app_name", "scale", "seed", "num_workers",
-            "winoc_methodology", "include_vfi1", "fault_plan", "tech",
-            "power_cap",
-        }
-
     def test_label_mentions_identity(self):
         label = StudySpec(app="pca", scale=0.3, seed=11, num_workers=16).label
         assert "pca" in label and "seed=11" in label and "workers=16" in label

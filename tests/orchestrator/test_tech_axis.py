@@ -41,10 +41,12 @@ class TestSpecCarrying:
         assert "tech=" not in StudySpec(APP, **KWARGS).label
 
     def test_run_kwargs_decodes_the_spec(self):
+        # run_app_study's tech keyword builds this spec; the pipeline
+        # runs the technology the spec decodes (the paper default for
+        # an unset axis).
         tech = TechSpec(node="22nm", cores="io")
-        kwargs = StudySpec(APP, tech=tech, **KWARGS).run_kwargs()
-        assert kwargs["tech"] == tech
-        assert StudySpec(APP, **KWARGS).run_kwargs()["tech"] is None
+        assert StudySpec(APP, tech=tech, **KWARGS).tech_spec() == tech
+        assert StudySpec(APP, **KWARGS).tech_spec() == TechSpec()
 
 
 class TestGrid:
