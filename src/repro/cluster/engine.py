@@ -13,15 +13,21 @@ event heap of :mod:`repro.cluster.events`:
   incrementally maintained views (the waiting queue and the sorted
   free-chip list -- no per-call copies), and when jobs wait with no
   chip free, ``select_preemption`` may emit a ``PREEMPT``.  It sees the
-  :class:`~repro.cluster.policies.RunningJob` view each execution got
-  at dispatch, in a chip-ordered tuple that is rebuilt only when the
-  busy set changes or the clock passes a same-instant dispatch; a
-  policy that keeps the base hook, which never preempts, is not
-  asked.
+  busy executions in a chip-ordered tuple that is rebuilt only when the
+  busy set changes or the clock passes a same-instant dispatch.  Each
+  execution brings two :class:`~repro.cluster.policies.RunningJob`
+  views, both built at dispatch: a preemptable one, and the
+  ``preemptable=False`` twin the tuple holds at the instant the
+  execution started.  A policy that keeps the base hook, which never
+  preempts, is not asked.
 * ``DISPATCH`` starts an execution: the cost model prices the job on
   the chip (optionally re-timed at a policy-chosen DVFS
   :class:`~repro.cluster.costmodel.SpeedStep`), and a ``COMPLETE`` is
-  scheduled.  Dataset residency is granted when the staging transfer
+  scheduled.  A segment whose service time or energy is NaN, infinite
+  or negative fails the run with one ``ValueError`` naming the job and
+  the chip, as does a retry instant that is not finite: such a time
+  would stall the clock, run it backwards, or end in a record JSON
+  cannot hold.  Dataset residency is granted when the staging transfer
   *finishes* -- at completion or at a post-transfer preemption -- never
   at dispatch, so an interrupted transfer cannot gift free residency.
 * ``PREEMPT`` checkpoints an execution: service progress is preserved
@@ -43,7 +49,7 @@ golden record tests).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.cluster.arrivals import Source
@@ -89,9 +95,12 @@ class _Execution:
     work_start: float
     completion_s: float
     token: int
-    #: The preemption policy's view of this execution, built once at
-    #: dispatch with ``preemptable=True``.
+    #: The preemption policy's views of this execution, both built at
+    #: dispatch: ``view`` is preemptable, ``twin`` is the same view with
+    #: ``preemptable=False`` (what the policy sees at the dispatch
+    #: instant, when the execution has made no progress).
     view: RunningJob
+    twin: RunningJob
     speed_label: Optional[str] = None
     cancelled: bool = False
 
@@ -132,6 +141,9 @@ class ClusterEngine:
         }
         #: job_id -> completed work fraction of checkpointed jobs.
         self.progress: Dict[int, float] = {}
+        #: (app, scale, seed) -> dataset_key, formatted once per dataset
+        #: rather than on every residency check.
+        self._dataset_keys: Dict[Tuple[str, float, int], str] = {}
         self._source: Optional[Source] = None
         self._arrivals: Iterator[ClusterJob] = iter(())
         self._token = 0
@@ -159,7 +171,15 @@ class ClusterEngine:
         return self.fleet.transfer_s(job.input_mb)
 
     def is_resident(self, job: ClusterJob, chip: ChipSpec) -> bool:
-        return job.dataset_key in self.resident.get(chip.chip_id, set())
+        resident = self.resident.get(chip.chip_id)
+        return bool(resident) and self._dataset_key(job) in resident
+
+    def _dataset_key(self, job: ClusterJob) -> str:
+        dataset = (job.app, job.scale, job.seed)
+        key = self._dataset_keys.get(dataset)
+        if key is None:
+            key = self._dataset_keys[dataset] = job.dataset_key
+        return key
 
     # ------------------------------------------------------------------ #
 
@@ -286,6 +306,11 @@ class ClusterEngine:
                     pid="cluster", tid="rejected",
                 )
             return
+        if not math.isfinite(retry_at):
+            raise ValueError(
+                f"source scheduled a retry of {job.label} at {retry_at!r}: "
+                f"a retry instant must be finite"
+            )
         if retry_at <= now:
             raise RuntimeError(
                 f"source scheduled a retry at {retry_at} <= now {now} "
@@ -308,6 +333,15 @@ class ClusterEngine:
         remaining = 1.0 - work_start
         segment_service = scaled.service_s * remaining
         segment_energy = scaled.energy_j * remaining
+        if not (
+            0.0 <= segment_service < math.inf
+            and 0.0 <= segment_energy < math.inf
+        ):
+            raise ValueError(
+                f"{job.label} on {chip.label}: segment service_s="
+                f"{segment_service!r} and energy_j={segment_energy!r} "
+                f"must be finite and >= 0"
+            )
         record = self.records[job.job_id]
         record.status = COMPLETED
         record.chip_id = chip.chip_id
@@ -318,27 +352,26 @@ class ClusterEngine:
         if step is not None:
             record.extra["dvfs"] = step.label
         completion = now + transfer + segment_service
+        transfer_end = now + transfer
         self._token += 1
+        token = self._token
         execution = _Execution(
             job=job,
             record=record,
             chip=chip,
             dispatched_s=now,
             transfer_s=transfer,
-            transfer_end_s=now + transfer,
+            transfer_end_s=transfer_end,
             service_s=segment_service,
             energy_j=segment_energy,
             work_start=work_start,
             completion_s=completion,
-            token=self._token,
+            token=token,
             view=RunningJob(
-                job=job,
-                chip=chip,
-                dispatched_s=now,
-                transfer_end_s=now + transfer,
-                completion_s=completion,
-                preemptable=True,
-                token=self._token,
+                job, chip, now, transfer_end, completion, True, token
+            ),
+            twin=RunningJob(
+                job, chip, now, transfer_end, completion, False, token
             ),
             speed_label=step.label if step is not None else None,
         )
@@ -373,7 +406,7 @@ class ClusterEngine:
         record.completed_s = when
         # Residency is granted when the transfer has actually landed --
         # which, on the completion path, it always has.
-        self.resident[chip_id].add(execution.job.dataset_key)
+        self.resident[chip_id].add(self._dataset_key(execution.job))
         self.progress.pop(execution.job.job_id, None)
         if record.preemptions:
             self._append_segment(record, execution, 1.0,
@@ -418,7 +451,7 @@ class ClusterEngine:
             # Transfer landed (grant residency) and the service ran for
             # a while: checkpoint the executed fraction, uncharge the
             # unfinished remainder exactly once.
-            self.resident[chip_id].add(execution.job.dataset_key)
+            self.resident[chip_id].add(self._dataset_key(execution.job))
             executed = now - execution.transfer_end_s
             if execution.service_s > 0.0:
                 executed_frac = executed / execution.service_s
@@ -496,18 +529,19 @@ class ClusterEngine:
             if pick is None:
                 break
             job, chip = pick
-            queued = any(queued is job for queued in self.queue)
-            if not queued or chip.chip_id not in self._free_ids:
+            # Find the picked job *by identity* (frozen dataclasses
+            # compare by field, and queues may hold equal duplicates).
+            for index, queued in enumerate(self.queue):
+                if queued is job:
+                    break
+            else:
+                index = None
+            if index is None or chip.chip_id not in self._free_ids:
                 raise RuntimeError(
                     f"policy {self.policy.name!r} selected an invalid "
                     f"pair: {job.label} -> {chip.label}"
                 )
-            # Remove the picked job *by identity* (frozen dataclasses
-            # compare by field, and queues may hold equal duplicates).
-            for index, queued_job in enumerate(self.queue):
-                if queued_job is job:
-                    del self.queue[index]
-                    break
+            del self.queue[index]
             self._take_chip(chip)
             self.events.schedule(now, DISPATCH, payload=(job, chip))
             produced = True
@@ -523,20 +557,22 @@ class ClusterEngine:
     def _running_views(self, now: float) -> Tuple[RunningJob, ...]:
         """The busy executions' views in chip-id order.
 
-        Each view is built once, at dispatch; one dispatched at *now*
-        has made no progress and is passed as a ``preemptable=False``
-        twin.  The tuple is rebuilt only when the busy set has changed
-        or the clock has passed the instant of a twin it holds.
+        Both views of an execution are built at dispatch; one dispatched
+        at *now* has made no progress and is passed as its
+        ``preemptable=False`` twin.  The tuple is rebuilt only when the
+        busy set has changed or the clock has passed the instant of a
+        twin it holds.
         """
         if self._views is None or now > self._views_until:
             views = []
             until = math.inf
-            for chip_id in sorted(self.busy):
-                execution = self.busy[chip_id]
+            busy = self.busy
+            for chip_id in sorted(busy):
+                execution = busy[chip_id]
                 if execution.dispatched_s < now:
                     views.append(execution.view)
                 else:
-                    views.append(replace(execution.view, preemptable=False))
+                    views.append(execution.twin)
                     until = now
             self._views = tuple(views)
             self._views_until = until

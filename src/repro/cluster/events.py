@@ -15,7 +15,9 @@ deterministic heap:
 ``DISPATCH``
     The scheduling round places one (job, chip) pair.
 
-The heap order *is* the service's determinism contract.  Events sort by
+The heap order *is* the service's determinism contract.  An
+:class:`Event` is a named tuple ``(time_s, rank, tie, seq, kind,
+payload)`` and is its own heap key, so events sort by
 ``(time_s, rank, tie, seq)``:
 
 * ``rank`` encodes the legacy tie rules -- at one timestamp completions
@@ -25,8 +27,13 @@ The heap order *is* the service's determinism contract.  Events sort by
   like the pre-engine loop's completions-before-arrivals ordering).
 * ``tie`` is the domain tie-break: ``chip_id`` for completions (the
   legacy busy-heap order), ``job_id`` for arrivals and retries.
-* ``seq`` is a monotonic issue counter, so the order is total without
-  ever comparing payloads.
+* ``seq`` is a monotonic issue counter, unique per event, so two
+  events never compare further than it: the order is total without
+  ever comparing kinds or payloads.
+
+That order is total only over comparable times, so
+:meth:`EventEngine.schedule` refuses a NaN or infinite time: a NaN on
+top of the heap would never equal the clock, and the run would spin.
 
 :class:`EventEngine` owns the heap and the stepping rule; the cluster
 engine (:mod:`repro.cluster.engine`) supplies the two callbacks --
@@ -36,9 +43,9 @@ run after each drained timestamp.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List
+from heapq import heappop, heappush
+from math import isfinite
+from typing import Any, Callable, Dict, List, NamedTuple
 
 #: Event kinds, in application order at one timestamp.
 COMPLETE = "complete"
@@ -57,22 +64,21 @@ EVENT_RANK: Dict[str, int] = {
 }
 
 
-@dataclass(frozen=True)
-class Event:
-    """One typed, totally ordered cluster event."""
+class Event(NamedTuple):
+    """One typed, totally ordered cluster event, compared as the tuple it
+    is: ``seq`` is unique, so the order is decided by ``(time_s, rank,
+    tie, seq)`` alone."""
 
     time_s: float
-    kind: str
-    #: Domain tie-break at equal (time, kind): chip_id for completions,
-    #: job_id for arrivals/retries, issue order for round events.
+    #: ``EVENT_RANK[kind]``: the application order at one timestamp.
+    rank: int
+    #: Domain tie-break at equal (time, rank): chip_id for completions
+    #: and preemptions, job_id for arrivals/retries, 0 for dispatches.
     tie: int
     #: Monotonic issue counter (total order without payload compares).
     seq: int
-    payload: Any = field(default=None, compare=False)
-
-    @property
-    def sort_key(self):
-        return (self.time_s, EVENT_RANK[self.kind], self.tie, self.seq)
+    kind: str
+    payload: Any = None
 
 
 class EventEngine:
@@ -89,7 +95,7 @@ class EventEngine:
     """
 
     def __init__(self) -> None:
-        self._heap: List[tuple] = []
+        self._heap: List[Event] = []
         self._seq = 0
         #: Events applied, by kind (cheap audit counters).
         self.counts: Dict[str, int] = {kind: 0 for kind in EVENT_RANK}
@@ -100,21 +106,25 @@ class EventEngine:
     def schedule(
         self, time_s: float, kind: str, tie: int = 0, payload: Any = None
     ) -> Event:
-        """Push one event; returns it (the seq identifies it uniquely)."""
-        if kind not in EVENT_RANK:
+        """Push one event; returns it (the seq identifies it uniquely).
+
+        A NaN or infinite *time_s* raises ``ValueError``: the heap's
+        order, and so the run, needs every time comparable and finite.
+        """
+        rank = EVENT_RANK.get(kind)
+        if rank is None:
             raise ValueError(
                 f"unknown event kind {kind!r}; known: {sorted(EVENT_RANK)}"
             )
+        time_s = float(time_s)
+        if not isfinite(time_s):
+            raise ValueError(
+                f"{kind} event time must be finite, got {time_s!r}"
+            )
         self._seq += 1
-        event = Event(
-            time_s=float(time_s), kind=kind, tie=int(tie),
-            seq=self._seq, payload=payload,
-        )
-        heapq.heappush(self._heap, (event.sort_key, event))
+        event = Event(time_s, rank, int(tie), self._seq, kind, payload)
+        heappush(self._heap, event)
         return event
-
-    def _pop(self) -> Event:
-        return heapq.heappop(self._heap)[1]
 
     def run(
         self,
@@ -128,16 +138,16 @@ class EventEngine:
         when it scheduled same-instant work that must be drained before
         the round is consulted again.
         """
-        while self._heap:
-            now = self._heap[0][1].time_s
-            while self._heap and self._heap[0][1].time_s == now:
-                event = self._pop()
-                self.counts[event.kind] += 1
-                apply(event)
-            # Every simultaneous event is applied; run scheduling rounds
-            # until they stop producing same-instant events.
-            while round_fn(now):
-                while self._heap and self._heap[0][1].time_s == now:
-                    event = self._pop()
-                    self.counts[event.kind] += 1
+        heap = self._heap
+        counts = self.counts
+        while heap:
+            now = heap[0].time_s
+            # Every simultaneous event is applied, then scheduling rounds
+            # run until they stop producing same-instant events.
+            while True:
+                while heap and heap[0].time_s == now:
+                    event = heappop(heap)
+                    counts[event.kind] += 1
                     apply(event)
+                if not round_fn(now):
+                    break

@@ -191,25 +191,60 @@ class PriorityScheduler(ClusterScheduler):
         return min(queue, key=lambda j: (-j.priority,) + _fifo_key(j))
 
 
+def _earliest_deadline_job(
+    queue: Sequence[ClusterJob], best_effort: bool
+) -> Optional[ClusterJob]:
+    """``min(jobs, key=_edf_key)`` in one pass, without a key tuple per
+    job: the first job with the least (deadline, arrival_s, job_id).
+    *jobs* is *queue*, or only its deadline jobs when *best_effort* is
+    false; ``None`` when there are none."""
+    best = None
+    best_deadline = math.inf
+    for job in queue:
+        deadline = job.deadline_s
+        if deadline is None:
+            if not best_effort:
+                continue
+            deadline = math.inf
+        if best is None or deadline < best_deadline or (
+            deadline == best_deadline
+            and (
+                job.arrival_s < best.arrival_s
+                or (
+                    job.arrival_s == best.arrival_s
+                    and job.job_id < best.job_id
+                )
+            )
+        ):
+            best = job
+            best_deadline = deadline
+    return best
+
+
 class DeadlineScheduler(ClusterScheduler):
     """Earliest-deadline-first, landing on the fastest-completing chip."""
 
     def pick_job(self, now, queue, free_chips, ctx):
-        return min(
-            queue,
-            key=lambda j: (
-                j.deadline_s if j.deadline_s is not None else math.inf,
-            ) + _fifo_key(j),
-        )
+        if not queue:
+            raise ValueError("pick_job needs a non-empty queue")
+        return _earliest_deadline_job(queue, best_effort=True)
 
     def pick_chip(self, now, job, free_chips, ctx):
-        return min(
-            free_chips,
-            key=lambda c: (
-                ctx.transfer_s(job, c) + ctx.estimate(job, c).service_s,
-                c.chip_id,
-            ),
-        )
+        # min over (transfer + service, chip_id) in one pass; each chip
+        # is priced once, transfer first, in free-chip order.
+        best = None
+        best_finish = 0.0
+        for chip in free_chips:
+            transfer = ctx.transfer_s(job, chip)
+            finish = transfer + ctx.estimate(job, chip).service_s
+            if best is None or finish < best_finish or (
+                finish == best_finish and chip.chip_id < best.chip_id
+            ):
+                best = chip
+                best_finish = finish
+        if best is None:
+            raise ValueError("pick_chip needs a free chip")
+        return best
 
 
 class LeastEdpScheduler(ClusterScheduler):
@@ -333,23 +368,43 @@ class EdfPreemptScheduler(DeadlineScheduler):
     """
 
     def select_preemption(self, now, queue, running, ctx):
-        deadline_jobs = [j for j in queue if j.deadline_s is not None]
-        if not deadline_jobs:
+        challenger = _earliest_deadline_job(queue, best_effort=False)
+        if challenger is None:
             return None
-        challenger = min(deadline_jobs, key=_edf_key)
-        candidates = [r for r in running if r.preemptable]
-        if not candidates:
+        # One pass over the running set: the victim is the first
+        # preemptable execution with the greatest (deadline, completion,
+        # chip_id), and earliest_free the least completion of them all.
+        victim = earliest_free = None
+        victim_deadline = victim_completion = 0.0
+        for running_job in running:
+            completion = running_job.completion_s
+            if earliest_free is None or completion < earliest_free:
+                earliest_free = completion
+            if not running_job.preemptable:
+                continue
+            deadline = running_job.job.deadline_s
+            if deadline is None:
+                deadline = math.inf
+            if victim is None or deadline > victim_deadline or (
+                deadline == victim_deadline
+                and (
+                    completion > victim_completion
+                    or (
+                        completion == victim_completion
+                        and running_job.chip.chip_id > victim.chip.chip_id
+                    )
+                )
+            ):
+                victim = running_job
+                victim_deadline = deadline
+                victim_completion = completion
+        if victim is None:
             return None
-        victim = max(
-            candidates,
-            key=lambda r: (r.deadline_key, r.completion_s, r.chip.chip_id),
-        )
-        if challenger.deadline_s >= victim.deadline_key:
+        if challenger.deadline_s >= victim_deadline:
             return None  # never preempt a tighter (or equal) deadline
         transfer = ctx.transfer_s(challenger, victim.chip)
         service = ctx.estimate(challenger, victim.chip).service_s
         meets_if_preempted = now + transfer + service <= challenger.deadline_s
-        earliest_free = min(r.completion_s for r in running)
         misses_if_waiting = (
             earliest_free + transfer + service > challenger.deadline_s
         )

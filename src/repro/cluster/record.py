@@ -12,12 +12,20 @@ the same policy on the same fleet must reproduce that digest byte for
 byte; the cold/warm split of the study resolutions (``study_stats``) is
 deliberately excluded, because a warm replay resolves every per-job
 simulation from the StudyCache without changing a single metric.
+
+:meth:`ClusterRunResult.save` and :meth:`ClusterRunResult.load` run with
+the cyclic garbage collector paused.  A record holds one object graph
+per job and none of it is garbage while it is written or read, yet the
+hundreds of thousands of objects a 100k-arrival load builds would set
+off several full collector passes, each walking all of them.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from itertools import chain, compress, repeat
 from math import copysign
@@ -159,7 +167,9 @@ class ClusterRunResult:
         ``replay_digest`` and written as they are, with the digest and
         ``study_stats`` in their sorted positions.
         """
-        with get_tracer().wall_span("cluster.record.save", cat="cluster"):
+        with get_tracer().wall_span(
+            "cluster.record.save", cat="cluster"
+        ), _collector_paused():
             members = dict(self._member_texts())
             members["replay_digest"] = dump_builtin(_digest(members))
             members["study_stats"] = canonical_json(dict(self.study_stats))
@@ -171,8 +181,24 @@ class ClusterRunResult:
     def load(cls, path: Union[str, Path]) -> "ClusterRunResult":
         """Read a record written by :meth:`save`; a malformed file raises
         one ``ValueError`` naming the file and the member."""
-        with get_tracer().wall_span("cluster.record.load", cat="cluster"):
+        with get_tracer().wall_span(
+            "cluster.record.load", cat="cluster"
+        ), _collector_paused():
             return load_json_object(path, cls.from_dict)
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Run the block with the cyclic garbage collector disabled, and put
+    back the state it had on every way out (a collector that was already
+    off stays off)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 #: How a payload member's object becomes the builtin value its text

@@ -1,4 +1,5 @@
-"""Event engine: golden replay pins, legacy round-trip, heap order.
+"""Event engine: golden replay pins, legacy round-trip, heap order,
+finite times.
 
 The golden records under ``tests/data/cluster_golden/`` were written by
 the pre-engine monolithic ``ClusterService.run`` loop.  Replaying them
@@ -9,10 +10,19 @@ extended one.
 """
 
 import json
+import math
 import pathlib
+from dataclasses import dataclass
 
 import pytest
 
+from repro.cluster import (
+    ArrivalTrace,
+    ClusterJob,
+    ClusterService,
+    JobEstimate,
+    fleet_for,
+)
 from repro.cluster.events import (
     ARRIVAL,
     COMPLETE,
@@ -20,11 +30,13 @@ from repro.cluster.events import (
     EVENT_RANK,
     PREEMPT,
     RETRY,
+    Event,
     EventEngine,
 )
 from repro.cluster.jobs import TERMINAL_STATUSES
 from repro.cluster.record import ClusterRunResult, replay, verify_replay
 from repro.utils.jsonutil import canonical_json
+from tests.cluster.test_properties import FakeCostModel
 
 GOLDEN_DIR = pathlib.Path(__file__).parent.parent / "data" / "cluster_golden"
 GOLDEN_POLICIES = ("fifo", "priority", "edf")
@@ -140,7 +152,116 @@ class TestEventEngine:
         with pytest.raises(ValueError, match="unknown event kind"):
             engine.schedule(0.0, "quiesce")
 
+    @pytest.mark.parametrize("time_s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, time_s):
+        engine = EventEngine()
+        with pytest.raises(ValueError, match="must be finite"):
+            engine.schedule(time_s, COMPLETE)
+        assert len(engine) == 0
+
+    def test_events_are_their_own_heap_keys(self):
+        engine = EventEngine()
+        # Payloads that cannot be ordered: the unique seq decides first.
+        first = engine.schedule(1.0, COMPLETE, tie=2, payload=object())
+        second = engine.schedule(1.0, COMPLETE, tie=2, payload=object())
+        assert isinstance(first, Event)
+        assert first == (1.0, EVENT_RANK[COMPLETE], 2, 1, COMPLETE,
+                         first.payload)
+        assert first < second
+        assert engine.schedule(0.5, DISPATCH) < first
+        seen = []
+        engine.run(lambda e: seen.append(e.seq), lambda now: False)
+        assert seen == [3, 1, 2]
+
     def test_ranks_cover_every_kind(self):
         assert set(EVENT_RANK) == {
             COMPLETE, RETRY, ARRIVAL, PREEMPT, DISPATCH,
         }
+
+
+# ---------------------------------------------------------------------- #
+# finite times: one error line, never a hang
+# ---------------------------------------------------------------------- #
+
+#: Twenty jobs over 10 s onto two chips: more than the queue holds.
+FINITE_JOBS = tuple(
+    ClusterJob(job_id=i, app="histogram", arrival_s=0.5 * i, input_mb=0.0)
+    for i in range(20)
+)
+FINITE_TRACE = ArrivalTrace(name="finite", seed=1, jobs=FINITE_JOBS)
+
+
+class PricedAt(FakeCostModel):
+    """Every estimate at one service time and energy."""
+
+    def __init__(self, service_s, energy_j=1.0):
+        super().__init__()
+        self.priced = JobEstimate(service_s=service_s, energy_j=energy_j)
+
+    def estimate(self, job, chip):
+        return self.priced
+
+
+@dataclass(frozen=True)
+class NanBackoffSource:
+    """A closed-loop source whose every retry instant is NaN."""
+
+    trace: ArrivalTrace
+
+    def retry_at(self, job, now, attempts):
+        return math.nan
+
+    def to_dict(self):
+        return {"kind": "nan-backoff"}
+
+
+def serve_finite(cost_model, source="open", depth=8):
+    fleet = fleet_for(2, num_workers=16)
+    service = ClusterService(
+        fleet, "fifo", max_queue_depth=depth, cost_model=cost_model
+    )
+    if source != "open":
+        return service.run(source(FINITE_TRACE))
+    return service.run(FINITE_TRACE)
+
+
+@pytest.mark.parametrize(
+    "service_s, energy_j, shown",
+    [
+        (math.nan, 1.0, "service_s=nan"),
+        (math.inf, 1.0, "service_s=inf"),
+        (-1.0, 1.0, "service_s=-1.0"),
+        (2.0, math.nan, "energy_j=nan"),
+        (2.0, math.inf, "energy_j=inf"),
+        (2.0, -5.0, "energy_j=-5.0"),
+    ],
+    ids=["nan", "inf", "negative", "nan-energy", "inf-energy",
+         "negative-energy"],
+)
+def test_an_unusable_estimate_fails_the_run_in_one_line(
+    service_s, energy_j, shown
+):
+    with pytest.raises(ValueError) as info:
+        serve_finite(PricedAt(service_s, energy_j))
+    message = str(info.value)
+    assert "\n" not in message
+    assert FINITE_JOBS[0].label in message
+    assert fleet_for(2, num_workers=16).chips[0].label in message
+    assert shown in message
+    assert "must be finite and >= 0" in message
+
+
+def test_a_nan_retry_instant_fails_the_run_in_one_line():
+    with pytest.raises(ValueError) as info:
+        serve_finite(FakeCostModel(), source=NanBackoffSource, depth=1)
+    message = str(info.value)
+    assert "\n" not in message
+    assert "nan" in message
+    assert "must be finite" in message
+    assert any(job.label in message for job in FINITE_JOBS)
+
+
+def test_a_zero_estimate_still_runs():
+    # 0 is finite and >= 0: the bound is inclusive.
+    result = serve_finite(PricedAt(0.0, 0.0))
+    assert result.report.completed == len(FINITE_JOBS)

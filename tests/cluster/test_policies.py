@@ -1,6 +1,11 @@
-"""Policy registry and per-policy choice behavior (stub context)."""
+"""Policy registry and per-policy choice behavior (stub context), and
+the one-pass deadline policies against their ``min`` / ``max`` bodies."""
+
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.costmodel import JobEstimate
 from repro.cluster.fleet import ChipSpec
@@ -8,9 +13,15 @@ from repro.cluster.jobs import ClusterJob
 from repro.cluster.policies import (
     SCHEDULERS,
     ClusterScheduler,
+    RunningJob,
     create_scheduler,
     register_scheduler,
     scheduler_names,
+)
+from tests.cluster.engine_oracle import (
+    oracle_pick_chip,
+    oracle_pick_job,
+    oracle_select_preemption,
 )
 
 
@@ -348,3 +359,114 @@ class TestTechAware:
         assert [c.is_efficiency_class for c in self.hetero] == [
             False, False, True, True,
         ]
+
+
+# ---------------------------------------------------------------------- #
+# the one-pass deadline policies against the min / max bodies
+# ---------------------------------------------------------------------- #
+
+
+class LoggingContext(StubContext):
+    """A StubContext that logs each estimate and transfer it answers:
+    ``study_stats.memo_hits`` counts the engine's estimates, so the
+    one-pass bodies must ask the same questions in the same order."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = []
+
+    def estimate(self, job, chip):
+        self.calls.append(("estimate", job.job_id, chip.chip_id))
+        return super().estimate(job, chip)
+
+    def transfer_s(self, job, chip):
+        self.calls.append(("transfer_s", job.job_id, chip.chip_id))
+        return super().transfer_s(job, chip)
+
+
+#: Few distinct values, so deadlines, arrivals, ids, completions and
+#: finish times tie often and the first extreme in sequence order
+#: decides.  Equal job ids draw equal (but distinct) job objects.
+JOB_IDS = st.integers(min_value=0, max_value=3)
+ARRIVALS = st.sampled_from([0.0, 1.0, 2.0])
+DEADLINES = st.one_of(st.none(), st.sampled_from([30.0, 40.0, 60.0]))
+COMPLETIONS = st.sampled_from([20.0, 28.0, 50.0])
+SERVICES = st.sampled_from([5.0, 20.0, 25.0])
+
+
+@st.composite
+def drawn_jobs(draw):
+    return ClusterJob(
+        job_id=draw(JOB_IDS), app="histogram", arrival_s=draw(ARRIVALS),
+        deadline_s=draw(DEADLINES),
+    )
+
+
+@st.composite
+def running_sets(draw):
+    """Running views on chips that may repeat, some with their
+    ``preemptable=False`` twin next to them, some only as the twin."""
+    views = []
+    for token in range(draw(st.integers(min_value=0, max_value=5))):
+        view = RunningJob(
+            job=draw(drawn_jobs()),
+            chip=CHIPS[draw(st.integers(min_value=0, max_value=2))],
+            dispatched_s=0.0,
+            transfer_end_s=0.5,
+            completion_s=draw(COMPLETIONS),
+            preemptable=draw(st.booleans()),
+            token=token,
+        )
+        views.append(view)
+        if view.preemptable and draw(st.booleans()):
+            views.append(replace(view, preemptable=False))
+    return views
+
+
+@st.composite
+def contexts(draw):
+    """Keyword arguments of two identical logging contexts."""
+    pairs = [(j, c.chip_id) for j in range(4) for c in CHIPS]
+    return {
+        "estimates": {
+            pair: (draw(SERVICES), 1000.0) for pair in pairs
+        },
+        "resident": draw(st.sets(st.sampled_from(pairs), max_size=6)),
+        "transfer": draw(st.sampled_from([0.0, 0.5])),
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    now=st.sampled_from([0.0, 1.0, 3.0]),
+    queue=st.lists(drawn_jobs(), max_size=6),
+    running=running_sets(),
+    ctx=contexts(),
+)
+def test_one_pass_select_preemption_picks_the_oracles_victim(
+    now, queue, running, ctx
+):
+    policy = create_scheduler("edf_preempt")
+    ours, theirs = LoggingContext(**ctx), LoggingContext(**ctx)
+    victim = policy.select_preemption(now, queue, running, ours)
+    expected = oracle_select_preemption(policy, now, queue, running, theirs)
+    assert victim is expected
+    assert ours.calls == theirs.calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    queue=st.lists(drawn_jobs(), min_size=1, max_size=6),
+    free=st.lists(st.sampled_from(CHIPS), min_size=1, max_size=4),
+    ctx=contexts(),
+)
+def test_one_pass_edf_picks_the_oracles_job_and_chip(queue, free, ctx):
+    policy = create_scheduler("edf")
+    assert policy.pick_job(0.0, queue, free, None) is oracle_pick_job(
+        policy, 0.0, queue, free, None
+    )
+    ours, theirs = LoggingContext(**ctx), LoggingContext(**ctx)
+    for job_ in queue:
+        chip = policy.pick_chip(0.0, job_, free, ours)
+        assert chip is oracle_pick_chip(policy, 0.0, job_, free, theirs)
+    assert ours.calls == theirs.calls

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import gc
 import hashlib
 import json
 
@@ -64,6 +65,78 @@ class TestPersistence:
         clone = ClusterRunResult.from_dict(recorded.to_dict())
         clone.study_stats = {"computed": 0, "cache_hits": 99}
         assert clone.replay_digest == recorded.replay_digest
+
+
+@pytest.fixture
+def collector_state():
+    """Put the cyclic collector back as it was, whatever a test does."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestCollectorPaused:
+    """``save`` and ``load`` run with the cyclic collector disabled and
+    leave it as they found it."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """The collector's state inside each save (at the digest) and
+        load (at ``from_dict``)."""
+        seen = []
+        digest = record_module._digest
+        from_dict = ClusterRunResult.from_dict.__func__
+
+        def spy_digest(members):
+            seen.append(("save", gc.isenabled()))
+            return digest(members)
+
+        def spy_from_dict(cls, data):
+            seen.append(("load", gc.isenabled()))
+            return from_dict(cls, data)
+
+        monkeypatch.setattr(record_module, "_digest", spy_digest)
+        monkeypatch.setattr(
+            ClusterRunResult, "from_dict", classmethod(spy_from_dict)
+        )
+        return seen
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_paused_inside_and_restored_after(
+        self, recorded, tmp_path, collector_state, seen, enabled
+    ):
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        path = tmp_path / "run.json"
+        recorded.save(path)
+        assert gc.isenabled() is enabled
+        loaded = ClusterRunResult.load(path)
+        assert gc.isenabled() is enabled
+        assert seen == [("save", False), ("load", False)]
+        assert loaded.replay_digest == recorded.replay_digest
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_restored_after_a_malformed_file(
+        self, recorded, tmp_path, collector_state, seen, enabled
+    ):
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        data = recorded.to_dict()
+        data["records"] = 5
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        seen.clear()  # to_dict's digest is no save
+        with pytest.raises(ValueError, match="records"):
+            ClusterRunResult.load(path)
+        assert gc.isenabled() is enabled
+        assert seen == [("load", False)]
 
 
 class TestReplay:

@@ -36,7 +36,12 @@ from repro.cluster.record import ClusterRunResult, replay, verify_replay
 from repro.telemetry import RecordingTracer, use_tracer
 from repro.utils.jsonutil import load_json_object
 from tests.cluster import record_oracle as oracle
-from tests.cluster.engine_oracle import OracleEngine
+from tests.cluster.engine_oracle import (
+    OracleDeadlineScheduler,
+    OracleEdfPreemptScheduler,
+    OracleEngine,
+    OracleEventEngine,
+)
 from tests.cluster.test_properties import FakeCostModel, traces
 from tests.cluster.test_warm_path import MIXED_RUNS, ViewChecker, serve
 
@@ -373,6 +378,23 @@ def test_every_policy_gives_the_old_engines_payload(
         patched.setattr(service_module, "ClusterEngine", OracleEngine)
         expected = serve(config, cost_model=FakeCostModel())
     assert result.payload_json() == expected.payload_json()
+
+
+@pytest.mark.parametrize(
+    "name, oracle",
+    [
+        ("edf", OracleDeadlineScheduler),
+        ("edf_preempt", OracleEdfPreemptScheduler),
+        ("fifo", type(create_scheduler("fifo"))),
+    ],
+)
+def test_the_oracle_engine_runs_the_old_heap_and_policy_bodies(name, oracle):
+    engine = OracleEngine(
+        fleet_for(2), create_scheduler(name), FakeCostModel(), 4
+    )
+    assert type(engine.events) is OracleEventEngine
+    assert type(engine.policy) is oracle
+    assert engine.policy.name == name
 
 
 # ---------------------------------------------------------------------- #
